@@ -21,7 +21,7 @@ from .kernels import (KernelElement, ResistanceValue, dirac_expansion_check,
 from .models import (ModelSpec, build, load_network, log_increment_function,
                      oracle_h, oracle_residuals, oracle_v, oracle_w_o)
 from .network import (ExhaustionPlan, Network, VertexFunction,
-                      default_exhaustion, doubling_exhaustion, make_exhaustion)
+                      doubling_exhaustion, make_exhaustion)
 from .operators import (EnergyValue, contract, energy, energy_over_plan,
                         laplacian_apply, normal_derivative, transfer_apply)
 from .randomwalk import (EscapeTrace, McEstimate, WalkConfig,

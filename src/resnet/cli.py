@@ -50,15 +50,15 @@ def _parse_vertex(text):
 
 
 def _parse_plan(net, text):
-    """Plan descriptors: balls:A..B | radii:2^k | radii:3^k | radii:1,2,4."""
-    if text is None:
-        cap = net.window_radius if not net.is_finite else None
-        if cap is None:
-            cap = max((net.distance(v) for v in net.vertices), default=1)
-        return make_exhaustion(net, range(1, max(cap, 1) + 1))
-    kind, _, rest = text.partition(":")
+    """Plan descriptors: balls:A..B | radii:2^k | radii:3^k | radii:1,2,4.
+
+    Without a descriptor, balls of radii 1, 2, ... up to the window radius
+    (the largest distance on a finite network)."""
     cap = net.window_radius if not net.is_finite else max(
         net.distance(v) for v in net.vertices)
+    if text is None:
+        return make_exhaustion(net, range(1, max(cap, 1) + 1))
+    kind, _, rest = text.partition(":")
     if kind == "balls":
         a, sep, b = rest.partition("..")
         if not sep:
@@ -239,6 +239,11 @@ def _cmd_gaussgreen(args):
         meta = dict(header, verdict=report.verdict)
         if report.boundary_limit is not None:
             meta["boundary_limit"] = fmt_float(report.boundary_limit)
+        if alt_plan is not None:
+            meta["alt_descriptor"] = alt_plan.descriptor
+            if report.meta["alt_boundary_limit"] is not None:
+                meta["alt_boundary_limit"] = fmt_float(
+                    report.meta["alt_boundary_limit"])
         _emit(args, csv_text(
             ("radius", "stage_size", "energy", "vertex_sum", "boundary_sum",
              "residual"), rows, meta))

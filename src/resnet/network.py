@@ -16,6 +16,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import ConfigurationError, DomainError, WindowError
 
@@ -53,7 +56,6 @@ class Network:
         self.model = model
         self._adj = {x: tuple(sorted(nbrs, key=lambda e: vertex_key(e[0])))
                      for x, nbrs in adjacency.items()}
-        self._cmap = {x: {y: c for y, c in nbrs} for x, nbrs in self._adj.items()}
         self._ctot = {x: sum(c for _, c in nbrs) for x, nbrs in self._adj.items()}
         self._validate()
         self._dist = self._distances_from_origin()
@@ -148,9 +150,9 @@ class Network:
                 seen.add(y)
             if self._ctot[x] <= 0.0:
                 raise DomainError(f"vertex {x!r} is isolated")
-        for x, cm in self._cmap.items():
-            for y, c in cm.items():
-                if y in self._cmap and self._cmap[y].get(x) != c:
+        for x, nbrs in self._adj.items():
+            for y, c in nbrs:
+                if y in self._adj and self.conductance(y, x) != c:
                     raise DomainError(f"asymmetric conductance on ({x!r}, {y!r})")
 
     def _distances_from_origin(self):
@@ -203,7 +205,10 @@ class Network:
     def conductance(self, x, y):
         """Edge conductance, 0.0 for non-adjacent pairs."""
         self._require(x)
-        return self._cmap[x].get(y, 0.0)
+        for z, c in self._adj[x]:
+            if z == y:
+                return c
+        return 0.0
 
     def total_conductance(self, x):
         """c(x), the sum of conductances of all edges at ``x``."""
@@ -214,6 +219,12 @@ class Network:
         """Graph distance from the origin."""
         self._require(x)
         return self._dist[x]
+
+    @cached_property
+    def arrays(self):
+        """The network as :class:`NetworkArrays`, built on first use and kept
+        on this instance (so it is freed with the network)."""
+        return NetworkArrays.of(self)
 
     # -- subsets, balls and boundaries --------------------------------------
 
@@ -263,6 +274,55 @@ class Network:
 
 
 @dataclass(frozen=True)
+class NetworkArrays:
+    """A network as arrays indexed by canonical vertex position.
+
+    ``nbr``/``cond`` hold every vertex's incident pairs in :meth:`incident`
+    order, row i spanning ``indptr[i]:indptr[i + 1]``; a neighbour beyond the
+    window has index -1.  ``edge_x``/``edge_y``/``edge_c`` list the edges of
+    ``edges_within(vertices)`` in its order.  ``reach[i]`` is the largest
+    distance over vertex i and its neighbours (inf next to a neighbour beyond
+    the window), so vertex i is interior to the ball B_r exactly when
+    ``reach[i] <= r``, and on its boundary when ``dist[i] == r < reach[i]``.
+    """
+
+    dist: np.ndarray
+    indptr: np.ndarray
+    nbr: np.ndarray
+    cond: np.ndarray
+    edge_x: np.ndarray
+    edge_y: np.ndarray
+    edge_c: np.ndarray
+    reach: np.ndarray
+
+    @classmethod
+    def of(cls, net):
+        verts = net.vertices
+        n = len(verts)
+        pos = {x: i for i, x in enumerate(verts)}
+        adj = net._adj
+        dist = np.fromiter((net._dist[x] for x in verts), np.int64, n)
+        indptr = np.zeros(n + 1, np.int64)
+        np.cumsum([len(adj[x]) for x in verts], out=indptr[1:])
+        m = int(indptr[-1])
+        nbr = np.fromiter((pos.get(y, -1) for x in verts for y, _ in adj[x]),
+                          np.int64, m)
+        cond = np.fromiter((c for x in verts for _, c in adj[x]), float, m)
+        row = np.repeat(np.arange(n), np.diff(indptr))
+        inner = nbr > row
+        reach = dist.astype(float)
+        np.maximum.at(reach, row, np.where(nbr >= 0, dist[nbr], np.inf))
+        return cls(dist=dist, indptr=indptr, nbr=nbr, cond=cond,
+                   edge_x=row[inner], edge_y=nbr[inner], edge_c=cond[inner],
+                   reach=reach)
+
+    @property
+    def rows(self):
+        """The row (vertex position) of every entry of ``nbr``."""
+        return np.repeat(np.arange(len(self.dist)), np.diff(self.indptr))
+
+
+@dataclass(frozen=True)
 class ExhaustionPlan:
     """Nested increasing finite connected vertex sets exhausting a network.
 
@@ -304,17 +364,6 @@ def make_exhaustion(net, radii, descriptor=None):
     return ExhaustionPlan(stages=stages, radii=radii, descriptor=descriptor)
 
 
-def default_exhaustion(net, max_radius=None):
-    """Balls of radii 1, 2, 3, ... up to the window (or the whole finite net)."""
-    if max_radius is None:
-        if net.is_finite:
-            max_radius = max(net.distance(v) for v in net.vertices)
-            max_radius = max(max_radius, 1)
-        else:
-            max_radius = net.window_radius
-    return make_exhaustion(net, range(1, max_radius + 1))
-
-
 def doubling_exhaustion(net, max_radius=None, first=1):
     """Balls at geometrically growing radii; cheap way to reach a large window."""
     if max_radius is None:
@@ -354,10 +403,6 @@ class VertexFunction:
     def indicator(cls, window, on, gauge=GAUGE_RAW):
         on = frozenset(on)
         return cls({x: (1.0 if x in on else 0.0) for x in window}, gauge)
-
-    @classmethod
-    def from_callable(cls, window, fn, gauge=GAUGE_RAW):
-        return cls({x: float(fn(x)) for x in window}, gauge)
 
     @property
     def window(self):

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .network import GAUGE_RAW, VertexFunction, vsorted
 
@@ -38,21 +40,49 @@ def transfer_apply(net, u, x):
     return sum(c * u.value(y) for y, c in net.incident(x))
 
 
+def prefix_sums(terms):
+    """[0, t0, t0 + t1, ...]: running sums added left to right, each equal to
+    a sequential ``sum`` of the leading terms."""
+    return np.cumsum(np.concatenate(([0.0], terms)))
+
+
+def read_values(net, u, positions):
+    """u at the given vertex positions, scattered into an array over every
+    vertex (0.0 elsewhere); reads through u's window, so a vertex outside it
+    raises WindowError."""
+    verts = net.vertices
+    out = np.zeros(len(verts))
+    out[positions] = np.fromiter(map(u.value, (verts[i] for i in positions.tolist())),
+                                 float, len(positions))
+    return out
+
+
 def energy(net, u, v=None, window=None):
     """Energy over the induced subgraph on ``window`` (crossing edges excluded).
 
     Symmetric, bilinear and gauge-independent.  Defaults: v = u, and the
-    window is the common support window of u and v.
+    window is the common support window of u and v.  The edge terms are
+    summed left to right in the order of ``net.edges_within(window)``.
     """
     if v is None:
         v = u
     if window is None:
         window = u.window if v is u else (u.window & v.window)
-    total = 0.0
-    for x, y, c in net.edges_within(window):
-        total += c * (u.value(x) - u.value(y)) * (v.value(x) - v.value(y))
+    window = frozenset(window)
+    verts = net.vertices
+    inside = np.fromiter(map(window.__contains__, verts), bool, len(verts))
+    if inside.sum() < len(window):
+        for x in window:
+            net._require(x)
+    a = net.arrays
+    keep = inside[a.edge_x] & inside[a.edge_y]
+    ex, ey, ec = a.edge_x[keep], a.edge_y[keep], a.edge_c[keep]
+    ends = np.union1d(ex, ey)
+    uu = read_values(net, u, ends)
+    vv = uu if v is u else read_values(net, v, ends)
+    total = prefix_sums(ec * (uu[ex] - uu[ey]) * (vv[ex] - vv[ey]))[-1]
     converged = net.is_finite and len(window) == len(net.vertices)
-    return EnergyValue(value=total, window=frozenset(window), converged=converged)
+    return EnergyValue(value=float(total), window=window, converged=converged)
 
 
 def energy_over_plan(net, u, v, plan, rel_tol=1e-9):
@@ -68,8 +98,8 @@ def energy_over_plan(net, u, v, plan, rel_tol=1e-9):
 def normal_derivative(net, subset, v, x):
     """∂v(x) for x on the boundary of ``subset``: the Laplacian sum restricted
     to neighbors inside the subset."""
-    sub = frozenset(subset)
-    if x not in net.boundary_of(sub):
+    sub = subset if isinstance(subset, (set, frozenset)) else frozenset(subset)
+    if x not in sub or all(y in sub for y in net.neighbors(x)):
         raise DomainError(f"vertex {x!r} is not on the boundary of the subset")
     vx = v.value(x)
     return sum(c * (vx - v.value(y)) for y, c in net.incident(x) if y in sub)

@@ -192,6 +192,19 @@ def test_gaussgreen_kernel_preset_and_alt_plan(tmp_path):
     assert abs(payload["meta"]["alt_boundary_limit"]) < 1e-6
 
 
+def test_gaussgreen_csv_records_alt_plan(tmp_path):
+    out = tmp_path / "gg.csv"
+    code = main(["gaussgreen", "--model", "geom-z", "--c", "2", "--radius", "32",
+                 "--u", "w_o", "--v", "v:x=2", "--plan", "balls:1..28",
+                 "--alt-plan", "radii:2^k", "--format", "csv", "-o", str(out)])
+    assert code == 0
+    meta = dict(line[2:].split(": ", 1) for line in out.read_text().splitlines()
+                if line.startswith("# "))
+    assert meta["plan"] == "balls:1..28"
+    assert meta["alt_descriptor"] == "radii:2^k"
+    assert abs(float(meta["alt_boundary_limit"])) < 1e-6
+
+
 def test_gaussgreen_alt_plan_reaching_farther(tmp_path):
     out = tmp_path / "gg.json"
     code = main(["gaussgreen", "--model", "log-increment-line", "--radius", "2187",

@@ -14,7 +14,7 @@ from resnet.gaussgreen import (VERDICT_BOUNDARY, VERDICT_DEPENDENT,
 from resnet.kernels import energy_kernel, wired_monopole
 from resnet.models import (ModelSpec, build, log_increment_function,
                            oracle_h_function, oracle_w_o_function)
-from resnet.operators import energy, laplacian_apply
+from resnet.operators import energy, laplacian_apply, normal_derivative
 
 from conftest import make_random_net, random_function
 
@@ -223,3 +223,113 @@ def test_ell2_converse_on_finite_support(geom2, geom2_plan):
 def test_ell2_converse_rejects_harmonic(geom2, harm_unit):
     with pytest.raises(PreconditionError):
         ell2_converse_check(geom2, harm_unit, harm_unit)
+
+
+# -- the one-pass stage sums against stagewise sums of the public operators --
+
+
+def _stagewise(net, u, v, plan):
+    """(energy, vertex_sum, boundary_sum) of every stage, one stage at a time."""
+    out = []
+    for stage in plan.stages:
+        out.append((
+            energy(net, u, v, window=stage).value,
+            sum(u.value(x) * laplacian_apply(net, v, x)
+                for x in net.interior_of(stage)),
+            sum(u.value(x) * normal_derivative(net, stage, v, x)
+                for x in net.boundary_of(stage))))
+    return out
+
+
+def _assert_close(got, want):
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+
+def _assert_matches_stagewise(net, u, v, plan, alt_plan):
+    report = gauss_green(net, u, v, plan, alt_plan)
+    trace = boundary_sum(net, u, v, plan, alt_plan)
+    alt = gauss_green(net, u, v, alt_plan).stages  # a report keeps main stages only
+    for p, stages, bd_trace in ((plan, report.stages, trace.stages),
+                                (alt_plan, alt, trace.alt_stages)):
+        want = _stagewise(net, u, v, p)
+        assert [s.radius for s in stages] == list(p.radii)
+        assert [r for r, _ in bd_trace] == list(p.radii)
+        for s, stage, (_, b), (e, vs, bs) in zip(stages, p.stages, bd_trace, want):
+            assert s.size == len(stage)
+            _assert_close(s.energy, e)
+            _assert_close(s.vertex_sum, vs)
+            _assert_close(s.boundary_sum, bs)
+            _assert_close(b, bs)
+    return report
+
+
+def test_stage_sums_match_stagewise_on_binary_tree(rng):
+    net = build(ModelSpec("binary_tree"), radius=8)
+    window = frozenset(net.vertices)
+    u, v = random_function(rng, window), random_function(rng, window)
+    _assert_matches_stagewise(net, u, v, rn.make_exhaustion(net, range(1, 9)),
+                              rn.make_exhaustion(net, [2, 5, 8]))
+
+
+def test_stage_sums_match_stagewise_on_star(rng):
+    net = build(ModelSpec("star", {"c": 2.0, "arms": 3}), radius=10)
+    window = frozenset(net.vertices)
+    u, v = random_function(rng, window), random_function(rng, window)
+    _assert_matches_stagewise(net, u, v, rn.make_exhaustion(net, range(1, 11)),
+                              rn.make_exhaustion(net, [3, 9]))
+
+
+def test_stage_sums_match_stagewise_on_geom_z_with_alt_plan(geom2, geom2_plan):
+    u = oracle_w_o_function(ModelSpec("geom_z", {"c": 2.0}), 32)
+    v = energy_kernel(geom2, 2, geom2_plan).approximant
+    alt = rn.make_exhaustion(geom2, [2, 4, 8, 16, 30])
+    report = _assert_matches_stagewise(
+        geom2, u, v, rn.make_exhaustion(geom2, range(1, 29)), alt)
+    assert report.meta["alt_descriptor"] == alt.descriptor
+
+
+def test_stage_sums_match_stagewise_on_explicit_grid(rng):
+    # A grid with diagonals around the origin (1, 1): canonical order of the
+    # tuple ids is not distance order, and some neighbours are equidistant.
+    edges = [((i, j), (i + di, j + dj), float(rng.uniform(0.5, 5.0)))
+             for i in range(4) for j in range(4)
+             for di, dj in ((1, 0), (0, 1), (1, 1))
+             if i + di < 4 and j + dj < 4]
+    net = rn.Network.from_edges((1, 1), edges)
+    window = frozenset(net.vertices)
+    u, v = random_function(rng, window), random_function(rng, window)
+    radius = max(net.distance(x) for x in net.vertices)
+    report = _assert_matches_stagewise(
+        net, u, v, rn.make_exhaustion(net, range(1, radius + 1)),
+        rn.make_exhaustion(net, [2, radius]))
+    assert report.stages[-1].size == len(net.vertices)
+    assert report.stages[-1].boundary_sum == 0.0
+
+
+def test_boundary_sum_reads_u_only_on_stage_boundaries(rng):
+    net = build(ModelSpec("binary_tree"), radius=7)
+    window = frozenset(net.vertices)
+    u, v = random_function(rng, window), random_function(rng, window)
+    plan = rn.make_exhaustion(net, [1, 3, 4, 7])
+    alt = rn.make_exhaustion(net, [2, 6])
+    on_boundaries = frozenset().union(
+        *(net.boundary_of(stage) for p in (plan, alt) for stage in p.stages))
+    assert on_boundaries < window
+    full = boundary_sum(net, u, v, plan, alt)
+    narrow = boundary_sum(net, u.restricted(on_boundaries), v, plan, alt)
+    assert narrow == full
+
+
+def test_boundary_zero_shift_uses_the_main_plan_final_stage():
+    # On the path 0..10, v is linear up to 3 and convex beyond, so Σ Δv over
+    # the interior of the main plan's last ball differs from the alt plan's.
+    net = rn.Network.from_edges(0, [(x, x + 1, 1.0) for x in range(10)])
+    window = frozenset(net.vertices)
+    u = rn.VertexFunction({x: 1.0 for x in window})
+    v = rn.VertexFunction({x: float(x + max(0, x - 3) ** 2) for x in window})
+    plan = rn.make_exhaustion(net, [1, 2, 3])
+    report = gauss_green(net, u, v, plan, rn.make_exhaustion(net, [5, 8]))
+    assert report.boundary_limit == 1.0
+    mass = sum(laplacian_apply(net, v, x) for x in net.interior_of(plan.final))
+    assert mass == -1.0
+    assert report.boundary_zero_shift == -1.0

@@ -123,6 +123,12 @@ def test_normal_derivative_needs_boundary(unit_path):
         normal_derivative(unit_path, unit_path.vertices, u, 1)
 
 
+def test_normal_derivative_rejects_vertex_outside_subset(unit_path):
+    u = rn.VertexFunction({0: 0.0, 1: 1.0, 2: 2.0})
+    with pytest.raises(DomainError, match="not on the boundary"):
+        normal_derivative(unit_path, {0, 1}, u, 2)
+
+
 def test_normal_derivative_on_path(unit_path):
     u = rn.VertexFunction({0: 0.0, 1: 1.0, 2: 2.0})
     assert normal_derivative(unit_path, {0, 1}, u, 1) == 1.0
