@@ -54,10 +54,8 @@ def _parse_plan(net, text):
 
     Without a descriptor, balls of radii 1, 2, ... up to the window radius
     (the largest distance on a finite network)."""
-    cap = net.window_radius if not net.is_finite else max(
-        net.distance(v) for v in net.vertices)
     if text is None:
-        return make_exhaustion(net, range(1, max(cap, 1) + 1))
+        return make_exhaustion(net, range(1, max(net.max_radius, 1) + 1))
     kind, _, rest = text.partition(":")
     if kind == "balls":
         a, sep, b = rest.partition("..")
@@ -68,7 +66,7 @@ def _parse_plan(net, text):
         if rest in ("2^k", "3^k"):
             base = int(rest[0])
             radii, r = [], base
-            while r <= cap:
+            while r <= net.max_radius:
                 radii.append(r)
                 r *= base
             if not radii:

@@ -306,8 +306,9 @@ def network_to_jsonable(net):
         return {"model": net.model["model"],
                 "params": dict(net.model.get("params", {})),
                 "radius": int(net.model["radius"])}
-    edges = [{"u": _vertex_to_json(x), "v": _vertex_to_json(y), "c": c}
-             for x, y, c in net.edges_within(net.vertices)]
+    a, verts = net.arrays, net.vertices
+    edges = [{"u": _vertex_to_json(verts[x]), "v": _vertex_to_json(verts[y]), "c": c}
+             for x, y, c in zip(a.edge_x.tolist(), a.edge_y.tolist(), a.edge_c.tolist())]
     return {"origin": _vertex_to_json(net.origin),
             "vertices": [_vertex_to_json(v) for v in net.vertices],
             "edges": edges}

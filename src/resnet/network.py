@@ -8,15 +8,20 @@ Every operation that would need information beyond the materialized window
 raises :class:`~resnet.errors.WindowError` rather than truncating silently:
 limits along exhaustions are always explicit in this package, never implied.
 
+A window is materialized in one O(n + m) pass: one breadth-first search, the
+:class:`NetworkArrays` built at construction and conductance symmetry checked
+once, on those arrays.  A ball is a prefix of the search order: O(|B_r|).
+
 Vertex ids are integers, or tuples of integers for branched models such as
 stars and trees.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, count, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -39,33 +44,72 @@ def vsorted(vertices):
     return sorted(vertices, key=vertex_key)
 
 
+def _explore(origin, neighbor_fn, radius):
+    """Breadth-first search to distance ``radius``, returning ``(dist,
+    adjacency)`` in search order; each adjacency drops zero conductances and
+    is sorted, and visited, in vertex_key order of the neighbours."""
+    dist, adjacency, order = {origin: 0}, {}, [origin]
+    first = itemgetter(0)
+    for x in order:
+        nbrs = []
+        for y, c in neighbor_fn(x):
+            if y == x:
+                raise DomainError(f"generator produced a self loop at {x!r}")
+            c = float(c)
+            if c < 0.0:
+                raise DomainError(f"negative conductance on edge ({x!r}, {y!r})")
+            if c != 0.0:
+                nbrs.append((y, c))
+        # Plain comparison gives vertex_key order unless ints mix with tuples.
+        try:
+            nbrs.sort(key=first)
+        except TypeError:
+            nbrs.sort(key=lambda e: vertex_key(e[0]))
+        adjacency[x] = nbrs = tuple(nbrs)
+        d = dist[x] + 1
+        if d <= radius:
+            for y, _ in nbrs:
+                if y not in dist:
+                    dist[y] = d
+                    order.append(y)
+    return dist, adjacency
+
+
 class Network:
     """Immutable weighted graph with a distinguished origin.
 
     Use :meth:`from_edges` for explicit finite networks and
-    :meth:`from_generator` for generator-backed infinite families.  Instances
-    are safe to share across threads; generators must be pure functions of
-    the vertex id.
+    :meth:`from_generator` for generator-backed infinite families; both
+    build ``arrays``, the :class:`NetworkArrays` of the window, at
+    construction.  Instances are safe to share across threads; generators
+    must be pure functions of the vertex id.
     """
 
-    def __init__(self, origin, adjacency, *, generator=None, window_radius=None,
-                 model=None):
-        self.origin = origin
-        self.generator = generator
+    def __init__(self, origin, dist, adjacency, *, generator=None,
+                 window_radius=None, model=None):
+        """``dist`` and ``adjacency`` as returned by :func:`_explore`."""
+        self.origin, self.generator, self.model = origin, generator, model
         self.window_radius = window_radius
-        self.model = model
-        self._adj = {x: tuple(sorted(nbrs, key=lambda e: vertex_key(e[0])))
-                     for x, nbrs in adjacency.items()}
-        self._ctot = {x: sum(c for _, c in nbrs) for x, nbrs in self._adj.items()}
-        self._validate()
-        self._dist = self._distances_from_origin()
-        if any(x not in self._dist for x in self._adj):
-            raise DomainError("network is not connected")
-        ring = set()
-        for nbrs in self._adj.values():
-            ring.update(y for y, _ in nbrs if y not in self._adj)
-        self._ring = frozenset(ring)
-        self._vertices = tuple(vsorted(self._adj))
+        self._dist, self._adj = dist, adjacency
+        try:
+            verts = tuple(sorted(adjacency))
+        except TypeError:  # ints mixed with tuples
+            verts = tuple(vsorted(adjacency))
+        self._vertices, n = verts, len(verts)
+        incident = [adjacency[x] for x in verts]
+        pairs = list(chain.from_iterable(incident))
+        # Every neighbour's position; ids beyond the window get distinct ones >= n.
+        pos = dict(zip(verts, range(n)))
+        ids = np.fromiter(map(pos.setdefault, map(itemgetter(0), pairs), count(n)),
+                          np.int64, len(pairs))
+        self._ring = frozenset(islice(pos, n, None))
+        self.arrays = NetworkArrays.of(
+            np.fromiter(map(dist.__getitem__, verts), np.int64, n),
+            np.fromiter(map(len, incident), np.int64, n),
+            ids, np.fromiter(map(itemgetter(1), pairs), float, len(pairs)))
+        self._validate(ids)
+        # Ball B_r is the first _cuts[r] vertices of the search order.
+        self._cuts = np.cumsum(np.bincount(self.arrays.dist)).tolist()
 
     # -- construction ------------------------------------------------------
 
@@ -94,7 +138,10 @@ class Network:
             adjacency.setdefault(v, []).append((u, c))
         if origin not in adjacency:
             raise DomainError(f"origin {origin!r} has no incident edge")
-        return cls(origin, adjacency, model=model)
+        dist, found = _explore(origin, adjacency.__getitem__, float("inf"))
+        if len(dist) < len(adjacency):
+            raise DomainError("network is not connected")
+        return cls(origin, dist, found, model=model)
 
     @classmethod
     def from_generator(cls, origin, neighbor_fn, radius, *, model=None):
@@ -102,69 +149,41 @@ class Network:
 
         ``neighbor_fn(x)`` must return the complete, finite list of
         ``(neighbor, conductance)`` pairs of ``x`` and must be a pure
-        function of ``x``.  Conductance symmetry is checked bit-exactly on
-        every materialized edge.
+        function of ``x``; the one breadth-first search calls it once per
+        window vertex.  Symmetry is checked once, bit-exactly, on the arrays.
         """
         if radius < 0:
             raise ConfigurationError("window radius must be nonnegative")
-        dist = {origin: 0}
-        adjacency = {}
-        queue = deque([origin])
-        while queue:
-            x = queue.popleft()
-            nbrs = []
-            for y, c in neighbor_fn(x):
-                if y == x:
-                    raise DomainError(f"generator produced a self loop at {x!r}")
-                c = float(c)
-                if c < 0.0:
-                    raise DomainError(f"negative conductance on edge ({x!r}, {y!r})")
-                if c == 0.0:
-                    continue
-                nbrs.append((y, c))
-                if y not in dist and dist[x] + 1 <= radius:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-            adjacency[x] = nbrs
-        for x, nbrs in adjacency.items():
-            for y, c in nbrs:
-                if y in adjacency:
-                    back = dict(adjacency[y]).get(x)
-                    if back != c:
-                        raise DomainError(
-                            f"asymmetric conductance on edge ({x!r}, {y!r}): "
-                            f"{c!r} vs {back!r}")
-        return cls(origin, adjacency, generator=neighbor_fn,
+        dist, adjacency = _explore(origin, neighbor_fn, radius)
+        return cls(origin, dist, adjacency, generator=neighbor_fn,
                    window_radius=radius, model=model)
 
-    def _validate(self):
-        for x, nbrs in self._adj.items():
-            seen = set()
-            for y, c in nbrs:
-                if y == x:
-                    raise DomainError(f"self loop at {x!r}")
-                if c <= 0.0:
-                    raise DomainError(f"nonpositive conductance on ({x!r}, {y!r})")
-                if y in seen:
-                    raise DomainError(f"duplicate edge ({x!r}, {y!r})")
-                seen.add(y)
-            if self._ctot[x] <= 0.0:
-                raise DomainError(f"vertex {x!r} is isolated")
-        for x, nbrs in self._adj.items():
-            for y, c in nbrs:
-                if y in self._adj and self.conductance(y, x) != c:
-                    raise DomainError(f"asymmetric conductance on ({x!r}, {y!r})")
-
-    def _distances_from_origin(self):
-        dist = {self.origin: 0}
-        queue = deque([self.origin])
-        while queue:
-            x = queue.popleft()
-            for y, _ in self._adj[x]:
-                if y in self._adj and y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return dist
+    def _validate(self, ids):
+        """Reject duplicate pairs, isolated vertices and one-sided or
+        (bit-exactly) asymmetric edges."""
+        a, verts = self.arrays, self._vertices
+        # A sorted adjacency puts a duplicate right after its twin.
+        dup = np.flatnonzero((ids[1:] == ids[:-1]) & (a.rows[1:] == a.rows[:-1]))
+        if dup.size:
+            x = verts[a.rows[dup[0]]]
+            y = self._adj[x][dup[0] - a.indptr[a.rows[dup[0]]]][0]
+            raise DomainError(f"duplicate edge ({x!r}, {y!r})")
+        isolated = np.flatnonzero(a.indptr[1:] == a.indptr[:-1])
+        if isolated.size:
+            raise DomainError(f"vertex {verts[isolated[0]]!r} is isolated")
+        # Keys x * n + y of the pairs inside the window come in increasing
+        # order; each pair must find its reverse pair, with the same value.
+        inside = a.nbr >= 0
+        x, y, c = a.rows[inside], a.nbr[inside], a.cond[inside]
+        keys, back = x * len(verts) + y, y * len(verts) + x
+        at = np.minimum(np.searchsorted(keys, back), max(len(keys) - 1, 0))
+        found = keys[at] == back
+        bad = np.flatnonzero(~found | (c[at] != c))
+        if bad.size:
+            k = bad[0]
+            raise DomainError(
+                f"asymmetric conductance on edge ({verts[x[k]]!r}, {verts[y[k]]!r}): "
+                f"{float(c[k])!r} vs {float(c[at[k]]) if found[k] else None!r}")
 
     # -- basic queries -----------------------------------------------------
 
@@ -177,6 +196,11 @@ class Network:
     def vertices(self):
         """Materialized vertices in canonical order."""
         return self._vertices
+
+    @property
+    def max_radius(self):
+        """The window radius, or on a finite network the largest distance."""
+        return len(self._cuts) - 1 if self.is_finite else self.window_radius
 
     def has_vertex(self, x):
         return x in self._adj
@@ -215,28 +239,27 @@ class Network:
         self._require(x)
         return self._ctot[x]
 
+    @cached_property
+    def _ctot(self):
+        return {x: sum(c for _, c in nbrs) for x, nbrs in self._adj.items()}
+
     def distance(self, x):
         """Graph distance from the origin."""
         self._require(x)
         return self._dist[x]
 
-    @cached_property
-    def arrays(self):
-        """The network as :class:`NetworkArrays`, built on first use and kept
-        on this instance (so it is freed with the network)."""
-        return NetworkArrays.of(self)
-
     # -- subsets, balls and boundaries --------------------------------------
 
     def ball(self, radius):
-        """Vertices within graph distance ``radius`` of the origin."""
+        """Vertices within graph distance ``radius`` of the origin: a prefix
+        of the search order, so O(|B_r|)."""
         if radius < 0:
             raise DomainError("radius must be nonnegative")
         if not self.is_finite and radius > self.window_radius:
             raise WindowError(
                 f"ball radius {radius} exceeds the materialized window "
                 f"(radius {self.window_radius})")
-        return frozenset(v for v, d in self._dist.items() if d <= radius)
+        return frozenset(islice(self._dist, self._cuts[min(radius, len(self._cuts) - 1)]))
 
     def boundary_of(self, subset):
         """Vertices of ``subset`` having a neighbor outside it."""
@@ -253,16 +276,6 @@ class Network:
         sub = frozenset(subset)
         return sub - self.boundary_of(sub)
 
-    def edges_within(self, subset):
-        """Each edge with both ends in ``subset``, once, in canonical order."""
-        sub = frozenset(subset)
-        for x in vsorted(sub):
-            self._require(x)
-            xk = vertex_key(x)
-            for y, c in self._adj[x]:
-                if y in sub and vertex_key(y) > xk:
-                    yield x, y, c
-
     def crossing_edges(self, subset):
         """Edges from inside ``subset`` to outside it, as (x, y, c) with x in."""
         sub = frozenset(subset)
@@ -275,19 +288,23 @@ class Network:
 
 @dataclass(frozen=True)
 class NetworkArrays:
-    """A network as arrays indexed by canonical vertex position.
+    """A network as arrays indexed by canonical vertex position, built with
+    the network.
 
     ``nbr``/``cond`` hold every vertex's incident pairs in :meth:`incident`
-    order, row i spanning ``indptr[i]:indptr[i + 1]``; a neighbour beyond the
-    window has index -1.  ``edge_x``/``edge_y``/``edge_c`` list the edges of
-    ``edges_within(vertices)`` in its order.  ``reach[i]`` is the largest
-    distance over vertex i and its neighbours (inf next to a neighbour beyond
-    the window), so vertex i is interior to the ball B_r exactly when
-    ``reach[i] <= r``, and on its boundary when ``dist[i] == r < reach[i]``.
+    order, row i spanning ``indptr[i]:indptr[i + 1]``, and ``rows`` the row of
+    each entry; a neighbour beyond the window has index -1.
+    ``edge_x``/``edge_y``/``edge_c`` list each edge inside the window once,
+    from its end of smaller position, ordered by that end and then in
+    ``incident`` order.  ``reach[i]`` is the largest distance over vertex i
+    and its neighbours (inf next to a neighbour beyond the window), so vertex
+    i is interior to the ball B_r exactly when ``reach[i] <= r``, and on its
+    boundary when ``dist[i] == r < reach[i]``.
     """
 
     dist: np.ndarray
     indptr: np.ndarray
+    rows: np.ndarray
     nbr: np.ndarray
     cond: np.ndarray
     edge_x: np.ndarray
@@ -296,30 +313,19 @@ class NetworkArrays:
     reach: np.ndarray
 
     @classmethod
-    def of(cls, net):
-        verts = net.vertices
-        n = len(verts)
-        pos = {x: i for i, x in enumerate(verts)}
-        adj = net._adj
-        dist = np.fromiter((net._dist[x] for x in verts), np.int64, n)
-        indptr = np.zeros(n + 1, np.int64)
-        np.cumsum([len(adj[x]) for x in verts], out=indptr[1:])
-        m = int(indptr[-1])
-        nbr = np.fromiter((pos.get(y, -1) for x in verts for y, _ in adj[x]),
-                          np.int64, m)
-        cond = np.fromiter((c for x in verts for _, c in adj[x]), float, m)
-        row = np.repeat(np.arange(n), np.diff(indptr))
-        inner = nbr > row
+    def of(cls, dist, degree, ids, cond):
+        """From the distance and degree of each vertex, and the neighbour
+        position (>= n beyond the window) and conductance of each pair."""
+        n = len(dist)
+        indptr = np.concatenate(([0], np.cumsum(degree)))
+        rows = np.repeat(np.arange(n), degree)
+        nbr = np.where(ids < n, ids, -1)
+        inner = nbr > rows
         reach = dist.astype(float)
-        np.maximum.at(reach, row, np.where(nbr >= 0, dist[nbr], np.inf))
-        return cls(dist=dist, indptr=indptr, nbr=nbr, cond=cond,
-                   edge_x=row[inner], edge_y=nbr[inner], edge_c=cond[inner],
+        np.maximum.at(reach, rows, np.where(nbr >= 0, dist[nbr], np.inf))
+        return cls(dist=dist, indptr=indptr, rows=rows, nbr=nbr, cond=cond,
+                   edge_x=rows[inner], edge_y=nbr[inner], edge_c=cond[inner],
                    reach=reach)
-
-    @property
-    def rows(self):
-        """The row (vertex position) of every entry of ``nbr``."""
-        return np.repeat(np.arange(len(self.dist)), np.diff(self.indptr))
 
 
 @dataclass(frozen=True)
@@ -364,18 +370,14 @@ def make_exhaustion(net, radii, descriptor=None):
     return ExhaustionPlan(stages=stages, radii=radii, descriptor=descriptor)
 
 
-def doubling_exhaustion(net, max_radius=None, first=1):
-    """Balls at geometrically growing radii; cheap way to reach a large window."""
-    if max_radius is None:
-        max_radius = net.window_radius if not net.is_finite else max(
-            1, max(net.distance(v) for v in net.vertices))
-    radii = []
-    r = first
-    while r < max_radius:
+def doubling_exhaustion(net):
+    """Balls of radii 1, 2, 4, ... and ``net.max_radius``; a cheap way to
+    reach a large window."""
+    radii, r = [], 1
+    while r < net.max_radius:
         radii.append(r)
         r *= 2
-    radii.append(max_radius)
-    return make_exhaustion(net, radii)
+    return make_exhaustion(net, radii + [net.max_radius])
 
 
 class VertexFunction:

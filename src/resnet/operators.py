@@ -62,7 +62,7 @@ def energy(net, u, v=None, window=None):
 
     Symmetric, bilinear and gauge-independent.  Defaults: v = u, and the
     window is the common support window of u and v.  The edge terms are
-    summed left to right in the order of ``net.edges_within(window)``.
+    summed left to right in the order of the edge list of ``net.arrays``.
     """
     if v is None:
         v = u

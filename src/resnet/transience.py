@@ -295,7 +295,6 @@ def grounded_parameter_sweep(cs, *, radius=None, family="geom_z"):
     import math
 
     from .models import ModelSpec, build
-    from .network import doubling_exhaustion as _dx
 
     records = []
     for c in cs:
@@ -308,7 +307,7 @@ def grounded_parameter_sweep(cs, *, radius=None, family="geom_z"):
             use_radius = radius
         spec = ModelSpec(family, {"c": c})
         net = build(spec, radius=use_radius)
-        proj = grounded_projection_of_one(net, _dx(net))
+        proj = grounded_projection_of_one(net, doubling_exhaustion(net))
         records.append({"c": c, "radius": use_radius, "u_o": proj.u_o,
                         "energy": proj.energy, "converged": proj.converged,
                         "parabola_residual": proj.parabola_residual})

@@ -1,11 +1,14 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 import resnet as rn
 from resnet.errors import ConfigurationError, DomainError, WindowError
-from resnet.models import (ModelSpec, build, load_network, network_to_jsonable)
+from resnet.models import (ModelSpec, _generator, build, load_network,
+                           network_to_jsonable)
+from resnet.network import vertex_key
 from resnet.serialize import canonical_json
 
 from conftest import make_random_net
@@ -117,8 +120,106 @@ def test_rejects_asymmetric_generator():
         if n == 0:
             return [(1, 1.0)]
         return [(n - 1, 2.0), (n + 1, 1.0)]
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"edge \(0, 1\): 1\.0 vs 2\.0"):
         rn.Network.from_generator(0, nbrs, 4)
+
+
+def test_rejects_one_sided_generator_edge():
+    def nbrs(n):
+        if n == 1:
+            return [(2, 1.0)]  # lists no edge back to 0
+        return [(n - 1, 1.0), (n + 1, 1.0)] if n > 0 else [(1, 1.0)]
+    with pytest.raises(DomainError, match=r"edge \(0, 1\): 1\.0 vs None"):
+        rn.Network.from_generator(0, nbrs, 4)
+
+
+def test_rejects_generator_self_loop():
+    with pytest.raises(DomainError, match="self loop"):
+        rn.Network.from_generator(0, lambda n: [(n - 1, 1.0), (n, 1.0), (n + 1, 1.0)], 3)
+
+
+def test_rejects_generator_negative_conductance():
+    with pytest.raises(DomainError, match="negative"):
+        rn.Network.from_generator(0, lambda n: [(n - 1, -1.0), (n + 1, -1.0)], 3)
+
+
+def test_rejects_generator_duplicate_pair():
+    with pytest.raises(DomainError, match="duplicate"):
+        rn.Network.from_generator(0, lambda n: [(n - 1, 1.0), (n + 1, 1.0)] * 2, 3)
+
+
+def test_rejects_generator_isolated_origin():
+    with pytest.raises(DomainError, match="isolated"):
+        rn.Network.from_generator(0, lambda n: [(n - 1, 0.0), (n + 1, 0.0)], 3)
+
+
+def test_generator_zero_conductance_pairs_dropped():
+    def nbrs(n):
+        return [(n - 1, 0.0 if n == 0 else 1.0), (n + 1, 1.0), (n + 10, 0.0)]
+    net = rn.Network.from_generator(0, nbrs, 4)
+    assert net.vertices == (0, 1, 2, 3, 4)
+    assert net.incident(0) == ((1, 1.0),)
+    assert net.incident(2) == ((1, 1.0), (3, 1.0))
+    with pytest.raises(DomainError):
+        net.neighbors(-1)  # dropped, so not even beyond the window
+
+
+def test_mixed_ids_keep_vertex_key_order():
+    edges = [(0, (0, 1), 1.5), ((0, 1), 2, 2.0), (0, 2, 0.25), ((0, 1), (1, 1), 3.0),
+             (2, -1, 1.0), ((1, 1), 5, 0.5)]
+    net = rn.Network.from_edges(0, edges)
+    assert net.vertices == (-1, 0, 2, 5, (0, 1), (1, 1))
+    assert list(net.vertices) == sorted(net.vertices, key=vertex_key)
+    for x in net.vertices:
+        ids = [y for y, _ in net.incident(x)]
+        assert ids == sorted(ids, key=vertex_key)
+    assert net.incident(2) == ((-1, 1.0), (0, 0.25), ((0, 1), 2.0))
+    assert net.incident((1, 1)) == ((5, 0.5), ((0, 1), 3.0))
+
+
+def test_neighbor_fn_called_once_per_window_vertex():
+    origin, nbrs = _generator(ModelSpec("star", {"c": 2.0, "arms": 3}))
+    calls = Counter()
+
+    def counted(v):
+        calls[v] += 1
+        return nbrs(v)
+    net = rn.Network.from_generator(origin, counted, 6)
+    rn.make_exhaustion(net, range(1, 7))
+    assert calls == Counter(net.vertices)
+
+
+def _grid(side):
+    h = side // 2
+    return rn.Network.from_edges((0, 0), [
+        ((i, j), (i + di, j + dj), 1.0 + (i * side + j) % 3 / 10)
+        for i in range(-h, h + 1) for j in range(-h, h + 1)
+        for di, dj in ((1, 0), (0, 1)) if i + di <= h and j + dj <= h])
+
+
+@pytest.mark.parametrize("net", [
+    build(ModelSpec("star", {"c": 2.0, "arms": 3}), radius=7),
+    build(ModelSpec("binary_tree"), radius=6),
+    _grid(7),
+], ids=["star", "binary-tree", "grid"])
+def test_ball_is_distance_sublevel_set(net):
+    top = net.window_radius if not net.is_finite else max(map(net.distance, net.vertices)) + 2
+    for r in range(top + 1):
+        assert net.ball(r) == frozenset(x for x in net.vertices if net.distance(x) <= r)
+
+
+def test_ball_beyond_window_raises():
+    net = build(ModelSpec("binary_tree"), radius=5)
+    assert len(net.ball(5)) == len(net.vertices)
+    with pytest.raises(WindowError):
+        net.ball(6)
+
+
+def test_max_radius():
+    assert build(ModelSpec("binary_tree"), radius=5).max_radius == 5
+    grid = _grid(7)
+    assert grid.max_radius == max(map(grid.distance, grid.vertices)) == 6
+    assert rn.doubling_exhaustion(grid).radii == (1, 2, 4, 6)
 
 
 def test_window_is_loud(geom2):
