@@ -88,18 +88,17 @@ def _geom_edge(c, a, b):
 
 
 def _generator(spec):
-    c = spec.c if spec.family in _GEOMETRIC else 1.0
-    if spec.family in ("geom_z", "unit_line"):
+    c = spec.c
+    # The half-lines (geom_zplus, log_increment_line) stop at 0.
+    half = spec.family in ("geom_zplus", "log_increment_line")
+    if spec.family in ("unit_line", "log_increment_line"):
         def nbrs(n):
-            return ((n - 1, _geom_edge(c, n - 1, n)), (n + 1, _geom_edge(c, n, n + 1)))
+            return ((n + 1, 1.0),) if half and n <= 0 else ((n - 1, 1.0), (n + 1, 1.0))
         return 0, nbrs
-    if spec.family in ("geom_zplus", "log_increment_line"):
+    if spec.family in ("geom_z", "geom_zplus"):
         def nbrs(n):
-            out = []
-            if n > 0:
-                out.append((n - 1, _geom_edge(c, n - 1, n)))
-            out.append((n + 1, _geom_edge(c, n, n + 1)))
-            return out
+            up = (n + 1, _geom_edge(c, n, n + 1))
+            return (up,) if half and n <= 0 else ((n - 1, _geom_edge(c, n - 1, n)), up)
         return 0, nbrs
     if spec.family == "star":
         m = spec.arms

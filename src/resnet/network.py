@@ -18,10 +18,11 @@ stars and trees.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, count, islice
 from operator import itemgetter
+from threading import Lock
 
 import numpy as np
 
@@ -81,16 +82,20 @@ class Network:
     Use :meth:`from_edges` for explicit finite networks and
     :meth:`from_generator` for generator-backed infinite families; both
     build ``arrays``, the :class:`NetworkArrays` of the window, at
-    construction.  Instances are safe to share across threads; generators
-    must be pure functions of the vertex id.
+    construction.  ``arrays`` is the one representation of the window that
+    solves and walks read.  The network also owns the store of its solver
+    systems (at most ``solver.MAX_SYSTEMS`` factors, freed with it), guarded
+    by a per-network lock.  Instances are safe to share across threads;
+    generators must be pure functions of the vertex id.
     """
 
     def __init__(self, origin, dist, adjacency, *, generator=None,
                  window_radius=None, model=None):
-        """``dist`` and ``adjacency`` as returned by :func:`_explore`."""
+        """``dist`` and ``adjacency`` as returned by :func:`_explore`; the
+        network takes both over and re-keys ``dist`` to positions."""
         self.origin, self.generator, self.model = origin, generator, model
         self.window_radius = window_radius
-        self._dist, self._adj = dist, adjacency
+        self._adj = adjacency
         try:
             verts = tuple(sorted(adjacency))
         except TypeError:  # ints mixed with tuples
@@ -98,18 +103,25 @@ class Network:
         self._vertices, n = verts, len(verts)
         incident = [adjacency[x] for x in verts]
         pairs = list(chain.from_iterable(incident))
-        # Every neighbour's position; ids beyond the window get distinct ones >= n.
-        pos = dict(zip(verts, range(n)))
+        dist_array = np.fromiter(map(dist.__getitem__, verts), np.int64, n)
+        # Re-key the search-order dict from distances to canonical positions;
+        # ids beyond the window get distinct positions >= n, then leave it.
+        pos = dist
+        pos.update(zip(verts, range(n)))
         ids = np.fromiter(map(pos.setdefault, map(itemgetter(0), pairs), count(n)),
                           np.int64, len(pairs))
         self._ring = frozenset(islice(pos, n, None))
+        for y in self._ring:
+            del pos[y]
+        self._pos = pos
         self.arrays = NetworkArrays.of(
-            np.fromiter(map(dist.__getitem__, verts), np.int64, n),
-            np.fromiter(map(len, incident), np.int64, n),
+            dist_array, np.fromiter(map(len, incident), np.int64, n),
             ids, np.fromiter(map(itemgetter(1), pairs), float, len(pairs)))
         self._validate(ids)
         # Ball B_r is the first _cuts[r] vertices of the search order.
         self._cuts = np.cumsum(np.bincount(self.arrays.dist)).tolist()
+        # Solver systems of this network, least recently used first.
+        self._systems, self._lock = OrderedDict(), Lock()
 
     # -- construction ------------------------------------------------------
 
@@ -237,16 +249,12 @@ class Network:
     def total_conductance(self, x):
         """c(x), the sum of conductances of all edges at ``x``."""
         self._require(x)
-        return self._ctot[x]
-
-    @cached_property
-    def _ctot(self):
-        return {x: sum(c for _, c in nbrs) for x, nbrs in self._adj.items()}
+        return float(self.arrays.ctot[self._pos[x]])
 
     def distance(self, x):
         """Graph distance from the origin."""
         self._require(x)
-        return self._dist[x]
+        return int(self.arrays.dist[self._pos[x]])
 
     # -- subsets, balls and boundaries --------------------------------------
 
@@ -259,7 +267,7 @@ class Network:
             raise WindowError(
                 f"ball radius {radius} exceeds the materialized window "
                 f"(radius {self.window_radius})")
-        return frozenset(islice(self._dist, self._cuts[min(radius, len(self._cuts) - 1)]))
+        return frozenset(islice(self._pos, self._cuts[min(radius, len(self._cuts) - 1)]))
 
     def boundary_of(self, subset):
         """Vertices of ``subset`` having a neighbor outside it."""
@@ -299,7 +307,8 @@ class NetworkArrays:
     ``incident`` order.  ``reach[i]`` is the largest distance over vertex i
     and its neighbours (inf next to a neighbour beyond the window), so vertex
     i is interior to the ball B_r exactly when ``reach[i] <= r``, and on its
-    boundary when ``dist[i] == r < reach[i]``.
+    boundary when ``dist[i] == r < reach[i]``.  ``ctot[i]`` is c(x) of vertex
+    i, its row of conductances added left to right.
     """
 
     dist: np.ndarray
@@ -311,6 +320,7 @@ class NetworkArrays:
     edge_y: np.ndarray
     edge_c: np.ndarray
     reach: np.ndarray
+    ctot: np.ndarray
 
     @classmethod
     def of(cls, dist, degree, ids, cond):
@@ -325,7 +335,7 @@ class NetworkArrays:
         np.maximum.at(reach, rows, np.where(nbr >= 0, dist[nbr], np.inf))
         return cls(dist=dist, indptr=indptr, rows=rows, nbr=nbr, cond=cond,
                    edge_x=rows[inner], edge_y=nbr[inner], edge_c=cond[inner],
-                   reach=reach)
+                   reach=reach, ctot=np.bincount(rows, cond, minlength=n))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ exits; estimators report that fraction so truncation never passes silently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -49,33 +48,25 @@ class McEstimate:
     meta: dict = field(default_factory=dict)
 
 
-@lru_cache(maxsize=32)
 def _walk_space(net):
-    """Padded neighbor/cumulative-probability arrays for vectorized stepping.
+    """Padded neighbor/cumulative-probability arrays for vectorized stepping,
+    built from ``net.arrays`` on each call.
 
-    Index -1 marks padding; indices >= n are exits (ring vertices beyond the
-    window, kept distinguishable so stepping onto them ends the walk).
+    Index -1 marks padding and index n a neighbour beyond the window, so
+    stepping onto it ends the walk.  Each row's probabilities c_xy / c(x)
+    accumulate left to right; the last one is raised to 1 + 1e-12.
     """
-    verts = list(net.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    maxdeg = max(net.degree(v) for v in verts)
-    nbr = np.full((n, maxdeg), -1, dtype=np.int64)
-    cum = np.ones((n, maxdeg), dtype=np.float64)
-    ring_index = {}
-    for i, v in enumerate(verts):
-        c_tot = net.total_conductance(v)
-        acc = 0.0
-        for j, (y, c) in enumerate(net.incident(v)):
-            if y in index:
-                nbr[i, j] = index[y]
-            else:
-                nbr[i, j] = n + ring_index.setdefault(y, len(ring_index))
-            acc += c / c_tot
-            cum[i, j] = acc
-        cum[i, len(net.incident(v)) - 1] = 1.0 + 1e-12
-    dist = np.array([net.distance(v) for v in verts], dtype=np.int64)
-    return verts, index, nbr, cum, dist
+    a, n = net.arrays, len(net.vertices)
+    deg = np.diff(a.indptr)
+    slot = np.arange(len(a.rows)) - a.indptr[a.rows]
+    nbr = np.full((n, deg.max()), -1, dtype=np.int64)
+    nbr[a.rows, slot] = np.where(a.nbr >= 0, a.nbr, n)
+    prob = np.zeros(nbr.shape)
+    prob[a.rows, slot] = a.cond / a.ctot[a.rows]
+    cum = np.ones(nbr.shape)
+    cum[a.rows, slot] = np.cumsum(prob, axis=1)[a.rows, slot]
+    cum[np.arange(n), deg - 1] = 1.0 + 1e-12
+    return nbr, cum
 
 
 def _uniform_row(seed, t, n):
@@ -110,10 +101,10 @@ def _simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
     plus optional visit counts, max pre-return distance and mid-horizon visit
     counts.  Absorption applies from step 1, never at time 0.
     """
-    verts, index, nbr, cum, dist = _walk_space(net)
-    n_verts = len(verts)
-    if start not in index:
+    if not net.has_vertex(start):
         raise DomainError(f"start vertex {start!r} is not materialized")
+    nbr, cum = _walk_space(net)
+    index, dist, n_verts = net._pos, net.arrays.dist, len(net.vertices)
     absorb_code = np.full(n_verts, -1, dtype=np.int64)
     for a_i, aset in enumerate(absorb):
         for v in aset:

@@ -13,18 +13,21 @@ infinite) network:
   diagonal, giving a positive definite system with no compatibility
   condition.
 
-Solves are direct sparse LU factorizations; factorizations are cached per
-(network, region, boundary condition) and never shared across processes.
+Solves are direct sparse LU factorizations.  Each region system is
+assembled from ``Network.arrays``, checked for connectivity and factored
+once; the network keeps its ``MAX_SYSTEMS`` most recently used systems and
+frees them with itself.  Nothing is cached across networks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (DomainError, IncompatibleSourceError, NumericalError)
 from .network import GAUGE_ORIGIN, GAUGE_RAW, GAUGE_VANISH, VertexFunction, vsorted
@@ -36,6 +39,9 @@ DEFAULT_TOLERANCE = 1e-10
 
 # Free solves treat |sum f| <= COMPAT_TOL * max(1, sum|f|) as balanced.
 COMPAT_TOL = 1e-9
+
+# Region systems (matrix and factor) kept per network.
+MAX_SYSTEMS = 512
 
 
 @dataclass(frozen=True)
@@ -54,55 +60,66 @@ class SolveReport:
     bc: str
 
 
-def _region_tuple(net, region):
-    region = tuple(vsorted(frozenset(region)))
+class _System(NamedTuple):
+    """One region system: the region's sorted vertex positions, its CSC
+    matrix, the factor a Poisson solve uses (None where none is needed) and
+    whether any edge leaves the region."""
+
+    pos: np.ndarray
+    matrix: sp.csc_matrix
+    factor: object
+    has_crossing: bool
+
+
+def _assemble(net, region, bc):
+    """The system of a validated, connected region, from ``net.arrays``."""
     if not region:
         raise DomainError("empty region")
-    for x in region:
-        net._require(x)
-    return region
-
-
-def _check_connected(net, region):
-    region_set = frozenset(region)
-    seen = {region[0]}
-    stack = [region[0]]
-    while stack:
-        x = stack.pop()
-        for y, _ in net.incident(x):
-            if y in region_set and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != len(region_set):
+    try:
+        pos = np.sort(np.fromiter(map(net._pos.__getitem__, region), np.int64, len(region)))
+    except KeyError:  # name the first vertex outside the window, in canonical order
+        for x in vsorted(region):
+            net._require(x)
+    a, m = net.arrays, len(pos)
+    # Every pair of the region's rows, in incident order, and the place in
+    # the region of its other end.
+    deg = a.indptr[pos + 1] - a.indptr[pos]
+    row = np.repeat(np.arange(m), deg)
+    pair = np.arange(len(row)) + np.repeat(a.indptr[pos] - np.cumsum(deg) + deg, deg)
+    col = np.searchsorted(pos, a.nbr[pair])
+    inner = pos[np.minimum(col, m - 1)] == a.nbr[pair]
+    row, col, cond = row[inner], col[inner], a.cond[pair[inner]]
+    diag = a.ctot[pos] if bc == WIRED else np.bincount(row, cond, minlength=m)
+    matrix = sp.csc_matrix((np.concatenate((-cond, diag)),
+                            (np.concatenate((row, np.arange(m))),
+                             np.concatenate((col, np.arange(m))))), shape=(m, m))
+    if connected_components(matrix, directed=False)[0] != 1:
         raise DomainError("region is not connected")
+    has_crossing = not inner.all()
+    factor = None
+    if bc == WIRED and has_crossing:
+        factor = _ScaledLU(matrix)
+    elif bc == FREE and net.origin in region and m > 1:
+        keep = np.flatnonzero(pos != net._pos[net.origin])
+        factor = _ScaledLU(matrix[np.ix_(keep, keep)].tocsc())
+    return _System(pos, matrix, factor, has_crossing)
 
 
-@lru_cache(maxsize=512)
-def _assembled(net, region, bc):
-    """CSC matrix of the region system plus the index map.  ``region`` must be
-    the canonical tuple produced by _region_tuple."""
-    index = {x: i for i, x in enumerate(region)}
-    region_set = frozenset(region)
-    rows, cols, data = [], [], []
-    has_crossing = False
-    for i, x in enumerate(region):
-        diag = 0.0
-        for y, c in net.incident(x):
-            if y in region_set:
-                diag += c
-                rows.append(i)
-                cols.append(index[y])
-                data.append(-c)
-            else:
-                has_crossing = True
-                if bc == WIRED:
-                    diag += c
-        rows.append(i)
-        cols.append(i)
-        data.append(diag)
-    n = len(region)
-    matrix = sp.csc_matrix((data, (rows, cols)), shape=(n, n))
-    return matrix, index, has_crossing
+def _system(net, region, bc):
+    """The region system from the network's store, assembled and factored on
+    a miss; the store keeps the MAX_SYSTEMS most recently used."""
+    key = (frozenset(region), bc)
+    with net._lock:
+        system = net._systems.get(key)
+        if system is not None:
+            net._systems.move_to_end(key)
+            return system
+    system = _assemble(net, key[0], bc)
+    with net._lock:
+        net._systems[key] = system
+        if len(net._systems) > MAX_SYSTEMS:
+            net._systems.popitem(last=False)
+    return system
 
 
 class _ScaledLU:
@@ -132,64 +149,51 @@ class _ScaledLU:
         return self.scale * self.lu.solve(self.scale * b)
 
 
-@lru_cache(maxsize=512)
-def _factorized(net, region, bc):
-    matrix, index, has_crossing = _assembled(net, region, bc)
-    if bc == WIRED and not has_crossing:
-        return None, index, has_crossing
-    if bc == FREE:
-        o = index[net.origin]
-        keep = np.array([i for i in range(matrix.shape[0]) if i != o], dtype=int)
-        if len(keep) == 0:
-            return None, index, has_crossing
-        reduced = matrix[np.ix_(keep, keep)].tocsc()
-        return _ScaledLU(reduced), index, has_crossing
-    return _ScaledLU(matrix), index, has_crossing
-
-
-def _rhs_array(region, index, f):
-    b = np.zeros(len(region))
+def _rhs_array(net, region, pos, f):
+    b = np.zeros(len(pos))
     for x, val in f.items():
         if val != 0.0:
-            if x not in index:
+            if x not in region:
                 raise DomainError(f"source vertex {x!r} lies outside the region")
-            b[index[x]] = val
+            b[np.searchsorted(pos, net._pos[x])] = val
     return b
 
 
-def _scaled_residual(net, region, matrix, u, b):
+def _residual(net, pos, matrix, u, b, eps=0.0):
     """Backward-error style residual: |system*u - f| relative to the local
-    conductance scale and the solution magnitude."""
+    conductance scale c(x) + eps and the solution magnitude."""
     r = matrix @ u - b
-    scale = np.array([max(1.0, net.total_conductance(x)) for x in region])
+    scale = np.maximum(1.0, net.arrays.ctot[pos] + eps)
     scale *= 1.0 + (float(np.max(np.abs(u))) if len(u) else 0.0)
     return float(np.max(np.abs(r) / scale)) if len(r) else 0.0
 
 
+def _report(net, pos, u, residual, gauge, bc):
+    verts = net.vertices
+    values = dict(zip(map(verts.__getitem__, pos.tolist()), u.tolist()))
+    return SolveReport(solution=VertexFunction(values, gauge),
+                       residual=residual, gauge=gauge, bc=bc)
+
+
 def _free_solve(net, region, f, tol):
-    matrix, index, _ = _assembled(net, region, FREE)
-    b = _rhs_array(region, index, f)
+    system = _system(net, region, FREE)
+    b = _rhs_array(net, region, system.pos, f)
     total = float(b.sum())
     if abs(total) > COMPAT_TOL * max(1.0, float(np.abs(b).sum())):
         raise IncompatibleSourceError(
             f"free boundary solve needs a balanced source, got sum {total:g}")
-    if net.origin not in index:
+    if net.origin not in region:
         raise DomainError("free solve region must contain the origin (gauge pin)")
-    lu, _, _ = _factorized(net, region, FREE)
-    o = index[net.origin]
-    keep = np.array([i for i in range(len(region)) if i != o])
-    u = np.zeros(len(region))
-    if len(keep):
-        u[keep] = lu.solve(b[keep])
-    residual = _scaled_residual(net, region, matrix, u, b)
+    u = np.zeros(len(b))
+    if system.factor is not None:
+        keep = np.flatnonzero(system.pos != net._pos[net.origin])
+        u[keep] = system.factor.solve(b[keep])
+    residual = _residual(net, system.pos, system.matrix, u, b)
     if residual > tol:
         raise NumericalError(
             f"free solve residual {residual:.3e} exceeds tolerance {tol:.1e} "
             f"(region size {len(region)})")
-    values = {x: float(u[index[x]]) for x in region}
-    values[net.origin] = 0.0
-    return SolveReport(solution=VertexFunction(values, GAUGE_ORIGIN),
-                       residual=residual, gauge=GAUGE_ORIGIN, bc=FREE)
+    return _report(net, system.pos, u, residual, GAUGE_ORIGIN, FREE)
 
 
 def solve_poisson(net, region, f, bc, *, tol=DEFAULT_TOLERANCE):
@@ -201,28 +205,23 @@ def solve_poisson(net, region, f, bc, *, tol=DEFAULT_TOLERANCE):
     representative; wired solves return the ghost-grounded solution, which is
     the vanish-at-infinity representative.
     """
-    region = _region_tuple(net, region)
-    _check_connected(net, region)
-    f = dict(f.items() if hasattr(f, "items") else f)
-    if bc == FREE:
-        return _free_solve(net, region, f, tol)
-    if bc != WIRED:
+    if bc not in (FREE, WIRED):
         raise DomainError(f"unknown boundary condition {bc!r}")
-    matrix, index, has_crossing = _assembled(net, region, WIRED)
-    if not has_crossing:
+    region = frozenset(region)
+    f = dict(f.items() if hasattr(f, "items") else f)
+    if bc == WIRED:
+        system = _system(net, region, WIRED)
+        if system.has_crossing:
+            b = _rhs_array(net, region, system.pos, f)
+            u = system.factor.solve(b)
+            residual = _residual(net, system.pos, system.matrix, u, b)
+            if residual > tol:
+                raise NumericalError(
+                    f"wired solve residual {residual:.3e} exceeds tolerance {tol:.1e}")
+            return _report(net, system.pos, u, residual, GAUGE_VANISH, WIRED)
         # The complement is empty, so wiring changes nothing; fall back to the
         # free system (finite networks admit no unbalanced solution).
-        return _free_solve(net, region, f, tol)
-    b = _rhs_array(region, index, f)
-    lu, _, _ = _factorized(net, region, WIRED)
-    u = lu.solve(b)
-    residual = _scaled_residual(net, region, matrix, u, b)
-    if residual > tol:
-        raise NumericalError(
-            f"wired solve residual {residual:.3e} exceeds tolerance {tol:.1e}")
-    values = {x: float(u[index[x]]) for x in region}
-    return SolveReport(solution=VertexFunction(values, GAUGE_VANISH),
-                       residual=residual, gauge=GAUGE_VANISH, bc=WIRED)
+    return _free_solve(net, region, f, tol)
 
 
 def solve_regularized(net, region, eps, f, *, bc=FREE, tol=DEFAULT_TOLERANCE):
@@ -237,20 +236,14 @@ def solve_regularized(net, region, eps, f, *, bc=FREE, tol=DEFAULT_TOLERANCE):
         raise DomainError(f"regularization parameter must be positive, got {eps:g}")
     if bc not in (FREE, WIRED):
         raise DomainError(f"unknown boundary condition {bc!r}")
-    region = _region_tuple(net, region)
-    _check_connected(net, region)
+    region = frozenset(region)
     f = dict(f.items() if hasattr(f, "items") else f)
-    base, index, _ = _assembled(net, region, bc)
-    matrix = (base + eps * sp.identity(len(region), format="csc")).tocsc()
-    b = _rhs_array(region, index, f)
+    system = _system(net, region, bc)
+    matrix = (system.matrix + eps * sp.identity(len(system.pos), format="csc")).tocsc()
+    b = _rhs_array(net, region, system.pos, f)
     u = _ScaledLU(matrix).solve(b)
-    r = matrix @ u - b
-    scale = np.array([max(1.0, net.total_conductance(x) + eps) for x in region])
-    scale *= 1.0 + (float(np.max(np.abs(u))) if len(u) else 0.0)
-    residual = float(np.max(np.abs(r) / scale))
+    residual = _residual(net, system.pos, matrix, u, b, eps)
     if residual > tol:
         raise NumericalError(
             f"regularized solve residual {residual:.3e} exceeds tolerance {tol:.1e}")
-    values = {x: float(u[index[x]]) for x in region}
-    return SolveReport(solution=VertexFunction(values, GAUGE_RAW),
-                       residual=residual, gauge=GAUGE_RAW, bc=bc)
+    return _report(net, system.pos, u, residual, GAUGE_RAW, bc)

@@ -1,9 +1,52 @@
+import gc
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 import resnet as rn
-from resnet.errors import DomainError, IncompatibleSourceError
+from resnet import solver
+from resnet.errors import DomainError, IncompatibleSourceError, WindowError
+from resnet.models import ModelSpec, build
+from resnet.network import vsorted
+from resnet.randomwalk import WalkConfig, green_estimate
 from resnet.solver import FREE, WIRED, solve_poisson, solve_regularized
+
+
+@pytest.fixture(scope="module")
+def diag_grid():
+    """A 5x5 grid with tuple ids, diagonals and unequal conductances."""
+    edges = []
+    for i in range(5):
+        for j in range(5):
+            if i < 4:
+                edges.append(((i, j), (i + 1, j), 1.0 + 0.3 * i + 0.1 * j))
+            if j < 4:
+                edges.append(((i, j), (i, j + 1), 2.5 - 0.2 * j))
+            if i < 4 and j < 4:
+                edges.append(((i, j), (i + 1, j + 1), 0.7 + 0.05 * i * j))
+    return rn.Network.from_edges((1, 1), edges)
+
+
+# Connected, not a ball around (1, 1), with edges leaving it on every side.
+L_REGION = frozenset([(i, j) for i in range(3) for j in range(3)]
+                     + [(3, 0), (4, 0), (4, 1), (1, 3)])
+
+
+def _dense_system(net, region, bc, eps=0.0):
+    """The region system assembled entry by entry from ``incident``."""
+    xs = vsorted(region)
+    at = {x: i for i, x in enumerate(xs)}
+    a = eps * np.eye(len(xs))
+    for x in xs:
+        for y, c in net.incident(x):
+            if y in at:
+                a[at[x], at[y]] -= c
+            if y in at or bc == WIRED:
+                a[at[x], at[x]] += c
+    return xs, at, a
 
 
 def test_unit_path_dipole_free(unit_path):
@@ -41,14 +84,85 @@ def test_free_rejects_unbalanced_source(unit_path):
         solve_poisson(unit_path, unit_path.vertices, {1: 1.0}, FREE)
 
 
-def test_region_must_be_connected(geom2):
-    with pytest.raises(DomainError):
+def test_region_must_be_connected(geom2, diag_grid):
+    with pytest.raises(DomainError, match="not connected"):
         solve_poisson(geom2, {-3, -2, 0, 1}, {1: 1.0, 0: -1.0}, FREE)
+    split = {(1, 1), (1, 2), (3, 3), (4, 4)}
+    for bc in (FREE, WIRED):
+        with pytest.raises(DomainError, match="not connected"):
+            solve_poisson(diag_grid, split, {(1, 2): 1.0, (1, 1): -1.0}, bc)
+        with pytest.raises(DomainError, match="not connected"):
+            solve_regularized(diag_grid, split, 0.5, {(1, 1): 1.0}, bc=bc)
+        with pytest.raises(DomainError, match="empty region"):
+            solve_poisson(diag_grid, (), {}, bc)
+        with pytest.raises(DomainError, match="empty region"):
+            solve_regularized(diag_grid, set(), 0.5, {}, bc=bc)
+        with pytest.raises(WindowError, match="33"):
+            solve_poisson(geom2, geom2.ball(32) | {33}, {0: 1.0}, bc)
+        with pytest.raises(DomainError, match="unknown vertex"):
+            solve_regularized(diag_grid, L_REGION | {(9, 9)}, 0.5, {}, bc=bc)
 
 
-def test_source_must_live_in_region(geom2):
+def test_source_must_live_in_region(geom2, diag_grid):
     with pytest.raises(DomainError):
         solve_poisson(geom2, geom2.ball(3), {5: 1.0, 0: -1.0}, FREE)
+    for bc in (FREE, WIRED):
+        with pytest.raises(DomainError, match="outside the region"):
+            solve_poisson(diag_grid, L_REGION, {(4, 4): 1.0, (1, 1): -1.0}, bc)
+        with pytest.raises(DomainError, match="outside the region"):
+            solve_regularized(diag_grid, L_REGION, 0.5, {(4, 4): 1.0}, bc=bc)
+
+
+def test_arbitrary_region_against_dense_oracle(diag_grid):
+    net, o, x, y = diag_grid, (1, 1), (4, 1), (1, 3)
+    xs, at, free = _dense_system(net, L_REGION, FREE)
+    assert any(z not in L_REGION for v in xs for z, _ in net.incident(v))
+    f = np.zeros(len(xs))
+    f[at[x]], f[at[o]] = 1.0, -1.0
+    keep = [i for i in range(len(xs)) if i != at[o]]
+    expected = np.zeros(len(xs))
+    expected[keep] = np.linalg.solve(free[np.ix_(keep, keep)], f[keep])
+    rep = solve_poisson(net, L_REGION, {x: 1.0, o: -1.0}, FREE)
+    assert [v for v, _ in rep.solution.items()] == xs
+    assert np.allclose([u for _, u in rep.solution.items()], expected, rtol=0, atol=1e-12)
+    _, _, wired = _dense_system(net, L_REGION, WIRED)
+    g = np.zeros(len(xs))
+    g[at[x]], g[at[y]] = 1.0, -0.5
+    rep = solve_poisson(net, L_REGION, {x: 1.0, y: -0.5}, WIRED)
+    assert np.allclose([u for _, u in rep.solution.items()],
+                       np.linalg.solve(wired, g), rtol=0, atol=1e-12)
+    for bc in (FREE, WIRED):
+        _, _, a = _dense_system(net, L_REGION, bc, eps=0.3)
+        rep = solve_regularized(net, L_REGION, 0.3, {x: 1.0, y: -0.5}, bc=bc)
+        assert np.allclose([u for _, u in rep.solution.items()],
+                           np.linalg.solve(a, g), rtol=0, atol=1e-12)
+
+
+def test_total_conductance_is_the_incident_sum(diag_grid, geom2):
+    for net in (diag_grid, geom2):
+        for v in net.vertices:
+            assert net.total_conductance(v) == sum(c for _, c in net.incident(v))
+
+
+def test_networks_are_freed_after_solves_and_walks():
+    net = build(ModelSpec("geom_z", {"c": 2.0}), radius=8)
+    ref = weakref.ref(net)
+    region = net.ball(5)
+    solve_poisson(net, region, {2: 1.0, 0: -1.0}, FREE)
+    solve_poisson(net, region, {0: 1.0}, WIRED)
+    solve_regularized(net, region, 0.5, {0: 1.0}, bc=WIRED)
+    green_estimate(net, 0, 0, WalkConfig(n_walks=20, max_steps=20))
+    del net
+    gc.collect()
+    assert ref() is None
+
+
+def test_system_store_keeps_the_most_recently_used(monkeypatch):
+    net = build(ModelSpec("geom_z", {"c": 2.0}), radius=8)
+    monkeypatch.setattr(solver, "MAX_SYSTEMS", 2)
+    for r in (1, 2, 1, 3):
+        solve_poisson(net, net.ball(r), {0: 1.0}, WIRED)
+    assert list(net._systems) == [(net.ball(1), WIRED), (net.ball(3), WIRED)]
 
 
 def test_unknown_bc_rejected(unit_path):
@@ -104,3 +218,22 @@ def test_residual_reported_below_tolerance(geom2):
         assert rep.residual < 1e-10
         rep = solve_poisson(geom2, geom2.ball(radius), {0: 1.0}, WIRED)
         assert rep.residual < 1e-10
+
+
+def test_threads_share_one_store(monkeypatch):
+    net = build(ModelSpec("geom_z", {"c": 2.0}), radius=12)
+    monkeypatch.setattr(solver, "MAX_SYSTEMS", 3)
+
+    def trace(_):
+        return [solve_poisson(net, net.ball(r), {0: 1.0}, WIRED).solution.value(0)
+                for r in range(1, 13)]
+
+    expected = trace(None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(6) as pool:
+            assert list(pool.map(trace, range(12), timeout=60)) == [expected] * 12
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(net._systems) == 3
