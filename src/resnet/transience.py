@@ -36,7 +36,6 @@ INCONCLUSIVE = "inconclusive"
 
 RECURRENCE_U_O_THRESHOLD = 1e-4
 FIXED_POINT_TOL = 1e-8
-FIXED_POINT_MAX_ITER = 100
 HARM_MASS_THRESHOLD = 1e-4
 GRAM_RANK_THRESHOLD = 1e-5
 
@@ -85,29 +84,12 @@ def _default_plan(net, plan):
     return plan if plan is not None else doubling_exhaustion(net)
 
 
-def _grounded_fixed_point(resistance, tol=FIXED_POINT_TOL,
-                          max_iter=FIXED_POINT_MAX_ITER):
-    """Solve β = 1 − β·R by damped fixed-point iteration.
-
-    The undamped map diverges for R > 1, so each update is relaxed by
-    1/(1 + R); convergence to 1/(1 + R) is then immediate and the iteration
-    count mostly documents the self-consistency reading of the equation.
-    """
-    beta = 0.5
-    for _ in range(max_iter):
-        correction = 1.0 - beta * (1.0 + resistance)
-        beta_next = beta + correction / (1.0 + resistance)
-        if abs(beta_next - beta) <= tol * (1.0 + abs(beta_next)):
-            return beta_next, True
-        beta = beta_next
-    return beta, False
-
-
 def grounded_projection_of_one(net, plan=None):
     """Compute P⊥1 over exhaustion stages via wired unit-monopole solves.
 
     Each stage solves Δg = δ_o with the complement grounded; the stage
-    projection is u = 1 − β g with β the fixed point of β = 1 − β g(o).
+    projection is u = 1 − β g, where β = 1/(1 + g(o)) solves β = 1 − β g(o)
+    in closed form.
     Stabilizing stage resistances give the transient projection; resistances
     that keep growing certify 1 ∈ closure(span δ_x) and the projection is 0.
     """
@@ -126,7 +108,7 @@ def grounded_projection_of_one(net, plan=None):
             trace.append((radius, float("inf"), 0.0))
             continue
         resistance = g.value(net.origin)
-        beta, _ = _grounded_fixed_point(resistance)
+        beta = 1.0 / (1.0 + resistance)
         trace.append((radius, resistance, beta))
         g_last, stage_last = g, stage
     if g_last is None:
