@@ -49,6 +49,11 @@ def _parse_vertex(text):
     raise ConfigurationError(f"vertex ids are ints or int tuples, got {text!r}")
 
 
+def _vertex_or_origin(net, text):
+    """The vertex ``text`` names, or the network's origin when it is None."""
+    return net.origin if text is None else _parse_vertex(text)
+
+
 def _parse_plan(net, text):
     """Plan descriptors: balls:A..B | radii:2^k | radii:3^k | radii:1,2,4.
 
@@ -209,7 +214,7 @@ def _cmd_kernel(args):
 def _cmd_monopole(args):
     net = _load_net(args)
     plan = _parse_plan(net, args.plan)
-    x = _parse_vertex(args.x)
+    x = _vertex_or_origin(net, args.x)
     tol = args.tol if args.tol is not None else ENERGY_CAUCHY_TOL
     element = monopole(net, x, plan, cauchy_tol=tol)
     payload = element.to_jsonable()
@@ -269,15 +274,16 @@ def _cmd_walk(args):
     header = {"version": __version__, "seed": args.seed, "walks": args.walks,
               "steps": args.steps, "op": args.op}
     if args.op == "hitting":
-        est = hitting_probability(net, _parse_vertex(args.x),
-                                  _parse_vertex(args.absorber),
-                                  _parse_vertex(args.start), cfg)
+        est = hitting_probability(net, _vertex_or_origin(net, args.x),
+                                  _vertex_or_origin(net, args.absorber),
+                                  _vertex_or_origin(net, args.start), cfg)
         payload = {"estimate": est.value, "stderr": est.stderr,
                    "flags": list(est.flags), "n_walks": est.n_walks,
                    "seed": est.seed}
     elif args.op == "green":
-        est = green_estimate(net, _parse_vertex(args.x),
-                             _parse_vertex(args.y or args.x), cfg)
+        x = _vertex_or_origin(net, args.x)
+        y = x if args.y is None else _parse_vertex(args.y)
+        est = green_estimate(net, x, y, cfg)
         payload = {"estimate": est.value, "stderr": est.stderr,
                    "flags": list(est.flags), "n_walks": est.n_walks,
                    "seed": est.seed, "meta": est.meta}
@@ -367,7 +373,8 @@ def build_parser():
 
     p = sub.add_parser("monopole", help="monopole element via regularized solves")
     add_common(p)
-    p.add_argument("--x", default="0", help="base vertex (default origin 0)")
+    p.add_argument("--x", default=None,
+                   help="base vertex (default: the network's origin)")
     p.set_defaults(fn=_cmd_monopole)
 
     p = sub.add_parser("gaussgreen", help="stagewise Gauss-Green decomposition")
@@ -390,10 +397,15 @@ def build_parser():
     p = sub.add_parser("walk", help="Monte Carlo estimates")
     add_common(p, plan=False)
     p.add_argument("--op", choices=("hitting", "green", "escape"), required=True)
-    p.add_argument("--x", default="0")
-    p.add_argument("--y", default=None)
-    p.add_argument("--start", default="0")
-    p.add_argument("--absorber", default="0")
+    p.add_argument("--x", default=None,
+                   help="green: start vertex; hitting: target vertex "
+                        "(default: the network's origin)")
+    p.add_argument("--y", default=None,
+                   help="green: vertex whose visits are counted (default: --x)")
+    p.add_argument("--start", default=None,
+                   help="hitting: start vertex (default: the network's origin)")
+    p.add_argument("--absorber", default=None,
+                   help="hitting: absorbing vertex (default: the network's origin)")
     p.add_argument("--radii", default="2,4,8,16")
     p.add_argument("--walks", type=int, default=100000)
     p.add_argument("--steps", type=int, default=100000)

@@ -1,10 +1,13 @@
 """Monte Carlo engine for the network random walk.
 
 The walk moves from x to a neighbor y with probability c_xy / c(x).  All
-runs are deterministic: the uniform used by walk w at global step t comes
-from a counter-based Philox stream keyed by (seed, t) and indexed by w, so
-results are bit-identical regardless of batching and trivially
-parallelizable.
+runs are deterministic: the uniform used by walk w at global step t is the
+w-th double of the counter-based Philox stream keyed by (seed, t), the
+stream of ``Generator(Philox(key=(t << 64) | seed)).random``, so results are
+bit-identical regardless of batching and trivially parallelizable.  A batch
+uses one Philox bit generator whose state is reset at every step, and only
+active walks draw: from the block of the smallest active walk to the
+largest, which is the same stream.
 
 Walks that step beyond the materialized window are terminated and counted as
 exits; estimators report that fraction so truncation never passes silently.
@@ -49,29 +52,35 @@ class McEstimate:
 
 
 def _walk_space(net):
-    """Padded neighbor/cumulative-probability arrays for vectorized stepping,
-    built from ``net.arrays`` on each call.
+    """Flat neighbour and cumulative-probability rows for vectorized stepping,
+    built from ``net.arrays`` on each call; returns ``(nbr, cum, width)``.
 
-    Index -1 marks padding and index n a neighbour beyond the window, so
-    stepping onto it ends the walk.  Each row's probabilities c_xy / c(x)
-    accumulate left to right; the last one is raised to 1 + 1e-12.
+    Row i spans ``i * width:(i + 1) * width``, with ``width`` the largest
+    degree rounded up to a power of two.  Neighbour index n marks a neighbour
+    beyond the window, so stepping onto it ends the walk.  Each row's
+    probabilities c_xy / c(x) accumulate left to right; the last one is
+    raised to 1 + 1e-12 and the padding is 2.0, so ``cum <= u`` holds on a
+    prefix of every row for any u in [0, 1).
     """
     a, n = net.arrays, len(net.vertices)
     deg = np.diff(a.indptr)
+    width = 1 << (int(deg.max()) - 1).bit_length()
     slot = np.arange(len(a.rows)) - a.indptr[a.rows]
-    nbr = np.full((n, deg.max()), -1, dtype=np.int64)
+    nbr = np.full((n, width), n, dtype=np.int64)
     nbr[a.rows, slot] = np.where(a.nbr >= 0, a.nbr, n)
     prob = np.zeros(nbr.shape)
     prob[a.rows, slot] = a.cond / a.ctot[a.rows]
-    cum = np.ones(nbr.shape)
+    cum = np.full(nbr.shape, 2.0)
     cum[a.rows, slot] = np.cumsum(prob, axis=1)[a.rows, slot]
     cum[np.arange(n), deg - 1] = 1.0 + 1e-12
-    return nbr, cum
+    return nbr.ravel(), cum.ravel(), width
 
 
-def _uniform_row(seed, t, n):
-    key = ((int(t) & _MASK64) << 64) | (int(seed) & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key)).random(n)
+def _require_vertices(net, **roles):
+    """Raise DomainError for the first role whose vertex is not in ``net``."""
+    for role, v in roles.items():
+        if not net.has_vertex(v):
+            raise DomainError(f"{role} vertex {v!r} is not materialized")
 
 
 def transition_probabilities(net, x):
@@ -97,69 +106,111 @@ def _simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
     """Vectorized batch of walks from ``start``.
 
     Returns a dict with per-walk outcome arrays: ``absorbed_at`` (index into
-    ``absorb`` order, -1 if none), ``exited`` (left the window), ``capped``,
-    plus optional visit counts, max pre-return distance and mid-horizon visit
-    counts.  Absorption applies from step 1, never at time 0.
+    ``absorb`` order, -1 if none), ``exited`` (left the window), ``capped``
+    (still walking at the horizon), plus optional visit counts, max
+    pre-return distance and visit counts up to step ``mid_step``.  Absorption
+    applies from step 1, never at time 0.
+
+    Only active walks move.  They are kept as an ascending array of walk
+    indices, with their positions, visit counts and maximum distances aligned
+    to it; a walk leaves it when it exits, is absorbed or returns home.  At
+    step t one Philox bit generator is reset to key (seed, t) and the block of
+    the smallest active walk, and draws up to the largest: walk w gets the
+    w-th double of the stream ``Generator(Philox(key=(t << 64) | seed))``, so
+    the result does not depend on which walks are still active.  Each walk
+    then finds its neighbour by binary search over its row of ``cum``.
     """
-    if not net.has_vertex(start):
-        raise DomainError(f"start vertex {start!r} is not materialized")
-    nbr, cum = _walk_space(net)
-    index, dist, n_verts = net._pos, net.arrays.dist, len(net.vertices)
-    absorb_code = np.full(n_verts, -1, dtype=np.int64)
-    for a_i, aset in enumerate(absorb):
-        for v in aset:
-            absorb_code[index[v]] = a_i
+    nbr, cum, width = _walk_space(net)
+    index, n_verts = net._pos, len(net.vertices)
+    # Per vertex, with slot n_verts for every vertex beyond the window:
+    # whether stepping onto it ends the walk, and its absorber index.
+    halt = np.zeros(n_verts + 1, dtype=bool)
+    halt[n_verts] = True
+    code = None
+    if absorb:
+        code = np.full(n_verts + 1, -1, dtype=np.int64)
+        for a_i, aset in enumerate(absorb):
+            for v in aset:
+                code[index[v]] = a_i
+        halt |= code >= 0
 
     n = cfg.n_walks
-    pos = np.full(n, index[start], dtype=np.int64)
-    active = np.ones(n, dtype=bool)
+    walks = np.arange(n)
+    cur = np.full(n, index[start], dtype=np.int64)
     absorbed_at = np.full(n, -1, dtype=np.int64)
     exited = np.zeros(n, dtype=bool)
-    visits = target = None
+    visits = mid_visits = maxdist = None
     if count_visits_to is not None:
         target = index[count_visits_to]
-        visits = (pos == target).astype(np.int64)
-    mid_visits = visits.copy() if (visits is not None and mid_step is not None) else None
-    maxdist = home = None
+        visits = np.full(n, int(index[start] == target), dtype=np.int64)
+        vis = visits.copy()
     if track_max_distance:
+        dist = np.append(net.arrays.dist, 0)
+        halt[index[return_home]] = True
         maxdist = np.zeros(n, dtype=np.int64)
-        home = index[return_home]
+        far = maxdist.copy()
+    # Binary search probes: the half-widths, each against a shifted view.
+    probes = [(half, cum[half - 1:]) for half in
+              (width >> k for k in range(1, width.bit_length()))]
+    bits = np.random.Philox(0)
+    counter, key = [0, 0, 0, 0], [int(cfg.seed) & _MASK64, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": counter, "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
 
     for t in range(cfg.max_steps):
-        if not active.any():
+        if t == mid_step and visits is not None:
+            mid_visits = visits.copy()
+            mid_visits[walks] = vis
+        if not len(walks):
             break
-        u_row = _uniform_row(cfg.seed, t, n)
-        idx = np.nonzero(active)[0]
-        cur = pos[idx]
-        choice = (u_row[idx][:, None] >= cum[cur]).sum(axis=1)
-        nxt = nbr[cur, choice]
-        off_window = nxt >= n_verts
-        if off_window.any():
-            gone = idx[off_window]
-            exited[gone] = True
-            active[gone] = False
-            keep = ~off_window
-            idx, nxt = idx[keep], nxt[keep]
-        if not len(idx):
-            continue
-        pos[idx] = nxt
+        first = int(walks[0]) & ~3
+        counter[0], key[1] = first >> 2, t & _MASK64
+        bits.state = state
+        raw = bits.random_raw(int(walks[-1]) + 1 - first)
+        if len(raw) != len(walks):
+            raw = raw.take(walks - first)
+        u = (raw >> 11) * 2.0 ** -53
+        pick = cur * width
+        for half, shifted in probes:
+            pick += (shifted.take(pick) <= u) * half
+        nxt = nbr.take(pick)
         if visits is not None:
-            at_target = (nxt == target).astype(np.int64)
-            visits[idx] += at_target
-            if mid_visits is not None and t < mid_step:
-                mid_visits[idx] += at_target
+            vis += nxt == target
         if maxdist is not None:
-            maxdist[idx] = np.maximum(maxdist[idx], dist[nxt])
-            active[idx[nxt == home]] = False
-        hit = absorb_code[nxt]
-        landed = hit >= 0
-        if landed.any():
-            absorbed_at[idx[landed]] = hit[landed]
-            active[idx[landed]] = False
+            np.maximum(far, dist.take(nxt), out=far)
+        stop = halt.take(nxt)
+        gone = np.flatnonzero(stop)
+        if len(gone):
+            w, last = walks[gone], nxt[gone]
+            exited[w] = last == n_verts
+            if code is not None:
+                absorbed_at[w] = code.take(last)
+            if visits is not None:
+                visits[w] = vis[gone]
+            if maxdist is not None:
+                maxdist[w] = far[gone]
+            keep = ~stop
+            walks, nxt = walks[keep], nxt[keep]
+            if visits is not None:
+                vis = vis[keep]
+            if maxdist is not None:
+                far = far[keep]
+        cur = nxt
+
+    capped = np.zeros(n, dtype=bool)
+    capped[walks] = True
+    if visits is not None:
+        visits[walks] = vis
+        if mid_step is not None and mid_visits is None:
+            mid_visits = visits.copy()
+    if maxdist is not None:
+        maxdist[walks] = far
     return {
         "absorbed_at": absorbed_at,
         "exited": exited,
-        "capped": active.copy(),
+        "capped": capped,
         "visits": visits,
         "mid_visits": mid_visits,
         "max_distance": maxdist,
@@ -172,6 +223,7 @@ def hitting_probability(net, target, absorber, start, cfg):
     Walks that hit the step cap or leave the window are excluded from the
     estimate; a ``biased`` flag is raised when they exceed 1% of the batch.
     """
+    _require_vertices(net, start=start, target=target, absorber=absorber)
     if target == absorber:
         raise DomainError("target and absorber must differ")
     if start == target:
@@ -204,6 +256,7 @@ def green_estimate(net, x, y, cfg):
     sums still growing by more than 15% earn a ``diverging`` flag, the Monte
     Carlo signature of recurrence.
     """
+    _require_vertices(net, start=x, target=y)
     out = _simulate(net, x, cfg, count_visits_to=y, mid_step=cfg.max_steps // 2)
     visits = out["visits"].astype(np.float64)
     value = float(visits.mean())
@@ -237,6 +290,7 @@ def escape_probability(net, origin, radii, cfg):
     reaches before first returning home.  Radii must stay strictly inside the
     materialized window so the edge kill cannot be mistaken for a return.
     """
+    _require_vertices(net, start=origin)
     radii = tuple(int(r) for r in radii)
     if not radii:
         raise DomainError("need at least one radius")

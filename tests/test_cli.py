@@ -237,3 +237,38 @@ def test_report_with_sweep(tmp_path):
     assert payload["transience"]["verdict"] == "transient"
     assert payload["harmonic_dimension"] == 1
     assert "max_energy_c" in payload["grounded_sweep"]
+
+
+def test_monopole_defaults_to_the_origin_on_star(tmp_path):
+    out = tmp_path / "w.json"
+    assert main(["monopole", "--model", "star", "--radius", "6",
+                 "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["base"] == [0, 0]
+
+
+def test_walk_green_defaults_to_the_origin_on_star(tmp_path):
+    args = ["walk", "--model", "star", "--radius", "6", "--op", "green",
+            "--walks", "201", "--steps", "300", "--seed", "3"]
+    implicit, explicit = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(args + ["-o", str(implicit)]) == 0
+    assert main(args + ["--x", "(0,0)", "-o", str(explicit)]) == 0
+    assert implicit.read_bytes() == explicit.read_bytes()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--model", "star", "--op", "hitting", "--x", "(1,1)", "--start", "0",
+      "--absorber", "0"], "start vertex 0"),
+    (["--model", "unit-line", "--radius", "20", "--op", "hitting",
+      "--x", "999", "--start", "999"], "start vertex 999"),
+    (["--model", "unit-line", "--radius", "20", "--op", "green",
+      "--y", "999"], "target vertex 999"),
+    (["--model", "unit-line", "--radius", "20", "--op", "hitting",
+      "--x", "3", "--absorber", "999"], "absorber vertex 999"),
+])
+def test_walk_rejects_vertices_outside_the_network(tmp_path, capsys, argv,
+                                                   message):
+    out = tmp_path / "h.json"
+    assert main(["walk", *argv, "--walks", "10", "--steps", "10",
+                 "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

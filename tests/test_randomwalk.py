@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import resnet as rn
+from resnet import randomwalk
 from resnet.errors import DomainError
 from resnet.models import ModelSpec, build
 from resnet.randomwalk import (WalkConfig, escape_probability, green_estimate,
@@ -149,3 +150,140 @@ def test_walk_config_validation():
         WalkConfig(n_walks=0)
     with pytest.raises(DomainError):
         WalkConfig(max_steps=0)
+
+
+def test_walks_reject_vertices_outside_the_network(unit_path):
+    cfg = WalkConfig(n_walks=10, max_steps=10, seed=0)
+    # start == target would short-cut to 1.0 if the vertices went unchecked
+    with pytest.raises(DomainError, match="not materialized"):
+        hitting_probability(unit_path, 99, 0, 99, cfg)
+    with pytest.raises(DomainError, match="absorber vertex 99"):
+        hitting_probability(unit_path, 2, 99, 1, cfg)
+    with pytest.raises(DomainError, match="target vertex 99"):
+        green_estimate(unit_path, 0, 99, cfg)
+    with pytest.raises(DomainError, match="start vertex 99"):
+        escape_probability(unit_path, 99, (1,), cfg)
+
+
+# -- the engine against a scalar reference ------------------------------------
+
+_MASK64 = (1 << 64) - 1
+
+
+def _reference_row(seed, t, n):
+    """The uniforms of step t: one fresh Philox stream keyed by (seed, t)."""
+    key = ((t & _MASK64) << 64) | (seed & _MASK64)
+    return np.random.Generator(np.random.Philox(key=key)).random(n)
+
+
+def _reference_step(net, x, u):
+    """The neighbour of x that u picks, adding c_xy / c(x) in incident order."""
+    pairs = net.incident(x)
+    acc, c_x = 0.0, net.total_conductance(x)
+    for y, c in pairs[:-1]:
+        acc += c / c_x
+        if u < acc:
+            return y
+    return pairs[-1][0]
+
+
+def _reference_simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
+                        track_max_distance=False, return_home=None,
+                        mid_step=None):
+    """One walk at a time, with the outputs of ``randomwalk._simulate``."""
+    n = cfg.n_walks
+    pos, active = [start] * n, [True] * n
+    absorbed_at = np.full(n, -1, dtype=np.int64)
+    exited = np.zeros(n, dtype=bool)
+    code = {v: i for i, vs in enumerate(absorb) for v in vs}
+    visits = mid_visits = maxdist = None
+    if count_visits_to is not None:
+        visits = np.full(n, int(start == count_visits_to), dtype=np.int64)
+        if mid_step is not None:
+            mid_visits = visits.copy()
+    if track_max_distance:
+        maxdist = np.zeros(n, dtype=np.int64)
+    for t in range(cfg.max_steps):
+        if not any(active):
+            break
+        row = _reference_row(cfg.seed, t, n)
+        for w in range(n):
+            if not active[w]:
+                continue
+            y = _reference_step(net, pos[w], row[w])
+            if not net.has_vertex(y):
+                exited[w], active[w] = True, False
+                continue
+            pos[w] = y
+            if visits is not None and y == count_visits_to:
+                visits[w] += 1
+                if mid_visits is not None and t < mid_step:
+                    mid_visits[w] += 1
+            if maxdist is not None:
+                maxdist[w] = max(maxdist[w], net.distance(y))
+                if y == return_home:
+                    active[w] = False
+            if y in code:
+                absorbed_at[w], active[w] = code[y], False
+    return {"absorbed_at": absorbed_at, "exited": exited,
+            "capped": np.array(active), "visits": visits,
+            "mid_visits": mid_visits, "max_distance": maxdist}
+
+
+def _tuple_grid(k):
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            if i + 1 < k:
+                edges.append(((i, j), (i + 1, j), 1.0 + (3 * i + j) % 4))
+            if j + 1 < k:
+                edges.append(((i, j), (i, j + 1), 0.5 + (i + 2 * j) % 3))
+    return rn.Network.from_edges((0, 0), edges)
+
+
+def _complete(k):
+    return rn.Network.from_edges(0, [(i, j, 1.0 + (i * j) % 5)
+                                     for i in range(k) for j in range(i + 1, k)])
+
+
+# (network, hitting target, absorber and start, escape radii, step cap)
+_REFERENCE_CASES = {
+    "star-exits": (lambda: build(ModelSpec("star", {"c": 2.0, "arms": 3}),
+                                 radius=4),
+                   ((1, 2), (0, 0), (2, 1)), (1, 2, 3), 80),
+    "unit-line-caps": (lambda: build(ModelSpec("unit_line"), radius=12),
+                       (4, -3, 1), (2, 8), 40),
+    "tuple-grid-absorbs": (lambda: _tuple_grid(5),
+                           ((4, 4), (0, 0), (2, 1)), (2, 5), 60),
+    "complete-12": (lambda: _complete(12), (5, 0, 11), (1,), 30),
+}
+
+
+@pytest.mark.parametrize("seed", [3, 2 ** 63 + 5])
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_engine_equals_scalar_reference(case, seed, monkeypatch):
+    make, (target, absorber, start), radii, steps = _REFERENCE_CASES[case]
+    net = make()
+    cfg = WalkConfig(n_walks=13, max_steps=steps, seed=seed)
+    o = net.origin
+    runs = [
+        ((start, cfg), dict(count_visits_to=o, mid_step=steps // 2),
+         lambda: green_estimate(net, start, o, cfg)),
+        ((o, cfg), dict(track_max_distance=True, return_home=o),
+         lambda: escape_probability(net, o, radii, cfg)),
+        ((start, cfg), dict(absorb=({target}, {absorber})),
+         lambda: hitting_probability(net, target, absorber, start, cfg)),
+    ]
+    engine = [(randomwalk._simulate(net, *args, **kw), estimate())
+              for args, kw, estimate in runs]
+    monkeypatch.setattr(randomwalk, "_simulate", _reference_simulate)
+    for (args, kw, estimate), (out, result) in zip(runs, engine):
+        expected = _reference_simulate(net, *args, **kw)
+        assert out.keys() == expected.keys()
+        for name, want in expected.items():
+            if want is None:
+                assert out[name] is None, name
+            else:
+                assert out[name].dtype == want.dtype, name
+                assert np.array_equal(out[name], want), name
+        assert result == estimate()
