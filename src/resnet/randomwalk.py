@@ -183,20 +183,15 @@ def _simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
         stop = halt.take(nxt)
         gone = np.flatnonzero(stop)
         if len(gone):
-            w, last = walks[gone], nxt[gone]
+            w, last, keep = walks[gone], nxt[gone], ~stop
             exited[w] = last == n_verts
             if code is not None:
                 absorbed_at[w] = code.take(last)
             if visits is not None:
-                visits[w] = vis[gone]
+                visits[w], vis = vis[gone], vis[keep]
             if maxdist is not None:
-                maxdist[w] = far[gone]
-            keep = ~stop
+                maxdist[w], far = far[gone], far[keep]
             walks, nxt = walks[keep], nxt[keep]
-            if visits is not None:
-                vis = vis[keep]
-            if maxdist is not None:
-                far = far[keep]
         cur = nxt
 
     capped = np.zeros(n, dtype=bool)
