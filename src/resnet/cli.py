@@ -269,6 +269,13 @@ def _cmd_transience(args):
 
 
 def _cmd_walk(args):
+    if args.op == "escape":
+        given = [f"--{name}" for name in ("x", "y", "start", "absorber")
+                 if getattr(args, name) is not None]
+        if given:
+            raise ConfigurationError(
+                f"walk --op escape does not take {', '.join(given)}: escape walks "
+                "start at the network's origin")
     net = _load_net(args)
     cfg = WalkConfig(n_walks=args.walks, max_steps=args.steps, seed=args.seed)
     header = {"version": __version__, "seed": args.seed, "walks": args.walks,

@@ -12,18 +12,26 @@ blow-up along the schedule is evidence of recurrence.
 
 All elements report per-stage energies and an explicit convergence flag; a
 computation that did not settle never pretends otherwise.
+
+The stage loops run on the solver's arrays: the origin pin, the stage
+energies (the edge sum of :func:`~resnet.operators.energy`), the harmonic
+difference h = u_free − u_wired and the probe deltas build no dict function;
+only a returned approximant becomes a :class:`VertexFunction`.  The
+harmonic dimension probe of :mod:`resnet.transience` builds one free and one
+wired trace per sample vertex and reads both v_x and h_x from them.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, GreenUndefinedError, IncompatibleSourceError
-from .network import GAUGE_ORIGIN, GAUGE_VANISH, VertexFunction, vsorted
-from .operators import energy, scaled_laplacian_residual
+from .network import GAUGE_ORIGIN, GAUGE_RAW, GAUGE_VANISH, VertexFunction, vsorted
+from .operators import edge_energy, energy, inner_edges, scaled_laplacian_residual
 from .solver import FREE, WIRED, solve_poisson, solve_regularized
 
 KIND_DIPOLE = "dipole"
@@ -96,16 +104,21 @@ class ResistanceValue:
     stages: tuple
 
 
-def _probe_vertices(net, x, plan):
+def _probe_positions(net, x, plan):
+    """Sorted positions of the probe vertices: the origin, x, their
+    neighbours and five seeded picks from the rest of the final stage."""
     probes = {net.origin, x}
     probes.update(net.neighbors(net.origin))
     probes.update(net.neighbors(x))
     probes &= plan.final
-    pool = [v for v in vsorted(plan.final) if v not in probes]
+    final = np.sort(np.fromiter(map(net._pos.__getitem__, plan.final), np.int64,
+                                len(plan.final)))
+    chosen = np.fromiter(map(net._pos.__getitem__, probes), np.int64, len(probes))
+    pool = final[~np.isin(final, chosen)]
     rng = np.random.default_rng(_PROBE_SEED)
-    for i in rng.choice(len(pool), size=min(5, len(pool)), replace=False) if pool else []:
-        probes.add(pool[int(i)])
-    return frozenset(probes)
+    picks = (rng.choice(len(pool), size=min(5, len(pool)), replace=False)
+             if len(pool) else [])
+    return np.union1d(chosen, pool[picks])
 
 
 def _usable_stages(plan, *needed):
@@ -115,24 +128,82 @@ def _usable_stages(plan, *needed):
     return stages
 
 
-def _dipole_stages(net, x, plan, bc, tol):
+def _energy_of(net, pos, u, v=None):
+    """E(u, v) over the induced subgraph on a region, for functions given by
+    their values at the region's sorted canonical positions ``pos``; the same
+    sum as :func:`energy` over that window."""
+    n = len(net.vertices)
+    inside = np.zeros(n, bool)
+    inside[pos] = True
+    uu = np.zeros(n)
+    uu[pos] = u
+    if v is None:
+        vv = uu
+    else:
+        vv = np.zeros(n)
+        vv[pos] = v
+    return edge_energy(net, inner_edges(net, inside), uu, vv)
+
+
+class _Trace(NamedTuple):
+    """A dipole trace on the solver's arrays: per stage, the region's sorted
+    positions and the origin-zero solution there; the stage energies (empty
+    when not asked for), the probe deltas between successive stages and the
+    convergence flag, all Python floats and bools."""
+
+    stages: tuple
+    energies: tuple
+    deltas: tuple
+    converged: bool
+
+
+def _dipole_trace(net, x, plan, bc, tol, *, energies=True):
     """Per-stage solves of Δu = δ_x − δ_o under the given boundary condition,
-    re-gauged to the origin-zero representative."""
-    probes = _probe_vertices(net, x, plan)
+    re-gauged to the origin-zero representative (u − u(o), then exactly 0 at
+    the origin)."""
+    probes = _probe_positions(net, x, plan)
+    o = net._pos[net.origin]
     source = {x: 1.0, net.origin: -1.0}
-    solutions, energies = [], []
-    deltas = []
+    stages, stage_energies, deltas = [], [], []
     prev = None
     for stage in _usable_stages(plan, x, net.origin):
-        u = solve_poisson(net, stage, source, bc).solution.pinned_at(net.origin)
-        solutions.append((stage, u))
-        energies.append(energy(net, u, window=stage).value)
+        rep = solve_poisson(net, stage, source, bc)
+        i = np.searchsorted(rep.pos, o)
+        u = rep.values - rep.values[i]
+        u[i] = 0.0
+        stages.append((rep.pos, u))
+        if energies:
+            stage_energies.append(_energy_of(net, rep.pos, u))
+        at = np.minimum(np.searchsorted(rep.pos, probes), len(rep.pos) - 1)
+        inside, read = rep.pos[at] == probes, u[at]
         if prev is not None:
-            common = [p for p in vsorted(probes) if p in prev.window]
-            deltas.append(max(abs(u.value(p) - prev.value(p)) for p in common))
-        prev = u
+            common, before = prev
+            deltas.append(float(np.max(np.abs(read[common] - before[common]))))
+        prev = inside, read
     converged = bool(deltas) and deltas[-1] <= tol
-    return solutions, tuple(energies), converged, tuple(deltas)
+    return _Trace(tuple(stages), tuple(stage_energies), tuple(deltas), converged)
+
+
+def _harm_trace(net, free, wired):
+    """h = u_free − u_wired at every stage of a free and a wired dipole trace:
+    its last stage as ``(pos, values)`` and its stage energies."""
+    energies = []
+    for (pos, uf), (_, uw) in zip(free.stages, wired.stages):
+        h = uf - uw
+        energies.append(_energy_of(net, pos, h))
+    return (pos, h), tuple(energies)
+
+
+def _dipole_element(net, x, plan, kind, bc, tol):
+    if x == net.origin:
+        raise DomainError("the kernel element at the origin is the zero class")
+    trace = _dipole_trace(net, x, plan, bc, tol)
+    return KernelElement(base=x, kind=kind,
+                         approximant=VertexFunction.at_positions(
+                             net.vertices, *trace.stages[-1], GAUGE_ORIGIN),
+                         stage_energies=trace.energies, converged=trace.converged,
+                         meta={"plan": plan.descriptor, "bc": bc,
+                               "probe_deltas": trace.deltas})
 
 
 def energy_kernel(net, x, plan, *, tol=POINTWISE_TOL):
@@ -144,42 +215,26 @@ def energy_kernel(net, x, plan, *, tol=POINTWISE_TOL):
     probe set to ``tol``; a plan too short to settle yields
     ``converged=False``, never a silent answer.
     """
-    if x == net.origin:
-        raise DomainError("the kernel element at the origin is the zero class")
-    sols, energies, converged, deltas = _dipole_stages(net, x, plan, FREE, tol)
-    return KernelElement(base=x, kind=KIND_DIPOLE, approximant=sols[-1][1],
-                         stage_energies=energies, converged=converged,
-                         meta={"plan": plan.descriptor, "bc": FREE,
-                               "probe_deltas": deltas})
+    return _dipole_element(net, x, plan, KIND_DIPOLE, FREE, tol)
 
 
 def fin_part(net, x, plan, *, tol=POINTWISE_TOL):
     """Projection of the dipole kernel element onto the closure of the
     finitely supported functions, from wired solves of the same equation."""
-    if x == net.origin:
-        raise DomainError("the kernel element at the origin is the zero class")
-    sols, energies, converged, deltas = _dipole_stages(net, x, plan, WIRED, tol)
-    return KernelElement(base=x, kind=KIND_FIN, approximant=sols[-1][1],
-                         stage_energies=energies, converged=converged,
-                         meta={"plan": plan.descriptor, "bc": WIRED,
-                               "probe_deltas": deltas})
+    return _dipole_element(net, x, plan, KIND_FIN, WIRED, tol)
 
 
 def harm_part(net, x, plan, *, tol=POINTWISE_TOL):
     """Harmonic component h_x = v_x − f_x, with per-stage energies of the
     difference (their decay or stabilization feeds the dimension probe)."""
-    free_sols, _, free_conv, _ = _dipole_stages(net, x, plan, FREE, tol)
-    wired_sols, _, wired_conv, _ = _dipole_stages(net, x, plan, WIRED, tol)
-    diffs = []
-    energies = []
-    for (stage, uf), (_, uw) in zip(free_sols, wired_sols):
-        h = uf - uw
-        diffs.append((stage, h))
-        energies.append(energy(net, h, window=stage).value)
-    stage, h = diffs[-1]
-    return KernelElement(base=x, kind=KIND_HARM, approximant=h,
-                         stage_energies=tuple(energies),
-                         converged=free_conv and wired_conv,
+    free = _dipole_trace(net, x, plan, FREE, tol, energies=False)
+    wired = _dipole_trace(net, x, plan, WIRED, tol, energies=False)
+    h, energies = _harm_trace(net, free, wired)
+    return KernelElement(base=x, kind=KIND_HARM,
+                         approximant=VertexFunction.at_positions(
+                             net.vertices, *h, GAUGE_RAW),
+                         stage_energies=energies,
+                         converged=free.converged and wired.converged,
                          meta={"plan": plan.descriptor})
 
 
@@ -220,12 +275,12 @@ def _wired_stage_energies(net, x, stages):
     effective resistances from x to the collapsed complement.  Their behaviour
     along the exhaustion decides the window limit: decaying increments mean
     the window has stopped mattering, steady growth is the recurrent
-    signature."""
-    energies, solution, last_stage = [], None, None
-    for stage in stages:
-        rep = solve_poisson(net, stage, {x: 1.0}, WIRED)
-        solution, last_stage = rep.solution, stage
-        energies.append(energy(net, solution, window=stage).value)
+    signature.  Returns the energies, the last stage and its solve report,
+    and the settled and growing flags."""
+    energies = []
+    for last_stage in stages:
+        rep = solve_poisson(net, last_stage, {x: 1.0}, WIRED)
+        energies.append(_energy_of(net, rep.pos, rep.values))
         if energies[-1] > DIVERGENCE_CAP:
             break
     deltas = [abs(b - a) for a, b in zip(energies, energies[1:])]
@@ -241,7 +296,7 @@ def _wired_stage_energies(net, x, stages):
     settled = settled or (len(deltas) >= 1 and
                           deltas[-1] <= ENERGY_CAUCHY_TOL * max(1.0, energies[-1]))
     settled = settled or (len(energies) == 1 and net.is_finite)
-    return energies, solution, last_stage, settled and not growing, growing
+    return energies, rep, last_stage, settled and not growing, growing
 
 
 def monopole(net, x, plan, eps_schedule=None, *, cauchy_tol=ENERGY_CAUCHY_TOL):
@@ -260,7 +315,7 @@ def monopole(net, x, plan, eps_schedule=None, *, cauchy_tol=ENERGY_CAUCHY_TOL):
     stages = _usable_stages(plan, x)
     meta = {"plan": plan.descriptor}
     try:
-        wired_trace, solution, last_stage, settled, growing = \
+        wired_trace, rep, last_stage, settled, growing = \
             _wired_stage_energies(net, x, stages)
     except IncompatibleSourceError:
         # Full finite network: no ghost, no monopole.  Pure recurrence.
@@ -273,7 +328,7 @@ def monopole(net, x, plan, eps_schedule=None, *, cauchy_tol=ENERGY_CAUCHY_TOL):
     meta["wired_stage_energies"] = tuple(wired_trace)
     if growing or not settled:
         return KernelElement(base=x, kind=KIND_MONOPOLE,
-                             approximant=_vanish_gauge(net, solution, last_stage),
+                             approximant=_vanish_gauge(net, rep.solution, last_stage),
                              stage_energies=tuple(wired_trace), converged=False,
                              diverged=growing, meta=meta)
 
@@ -284,14 +339,14 @@ def monopole(net, x, plan, eps_schedule=None, *, cauchy_tol=ENERGY_CAUCHY_TOL):
             rep = solve_poisson(net, last_stage, {x: 1.0}, WIRED)
         else:
             rep = solve_regularized(net, last_stage, eps, {x: 1.0}, bc=WIRED)
-        solution = rep.solution
-        energies.append(energy(net, solution, window=last_stage).value)
+        energies.append(_energy_of(net, rep.pos, rep.values))
         if energies[-1] > DIVERGENCE_CAP:
             break
         if len(energies) >= 2 and abs(energies[-1] - energies[-2]) < cauchy_tol:
             converged = True
             break
     meta["eps_steps"] = len(energies)
+    solution = rep.solution
     if converged:
         # Bounded energies alone are not enough: the limit must actually
         # solve Δu = δ_x pointwise.
@@ -314,10 +369,10 @@ def wired_monopole(net, x, plan):
     """Direct (ε = 0) wired monopole stages; the staged energies equal the
     wired effective resistance from x to the collapsed complement."""
     stages = _usable_stages(plan, x)
-    energies, solution, last_stage, settled, growing = \
+    energies, rep, last_stage, settled, growing = \
         _wired_stage_energies(net, x, stages)
     return KernelElement(base=x, kind=KIND_MONOPOLE,
-                         approximant=_vanish_gauge(net, solution, last_stage),
+                         approximant=_vanish_gauge(net, rep.solution, last_stage),
                          stage_energies=tuple(energies),
                          converged=settled, diverged=growing,
                          meta={"plan": plan.descriptor, "eps": 0.0})
@@ -354,8 +409,8 @@ def effective_resistance(net, x, y, plan, variant=FREE):
     for stage in _usable_stages(plan, x, y):
         if variant == FREE and net.origin not in stage:
             continue
-        u = solve_poisson(net, stage, source, variant).solution
-        energies.append(energy(net, u, window=stage).value)
+        rep = solve_poisson(net, stage, source, variant)
+        energies.append(_energy_of(net, rep.pos, rep.values))
     converged = (len(energies) >= 2
                  and abs(energies[-1] - energies[-2]) <= 1e-9 * max(1.0, energies[-1]))
     return ResistanceValue(value=energies[-1], variant=variant,

@@ -40,6 +40,9 @@ FAMILIES = ("geom_z", "geom_zplus", "star", "unit_line", "binary_tree",
 
 _GEOMETRIC = ("geom_z", "geom_zplus", "star")
 
+# Windows with more vertices than this are refused before any search.
+MAX_WINDOW_VERTICES = 2 ** 20
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -123,10 +126,30 @@ def _generator(spec):
     raise UnsupportedModelError(spec.family)
 
 
+def _check_window(spec, radius):
+    """Refuse a window of more than MAX_WINDOW_VERTICES vertices, from the
+    family's closed-form window size, before any search starts."""
+    m = MAX_WINDOW_VERTICES
+    if spec.family == "binary_tree":
+        largest, size = (m + 1).bit_length() - 2, f"2^{radius + 1} - 1"
+    elif spec.family == "star":
+        largest, size = (m - 1) // spec.arms, spec.arms * radius + 1
+    elif spec.family in ("geom_zplus", "log_increment_line"):
+        largest, size = m - 1, radius + 1
+    else:
+        largest, size = (m - 1) // 2, 2 * radius + 1
+    if radius > largest:
+        raise ConfigurationError(
+            f"a {spec.family} window of radius {radius} has {size} vertices, more "
+            f"than {m}; the largest radius that fits is {largest}")
+
+
 def build(spec, radius=None):
-    """Materialize a generator-backed network for the given model family."""
+    """Materialize a generator-backed network for the given model family;
+    windows above MAX_WINDOW_VERTICES vertices raise ConfigurationError."""
     if radius is None:
         radius = spec.radius
+    _check_window(spec, radius)
     origin, nbrs = _generator(spec)
     model = {"model": spec.family, "params": dict(spec.params), "radius": int(radius)}
     model["params"].pop("radius", None)

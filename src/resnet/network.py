@@ -412,6 +412,11 @@ class VertexFunction:
         return cls({x: 0.0 for x in window}, gauge)
 
     @classmethod
+    def at_positions(cls, vertices, pos, values, gauge=GAUGE_RAW):
+        """The function with ``values[i]`` at vertex ``vertices[pos[i]]``."""
+        return cls(zip(map(vertices.__getitem__, pos.tolist()), values.tolist()), gauge)
+
+    @classmethod
     def indicator(cls, window, on, gauge=GAUGE_RAW):
         on = frozenset(on)
         return cls({x: (1.0 if x in on else 0.0) for x in window}, gauge)

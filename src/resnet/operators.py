@@ -57,6 +57,23 @@ def read_values(net, u, positions):
     return out
 
 
+def inner_edges(net, inside):
+    """Mask over the edge list of ``net.arrays``: the edges with both ends in
+    the vertex mask ``inside``."""
+    a = net.arrays
+    return inside[a.edge_x] & inside[a.edge_y]
+
+
+def edge_energy(net, keep, uu, vv):
+    """Σ c_xy (u(x) − u(y))(v(x) − v(y)) over the edges that the mask ``keep``
+    selects, added left to right in the order of the edge list of
+    ``net.arrays``; ``uu`` and ``vv`` hold u and v by vertex position.  The
+    one summation behind :func:`energy` and the kernel traces."""
+    a = net.arrays
+    ex, ey, ec = a.edge_x[keep], a.edge_y[keep], a.edge_c[keep]
+    return float(prefix_sums(ec * (uu[ex] - uu[ey]) * (vv[ex] - vv[ey]))[-1])
+
+
 def energy(net, u, v=None, window=None):
     """Energy over the induced subgraph on ``window`` (crossing edges excluded).
 
@@ -75,14 +92,13 @@ def energy(net, u, v=None, window=None):
         for x in window:
             net._require(x)
     a = net.arrays
-    keep = inside[a.edge_x] & inside[a.edge_y]
-    ex, ey, ec = a.edge_x[keep], a.edge_y[keep], a.edge_c[keep]
-    ends = np.union1d(ex, ey)
+    keep = inner_edges(net, inside)
+    ends = np.union1d(a.edge_x[keep], a.edge_y[keep])
     uu = read_values(net, u, ends)
     vv = uu if v is u else read_values(net, v, ends)
-    total = prefix_sums(ec * (uu[ex] - uu[ey]) * (vv[ex] - vv[ey]))[-1]
     converged = net.is_finite and len(window) == len(net.vertices)
-    return EnergyValue(value=float(total), window=window, converged=converged)
+    return EnergyValue(value=edge_energy(net, keep, uu, vv), window=window,
+                       converged=converged)
 
 
 def energy_over_plan(net, u, v, plan, rel_tol=1e-9):

@@ -21,7 +21,8 @@ frees them with itself.  Nothing is cached across networks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -48,16 +49,29 @@ MAX_SYSTEMS = 512
 class SolveReport:
     """Solution of one finite-region solve plus its scaled residual.
 
+    ``pos`` holds the region's canonical vertex positions in increasing
+    order (read-only: the stored system shares it) and ``values`` the
+    solution at them; ``vertices`` is the network's canonical vertex tuple.
+    ``solution`` is the same function as a :class:`VertexFunction`, built on
+    first access, so a solve whose caller reads the arrays builds no dict.
+
     The residual is the max over region rows of |(system·u − f)(x)| scaled by
     max(1, c(x)) and the solution magnitude, a backward-error style metric:
     it reflects what float64 can represent when edge weights grow
     geometrically or the solution carries a large zero-mode component.
     """
 
-    solution: VertexFunction
+    pos: np.ndarray
+    values: np.ndarray
     residual: float
     gauge: str
     bc: str
+    vertices: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def solution(self):
+        return VertexFunction.at_positions(self.vertices, self.pos, self.values,
+                                           self.gauge)
 
 
 class _System(NamedTuple):
@@ -80,6 +94,7 @@ def _assemble(net, region, bc):
     except KeyError:  # name the first vertex outside the window, in canonical order
         for x in vsorted(region):
             net._require(x)
+    pos.flags.writeable = False
     a, m = net.arrays, len(pos)
     # Every pair of the region's rows, in incident order, and the place in
     # the region of its other end.
@@ -169,10 +184,8 @@ def _residual(net, pos, matrix, u, b, eps=0.0):
 
 
 def _report(net, pos, u, residual, gauge, bc):
-    verts = net.vertices
-    values = dict(zip(map(verts.__getitem__, pos.tolist()), u.tolist()))
-    return SolveReport(solution=VertexFunction(values, gauge),
-                       residual=residual, gauge=gauge, bc=bc)
+    return SolveReport(pos=pos, values=u, residual=residual, gauge=gauge, bc=bc,
+                       vertices=net.vertices)
 
 
 def _free_solve(net, region, f, tol):

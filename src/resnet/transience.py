@@ -24,11 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, IncompatibleSourceError, ResnetError
-from .kernels import energy_kernel, harm_part, monopole
+from .kernels import (POINTWISE_TOL, _dipole_trace, _energy_of, _harm_trace,
+                      monopole)
 from .network import VertexFunction, doubling_exhaustion, vsorted
 from .operators import energy
 from .randomwalk import WalkConfig, green_estimate
-from .solver import WIRED, solve_poisson
+from .solver import FREE, WIRED, solve_poisson
 
 TRANSIENT = "transient"
 RECURRENT = "recurrent"
@@ -101,13 +102,14 @@ def grounded_projection_of_one(net, plan=None):
                                   trace=(), meta={"finite": True})
     trace = []
     g_last, stage_last = None, None
+    o = net._pos[net.origin]
     for stage, radius in zip(plan.stages, plan.radii):
         try:
-            g = solve_poisson(net, stage, {net.origin: 1.0}, WIRED).solution
+            g = solve_poisson(net, stage, {net.origin: 1.0}, WIRED)
         except IncompatibleSourceError:
             trace.append((radius, float("inf"), 0.0))
             continue
-        resistance = g.value(net.origin)
+        resistance = float(g.values[np.searchsorted(g.pos, o)])
         beta = 1.0 / (1.0 + resistance)
         trace.append((radius, resistance, beta))
         g_last, stage_last = g, stage
@@ -129,8 +131,8 @@ def grounded_projection_of_one(net, plan=None):
     converged = tight or decaying
     if converged and not growing:
         beta = betas[-1]
-        u = VertexFunction({x: 1.0 - beta * g_last.value(x)
-                            for x in vsorted(stage_last)})
+        u = VertexFunction.at_positions(net.vertices, g_last.pos,
+                                        1.0 - beta * g_last.values)
         e = energy(net, u, window=stage_last).value
         e += sum(c * (u.value(x) - 1.0) ** 2
                  for x, _, c in net.crossing_edges(stage_last))
@@ -245,22 +247,24 @@ def harm_dimension_probe(net, plan=None, samples=None):
     kept = []
     detail = {}
     for x in samples:
-        hx = harm_part(net, x, plan)
-        vx = energy_kernel(net, x, plan)
-        e_h = energy(net, hx.approximant, window=plan.final).value
-        e_v = max(energy(net, vx.approximant, window=plan.final).value, 1e-300)
+        # One free and one wired trace give both v_x and h_x = v_x − f_x.
+        # Their last stage is the final one, so the last stage energies are
+        # E(h_x) and E(v_x) over plan.final.
+        free = _dipole_trace(net, x, plan, FREE, POINTWISE_TOL)
+        wired = _dipole_trace(net, x, plan, WIRED, POINTWISE_TOL, energies=False)
+        hx, h_energies = _harm_trace(net, free, wired)
+        e_h = h_energies[-1]
+        e_v = max(free.energies[-1], 1e-300)
         detail[str(x)] = {"harm_energy": e_h, "dipole_energy": e_v,
-                          "stage_energies": list(hx.stage_energies)}
+                          "stage_energies": list(h_energies)}
         if e_h > HARM_MASS_THRESHOLD * e_v:
             kept.append(hx)
     if not kept:
         return 0, detail
     gram = np.empty((len(kept), len(kept)))
-    for i, hi in enumerate(kept):
-        for j, hj in enumerate(kept[:i + 1]):
-            val = energy(net, hi.approximant, hj.approximant,
-                         window=plan.final).value
-            gram[i, j] = gram[j, i] = val
+    for i, (pos, hi) in enumerate(kept):
+        for j, (_, hj) in enumerate(kept[:i + 1]):
+            gram[i, j] = gram[j, i] = _energy_of(net, pos, hi, hj)
     eigvals = np.linalg.eigvalsh(gram)
     top = max(eigvals.max(), 1e-300)
     rank = int((eigvals > GRAM_RANK_THRESHOLD * top).sum())

@@ -1,4 +1,6 @@
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -271,4 +273,35 @@ def test_walk_rejects_vertices_outside_the_network(tmp_path, capsys, argv,
     assert main(["walk", *argv, "--walks", "10", "--steps", "10",
                  "-o", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--x", "5"], ["--start", "7"],
+                                  ["--absorber", "3"], ["--y", "2"]])
+def test_walk_escape_rejects_the_vertex_flags(tmp_path, capsys, flag):
+    out = tmp_path / "e.json"
+    assert main(["walk", "--model", "geom-zplus", "--c", "2", "--radius", "20",
+                 "--op", "escape", "--radii", "2,4", "--walks", "101",
+                 "--steps", "200", *flag, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert flag[0] in err and "start at the network's origin" in err
+    assert not out.exists()
+
+
+def test_gen_refuses_a_huge_window_before_building_it(tmp_path, capsys):
+    # The default radius 30 of the binary tree is 2^31 - 1 vertices.
+    out = tmp_path / "tree.json"
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(["gen", "--model", "binary-tree", "-o", str(out)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert elapsed < 1.0
+    assert peak < 1 << 20
+    err = capsys.readouterr().err
+    assert "2^31 - 1 vertices" in err and "largest radius that fits is 19" in err
     assert not out.exists()

@@ -5,7 +5,8 @@ import pytest
 import resnet as rn
 from resnet.errors import (ConfigurationError, DomainError,
                            UnsupportedModelError)
-from resnet.models import (ModelSpec, build, harmonic_energy,
+from resnet.models import (MAX_WINDOW_VERTICES, ModelSpec, build,
+                           harmonic_energy,
                            log_increment_function, oracle_h,
                            oracle_h_function, oracle_residuals, oracle_v,
                            oracle_v_function, oracle_w_o, oracle_w_o_function)
@@ -157,3 +158,33 @@ def test_oracle_functions_carry_gauges(geom2_spec):
     h1 = oracle_h_function(geom2_spec, 20, unit_energy=True)
     net = build(geom2_spec, radius=20)
     assert energy(net, h1, window=net.ball(20)).value == pytest.approx(1.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("spec, largest, size", [
+    (ModelSpec("binary_tree"), 19, "2^21 - 1"),
+    (ModelSpec("star", {"arms": 5}), (MAX_WINDOW_VERTICES - 1) // 5,
+     str(5 * ((MAX_WINDOW_VERTICES - 1) // 5 + 1) + 1)),
+    (ModelSpec("unit_line"), MAX_WINDOW_VERTICES // 2 - 1, str(MAX_WINDOW_VERTICES + 1)),
+    (ModelSpec("geom_z"), MAX_WINDOW_VERTICES // 2 - 1, str(MAX_WINDOW_VERTICES + 1)),
+    (ModelSpec("geom_zplus"), MAX_WINDOW_VERTICES - 1, str(MAX_WINDOW_VERTICES + 1)),
+    (ModelSpec("log_increment_line"), MAX_WINDOW_VERTICES - 1,
+     str(MAX_WINDOW_VERTICES + 1)),
+])
+def test_build_refuses_windows_beyond_the_vertex_limit(spec, largest, size):
+    with pytest.raises(ConfigurationError) as err:
+        build(spec, radius=largest + 1)
+    assert f"has {size} vertices" in str(err.value)
+    assert f"largest radius that fits is {largest}" in str(err.value)
+
+
+@pytest.mark.parametrize("spec, count", [
+    (ModelSpec("binary_tree"), lambda r: 2 ** (r + 1) - 1),
+    (ModelSpec("star", {"arms": 5}), lambda r: 5 * r + 1),
+    (ModelSpec("unit_line"), lambda r: 2 * r + 1),
+    (ModelSpec("geom_z"), lambda r: 2 * r + 1),
+    (ModelSpec("geom_zplus"), lambda r: r + 1),
+    (ModelSpec("log_increment_line"), lambda r: r + 1),
+])
+def test_window_size_formulas_count_the_built_windows(spec, count):
+    for radius in (1, 2, 5):
+        assert len(build(spec, radius=radius).vertices) == count(radius)
