@@ -83,6 +83,9 @@ def _parse_plan(net, text):
 
 
 def _load_net(args):
+    radius = getattr(args, "radius", None)
+    if radius is not None and radius < 1:
+        raise ConfigurationError(f"--radius must be at least 1, got {radius}")
     if getattr(args, "net", None):
         try:
             with open(args.net, "r", encoding="utf-8") as fh:
@@ -90,7 +93,7 @@ def _load_net(args):
         except OSError as exc:
             raise ConfigurationError(f"cannot read network file: {exc}") from exc
         try:
-            return load_network(text, radius=getattr(args, "radius", None))
+            return load_network(text, radius=radius)
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigurationError(
                 f"malformed network JSON in {args.net}: {exc}") from exc
@@ -102,7 +105,7 @@ def _load_net(args):
         if args.arms is not None:
             params["arms"] = args.arms
         spec = ModelSpec(family, params)
-        return build(spec, radius=args.radius if args.radius else None)
+        return build(spec, radius=radius)
     raise ConfigurationError("specify either --net FILE or --model NAME")
 
 

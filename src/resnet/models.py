@@ -29,8 +29,12 @@ quarantined rather than shipped.
 from __future__ import annotations
 
 import json
+import math
+import sys
 import warnings
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ConfigurationError, DomainError, UnsupportedModelError
 from .network import GAUGE_ORIGIN, GAUGE_VANISH, Network, VertexFunction
@@ -142,6 +146,33 @@ def _check_window(spec, radius):
         raise ConfigurationError(
             f"a {spec.family} window of radius {radius} has {size} vertices, more "
             f"than {m}; the largest radius that fits is {largest}")
+    # The edges leaving the window carry the largest power, c^(radius + 1).
+    if spec.family in _GEOMETRIC and not _in_float_range(spec.c, radius + 1):
+        raise ConfigurationError(
+            f"a {spec.family} window of radius {radius} needs conductance "
+            f"c^{radius + 1} = {spec.c:g}^{radius + 1}, which is not a positive "
+            f"finite float; the largest radius that base allows is "
+            f"{_largest_exponent(spec.c) - 1}")
+
+
+def _in_float_range(c, k):
+    """Whether the float c ** k is positive and finite."""
+    try:
+        return 0.0 < c ** k < math.inf
+    except OverflowError:
+        return False
+
+
+def _largest_exponent(c):
+    """The largest k with c ** k a positive finite float, for c != 1: a
+    logarithmic estimate, then settled on c ** k itself."""
+    bound = sys.float_info.max if c > 1.0 else math.ulp(0.0)
+    k = int(math.log(bound) / math.log(c))
+    while not _in_float_range(c, k):
+        k -= 1
+    while _in_float_range(c, k + 1):
+        k += 1
+    return k
 
 
 def build(spec, radius=None):
@@ -259,31 +290,22 @@ def oracle_h_function(spec, radius, *, unit_energy=False):
     return VertexFunction(values, GAUGE_ORIGIN)
 
 
-def _is_power_of_two(n):
-    return n > 0 and (n & (n - 1)) == 0
-
-
 def log_increment_function(radius):
     """The unbounded finite-energy test function on the unit half-line.
 
     u(0) = 0 and u(n) − u(n−1) is 1/k when n = 2^k, else 1/n.  The n = 1
     increment (formally 1/0, since 1 = 2^0) is taken to be 1; this keeps the
-    asymptotics of the construction and is the only sensible reading.
+    asymptotics of the construction and is the only sensible reading.  The
+    increments are added left to right.
     """
     if radius < 2:
         raise ConfigurationError("log-increment window needs radius >= 2")
-    values = {0: 0.0}
-    total = 0.0
-    for n in range(1, radius + 1):
-        if n == 1:
-            inc = 1.0
-        elif _is_power_of_two(n):
-            inc = 1.0 / (n.bit_length() - 1)
-        else:
-            inc = 1.0 / n
-        total += inc
-        values[n] = total
-    return VertexFunction(values, GAUGE_ORIGIN)
+    inc = 1.0 / np.arange(1, radius + 1)
+    k = np.arange(1, int(radius).bit_length())
+    inc[(1 << k) - 1] = 1.0 / k
+    inc[0] = 1.0
+    return VertexFunction(zip(range(radius + 1), [0.0] + np.cumsum(inc).tolist()),
+                          GAUGE_ORIGIN)
 
 
 def oracle_residuals(spec, radius=30):

@@ -50,10 +50,12 @@ def read_values(net, u, positions):
     """u at the given vertex positions, scattered into an array over every
     vertex (0.0 elsewhere); reads through u's window, so a vertex outside it
     raises WindowError."""
-    verts = net.vertices
-    out = np.zeros(len(verts))
-    out[positions] = np.fromiter(map(u.value, (verts[i] for i in positions.tolist())),
-                                 float, len(positions))
+    ids = list(map(net.vertices.__getitem__, positions.tolist()))
+    out = np.zeros(len(net.vertices))
+    try:
+        out[positions] = np.fromiter(map(u._values.__getitem__, ids), float, len(ids))
+    except KeyError:  # u.value names the vertex outside the window
+        out[positions] = np.fromiter(map(u.value, ids), float, len(ids))
     return out
 
 

@@ -7,7 +7,9 @@ stream of ``Generator(Philox(key=(t << 64) | seed)).random``, so results are
 bit-identical regardless of batching and trivially parallelizable.  A batch
 uses one Philox bit generator whose state is reset at every step, and only
 active walks draw: from the block of the smallest active walk to the
-largest, which is the same stream.
+largest, which is the same stream.  A walk compares its raw 64-bit draw with
+integer thresholds of its cumulative probabilities, which picks the same
+neighbour as comparing the double.
 
 Walks that step beyond the materialized window are terminated and counted as
 exits; estimators report that fraction so truncation never passes silently.
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 _MASK64 = (1 << 64) - 1
 
@@ -51,16 +53,38 @@ class McEstimate:
     meta: dict = field(default_factory=dict)
 
 
+def _thresholds(cum):
+    """uint64 thresholds with ``raw > thr`` exactly when the double
+    ``(raw >> 11) * 2**-53`` is ``>= cum``, for every raw 64-bit value.
+
+    With k = ⌈cum·2⁵³⌉ (the scaling is exact) that double is >= cum exactly
+    when ``raw >> 11 >= k``, that is when ``raw > (k << 11) - 1``.  Every cum
+    is positive, so k >= 1; a transition probability that underflows to 0
+    raises NumericalError rather than wrap around.  From k = 2⁵³ on (cum
+    above 1 - 2⁻⁵³, the last slot's 1 + 1e-12 and the 2.0 padding) no double
+    reaches cum, and the threshold 2⁶⁴ − 1 is never passed either.
+    """
+    k = np.ceil(cum * 2.0 ** 53)
+    if not (k >= 1.0).all():
+        raise NumericalError("a transition probability c_xy / c(x) underflows to 0")
+    thr = np.full(cum.shape, _MASK64, dtype=np.uint64)
+    below = k < 2.0 ** 53
+    thr[below] = (k[below].astype(np.uint64) << np.uint64(11)) - np.uint64(1)
+    return thr
+
+
 def _walk_space(net):
-    """Flat neighbour and cumulative-probability rows for vectorized stepping,
-    built from ``net.arrays`` on each call; returns ``(nbr, cum, width)``.
+    """Flat neighbour and threshold rows for vectorized stepping, built from
+    ``net.arrays`` on each call; returns ``(nbr, thr, width)``.
 
     Row i spans ``i * width:(i + 1) * width``, with ``width`` the largest
     degree rounded up to a power of two.  Neighbour index n marks a neighbour
     beyond the window, so stepping onto it ends the walk.  Each row's
-    probabilities c_xy / c(x) accumulate left to right; the last one is
-    raised to 1 + 1e-12 and the padding is 2.0, so ``cum <= u`` holds on a
-    prefix of every row for any u in [0, 1).
+    probabilities c_xy / c(x) accumulate left to right to ``cum``; the last
+    one is raised to 1 + 1e-12 and the padding is 2.0, so ``cum <= u`` holds
+    on a prefix of every row for any u in [0, 1).  ``thr`` holds
+    :func:`_thresholds` of ``cum``, so a raw draw passes a threshold exactly
+    when its uniform u reaches that ``cum``.
     """
     a, n = net.arrays, len(net.vertices)
     deg = np.diff(a.indptr)
@@ -73,7 +97,7 @@ def _walk_space(net):
     cum = np.full(nbr.shape, 2.0)
     cum[a.rows, slot] = np.cumsum(prob, axis=1)[a.rows, slot]
     cum[np.arange(n), deg - 1] = 1.0 + 1e-12
-    return nbr.ravel(), cum.ravel(), width
+    return nbr.ravel(), _thresholds(cum.ravel()), width
 
 
 def _require_vertices(net, **roles):
@@ -118,9 +142,11 @@ def _simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
     the smallest active walk, and draws up to the largest: walk w gets the
     w-th double of the stream ``Generator(Philox(key=(t << 64) | seed))``, so
     the result does not depend on which walks are still active.  Each walk
-    then finds its neighbour by binary search over its row of ``cum``.
+    then finds its neighbour by binary search over its row of thresholds,
+    comparing the raw draw, never the double.  The halt test runs only when
+    a walk can stop: with absorbers, a home vertex or a window ring.
     """
-    nbr, cum, width = _walk_space(net)
+    nbr, thr, width = _walk_space(net)
     index, n_verts = net._pos, len(net.vertices)
     # Per vertex, with slot n_verts for every vertex beyond the window:
     # whether stepping onto it ends the walk, and its absorber index.
@@ -133,6 +159,11 @@ def _simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
             for v in aset:
                 code[index[v]] = a_i
         halt |= code >= 0
+    if return_home is not None:
+        halt[index[return_home]] = True
+    # Padding points at slot n_verts too, but no walk steps onto padding:
+    # only absorbers, the home vertex and the ring can stop one.
+    can_stop = bool(absorb) or return_home is not None or bool((net.arrays.nbr < 0).any())
 
     n = cfg.n_walks
     walks = np.arange(n)
@@ -146,11 +177,10 @@ def _simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
         vis = visits.copy()
     if track_max_distance:
         dist = np.append(net.arrays.dist, 0)
-        halt[index[return_home]] = True
         maxdist = np.zeros(n, dtype=np.int64)
         far = maxdist.copy()
     # Binary search probes: the half-widths, each against a shifted view.
-    probes = [(half, cum[half - 1:]) for half in
+    probes = [(half, thr[half - 1:]) for half in
               (width >> k for k in range(1, width.bit_length()))]
     bits = np.random.Philox(0)
     counter, key = [0, 0, 0, 0], [int(cfg.seed) & _MASK64, 0]
@@ -171,19 +201,20 @@ def _simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
         raw = bits.random_raw(int(walks[-1]) + 1 - first)
         if len(raw) != len(walks):
             raw = raw.take(walks - first)
-        u = (raw >> 11) * 2.0 ** -53
         pick = cur * width
         for half, shifted in probes:
-            pick += (shifted.take(pick) <= u) * half
-        nxt = nbr.take(pick)
+            pick += (raw > shifted.take(pick)) * half
+        cur = nbr.take(pick)
         if visits is not None:
-            vis += nxt == target
+            vis += cur == target
         if maxdist is not None:
-            np.maximum(far, dist.take(nxt), out=far)
-        stop = halt.take(nxt)
+            np.maximum(far, dist.take(cur), out=far)
+        if not can_stop:
+            continue
+        stop = halt.take(cur)
         gone = np.flatnonzero(stop)
         if len(gone):
-            w, last, keep = walks[gone], nxt[gone], ~stop
+            w, last, keep = walks[gone], cur[gone], ~stop
             exited[w] = last == n_verts
             if code is not None:
                 absorbed_at[w] = code.take(last)
@@ -191,8 +222,7 @@ def _simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
                 visits[w], vis = vis[gone], vis[keep]
             if maxdist is not None:
                 maxdist[w], far = far[gone], far[keep]
-            walks, nxt = walks[keep], nxt[keep]
-        cur = nxt
+            walks, cur = walks[keep], cur[keep]
 
     capped = np.zeros(n, dtype=bool)
     capped[walks] = True

@@ -14,9 +14,11 @@ infinite) network:
   condition.
 
 Solves are direct sparse LU factorizations.  Each region system is
-assembled from ``Network.arrays``, checked for connectivity and factored
-once; the network keeps its ``MAX_SYSTEMS`` most recently used systems and
-frees them with itself.  Nothing is cached across networks.
+assembled from ``Network.arrays`` straight into compressed arrays (the
+matrix is symmetric, so its compressed rows and columns are the same
+arrays), checked for connectivity and factored once; the network keeps its
+``MAX_SYSTEMS`` most recently used systems and frees them with itself.
+Nothing is cached across networks.
 """
 
 from __future__ import annotations
@@ -85,6 +87,23 @@ class _System(NamedTuple):
     has_crossing: bool
 
 
+def _compressed(row, col, cond, diag):
+    """``(indptr, indices, data)`` of the m x m matrix, m = len(diag), with
+    −cond at the pairs (row, col), given sorted by (row, col), and ``diag`` on
+    the diagonal.  The pattern is symmetric, so the arrays are at once the
+    compressed rows and the compressed columns, indices increasing in each."""
+    m = len(diag)
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=m))))
+    at = ptr[:-1] + np.bincount(row[col < row], minlength=m)
+    return (ptr + np.arange(m + 1), np.insert(col, at, np.arange(m)),
+            np.insert(-cond, at, diag))
+
+
+def _columns(indptr):
+    """The column of each entry of compressed columns with pointers ``indptr``."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
 def _assemble(net, region, bc):
     """The system of a validated, connected region, from ``net.arrays``."""
     if not region:
@@ -96,8 +115,8 @@ def _assemble(net, region, bc):
             net._require(x)
     pos.flags.writeable = False
     a, m = net.arrays, len(pos)
-    # Every pair of the region's rows, in incident order, and the place in
-    # the region of its other end.
+    # Every pair of the region's rows, in incident order (so increasing
+    # columns in each row), and the place in the region of its other end.
     deg = a.indptr[pos + 1] - a.indptr[pos]
     row = np.repeat(np.arange(m), deg)
     pair = np.arange(len(row)) + np.repeat(a.indptr[pos] - np.cumsum(deg) + deg, deg)
@@ -105,18 +124,21 @@ def _assemble(net, region, bc):
     inner = pos[np.minimum(col, m - 1)] == a.nbr[pair]
     row, col, cond = row[inner], col[inner], a.cond[pair[inner]]
     diag = a.ctot[pos] if bc == WIRED else np.bincount(row, cond, minlength=m)
-    matrix = sp.csc_matrix((np.concatenate((-cond, diag)),
-                            (np.concatenate((row, np.arange(m))),
-                             np.concatenate((col, np.arange(m))))), shape=(m, m))
+    indptr, indices, data = _compressed(row, col, cond, diag)
+    matrix = sp.csc_matrix((data, indices, indptr), shape=(m, m))
     if connected_components(matrix, directed=False)[0] != 1:
         raise DomainError("region is not connected")
     has_crossing = not inner.all()
     factor = None
     if bc == WIRED and has_crossing:
-        factor = _ScaledLU(matrix)
+        factor = _ScaledLU(indptr, indices, data)
     elif bc == FREE and net.origin in region and m > 1:
-        keep = np.flatnonzero(pos != net._pos[net.origin])
-        factor = _ScaledLU(matrix[np.ix_(keep, keep)].tocsc())
+        # Pin the gauge: drop the origin's row and column.
+        o = int(np.searchsorted(pos, net._pos[net.origin]))
+        off = (row != o) & (col != o)
+        row, col = row[off], col[off]
+        factor = _ScaledLU(*_compressed(row - (row > o), col - (col > o),
+                                        cond[off], np.delete(diag, o)))
     return _System(pos, matrix, factor, has_crossing)
 
 
@@ -147,16 +169,24 @@ class _ScaledLU:
     refinement is deliberately absent: residual matvecs over the huge
     dynamic range only inject noise along the worst-conditioned direction,
     which measurably degrades the solution.
+
+    The system comes as compressed arrays ``(indptr, indices, data)`` with
+    one diagonal entry in each column.  Each scaled entry is the product that
+    ``diags(s) @ A @ diags(s)`` forms, so the factor is bit-identical to the
+    factor of that sparse product.
     """
 
-    def __init__(self, matrix):
-        diag = matrix.diagonal().copy()
+    def __init__(self, indptr, indices, data):
+        cols = _columns(indptr)
+        diag = data[indices == cols]
         diag[diag <= 0.0] = 1.0
         self.scale = 1.0 / np.sqrt(diag)
-        scaler = sp.diags(self.scale)
+        # Row scale first, as the two sparse products apply it.
+        scaled = (self.scale[indices] * data) * self.scale[cols]
         # Symmetric mode with diagonal pivots: a Cholesky-like factorization.
         # Threshold row pivoting is what makes the default path erratic here.
-        self.lu = spla.splu((scaler @ matrix @ scaler).tocsc(),
+        m = len(indptr) - 1
+        self.lu = spla.splu(sp.csc_matrix((scaled, indices, indptr), shape=(m, m)),
                             permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                             options={"SymmetricMode": True})
 
@@ -252,9 +282,10 @@ def solve_regularized(net, region, eps, f, *, bc=FREE, tol=DEFAULT_TOLERANCE):
     region = frozenset(region)
     f = dict(f.items() if hasattr(f, "items") else f)
     system = _system(net, region, bc)
-    matrix = (system.matrix + eps * sp.identity(len(system.pos), format="csc")).tocsc()
+    matrix = system.matrix.copy()
+    matrix.data[matrix.indices == _columns(matrix.indptr)] += eps
     b = _rhs_array(net, region, system.pos, f)
-    u = _ScaledLU(matrix).solve(b)
+    u = _ScaledLU(matrix.indptr, matrix.indices, matrix.data).solve(b)
     residual = _residual(net, system.pos, matrix, u, b, eps)
     if residual > tol:
         raise NumericalError(

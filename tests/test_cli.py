@@ -288,6 +288,25 @@ def test_walk_escape_rejects_the_vertex_flags(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", ["unit-line", "binary-tree"])
+def test_radius_below_one_is_refused(tmp_path, capsys, model):
+    out = tmp_path / "net.json"
+    for radius in ("0", "-3"):
+        assert main(["gen", "--model", model, "--radius", radius, "-o", str(out)]) == 2
+        assert f"--radius must be at least 1, got {radius}" in capsys.readouterr().err
+        assert not out.exists()
+    assert main(["gen", "--model", model, "--radius", "1", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["radius"] == 1
+
+
+def test_geometric_window_beyond_float_range_exits_2(capsys):
+    for argv in (["gen", "--model", "geom-zplus", "--radius", "1100"],
+                 ["kernel", "--model", "geom-z", "--radius", "1100", "--x", "2",
+                  "--plan", "balls:1..3"]):
+        assert main(argv) == 2
+        assert "the largest radius that base allows is 1022" in capsys.readouterr().err
+
+
 def test_gen_refuses_a_huge_window_before_building_it(tmp_path, capsys):
     # The default radius 30 of the binary tree is 2^31 - 1 vertices.
     out = tmp_path / "tree.json"

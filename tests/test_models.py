@@ -188,3 +188,35 @@ def test_build_refuses_windows_beyond_the_vertex_limit(spec, largest, size):
 def test_window_size_formulas_count_the_built_windows(spec, count):
     for radius in (1, 2, 5):
         assert len(build(spec, radius=radius).vertices) == count(radius)
+
+
+@pytest.mark.parametrize("spec, largest", [
+    (ModelSpec("geom_zplus"), 1022),
+    (ModelSpec("geom_z"), 1022),
+    (ModelSpec("star", {"c": 3.0}), 645),
+    (ModelSpec("geom_zplus", {"c": 0.5}), 1073),
+])
+def test_build_refuses_conductances_beyond_float_range(spec, largest):
+    # The edges leaving a window of radius R carry c^(R + 1).
+    assert 0.0 < spec.c ** (largest + 1) < math.inf
+    for radius in (largest + 1, 1100):
+        with pytest.raises(ConfigurationError) as err:
+            build(spec, radius=radius)
+        assert f"c^{radius + 1}" in str(err.value)
+        assert f"the largest radius that base allows is {largest}" in str(err.value)
+    net = build(spec, radius=largest)
+    assert len(net.vertices) == (spec.arms if spec.family == "star" else
+                                 2 if spec.family == "geom_z" else 1) * largest + 1
+    assert not net.is_finite
+
+
+def test_log_increment_function_adds_its_increments_left_to_right():
+    radius = 3 ** 7
+    values, total = [0.0], 0.0
+    for n in range(1, radius + 1):
+        k = n.bit_length() - 1
+        total += 1.0 if n == 1 else 1.0 / k if n == 1 << k else 1.0 / n
+        values.append(total)
+    u = log_increment_function(radius)
+    assert u.items() == list(enumerate(values))
+    assert u.gauge == "origin-zero"

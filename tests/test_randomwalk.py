@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import resnet as rn
 from resnet import randomwalk
-from resnet.errors import DomainError
+from resnet.errors import DomainError, NumericalError
 from resnet.models import ModelSpec, build
 from resnet.randomwalk import (WalkConfig, escape_probability, green_estimate,
                                hitting_probability, step,
@@ -165,6 +166,55 @@ def test_walks_reject_vertices_outside_the_network(unit_path):
         escape_probability(unit_path, 99, (1,), cfg)
 
 
+# -- integer thresholds ---------------------------------------------------------
+
+_TOP = (1 << 64) - 1
+
+# Cumulative probabilities at the edges of the threshold map: multiples of
+# 2^-53, the doubles next to 1, the last slot's 1 + 1e-12 and the padding.
+_EDGE_CUMS = (2.0 ** -53, 3 * 2.0 ** -53, 1e-20, 0.5, 0.5 + 2.0 ** -53,
+              0.1, 1.0 / 3.0, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -53, 1.0,
+              1.0 + 1e-12, 2.0)
+
+
+def _passes(raw, cum):
+    """The double comparison the walk used to make: u >= cum."""
+    return (raw >> 11) * 2.0 ** -53 >= cum
+
+
+def _threshold(cum):
+    return int(randomwalk._thresholds(np.array([cum]))[0])
+
+
+def test_thresholds_at_their_edges():
+    for cum in _EDGE_CUMS:
+        thr = _threshold(cum)
+        for raw in (0, thr - 1, thr, thr + 1, _TOP):
+            if 0 <= raw <= _TOP:
+                assert _passes(raw, cum) == (raw > thr), (cum, raw)
+    assert _threshold(1.0 - 2.0 ** -53) == _TOP - 2 ** 11
+    for cum in (1.0, 1.0 + 1e-12, 2.0):
+        assert _threshold(cum) == _TOP
+
+
+def test_a_probability_that_underflows_is_refused():
+    net = rn.Network.from_edges(0, [(0, 1, 1e-300), (0, 2, 1e100), (1, 2, 1.0)])
+    with pytest.raises(NumericalError, match="underflows"):
+        green_estimate(net, 0, 0, WalkConfig(n_walks=4, max_steps=4))
+
+
+@settings(max_examples=400)
+@given(cum=st.one_of(st.sampled_from(_EDGE_CUMS),
+                     st.integers(1, 2 ** 53).map(lambda k: k * 2.0 ** -53),
+                     st.floats(1e-30, 2.0)),
+       raw=st.integers(0, _TOP), near=st.sampled_from((None, -1, 0, 1)))
+def test_thresholds_match_the_double_comparison(cum, raw, near):
+    thr = _threshold(cum)
+    if near is not None:
+        raw = min(max(thr + near, 0), _TOP)
+    assert _passes(raw, cum) == (raw > thr)
+
+
 # -- the engine against a scalar reference ------------------------------------
 
 _MASK64 = (1 << 64) - 1
@@ -256,6 +306,10 @@ _REFERENCE_CASES = {
     "tuple-grid-absorbs": (lambda: _tuple_grid(5),
                            ((4, 4), (0, 0), (2, 1)), (2, 5), 60),
     "complete-12": (lambda: _complete(12), (5, 0, 11), (1,), 30),
+    # Finite, rows padded to width 4 and a long horizon: the Green walk can
+    # never stop, so the engine skips its halt test.
+    "tuple-grid-green": (lambda: _tuple_grid(4), ((3, 3), (0, 0), (3, 0)),
+                         (1, 3), 200),
 }
 
 

@@ -5,6 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import resnet as rn
 from resnet import solver
@@ -136,6 +138,56 @@ def test_arbitrary_region_against_dense_oracle(diag_grid):
         rep = solve_regularized(net, L_REGION, 0.3, {x: 1.0, y: -0.5}, bc=bc)
         assert np.allclose([u for _, u in rep.solution.items()],
                            np.linalg.solve(a, g), rtol=0, atol=1e-12)
+
+
+def _reference_solve(a):
+    """The solve of the dense matrix ``a`` through the Jacobi scaling formed
+    by two sparse products, with the solver's ``splu`` options."""
+    a = sp.csc_matrix(a)
+    diag = a.diagonal().copy()
+    diag[diag <= 0.0] = 1.0
+    s = 1.0 / np.sqrt(diag)
+    lu = spla.splu((sp.diags(s) @ a @ sp.diags(s)).tocsc(),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    return lambda b: s * lu.solve(s * b)
+
+
+def _pinning_cases():
+    grid = [(i, j) for i in range(5) for j in range(5)]
+    edges = [(v, w, 1.0 + 0.25 * ((3 * v[0] + v[1] + w[1]) % 5))
+             for v in grid for w in grid
+             if v < w and max(abs(v[0] - w[0]), abs(v[1] - w[1])) == 1]
+    grid_net = rn.Network.from_edges((1, 1), edges)
+    geom = build(ModelSpec("geom_z", {"c": 2.0}), radius=8)
+    star = build(ModelSpec("star"), radius=8)
+    return [(geom, geom.ball(r)) for r in (1, 5, 8)] + \
+        [(star, star.ball(r)) for r in (2, 8)] + [(grid_net, L_REGION)]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_factors_equal_the_two_product_scaling_bit_for_bit(case):
+    net, region = _pinning_cases()[case]
+    rng = np.random.default_rng(case)
+    xs, eps = vsorted(region), 0.375
+    for bc in (FREE, WIRED):
+        _, _, a = _dense_system(net, region, bc)
+        system = solver._system(net, region, bc)
+        assert np.array_equal(system.matrix.toarray(), a)
+        if bc == FREE:
+            keep = [i for i in range(len(xs)) if xs[i] != net.origin]
+            b = rng.standard_normal(len(keep))
+            want = _reference_solve(a[np.ix_(keep, keep)])(b)
+        else:
+            assert system.has_crossing
+            b = rng.standard_normal(len(xs))
+            want = _reference_solve(a)(b)
+        assert np.array_equal(system.factor.solve(b), want)
+        f = dict(zip(xs, rng.standard_normal(len(xs))))
+        rep = solve_regularized(net, region, eps, f, bc=bc)
+        plus = sp.csc_matrix(a) + eps * sp.identity(len(xs), format="csc")
+        assert np.array_equal(rep.values, _reference_solve(plus.toarray())(
+            np.array([f[x] for x in xs])))
 
 
 def test_total_conductance_is_the_incident_sum(diag_grid, geom2):
