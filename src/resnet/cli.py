@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import math
 import os
 import sys
 
@@ -52,6 +53,27 @@ def _parse_vertex(text):
 def _vertex_or_origin(net, text):
     """The vertex ``text`` names, or the network's origin when it is None."""
     return net.origin if text is None else _parse_vertex(text)
+
+
+def _parse_sweep(text):
+    """The conductance bases of ``--sweep LO:HI:COUNT``: COUNT values evenly
+    spaced from LO to HI, for finite positive floats LO and HI and an
+    integer COUNT >= 2."""
+    parts = text.split(":")
+    try:
+        if len(parts) != 3:
+            raise ValueError
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ConfigurationError(
+            f"--sweep must be LO:HI:COUNT with an integer COUNT, got {text!r}") from None
+    for value in (lo, hi):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigurationError(
+                f"--sweep bounds are conductance bases, finite and positive; got {value!r}")
+    if count < 2:
+        raise ConfigurationError(f"--sweep COUNT must be at least 2, got {count}")
+    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
 def _parse_plan(net, text):
@@ -321,6 +343,7 @@ def _cmd_resistance(args):
 
 
 def _cmd_report(args):
+    cs = _parse_sweep(args.sweep) if args.sweep else None
     net = _load_net(args)
     plan = _parse_plan(net, args.plan)
     cfg = WalkConfig(n_walks=args.walks, max_steps=args.steps, seed=args.seed)
@@ -335,9 +358,7 @@ def _cmd_report(args):
     spec = spec_of(net)
     if spec is not None and spec.family == "geom_z":
         payload["harmonic_oracle_energy"] = harmonic_energy(spec)
-    if args.sweep:
-        lo, hi, count = (float(t) for t in args.sweep.split(":"))
-        cs = [lo + (hi - lo) * i / (count - 1) for i in range(int(count))]
+    if cs is not None:
         payload["grounded_sweep"] = grounded_parameter_sweep(cs)
     _emit(args, canonical_json(payload) + "\n")
     return EXIT_OK

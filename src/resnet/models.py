@@ -10,6 +10,11 @@ Families
 ``log_increment_line``  nonnegative integers, unit conductances (carrier of the
                         exhaustion-dependence test function)
 
+:func:`build` gives each family's window in closed form, as numpy arrays
+in the order a breadth-first search from the origin would visit them, and
+refuses a window too large before allocating it.  The geometric
+conductances c^k are the Python floats ``c ** k``.
+
 Oracles for the geometric families (r = 1/c):
 
 * dipole kernel    v_n(k) = sum_{j=1..min(|k|,|n|)} r^j on the side of n,
@@ -44,7 +49,7 @@ FAMILIES = ("geom_z", "geom_zplus", "star", "unit_line", "binary_tree",
 
 _GEOMETRIC = ("geom_z", "geom_zplus", "star")
 
-# Windows with more vertices than this are refused before any search.
+# Windows with more vertices than this are refused before they are built.
 MAX_WINDOW_VERTICES = 2 ** 20
 
 
@@ -89,50 +94,9 @@ class ModelSpec:
         return int(self.params.get("radius", 30))
 
 
-def _geom_edge(c, a, b):
-    """Conductance of the integer edge {a, b} = c^max(|a|, |b|)."""
-    return c ** max(abs(a), abs(b))
-
-
-def _generator(spec):
-    c = spec.c
-    # The half-lines (geom_zplus, log_increment_line) stop at 0.
-    half = spec.family in ("geom_zplus", "log_increment_line")
-    if spec.family in ("unit_line", "log_increment_line"):
-        def nbrs(n):
-            return ((n + 1, 1.0),) if half and n <= 0 else ((n - 1, 1.0), (n + 1, 1.0))
-        return 0, nbrs
-    if spec.family in ("geom_z", "geom_zplus"):
-        def nbrs(n):
-            up = (n + 1, _geom_edge(c, n, n + 1))
-            return (up,) if half and n <= 0 else ((n - 1, _geom_edge(c, n - 1, n)), up)
-        return 0, nbrs
-    if spec.family == "star":
-        m = spec.arms
-
-        def nbrs(v):
-            b, d = v
-            if d == 0:
-                return [((arm, 1), c) for arm in range(m)]
-            out = [((b, d - 1) if d > 1 else (0, 0), c ** d)]
-            out.append(((b, d + 1), c ** (d + 1)))
-            return out
-        return (0, 0), nbrs
-    if spec.family == "binary_tree":
-        # Vertex (k, d) is the k-th node at depth d; children (2k, d+1), (2k+1, d+1).
-        def nbrs(v):
-            k, d = v
-            out = [((2 * k, d + 1), 1.0), ((2 * k + 1, d + 1), 1.0)]
-            if d > 0:
-                out.append(((k // 2, d - 1), 1.0))
-            return out
-        return (0, 0), nbrs
-    raise UnsupportedModelError(spec.family)
-
-
 def _check_window(spec, radius):
     """Refuse a window of more than MAX_WINDOW_VERTICES vertices, from the
-    family's closed-form window size, before any search starts."""
+    family's closed-form window size, before anything is allocated."""
     m = MAX_WINDOW_VERTICES
     if spec.family == "binary_tree":
         largest, size = (m + 1).bit_length() - 2, f"2^{radius + 1} - 1"
@@ -175,16 +139,98 @@ def _largest_exponent(c):
     return k
 
 
+# Each family's window is (origin, vertices, order, dist, degree, ids, cond,
+# ring): the arguments of Network, but the search order as positions and id
+# -1 for every ring neighbour.  Rows and their pairs come in canonical order.
+
+
+def _line(spec, radius, powers):
+    """The integer window -R..R, or 0..R on a half-line; edge {n - 1, n}
+    carries powers[max(|n - 1|, |n|)]."""
+    half = spec.family in ("geom_zplus", "log_increment_line")
+    lo = 0 if half else -radius
+    v = np.arange(lo, radius + 1)
+    nbrs = np.stack((v - 1, v + 1), axis=1).ravel()
+    rows = np.repeat(v, 2)
+    keep = nbrs >= 0 if half else slice(None)  # the half-line stops at 0
+    nbrs, rows = nbrs[keep], rows[keep]
+    ids = np.where((nbrs < lo) | (nbrs > radius), -1, nbrs - lo)
+    if half:
+        order, ring = np.arange(len(v)), (radius + 1,)
+    else:
+        # 0, -1, 1, -2, 2, ...: positions from the centre outwards.
+        order = radius + np.stack((-v[radius:], v[radius:]), axis=1).ravel()[1:]
+        ring = (lo - 1, radius + 1)
+    cond = powers[np.maximum(np.abs(rows), np.abs(nbrs))]
+    return 0, tuple(v.tolist()), order, np.abs(v), np.bincount(rows - lo), ids, cond, ring
+
+
+def _star(spec, radius, powers):
+    """Arm b at depth d is (b, d), at position b R + d after the centre."""
+    m, n = spec.arms, spec.arms * radius + 1
+    b, d = np.divmod(np.arange(n - 1), max(radius, 1))
+    d = d + 1
+    p = np.arange(1, n)
+    centre = np.where(radius > 0, np.arange(m) * radius + 1, -1)
+    ids = np.concatenate((centre, np.stack((np.where(d > 1, p - 1, 0),
+                                            np.where(d < radius, p + 1, -1)),
+                                           axis=1).ravel()))
+    cond = np.concatenate((np.full(m, powers[1]),
+                           np.stack((powers[d], powers[d + 1]), axis=1).ravel()))
+    # Level by level, arms in order.
+    order = np.concatenate(([0], p.reshape(m, radius).T.ravel()))
+    vertices = ((0, 0),) + tuple(zip(b.tolist(), d.tolist()))
+    return ((0, 0), vertices, order, np.concatenate(([0], d)),
+            np.concatenate(([m], np.full(n - 1, 2))), ids, cond,
+            tuple((arm, radius + 1) for arm in range(m)))
+
+
+def _binary_tree(radius):
+    """Vertex (k, d) is the k-th node at depth d, with children (2k, d+1) and
+    (2k+1, d+1); its level index is 2^d - 1 + k."""
+    n = 2 ** (radius + 1) - 1
+    depth = np.repeat(np.arange(radius + 1), 2 ** np.arange(radius + 1))
+    k = np.arange(n) - (2 ** depth - 1)
+    level = np.lexsort((depth, k))  # canonical position -> level index
+    pos = np.empty(n, np.int64)
+    pos[level] = np.arange(n)
+    # Rows list the parent, then the two children; the root has no parent.
+    d = depth[level]
+    parent = np.where(d > 0, pos[(level - 1) // 2], -2)
+    inner = d < radius
+    c0 = np.where(inner, 2 * level + 1, 0)
+    c1 = np.where(inner, c0 + 1, 0)
+    rows = np.stack((parent, np.where(inner, pos[c0], -1),
+                     np.where(inner, pos[c1], -1)), axis=1).ravel()
+    ids = rows[rows != -2]
+    vertices = tuple(zip(k[level].tolist(), d.tolist()))
+    ring = tuple(zip(range(2 ** (radius + 1)), [radius + 1] * 2 ** (radius + 1)))
+    return ((0, 0), vertices, pos, d, np.where(d > 0, 3, 2), ids,
+            np.ones(len(ids)), ring)
+
+
 def build(spec, radius=None):
-    """Materialize a generator-backed network for the given model family;
-    windows above MAX_WINDOW_VERTICES vertices raise ConfigurationError."""
+    """Materialize the window of the given radius of a model family, in
+    closed form; windows above MAX_WINDOW_VERTICES vertices raise
+    ConfigurationError before anything is allocated."""
     if radius is None:
         radius = spec.radius
     _check_window(spec, radius)
-    origin, nbrs = _generator(spec)
+    if spec.family == "binary_tree":
+        window = _binary_tree(radius)
+    else:
+        # c ** k as Python floats: the bits of the conductances c^k.
+        powers = (np.array([spec.c ** k for k in range(radius + 2)])
+                  if spec.family in _GEOMETRIC else np.ones(radius + 2))
+        window = (_star if spec.family == "star" else _line)(spec, radius, powers)
+    origin, vertices, order, dist, degree, ids, cond, ring = window
+    beyond = ids < 0
+    ids[beyond] = len(vertices) + np.arange(np.count_nonzero(beyond))
     model = {"model": spec.family, "params": dict(spec.params), "radius": int(radius)}
     model["params"].pop("radius", None)
-    return Network.from_generator(origin, nbrs, radius, model=model)
+    order = order.tolist()
+    return Network(origin, vertices, dict(zip(map(vertices.__getitem__, order), order)),
+                   dist, degree, ids, cond, ring, window_radius=radius, model=model)
 
 
 def spec_of(net):
@@ -359,10 +405,16 @@ def network_to_jsonable(net):
 
 
 def network_from_jsonable(obj, radius=None):
-    """Load a network from either JSON form (explicit edges, or model spec)."""
+    """Load a network from either JSON form (explicit edges, or model spec);
+    ``radius`` overrides a model's window radius, and is refused with
+    explicit edges, which have no window to resize."""
     if "model" in obj:
         spec = ModelSpec(obj["model"], dict(obj.get("params", {})))
         return build(spec, radius=radius if radius is not None else obj.get("radius"))
+    if radius is not None:
+        raise ConfigurationError(
+            f"a window radius ({radius}) applies only to a model network, "
+            "not to one given by explicit edges")
     try:
         origin = _vertex_from_json(obj["origin"])
         edges = [(_vertex_from_json(e["u"]), _vertex_from_json(e["v"]), float(e["c"]))

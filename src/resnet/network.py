@@ -3,14 +3,17 @@
 A network is a connected graph whose edges carry symmetric positive
 conductances (reciprocal resistances), together with a distinguished origin
 vertex.  Finite networks are built from an explicit edge list; infinite
-families are backed by a pure generator function plus a hard window radius.
-Every operation that would need information beyond the materialized window
-raises :class:`~resnet.errors.WindowError` rather than truncating silently:
-limits along exhaustions are always explicit in this package, never implied.
+families are materialized on a hard window radius.  Every operation that
+would need information beyond the materialized window raises
+:class:`~resnet.errors.WindowError` rather than truncating silently: limits
+along exhaustions are always explicit in this package, never implied.
 
-A window is materialized in one O(n + m) pass: one breadth-first search, the
-:class:`NetworkArrays` built at construction and conductance symmetry checked
-once, on those arrays.  A ball is a prefix of the search order: O(|B_r|).
+A window comes as arrays, and one constructor builds every network on them:
+the built-in families give theirs in closed form
+(:func:`resnet.models.build`), explicit edge lists and custom generators
+from one O(n + m) breadth-first search.  The constructor builds the
+:class:`NetworkArrays` every query reads and checks conductance symmetry
+once, on them.  A ball is a prefix of the search order: O(|B_r|).
 
 Vertex ids are integers, or tuples of integers for branched models such as
 stars and trees.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, count, islice
 from operator import itemgetter
 from threading import Lock
@@ -79,51 +83,68 @@ def _explore(origin, neighbor_fn, radius):
 class Network:
     """Immutable weighted graph with a distinguished origin.
 
-    Use :meth:`from_edges` for explicit finite networks and
-    :meth:`from_generator` for generator-backed infinite families; both
-    build ``arrays``, the :class:`NetworkArrays` of the window, at
-    construction.  ``arrays`` is the one representation of the window that
-    solves and walks read.  The network also owns the store of its solver
-    systems (at most ``solver.MAX_SYSTEMS`` factors, freed with it), guarded
-    by a per-network lock.  Instances are safe to share across threads;
-    generators must be pure functions of the vertex id.
+    A window comes as arrays over canonical vertex positions, and every
+    network is built on them by one constructor.  The built-in families
+    (:func:`resnet.models.build`) give their windows in closed form;
+    :meth:`from_edges` (explicit finite networks) and :meth:`from_generator`
+    (custom generator-backed families) give theirs from one breadth-first
+    search.  ``arrays``, the :class:`NetworkArrays` of the window, is the
+    one representation of it that every query, solve and walk reads.  The
+    network also owns the store of its solver systems (at most
+    ``solver.MAX_SYSTEMS`` factors, freed with it), guarded by a per-network
+    lock.  Instances are safe to share across threads; generators must be
+    pure functions of the vertex id.
     """
 
-    def __init__(self, origin, dist, adjacency, *, generator=None,
+    def __init__(self, origin, vertices, pos, dist, degree, ids, cond, ring, *,
                  window_radius=None, model=None):
-        """``dist`` and ``adjacency`` as returned by :func:`_explore`; the
-        network takes both over and re-keys ``dist`` to positions."""
-        self.origin, self.generator, self.model = origin, generator, model
-        self.window_radius = window_radius
-        self._adj = adjacency
-        try:
-            verts = tuple(sorted(adjacency))
-        except TypeError:  # ints mixed with tuples
-            verts = tuple(vsorted(adjacency))
-        self._vertices, n = verts, len(verts)
-        incident = [adjacency[x] for x in verts]
-        pairs = list(chain.from_iterable(incident))
-        dist_array = np.fromiter(map(dist.__getitem__, verts), np.int64, n)
-        # Re-key the search-order dict from distances to canonical positions;
-        # ids beyond the window get distinct positions >= n, then leave it.
-        pos = dist
-        pos.update(zip(verts, range(n)))
-        ids = np.fromiter(map(pos.setdefault, map(itemgetter(0), pairs), count(n)),
-                          np.int64, len(pairs))
-        self._ring = frozenset(islice(pos, n, None))
-        for y in self._ring:
-            del pos[y]
-        self._pos = pos
-        self.arrays = NetworkArrays.of(
-            dist_array, np.fromiter(map(len, incident), np.int64, n),
-            ids, np.fromiter(map(itemgetter(1), pairs), float, len(pairs)))
-        self._validate(ids)
+        """The window as arrays: ``vertices`` in canonical order; ``pos``,
+        each vertex in search order (distances nondecreasing) to its
+        canonical position, a dict the network takes over; ``dist``
+        and ``degree``, the distance and row length of each vertex; ``ids``
+        and ``cond``, the neighbour and conductance of each pair, rows in
+        canonical order and each row in canonical order of its neighbours.
+        A neighbour in the window is its position; ``ring[i]``, the i-th
+        vertex of the tuple ``ring`` just outside the window, is n + i."""
+        self.origin, self.model, self.window_radius = origin, model, window_radius
+        self._vertices, self._pos, self._ring, self._ids = vertices, pos, ring, ids
+        self.arrays = NetworkArrays.of(dist, degree, ids, cond)
+        self._validate()
         # Ball B_r is the first _cuts[r] vertices of the search order.
         self._cuts = np.cumsum(np.bincount(self.arrays.dist)).tolist()
         # Solver systems of this network, least recently used first.
         self._systems, self._lock = OrderedDict(), Lock()
 
     # -- construction ------------------------------------------------------
+
+    @classmethod
+    def _searched(cls, origin, dist, adjacency, **kwargs):
+        """The network of ``dist`` and ``adjacency`` as returned by
+        :func:`_explore`; it takes ``dist`` over."""
+        try:
+            verts = tuple(sorted(adjacency))
+        except TypeError:  # ints mixed with tuples
+            verts = tuple(vsorted(adjacency))
+        n = len(verts)
+        incident = [adjacency[x] for x in verts]
+        pairs = list(chain.from_iterable(incident))
+        dist_array = np.fromiter(map(dist.__getitem__, verts), np.int64, n)
+        # Re-key the search-order dict from distances to canonical positions;
+        # ids beyond the window get distinct values >= n, increasing in pair
+        # order, and then n + i names the i-th of them.
+        pos = dist
+        pos.update(zip(verts, range(n)))
+        ids = np.fromiter(map(pos.setdefault, map(itemgetter(0), pairs), count(n)),
+                          np.int64, len(pairs))
+        beyond = ids >= n
+        ids[beyond] = n + np.unique(ids[beyond], return_inverse=True)[1]
+        ring = tuple(islice(pos, n, None))
+        for y in ring:
+            del pos[y]
+        return cls(origin, verts, pos, dist_array,
+                   np.fromiter(map(len, incident), np.int64, n), ids,
+                   np.fromiter(map(itemgetter(1), pairs), float, len(pairs)),
+                   ring, **kwargs)
 
     @classmethod
     def from_edges(cls, origin, edges, *, model=None):
@@ -153,7 +174,7 @@ class Network:
         dist, found = _explore(origin, adjacency.__getitem__, float("inf"))
         if len(dist) < len(adjacency):
             raise DomainError("network is not connected")
-        return cls(origin, dist, found, model=model)
+        return cls._searched(origin, dist, found, model=model)
 
     @classmethod
     def from_generator(cls, origin, neighbor_fn, radius, *, model=None):
@@ -167,18 +188,16 @@ class Network:
         if radius < 0:
             raise ConfigurationError("window radius must be nonnegative")
         dist, adjacency = _explore(origin, neighbor_fn, radius)
-        return cls(origin, dist, adjacency, generator=neighbor_fn,
-                   window_radius=radius, model=model)
+        return cls._searched(origin, dist, adjacency, window_radius=radius, model=model)
 
-    def _validate(self, ids):
+    def _validate(self):
         """Reject duplicate pairs, isolated vertices and one-sided or
         (bit-exactly) asymmetric edges."""
-        a, verts = self.arrays, self._vertices
-        # A sorted adjacency puts a duplicate right after its twin.
+        a, ids, verts = self.arrays, self._ids, self._vertices
+        # A sorted row puts a duplicate right after its twin.
         dup = np.flatnonzero((ids[1:] == ids[:-1]) & (a.rows[1:] == a.rows[:-1]))
         if dup.size:
-            x = verts[a.rows[dup[0]]]
-            y = self._adj[x][dup[0] - a.indptr[a.rows[dup[0]]]][0]
+            x, y = verts[a.rows[dup[0]]], self._name(int(ids[dup[0]]))
             raise DomainError(f"duplicate edge ({x!r}, {y!r})")
         isolated = np.flatnonzero(a.indptr[1:] == a.indptr[:-1])
         if isolated.size:
@@ -202,7 +221,7 @@ class Network:
     @property
     def is_finite(self):
         """True when the whole vertex set is known (explicit construction)."""
-        return self.generator is None
+        return self.window_radius is None
 
     @property
     def vertices(self):
@@ -215,46 +234,62 @@ class Network:
         return len(self._cuts) - 1 if self.is_finite else self.window_radius
 
     def has_vertex(self, x):
-        return x in self._adj
+        return x in self._pos
 
     def _require(self, x):
-        if x not in self._adj:
-            if x in self._ring:
+        """The position of window vertex ``x``."""
+        p = self._pos.get(x)
+        if p is None:
+            if x in self._ring_set:
                 raise WindowError(
                     f"vertex {x!r} lies beyond the materialized window "
                     f"(radius {self.window_radius})")
             raise DomainError(f"unknown vertex {x!r}")
+        return p
+
+    @cached_property
+    def _ring_set(self):
+        return frozenset(self._ring)
+
+    def _name(self, i):
+        """The vertex of neighbour id ``i``: a window position, or n + the
+        index of a ring vertex."""
+        n = len(self._vertices)
+        return self._vertices[i] if i < n else self._ring[i - n]
+
+    def _row(self, x):
+        """The pair range of ``x`` in the arrays."""
+        p = self._require(x)
+        return self.arrays.indptr[p:p + 2].tolist()
 
     def neighbors(self, x):
-        self._require(x)
-        return tuple(y for y, _ in self._adj[x])
+        lo, hi = self._row(x)
+        return tuple(map(self._name, self._ids[lo:hi].tolist()))
 
     def incident(self, x):
         """(neighbor, conductance) pairs of ``x`` in canonical order."""
-        self._require(x)
-        return self._adj[x]
+        lo, hi = self._row(x)
+        return tuple(zip(map(self._name, self._ids[lo:hi].tolist()),
+                         self.arrays.cond[lo:hi].tolist()))
 
     def degree(self, x):
-        self._require(x)
-        return len(self._adj[x])
+        lo, hi = self._row(x)
+        return hi - lo
 
     def conductance(self, x, y):
         """Edge conductance, 0.0 for non-adjacent pairs."""
-        self._require(x)
-        for z, c in self._adj[x]:
+        for z, c in self.incident(x):
             if z == y:
                 return c
         return 0.0
 
     def total_conductance(self, x):
         """c(x), the sum of conductances of all edges at ``x``."""
-        self._require(x)
-        return float(self.arrays.ctot[self._pos[x]])
+        return float(self.arrays.ctot[self._require(x)])
 
     def distance(self, x):
         """Graph distance from the origin."""
-        self._require(x)
-        return int(self.arrays.dist[self._pos[x]])
+        return int(self.arrays.dist[self._require(x)])
 
     # -- subsets, balls and boundaries --------------------------------------
 
@@ -269,15 +304,25 @@ class Network:
                 f"(radius {self.window_radius})")
         return frozenset(islice(self._pos, self._cuts[min(radius, len(self._cuts) - 1)]))
 
+    def _leaving(self, pos):
+        """For the window positions ``pos``: the pairs of their rows, in row
+        order, and whether each leaves the vertex set ``pos``."""
+        a = self.arrays
+        inside = np.zeros(len(self._vertices) + 1, dtype=bool)  # last: the ring
+        inside[pos] = True
+        lo, deg = a.indptr[pos], a.indptr[pos + 1] - a.indptr[pos]
+        pairs = np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+        return pairs, ~inside[a.nbr[pairs]]
+
     def boundary_of(self, subset):
         """Vertices of ``subset`` having a neighbor outside it."""
         sub = frozenset(subset)
-        out = set()
-        for x in sub:
-            self._require(x)
-            if any(y not in sub for y, _ in self._adj[x]):
-                out.add(x)
-        return frozenset(out)
+        pos = np.fromiter(map(self._require, sub), np.int64, len(sub))
+        pairs, leaves = self._leaving(pos)
+        rows = self.arrays.rows[pairs]
+        out = np.zeros(len(self._vertices), dtype=bool)
+        out[rows[leaves]] = True
+        return frozenset({x for x, b in zip(sub, out[pos].tolist()) if b})
 
     def interior_of(self, subset):
         """Vertices of ``subset`` all of whose neighbors lie in it."""
@@ -285,13 +330,15 @@ class Network:
         return sub - self.boundary_of(sub)
 
     def crossing_edges(self, subset):
-        """Edges from inside ``subset`` to outside it, as (x, y, c) with x in."""
+        """Edges from inside ``subset`` to outside it, as (x, y, c) with x in,
+        in canonical order of x and then of y."""
         sub = frozenset(subset)
-        for x in vsorted(sub):
-            self._require(x)
-            for y, c in self._adj[x]:
-                if y not in sub:
-                    yield x, y, c
+        pos = np.sort(np.fromiter(map(self._require, sub), np.int64, len(sub)))
+        pairs, leaves = self._leaving(pos)
+        pairs = pairs[leaves]
+        return zip(map(self._vertices.__getitem__, self.arrays.rows[pairs].tolist()),
+                   map(self._name, self._ids[pairs].tolist()),
+                   self.arrays.cond[pairs].tolist())
 
 
 @dataclass(frozen=True)

@@ -324,3 +324,37 @@ def test_gen_refuses_a_huge_window_before_building_it(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "2^31 - 1 vertices" in err and "largest radius that fits is 19" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ("1:2:1", "COUNT must be at least 2, got 1"),
+    ("1:2", "must be LO:HI:COUNT with an integer COUNT, got '1:2'"),
+    ("1.5:3:2.5", "must be LO:HI:COUNT with an integer COUNT, got '1.5:3:2.5'"),
+    ("1:inf:3", "finite and positive; got inf"),
+    ("0:2:3", "finite and positive; got 0.0"),
+])
+def test_report_sweep_is_checked_before_any_work(tmp_path, capsys, monkeypatch,
+                                                 sweep, message):
+    import resnet.cli as cli
+
+    def no_network(args):
+        raise AssertionError("the network was loaded before --sweep was checked")
+    monkeypatch.setattr(cli, "_load_net", no_network)
+    out = tmp_path / "report.json"
+    assert main(["report", "--model", "geom-z", "--radius", "8",
+                 "--sweep", sweep, "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_radius_with_explicit_edges_is_refused(tmp_path, capsys):
+    net = tmp_path / "grid.json"
+    net.write_text(json.dumps({"origin": [0, 0], "edges": [
+        {"u": [0, 0], "v": [0, 1], "c": 1.0}, {"u": [0, 1], "v": [1, 1], "c": 2.0}]}))
+    out = tmp_path / "r.json"
+    argv = ["resistance", "--net", str(net), "--x", "(0,0)", "--y", "(1,1)",
+            "--plan", "balls:1..4"]
+    assert main(argv + ["--radius", "2", "-o", str(out)]) == 2
+    assert "applies only to a model network" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["-o", str(out)]) == 0

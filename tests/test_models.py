@@ -6,7 +6,7 @@ import resnet as rn
 from resnet.errors import (ConfigurationError, DomainError,
                            UnsupportedModelError)
 from resnet.models import (MAX_WINDOW_VERTICES, ModelSpec, build,
-                           harmonic_energy,
+                           harmonic_energy, load_network,
                            log_increment_function, oracle_h,
                            oracle_h_function, oracle_residuals, oracle_v,
                            oracle_v_function, oracle_w_o, oracle_w_o_function)
@@ -220,3 +220,12 @@ def test_log_increment_function_adds_its_increments_left_to_right():
     u = log_increment_function(radius)
     assert u.items() == list(enumerate(values))
     assert u.gauge == "origin-zero"
+
+
+def test_load_network_refuses_a_radius_with_explicit_edges():
+    text = '{"origin": 0, "edges": [{"u": 0, "v": 1, "c": 1.0}]}'
+    with pytest.raises(ConfigurationError, match="applies only to a model network"):
+        load_network(text, radius=2)
+    assert load_network(text).vertices == (0, 1)
+    model = '{"model": "unit_line", "params": {}, "radius": 5}'
+    assert len(load_network(model, radius=2).vertices) == 5

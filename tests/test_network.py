@@ -6,12 +6,12 @@ from hypothesis import given, strategies as st
 
 import resnet as rn
 from resnet.errors import ConfigurationError, DomainError, WindowError
-from resnet.models import (ModelSpec, _generator, build, load_network,
-                           network_to_jsonable)
+from resnet.models import ModelSpec, build, load_network, network_to_jsonable
 from resnet.network import vertex_key
 from resnet.serialize import canonical_json
 
 from conftest import make_random_net
+from reference_windows import reference_generator
 
 
 def test_total_conductance_geometric_origin(geom2):
@@ -178,7 +178,7 @@ def test_mixed_ids_keep_vertex_key_order():
 
 
 def test_neighbor_fn_called_once_per_window_vertex():
-    origin, nbrs = _generator(ModelSpec("star", {"c": 2.0, "arms": 3}))
+    origin, nbrs = reference_generator(ModelSpec("star", {"c": 2.0, "arms": 3}))
     calls = Counter()
 
     def counted(v):
@@ -227,6 +227,48 @@ def test_window_is_loud(geom2):
         geom2.ball(33)
     with pytest.raises(WindowError):
         geom2.neighbors(33)  # ring vertex: known id, no adjacency
+
+
+@pytest.mark.parametrize("spec, x, pairs, ring", [
+    (ModelSpec("geom_z", {"c": 2.0}), -4, ((-5, 32.0), (-3, 16.0)), -5),
+    (ModelSpec("geom_zplus", {"c": 3.0}), 4, ((3, 81.0), (5, 243.0)), 5),
+    (ModelSpec("star", {"c": 2.0, "arms": 2}), (1, 4),
+     (((1, 3), 16.0), ((1, 5), 32.0)), (1, 5)),
+    (ModelSpec("binary_tree"), (3, 4),
+     (((1, 3), 1.0), ((6, 5), 1.0), ((7, 5), 1.0)), (7, 5)),
+], ids=["geom-z", "geom-zplus", "star", "binary-tree"])
+def test_incident_names_the_ring_neighbour(spec, x, pairs, ring):
+    net = build(spec, radius=4)
+    assert net.incident(x) == pairs
+    assert net.neighbors(x) == tuple(y for y, _ in pairs)
+    assert net.degree(x) == len(pairs)
+    c = dict(pairs)[ring]
+    assert net.conductance(x, ring) == c
+    assert (x, ring, c) in list(net.crossing_edges(net.ball(4)))
+    with pytest.raises(WindowError, match="beyond the materialized window"):
+        net.neighbors(ring)
+
+
+@pytest.mark.parametrize("spec, ring, unknown", [
+    (ModelSpec("geom_zplus"), 5, -1),
+    (ModelSpec("star", {"arms": 2}), (1, 5), (2, 1)),
+    (ModelSpec("binary_tree"), (31, 5), (32, 5)),
+])
+def test_neighbors_beyond_the_window(spec, ring, unknown):
+    net = build(spec, radius=4)
+    with pytest.raises(WindowError):
+        net.neighbors(ring)
+    with pytest.raises(DomainError, match="unknown vertex"):
+        net.neighbors(unknown)
+    assert not net.has_vertex(ring) and not net.has_vertex(unknown)
+
+
+def test_crossing_edges_in_canonical_order(geom2):
+    assert list(geom2.crossing_edges(geom2.ball(2))) == [(-2, -3, 8.0), (2, 3, 8.0)]
+    assert list(geom2.crossing_edges({0, 5})) == [
+        (0, -1, 2.0), (0, 1, 2.0), (5, 4, 32.0), (5, 6, 64.0)]
+    assert geom2.boundary_of({0, 1, 5}) == frozenset({0, 1, 5})
+    assert geom2.interior_of(range(-3, 4)) == frozenset(range(-2, 3))
 
 
 def test_vertex_function_gauge_and_window():
