@@ -6,8 +6,8 @@ every artifact embeds the fully resolved configuration, including the seed,
 tolerances and exhaustion plan, so runs are auditable and reproducible.
 
 Exit codes: 0 success, 2 precondition or domain errors (bad input, unknown
-model, malformed JSON), 3 numerical non-convergence (the trace is still
-written).
+model, malformed JSON), 3 a result that did not converge (still written) or
+a solve that failed its residual check (``NumericalError``; nothing written).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .models import (ModelSpec, build, harmonic_energy, load_network,
 from .network import VertexFunction, make_exhaustion
 from .randomwalk import (WalkConfig, escape_probability, green_estimate,
                          hitting_probability)
-from .serialize import canonical_json, csv_text, fmt_float
+from .serialize import canonical_json, csv_text, fmt_float, vertex_label
 from .transience import classify, grounded_parameter_sweep, harm_dimension_probe
 
 EXIT_OK = 0
@@ -116,6 +116,8 @@ def _load_net(args):
             raise ConfigurationError(f"cannot read network file: {exc}") from exc
         try:
             return load_network(text, radius=radius)
+        except ResnetError:  # a well-formed file the network refuses
+            raise
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigurationError(
                 f"malformed network JSON in {args.net}: {exc}") from exc
@@ -167,16 +169,20 @@ def _resolve_function(net, plan, text):
         x = _parse_vertex(text[4:])
         return energy_kernel(net, x, plan).approximant
     if text.startswith("file:"):
-        path = text[5:]
-        values = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#") or line.startswith("vertex"):
-                    continue
-                vid, _, val = line.rpartition(",")
-                vertex = _parse_vertex(vid.replace(";", ","))
-                values[vertex] = float(val)
+        path, values = text[5:], {}
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"cannot read function file {path}: {exc}") from None
+        for lineno, line in enumerate(map(str.strip, lines), 1):
+            if not line or line.startswith(("#", "vertex")):
+                continue
+            vid, _, val = line.rpartition(",")
+            try:
+                values[_parse_vertex(vid.replace(";", ","))] = float(val)
+            except ValueError as exc:  # ConfigurationError is a ValueError too
+                raise ConfigurationError(f"{path}, line {lineno}: {exc}") from None
         return VertexFunction(values)
     raise ConfigurationError(f"unknown function preset {text!r}")
 
@@ -203,10 +209,6 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
-def _vertex_label(v):
-    return ";".join(str(t) for t in v) if isinstance(v, tuple) else str(v)
-
-
 # -- verb implementations ----------------------------------------------------
 
 
@@ -225,10 +227,9 @@ def _cmd_kernel(args):
     element = op(net, x, plan, tol=tol)
     header = _config_header(args, net, plan, tol=tol)
     if args.format == "csv":
-        rows = [( _vertex_label(v), val) for v, val in element.approximant.items()]
-        meta = dict(header, kind=element.kind, base=_vertex_label(x),
+        meta = dict(header, kind=element.kind, base=vertex_label(x),
                     converged=element.converged)
-        _emit(args, csv_text(("vertex", "value"), rows, meta))
+        _emit(args, csv_text(("vertex", "value"), element.csv_rows(), meta))
     else:
         payload = element.to_jsonable()
         payload["config"] = header

@@ -27,9 +27,9 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, WindowError
 from .kernels import harm_part
-from .network import VertexFunction, vsorted
-from .operators import (energy, laplacian_apply, prefix_sums, read_values,
-                        scaled_laplacian_residual)
+from .network import VertexFunction
+from .operators import (energy, pair_sums, prefix_sums, read_values,
+                        scaled_laplacian_residual, window_laplacian)
 
 LIMIT_TOL = 1e-6          # last-3-stage agreement declares a limit
 EXHAUSTION_TOL = 1e-3     # two plans differing more than this are dependent
@@ -105,13 +105,23 @@ def _limit_estimate(values, tol=LIMIT_TOL, window=3):
     return None, False
 
 
-def _traces_separated(a, b, gap=EXHAUSTION_TOL, window=3):
-    """True when the tails of two stage traces are disjoint by more than
-    ``gap``: unambiguous disagreement even before either trace has settled."""
-    if len(a) < window or len(b) < window:
-        return False
-    ta, tb = a[-window:], b[-window:]
-    return min(ta) - max(tb) > gap or min(tb) - max(ta) > gap
+def _compare_plans(boundary_at, plan, alt_plan, tol):
+    """The boundary limit along ``alt_plan`` and whether the boundary term
+    depends on the exhaustion, from both plans' stage sums ``boundary_at``:
+    True when the two limits differ by more than EXHAUSTION_TOL or the last
+    three sums are disjoint by more than it (unambiguous before either
+    settles), False when both settled within it, else None."""
+    values = [boundary_at[r] for r in plan.radii]
+    alt_values = [boundary_at[r] for r in alt_plan.radii]
+    limit, alt_limit = (_limit_estimate(t, tol=tol)[0] for t in (values, alt_values))
+    dependent = None
+    if limit is not None and alt_limit is not None:
+        dependent = abs(limit - alt_limit) > EXHAUSTION_TOL
+    ta, tb = values[-3:], alt_values[-3:]
+    if min(len(values), len(alt_values)) >= 3 and (
+            min(ta) - max(tb) > EXHAUSTION_TOL or min(tb) - max(ta) > EXHAUSTION_TOL):
+        dependent = True
+    return alt_limit, dependent
 
 
 def _stage_sums(net, u, v, plans, *, vertex_part=True):
@@ -158,15 +168,9 @@ def _stage_sums(net, u, v, plans, *, vertex_part=True):
         uu = read_values(net, u, bd)
         vv = read_values(net, v, np.union1d(bd, nbr[inward]))
 
-    def neighbour_sums(entries):
-        out = np.zeros(len(a.dist))
-        r, y = row[entries], nbr[entries]
-        np.add.at(out, r, a.cond[entries] * (vv[r] - vv[y]))
-        return out
-
     # Σ_{bd B_r} u ∂v for every radius r, each summed in canonical order.
     bd = bd[np.argsort(a.dist[bd], kind="stable")]
-    bd_terms = (uu[bd] * neighbour_sums(inward)[bd]).tolist()
+    bd_terms = (uu[bd] * pair_sums(net, inward, vv)[bd]).tolist()
     cuts = np.searchsorted(a.dist[bd], radii, side="left").tolist() + [len(bd)]
     boundary_at = {r: sum(bd_terms[lo:hi])
                    for r, lo, hi in zip(radii.tolist(), cuts, cuts[1:])}
@@ -182,7 +186,7 @@ def _stage_sums(net, u, v, plans, *, vertex_part=True):
     edge_cuts = np.searchsorted(edge_key[order], radii, side="right")
     energy_at = dict(zip(radii.tolist(), energies[edge_cuts].tolist()))
 
-    lap = neighbour_sums(a.reach[row] <= top)
+    lap = pair_sums(net, a.reach[row] <= top, vv)
     order = np.argsort(a.reach, kind="stable")
     order = order[a.reach[order] <= top]
     vertex_sums = prefix_sums(uu[order] * lap[order])
@@ -191,16 +195,6 @@ def _stage_sums(net, u, v, plans, *, vertex_part=True):
 
     mass = sum(lap[a.reach <= plans[0].final_radius].tolist())
     return energy_at, vertex_at, boundary_at, mass
-
-
-def _gauss_green_stages(plan, energy_at, vertex_at, boundary_at):
-    stages = []
-    for r, stage in zip(plan.radii, plan.stages):
-        e, vs, b = energy_at[r], vertex_at[r], boundary_at[r]
-        stages.append(GaussGreenStage(radius=r, size=len(stage), energy=e,
-                                      vertex_sum=vs, boundary_sum=b,
-                                      residual=e - vs - b))
-    return tuple(stages)
 
 
 def gauss_green(net, u, v, plan, alt_plan=None, *, limit_tol=LIMIT_TOL):
@@ -222,12 +216,13 @@ def gauss_green(net, u, v, plan, alt_plan=None, *, limit_tol=LIMIT_TOL):
                 f"plan {p.descriptor!r} reaches radius {p.final_radius}, "
                 "beyond the windows of u and v")
     plans = (plan,) if alt_plan is None else (plan, alt_plan)
-    *sums, mass = _stage_sums(net, u, v, plans)
-    stages = _gauss_green_stages(plan, *sums)
-    boundary_values = [s.boundary_sum for s in stages]
-    vertex_values = [s.vertex_sum for s in stages]
-    boundary_limit, b_conv = _limit_estimate(boundary_values, tol=limit_tol)
-    vertex_limit, v_conv = _limit_estimate(vertex_values, tol=limit_tol)
+    energy_at, vertex_at, boundary_at, mass = _stage_sums(net, u, v, plans)
+    stages = tuple(GaussGreenStage(radius=r, size=len(stage), energy=energy_at[r],
+                                   vertex_sum=vertex_at[r], boundary_sum=boundary_at[r],
+                                   residual=energy_at[r] - vertex_at[r] - boundary_at[r])
+                   for r, stage in zip(plan.radii, plan.stages))
+    boundary_limit, b_conv = _limit_estimate([s.boundary_sum for s in stages], limit_tol)
+    vertex_limit, _ = _limit_estimate([s.vertex_sum for s in stages], limit_tol)
     energies = [s.energy for s in stages]
     lhs, lhs_conv = _limit_estimate(energies, tol=limit_tol)
     lhs = energies[-1] if lhs is None else lhs
@@ -238,13 +233,10 @@ def gauss_green(net, u, v, plan, alt_plan=None, *, limit_tol=LIMIT_TOL):
         verdict = VERDICT_IDENTITY if abs(boundary_limit) <= limit_tol \
             else VERDICT_BOUNDARY
     if alt_plan is not None:
-        alt = _gauss_green_stages(alt_plan, *sums)
-        alt_values = [s.boundary_sum for s in alt]
-        alt_limit, alt_conv = _limit_estimate(alt_values, tol=limit_tol)
+        alt_limit, dependent = _compare_plans(boundary_at, plan, alt_plan, limit_tol)
         meta["alt_descriptor"] = alt_plan.descriptor
         meta["alt_boundary_limit"] = alt_limit
-        if ((b_conv and alt_conv and abs(boundary_limit - alt_limit) > EXHAUSTION_TOL)
-                or _traces_separated(boundary_values, alt_values)):
+        if dependent:
             verdict = VERDICT_DEPENDENT
 
     # mass, the rate at which a gauge shift of u moves the boundary term, is
@@ -268,21 +260,13 @@ def boundary_sum(net, u, v, plan, alt_plan=None, *, limit_tol=LIMIT_TOL):
     plans = (plan,) if alt_plan is None else (plan, alt_plan)
     _, _, boundary_at, _ = _stage_sums(net, u, v, plans, vertex_part=False)
     main = tuple((r, boundary_at[r]) for r in plan.radii)
-    main_values = [v for _, v in main]
-    limit, conv = _limit_estimate(main_values, tol=limit_tol)
+    limit, conv = _limit_estimate([b for _, b in main], tol=limit_tol)
     if alt_plan is None:
         return BoundarySumTrace(stages=main, limit=limit, converged=conv)
-    alt = tuple((r, boundary_at[r]) for r in alt_plan.radii)
-    alt_values = [v for _, v in alt]
-    alt_limit, alt_conv = _limit_estimate(alt_values, tol=limit_tol)
-    dependent = None
-    if conv and alt_conv:
-        dependent = abs(limit - alt_limit) > EXHAUSTION_TOL
-    if not dependent and _traces_separated(main_values, alt_values):
-        dependent = True
+    alt_limit, dependent = _compare_plans(boundary_at, plan, alt_plan, limit_tol)
     return BoundarySumTrace(stages=main, limit=limit, converged=conv,
-                            alt_stages=alt, alt_limit=alt_limit,
-                            exhaustion_dependent=dependent)
+                            alt_stages=tuple((r, boundary_at[r]) for r in alt_plan.radii),
+                            alt_limit=alt_limit, exhaustion_dependent=dependent)
 
 
 def harmonic_boundary_representation(net, u, x, plan, *, harmonic_tol=1e-6):
@@ -292,7 +276,7 @@ def harmonic_boundary_representation(net, u, x, plan, *, harmonic_tol=1e-6):
     DomainError when u is not harmonic on the window interior.
     """
     res = scaled_laplacian_residual(net, u, {}, net.interior_of(u.window))
-    if res > harmonic_tol:
+    if not res <= harmonic_tol:  # a NaN residual is no evidence of harmonicity
         raise DomainError(f"function is not harmonic (scaled residual {res:.2e})")
     if x == net.origin:
         return u.value(net.origin)
@@ -310,7 +294,7 @@ def balanced_check(net, u, window=None):
     """
     if window is None:
         window = net.interior_of(u.window)
-    return sum(laplacian_apply(net, u, x) for x in vsorted(window))
+    return sum(window_laplacian(net, u, window)[1].tolist())
 
 
 def two_sum_identity_check(net, u, window=None):
@@ -322,11 +306,11 @@ def two_sum_identity_check(net, u, window=None):
     """
     if window is None:
         window = net.interior_of(u.window)
-    lap = {x: laplacian_apply(net, u, x) for x in vsorted(window)}
-    lap_fn = VertexFunction(lap)
+    pos, lap = window_laplacian(net, u, window)
+    lap_fn = VertexFunction.at_positions(net.vertices, pos, lap)
     lhs = energy(net, u, lap_fn, window=window).value
-    total = sum(lap.values())
-    rhs = sum(val * val for val in lap.values()) + total * total
+    total = sum(lap.tolist())
+    rhs = sum((lap * lap).tolist()) + total * total
     return lhs, rhs
 
 
@@ -341,17 +325,16 @@ def ell2_converse_check(net, u, v, window=None, *, tail_tol=1e-6):
     if window is None:
         window = net.interior_of(u.window & v.window)
     window = frozenset(window)
-    radius = max(net.distance(x) for x in window)
-    inner = {x for x in window if net.distance(x) <= radius // 2}
-    tail_vertices = vsorted(window - inner)
-    tail = 0.0
-    for x in tail_vertices:
-        du, dv = laplacian_apply(net, u, x), laplacian_apply(net, v, x)
-        tail += u.value(x) ** 2 + v.value(x) ** 2 + du * du + dv * dv
+    pos, du = window_laplacian(net, u, window)
+    dv = window_laplacian(net, v, window)[1]
+    uu, vv = read_values(net, u, pos)[pos], read_values(net, v, pos)[pos]
+    dist = net.arrays.dist[pos]
+    outer = dist > dist.max() // 2
+    tail = float(prefix_sums((uu * uu + vv * vv + du * du + dv * dv)[outer])[-1])
     if tail > tail_tol:
         raise PreconditionError(
             f"outer-window squared mass {tail:.3e} exceeds {tail_tol:.1e}; "
             "functions are not summable-square on this window")
     lhs = energy(net, u, v, window=window).value
-    rhs = sum(u.value(x) * laplacian_apply(net, v, x) for x in vsorted(window))
+    rhs = sum((uu * dv).tolist())
     return abs(lhs - rhs)

@@ -23,15 +23,16 @@ wired trace per sample vertex and reads both v_x and h_x from them.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, GreenUndefinedError, IncompatibleSourceError
-from .network import GAUGE_ORIGIN, GAUGE_RAW, GAUGE_VANISH, VertexFunction, vsorted
-from .operators import edge_energy, energy, inner_edges, scaled_laplacian_residual
+from .network import GAUGE_ORIGIN, GAUGE_RAW, GAUGE_VANISH, VertexFunction
+from .operators import (edge_energy, energy, inner_edges, read_values,
+                        scaled_laplacian_residual)
+from .serialize import csv_text, vertex_label
 from .solver import FREE, WIRED, solve_poisson, solve_regularized
 
 KIND_DIPOLE = "dipole"
@@ -85,13 +86,12 @@ class KernelElement:
                        for x, val in self.approximant.items()],
         }
 
+    def csv_rows(self):
+        """(vertex label, value) rows of the approximant, in canonical order."""
+        return [(vertex_label(x), val) for x, val in self.approximant.items()]
+
     def to_csv(self):
-        out = io.StringIO()
-        out.write("vertex,value\n")
-        for x, val in self.approximant.items():
-            vid = ";".join(str(t) for t in x) if isinstance(x, tuple) else str(x)
-            out.write(f"{vid},{val:.17g}\n")
-        return out.getvalue()
+        return csv_text(("vertex", "value"), self.csv_rows())
 
 
 @dataclass(frozen=True)
@@ -107,13 +107,8 @@ class ResistanceValue:
 def _probe_positions(net, x, plan):
     """Sorted positions of the probe vertices: the origin, x, their
     neighbours and five seeded picks from the rest of the final stage."""
-    probes = {net.origin, x}
-    probes.update(net.neighbors(net.origin))
-    probes.update(net.neighbors(x))
-    probes &= plan.final
-    final = np.sort(np.fromiter(map(net._pos.__getitem__, plan.final), np.int64,
-                                len(plan.final)))
-    chosen = np.fromiter(map(net._pos.__getitem__, probes), np.int64, len(probes))
+    probes = plan.final & {net.origin, x, *net.neighbors(net.origin), *net.neighbors(x)}
+    final, chosen = net._positions(plan.final), net._positions(probes)
     pool = final[~np.isin(final, chosen)]
     rng = np.random.default_rng(_PROBE_SEED)
     picks = (rng.choice(len(pool), size=min(5, len(pool)), replace=False)
@@ -132,17 +127,10 @@ def _energy_of(net, pos, u, v=None):
     """E(u, v) over the induced subgraph on a region, for functions given by
     their values at the region's sorted canonical positions ``pos``; the same
     sum as :func:`energy` over that window."""
-    n = len(net.vertices)
-    inside = np.zeros(n, bool)
-    inside[pos] = True
-    uu = np.zeros(n)
+    uu, vv = np.zeros((2, len(net.vertices)))
     uu[pos] = u
-    if v is None:
-        vv = uu
-    else:
-        vv = np.zeros(n)
-        vv[pos] = v
-    return edge_energy(net, inner_edges(net, inside), uu, vv)
+    vv[pos] = u if v is None else v
+    return edge_energy(net, inner_edges(net, pos), uu, vv)
 
 
 class _Trace(NamedTuple):
@@ -243,12 +231,15 @@ def default_eps_schedule(max_k=40):
     return tuple(2.0 ** -k for k in range(max_k + 1))
 
 
-def _vanish_gauge(net, u, stage):
-    bd = net.boundary_of(stage)
-    if not bd:
-        return u
-    shift = sum(u.value(b) for b in vsorted(bd)) / len(bd)
-    return VertexFunction({v: val - shift for v, val in u.items()}, GAUGE_VANISH)
+def _vanish_gauge(net, rep, stage):
+    """The solution of ``rep``, a solve on ``stage``, less its mean over the
+    boundary of the stage, added in canonical order."""
+    bd = net._positions(net.boundary_of(stage))
+    if not bd.size:
+        return rep.solution
+    shift = sum(rep.values[np.searchsorted(rep.pos, bd)].tolist()) / len(bd)
+    return VertexFunction.at_positions(net.vertices, rep.pos, rep.values - shift,
+                                       GAUGE_VANISH)
 
 
 def _classify_energy_trace(energies, converged, n_window_stages=None):
@@ -328,7 +319,7 @@ def monopole(net, x, plan, eps_schedule=None, *, cauchy_tol=ENERGY_CAUCHY_TOL):
     meta["wired_stage_energies"] = tuple(wired_trace)
     if growing or not settled:
         return KernelElement(base=x, kind=KIND_MONOPOLE,
-                             approximant=_vanish_gauge(net, rep.solution, last_stage),
+                             approximant=_vanish_gauge(net, rep, last_stage),
                              stage_energies=tuple(wired_trace), converged=False,
                              diverged=growing, meta=meta)
 
@@ -346,20 +337,19 @@ def monopole(net, x, plan, eps_schedule=None, *, cauchy_tol=ENERGY_CAUCHY_TOL):
             converged = True
             break
     meta["eps_steps"] = len(energies)
-    solution = rep.solution
     if converged:
         # Bounded energies alone are not enough: the limit must actually
         # solve Δu = δ_x pointwise.
-        res = scaled_laplacian_residual(net, solution, {x: 1.0},
+        res = scaled_laplacian_residual(net, rep.solution, {x: 1.0},
                                         net.interior_of(last_stage))
         meta["defining_residual"] = res
-        if res > 1e-6:
+        if not res <= 1e-6:  # NaN fails too
             converged = False
             meta["reason"] = "regularized limit does not solve the monopole equation"
     diverged = not converged and (
         "reason" in meta or _classify_energy_trace(energies, converged))
     return KernelElement(base=x, kind=KIND_MONOPOLE,
-                         approximant=_vanish_gauge(net, solution, last_stage),
+                         approximant=_vanish_gauge(net, rep, last_stage),
                          stage_energies=tuple(energies),
                          converged=converged and not diverged, diverged=diverged,
                          meta=meta)
@@ -372,7 +362,7 @@ def wired_monopole(net, x, plan):
     energies, rep, last_stage, settled, growing = \
         _wired_stage_energies(net, x, stages)
     return KernelElement(base=x, kind=KIND_MONOPOLE,
-                         approximant=_vanish_gauge(net, rep.solution, last_stage),
+                         approximant=_vanish_gauge(net, rep, last_stage),
                          stage_energies=tuple(energies),
                          converged=settled, diverged=growing,
                          meta={"plan": plan.descriptor, "eps": 0.0})
@@ -430,15 +420,12 @@ def dirac_expansion_check(net, x, plan):
             return VertexFunction.zero(plan.final, GAUGE_ORIGIN)
         return energy_kernel(net, z, plan).approximant
 
-    vx = kernel_fn(x)
-    terms = [(net.total_conductance(x), vx)]
+    terms = [(net.total_conductance(x), kernel_fn(x))]
     terms.extend((-c, kernel_fn(y)) for y, c in net.incident(x))
-    window = net.interior_of(plan.final)
-    diffs = []
-    for w in vsorted(window):
-        expansion = sum(a * fn.value(w) for a, fn in terms)
-        diffs.append((1.0 if w == x else 0.0) - expansion)
-    return max(diffs) - min(diffs)
+    pos = net._positions(net.interior_of(plan.final))
+    expansion = sum(a * read_values(net, fn, pos)[pos] for a, fn in terms)
+    diffs = (pos == net._pos[x]) - expansion
+    return float(diffs.max() - diffs.min())
 
 
 def reproducing_residual(net, element, u):

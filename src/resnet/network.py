@@ -304,25 +304,36 @@ class Network:
                 f"(radius {self.window_radius})")
         return frozenset(islice(self._pos, self._cuts[min(radius, len(self._cuts) - 1)]))
 
+    def _positions(self, subset):
+        """The sorted canonical positions of a set of window vertices; the
+        first vertex outside the window, in canonical order, raises
+        :meth:`_require`'s error."""
+        try:
+            pos = np.fromiter(map(self._pos.__getitem__, subset), np.int64, len(subset))
+        except KeyError:
+            for x in vsorted(subset):
+                self._require(x)
+        return np.sort(pos)
+
+    def _pairs(self, pos):
+        """The pairs of the rows at window positions ``pos``, row after row,
+        each row in ``incident`` order."""
+        lo, hi = self.arrays.indptr[pos], self.arrays.indptr[pos + 1]
+        deg = hi - lo
+        return np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+
     def _leaving(self, pos):
-        """For the window positions ``pos``: the pairs of their rows, in row
-        order, and whether each leaves the vertex set ``pos``."""
-        a = self.arrays
+        """For the sorted window positions ``pos``: the pairs of their rows
+        that leave the vertex set ``pos``, in row order."""
         inside = np.zeros(len(self._vertices) + 1, dtype=bool)  # last: the ring
         inside[pos] = True
-        lo, deg = a.indptr[pos], a.indptr[pos + 1] - a.indptr[pos]
-        pairs = np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
-        return pairs, ~inside[a.nbr[pairs]]
+        pairs = self._pairs(pos)
+        return pairs[~inside[self.arrays.nbr[pairs]]]
 
     def boundary_of(self, subset):
         """Vertices of ``subset`` having a neighbor outside it."""
-        sub = frozenset(subset)
-        pos = np.fromiter(map(self._require, sub), np.int64, len(sub))
-        pairs, leaves = self._leaving(pos)
-        rows = self.arrays.rows[pairs]
-        out = np.zeros(len(self._vertices), dtype=bool)
-        out[rows[leaves]] = True
-        return frozenset({x for x, b in zip(sub, out[pos].tolist()) if b})
+        rows = self.arrays.rows[self._leaving(self._positions(frozenset(subset)))]
+        return frozenset(map(self._vertices.__getitem__, np.unique(rows).tolist()))
 
     def interior_of(self, subset):
         """Vertices of ``subset`` all of whose neighbors lie in it."""
@@ -332,10 +343,7 @@ class Network:
     def crossing_edges(self, subset):
         """Edges from inside ``subset`` to outside it, as (x, y, c) with x in,
         in canonical order of x and then of y."""
-        sub = frozenset(subset)
-        pos = np.sort(np.fromiter(map(self._require, sub), np.int64, len(sub)))
-        pairs, leaves = self._leaving(pos)
-        pairs = pairs[leaves]
+        pairs = self._leaving(self._positions(frozenset(subset)))
         return zip(map(self._vertices.__getitem__, self.arrays.rows[pairs].tolist()),
                    map(self._name, self._ids[pairs].tolist()),
                    self.arrays.cond[pairs].tolist())

@@ -8,11 +8,12 @@ exactly once: E(u, v) = ½ Σ_{x,y} c_xy (u(x) − u(y))(v(x) − v(y)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import DomainError
-from .network import GAUGE_RAW, VertexFunction, vsorted
+from .network import GAUGE_RAW, VertexFunction
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,12 @@ def read_values(net, u, positions):
     return out
 
 
-def inner_edges(net, inside):
-    """Mask over the edge list of ``net.arrays``: the edges with both ends in
-    the vertex mask ``inside``."""
-    a = net.arrays
-    return inside[a.edge_x] & inside[a.edge_y]
+def inner_edges(net, pos):
+    """Mask over the edge list of ``net.arrays``: the edges with both ends at
+    the window positions ``pos``."""
+    inside = np.zeros(len(net.vertices), bool)
+    inside[pos] = True
+    return inside[net.arrays.edge_x] & inside[net.arrays.edge_y]
 
 
 def edge_energy(net, keep, uu, vv):
@@ -74,6 +76,33 @@ def edge_energy(net, keep, uu, vv):
     a = net.arrays
     ex, ey, ec = a.edge_x[keep], a.edge_y[keep], a.edge_c[keep]
     return float(prefix_sums(ec * (uu[ex] - uu[ey]) * (vv[ex] - vv[ey]))[-1])
+
+
+def pair_sums(net, keep, vv):
+    """Σ c_xy (v(x) − v(y)) at every vertex x over the pairs of ``net.arrays``
+    that ``keep`` (a mask or increasing indices) selects, added left to right
+    in ``incident`` order as :func:`laplacian_apply` adds them; ``vv`` holds v
+    by vertex position.  The one pair sum behind Δ and ∂."""
+    a = net.arrays
+    x, y = a.rows[keep], a.nbr[keep]
+    return np.bincount(x, a.cond[keep] * (vv[x] - vv[y]), minlength=len(a.dist))
+
+
+def window_laplacian(net, u, window):
+    """The sorted canonical positions of ``window`` and Δu there, the floats of
+    :func:`laplacian_apply`, from one :func:`pair_sums` pass that reads u once
+    over the window and its neighbours.  A window vertex with a neighbour
+    beyond the materialized window or outside u's window raises WindowError."""
+    a = net.arrays
+    pos = net._positions(frozenset(window))
+    pairs = net._pairs(pos)
+    beyond = pairs[a.nbr[pairs] < 0]
+    if beyond.size:  # WindowError naming the first such neighbour
+        net._require(net._name(int(net._ids[beyond[0]])))
+    read = np.zeros(len(a.dist), bool)
+    read[pos] = read[a.nbr[pairs]] = True
+    uu = read_values(net, u, np.flatnonzero(read))
+    return pos, pair_sums(net, pairs, uu)[pos]
 
 
 def energy(net, u, v=None, window=None):
@@ -88,13 +117,8 @@ def energy(net, u, v=None, window=None):
     if window is None:
         window = u.window if v is u else (u.window & v.window)
     window = frozenset(window)
-    verts = net.vertices
-    inside = np.fromiter(map(window.__contains__, verts), bool, len(verts))
-    if inside.sum() < len(window):
-        for x in window:
-            net._require(x)
     a = net.arrays
-    keep = inner_edges(net, inside)
+    keep = inner_edges(net, net._positions(window))
     ends = np.union1d(a.edge_x[keep], a.edge_y[keep])
     uu = read_values(net, u, ends)
     vv = uu if v is u else read_values(net, v, ends)
@@ -136,8 +160,8 @@ def scaled_laplacian_residual(net, u, rhs, window):
     ranges of geometric models, where forming c_xy (u(x) − u(y)) already costs
     c_xy·eps of absolute accuracy in floating point.
     """
-    worst = 0.0
-    for x in vsorted(window):
-        r = abs(laplacian_apply(net, u, x) - rhs.get(x, 0.0))
-        worst = max(worst, r / max(1.0, net.total_conductance(x)))
-    return worst
+    pos, lap = window_laplacian(net, u, window)
+    f = np.fromiter(map(rhs.get, map(net.vertices.__getitem__, pos.tolist()),
+                        repeat(0.0)), float, len(pos))
+    worst = np.abs(lap - f) / np.maximum(1.0, net.arrays.ctot[pos])
+    return float(worst.max(initial=0.0))

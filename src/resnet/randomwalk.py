@@ -156,8 +156,7 @@ def _simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
     if absorb:
         code = np.full(n_verts + 1, -1, dtype=np.int64)
         for a_i, aset in enumerate(absorb):
-            for v in aset:
-                code[index[v]] = a_i
+            code[net._positions(aset)] = a_i
         halt |= code >= 0
     if return_home is not None:
         halt[index[return_home]] = True

@@ -54,6 +54,11 @@ def canonical_json(obj, indent=0):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def vertex_label(v):
+    """A vertex id as one CSV cell: an int, or a tuple's ints joined by ';'."""
+    return ";".join(str(t) for t in v) if isinstance(v, tuple) else str(v)
+
+
 def csv_text(columns, rows, header_meta=None):
     """CSV with '# key: value' comment header lines, floats at 17 digits."""
     lines = []

@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (DomainError, IncompatibleSourceError, NumericalError)
-from .network import GAUGE_ORIGIN, GAUGE_RAW, GAUGE_VANISH, VertexFunction, vsorted
+from .network import GAUGE_ORIGIN, GAUGE_RAW, GAUGE_VANISH, VertexFunction
 
 FREE = "free"
 WIRED = "wired"
@@ -108,18 +108,13 @@ def _assemble(net, region, bc):
     """The system of a validated, connected region, from ``net.arrays``."""
     if not region:
         raise DomainError("empty region")
-    try:
-        pos = np.sort(np.fromiter(map(net._pos.__getitem__, region), np.int64, len(region)))
-    except KeyError:  # name the first vertex outside the window, in canonical order
-        for x in vsorted(region):
-            net._require(x)
+    pos = net._positions(region)
     pos.flags.writeable = False
     a, m = net.arrays, len(pos)
     # Every pair of the region's rows, in incident order (so increasing
     # columns in each row), and the place in the region of its other end.
-    deg = a.indptr[pos + 1] - a.indptr[pos]
-    row = np.repeat(np.arange(m), deg)
-    pair = np.arange(len(row)) + np.repeat(a.indptr[pos] - np.cumsum(deg) + deg, deg)
+    pair = net._pairs(pos)
+    row = np.repeat(np.arange(m), a.indptr[pos + 1] - a.indptr[pos])
     col = np.searchsorted(pos, a.nbr[pair])
     inner = pos[np.minimum(col, m - 1)] == a.nbr[pair]
     row, col, cond = row[inner], col[inner], a.cond[pair[inner]]

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, IncompatibleSourceError, ResnetError
 from .kernels import (POINTWISE_TOL, _dipole_trace, _energy_of, _harm_trace,
                       monopole)
-from .network import VertexFunction, doubling_exhaustion, vsorted
+from .network import VertexFunction, doubling_exhaustion
 from .operators import energy
 from .randomwalk import WalkConfig, green_estimate
 from .solver import FREE, WIRED, solve_poisson
@@ -219,12 +219,10 @@ def _default_probe_vertices(net, count=4):
     of the dipole at x on a recurrent net scales with the distance of x, so
     probing farther out only blurs the threshold.
     """
-    picks = [v for v in vsorted(net.ball(1)) if v != net.origin]
+    dist, verts = net.arrays.dist, net.vertices
+    picks = [verts[p] for p in np.flatnonzero(dist == 1).tolist()]
     if len(picks) < 2:
-        try:
-            picks += [v for v in vsorted(net.ball(2)) if net.distance(v) == 2]
-        except ResnetError:
-            pass
+        picks += [verts[p] for p in np.flatnonzero(dist == 2).tolist()]
     return tuple(picks[:max(count, 3)])
 
 

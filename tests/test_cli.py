@@ -358,3 +358,53 @@ def test_radius_with_explicit_edges_is_refused(tmp_path, capsys):
     assert "applies only to a model network" in capsys.readouterr().err
     assert not out.exists()
     assert main(argv + ["-o", str(out)]) == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{ not json", "malformed network JSON in"),
+    (json.dumps({"origin": 0, "edges": [{"u": 0, "v": 1, "c": 1.0},
+                                        {"u": 2, "v": 3, "c": 1.0}]}),
+     "network is not connected"),
+])
+def test_net_file_errors_keep_their_message(tmp_path, capsys, text, message):
+    net = tmp_path / "net.json"
+    net.write_text(text)
+    assert main(["gen", "--net", str(net), "-o", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    # Only a file that does not parse is called malformed.
+    assert ("malformed" in err) == message.startswith("malformed")
+
+
+@pytest.mark.parametrize("content, where", [
+    ("vertex,value\n0,abc\n", ", line 2: could not convert string to float: 'abc'"),
+    (None, ": [Errno 21] Is a directory"),
+])
+def test_function_file_preset_errors_exit_2(tmp_path, capsys, content, where):
+    path = tmp_path / "u.csv"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    out = tmp_path / "gg.json"
+    assert main(["gaussgreen", "--model", "geom-z", "--c", "2", "--radius", "8",
+                 "--u", f"file:{path}", "--v", f"file:{path}",
+                 "--plan", "balls:1..2", "-o", str(out)]) == 2
+    assert f"{path}{where}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kernel_csv_rows_are_the_element_csv(tmp_path):
+    from resnet.kernels import energy_kernel
+    from resnet.models import ModelSpec, build
+    from resnet.network import make_exhaustion
+
+    out = tmp_path / "v.csv"
+    code = main(["kernel", "--model", "star", "--radius", "6", "--plan", "balls:1..5",
+                 "--x", "(1,2)", "--format", "csv", "-o", str(out)])
+    assert code in (0, 3)
+    net = build(ModelSpec("star"), radius=6)
+    element = energy_kernel(net, (1, 2), make_exhaustion(net, range(1, 6)))
+    lines = out.read_text().splitlines(keepends=True)
+    assert "".join(l for l in lines if not l.startswith("#")) == element.to_csv()
+    assert "1;2," in element.to_csv()
