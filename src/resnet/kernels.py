@@ -5,10 +5,10 @@ The dipole kernel element at x is the finite-energy solution of
 u(x) − u(o).  Constructively, each element is the limit of free-boundary
 solves along an exhaustion; its projection to the energy-closure of the
 finitely supported functions comes from wired solves of the same equation,
-and the harmonic part is the difference.  Monopoles (Δw = δ_x) are reached
-through wired, regularized solves (ε + Δ)u = δ_x with ε driven to zero over
-growing windows; bounded energies certify a genuine monopole, while energy
-blow-up along the schedule is evidence of recurrence.
+and the harmonic part is the difference.  Monopoles (Δw = δ_x) come from
+wired solves: the stage resistances R_r = g_r(x), full energies read as
+source pairings, stop growing exactly on transient networks, and wired,
+regularized solves (ε + Δ)u = δ_x with ε driven to zero then reach w_x.
 
 All elements report per-stage energies and an explicit convergence flag; a
 computation that did not settle never pretends otherwise.
@@ -24,6 +24,7 @@ wired trace per sample vertex and reads both v_x and h_x from them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -242,90 +243,88 @@ def _vanish_gauge(net, rep, stage):
                                        GAUGE_VANISH)
 
 
-def _classify_energy_trace(energies, converged, n_window_stages=None):
-    """Divergence evidence: the hard cap, or steady growth while the windows
-    were still expanding (recurrent energies track the window resistance and
-    would never hit a fixed cap at desk-scale radii)."""
-    if not energies:
-        return False
-    if energies[-1] > DIVERGENCE_CAP:
-        return True
-    if converged or len(energies) < 5:
-        return False
-    prefix = energies[:n_window_stages] if n_window_stages else energies
-    if len(prefix) < 5:
-        prefix = energies
-    # Still growing at the end of the window expansion; the early entries are
-    # excluded because the regularization ramp makes any trace rise at first.
-    ref = prefix[-4]
-    return prefix[-1] > GROWTH_FACTOR * max(ref, 1e-300)
+def _classify_energy_trace(energies):
+    """Divergence evidence: the hard cap, or steady growth at the end of the
+    trace (recurrent energies track the window resistance and would never hit
+    a fixed cap at desk-scale radii).  The early entries are excluded because
+    the regularization ramp makes any trace rise at first."""
+    return bool(energies) and (energies[-1] > DIVERGENCE_CAP or (
+        len(energies) >= 5
+        and energies[-1] > GROWTH_FACTOR * max(energies[-4], 1e-300)))
 
 
-def _wired_stage_energies(net, x, stages):
-    """Direct (ε = 0) wired solve per stage; the energies are the wired
-    effective resistances from x to the collapsed complement.  Their behaviour
-    along the exhaustion decides the window limit: decaying increments mean
-    the window has stopped mattering, steady growth is the recurrent
-    signature.  Returns the energies, the last stage and its solve report,
-    and the settled and growing flags."""
-    energies = []
-    for last_stage in stages:
-        rep = solve_poisson(net, last_stage, {x: 1.0}, WIRED)
-        energies.append(_energy_of(net, rep.pos, rep.values))
-        if energies[-1] > DIVERGENCE_CAP:
+def _wired_trace(net, x, plan):
+    """One wired solve of Δg = δ_x per stage that contains x: the resistances
+    R_r = g_r(x) as Python floats, the last stage and its solve report.  With
+    the ghost at 0, E(g, g) = ⟨g, Δg⟩ = g(x): R_r is the unit monopole's full
+    energy, edges to the ghost included, and increases to R(x→∞).  The trace
+    ends at the first R_r past ``DIVERGENCE_CAP``; a stage covering a whole
+    finite network raises IncompatibleSourceError."""
+    resistances, i = [], net._pos[x]
+    for stage in _usable_stages(plan, x):
+        rep = solve_poisson(net, stage, {x: 1.0}, WIRED)
+        resistances.append(float(rep.values[np.searchsorted(rep.pos, i)]))
+        if resistances[-1] > DIVERGENCE_CAP:
             break
-    deltas = [abs(b - a) for a, b in zip(energies, energies[1:])]
-    growing = (energies[-1] > DIVERGENCE_CAP
-               or (len(energies) >= 4
-                   and energies[-1] > GROWTH_FACTOR * energies[len(energies) // 2]
+    return tuple(resistances), stage, rep
+
+
+def _window_limit(net, resistances):
+    """The converged and diverged flags of a wired trace: decaying increments
+    mean the window has stopped mattering, steady growth is the recurrent
+    signature."""
+    deltas = [abs(b - a) for a, b in zip(resistances, resistances[1:])]
+    growing = (resistances[-1] > DIVERGENCE_CAP
+               or (len(resistances) >= 4
+                   and resistances[-1] > GROWTH_FACTOR * resistances[len(resistances) // 2]
                    and deltas[-1] >= deltas[0]))
     # Increments must be on a decaying trend (compared scale-free against the
     # middle of the trace) or already at tolerance level.
     settled = (len(deltas) >= 3
                and deltas[-1] <= max(0.5 * deltas[(len(deltas) - 1) // 2],
-                                     1e-12 * max(1.0, energies[-1])))
+                                     1e-12 * max(1.0, resistances[-1])))
     settled = settled or (len(deltas) >= 1 and
-                          deltas[-1] <= ENERGY_CAUCHY_TOL * max(1.0, energies[-1]))
-    settled = settled or (len(energies) == 1 and net.is_finite)
-    return energies, rep, last_stage, settled and not growing, growing
+                          deltas[-1] <= ENERGY_CAUCHY_TOL * max(1.0, resistances[-1]))
+    settled = settled or (len(resistances) == 1 and net.is_finite)
+    return settled and not growing, growing
 
 
 def monopole(net, x, plan, eps_schedule=None, *, cauchy_tol=ENERGY_CAUCHY_TOL):
     """Monopole element at x: wired window limit, then the resolvent limit.
 
-    Stage one runs plain wired solves of Δu = δ_x along the plan; decaying
-    energy increments certify that the window limit exists, while steady
-    growth is recurrent evidence (those energies track the window resistance
-    and would never reach a fixed cap at desk-scale radii, so the trend is
-    the flag).  Stage two drives (ε_k + Δ)u = δ_x on the final window with
-    ε_k from the schedule until successive energies agree to ``cauchy_tol``,
-    then verifies the limit solves the defining equation pointwise.
+    Stage one reads the wired resistances R_r = g_r(x) along the plan
+    (``meta["wired_stage_energies"]``): decaying increments certify the
+    window limit, steady growth is recurrent evidence.  Stage two drives
+    (ε_k + Δ)u = δ_x on the final window with ε_k from the schedule until
+    successive in-window energies agree to ``cauchy_tol``, then verifies the
+    limit solves the defining equation pointwise.
     """
-    if eps_schedule is None:
-        eps_schedule = default_eps_schedule()
-    stages = _usable_stages(plan, x)
-    meta = {"plan": plan.descriptor}
+    return _monopole(net, x, plan, partial(_wired_trace, net, x, plan),
+                     eps_schedule, cauchy_tol)
+
+
+def _monopole(net, x, plan, trace, eps_schedule=None, cauchy_tol=ENERGY_CAUCHY_TOL):
+    """:func:`monopole` on the wired trace that ``trace()`` returns."""
     try:
-        wired_trace, rep, last_stage, settled, growing = \
-            _wired_stage_energies(net, x, stages)
+        resistances, last_stage, rep = trace()
     except IncompatibleSourceError:
         # Full finite network: no ghost, no monopole.  Pure recurrence.
         return KernelElement(base=x, kind=KIND_MONOPOLE,
-                             approximant=VertexFunction.zero(stages[-1]),
+                             approximant=VertexFunction.zero(plan.final),
                              stage_energies=(float("inf"),), converged=False,
                              diverged=True,
                              meta={"plan": plan.descriptor,
                                    "reason": "finite network admits no monopole"})
-    meta["wired_stage_energies"] = tuple(wired_trace)
-    if growing or not settled:
+    settled, growing = _window_limit(net, resistances)
+    meta = {"plan": plan.descriptor, "wired_stage_energies": resistances}
+    if not settled:
         return KernelElement(base=x, kind=KIND_MONOPOLE,
                              approximant=_vanish_gauge(net, rep, last_stage),
-                             stage_energies=tuple(wired_trace), converged=False,
+                             stage_energies=resistances, converged=False,
                              diverged=growing, meta=meta)
 
-    energies = []
-    converged = False
-    for eps in eps_schedule:
+    energies, converged = [], False
+    for eps in default_eps_schedule() if eps_schedule is None else eps_schedule:
         if eps == 0.0:
             rep = solve_poisson(net, last_stage, {x: 1.0}, WIRED)
         else:
@@ -346,8 +345,7 @@ def monopole(net, x, plan, eps_schedule=None, *, cauchy_tol=ENERGY_CAUCHY_TOL):
         if not res <= 1e-6:  # NaN fails too
             converged = False
             meta["reason"] = "regularized limit does not solve the monopole equation"
-    diverged = not converged and (
-        "reason" in meta or _classify_energy_trace(energies, converged))
+    diverged = not converged and ("reason" in meta or _classify_energy_trace(energies))
     return KernelElement(base=x, kind=KIND_MONOPOLE,
                          approximant=_vanish_gauge(net, rep, last_stage),
                          stage_energies=tuple(energies),
@@ -356,16 +354,14 @@ def monopole(net, x, plan, eps_schedule=None, *, cauchy_tol=ENERGY_CAUCHY_TOL):
 
 
 def wired_monopole(net, x, plan):
-    """Direct (ε = 0) wired monopole stages; the staged energies equal the
-    wired effective resistance from x to the collapsed complement."""
-    stages = _usable_stages(plan, x)
-    energies, rep, last_stage, settled, growing = \
-        _wired_stage_energies(net, x, stages)
+    """Direct (ε = 0) wired monopole stages; the staged values are the wired
+    resistances R_r = g_r(x) from x to the collapsed complement."""
+    resistances, stage, rep = _wired_trace(net, x, plan)
+    settled, growing = _window_limit(net, resistances)
     return KernelElement(base=x, kind=KIND_MONOPOLE,
-                         approximant=_vanish_gauge(net, rep, last_stage),
-                         stage_energies=tuple(energies),
-                         converged=settled, diverged=growing,
-                         meta={"plan": plan.descriptor, "eps": 0.0})
+                         approximant=_vanish_gauge(net, rep, stage),
+                         stage_energies=resistances, converged=settled,
+                         diverged=growing, meta={"plan": plan.descriptor, "eps": 0.0})
 
 
 def green_kernel(net, x, y, plan):
@@ -384,7 +380,9 @@ def green_kernel(net, x, y, plan):
 
 
 def effective_resistance(net, x, y, plan, variant=FREE):
-    """R(x, y) = E of the unit dipole between x and y under the given variant.
+    """R(x, y) = u(x) − u(y) for the unit dipole Δu = δ_x − δ_y under the
+    given variant: the dipole's full energy ⟨u, Δu⟩, which for wired stages
+    counts the edges to the grounded ghost.
 
     Free stages are nonincreasing in the window and wired stages
     nondecreasing; both trends are reported for use as convergence
@@ -394,17 +392,16 @@ def effective_resistance(net, x, y, plan, variant=FREE):
         raise DomainError("effective resistance needs two distinct vertices")
     if variant not in (FREE, WIRED):
         raise DomainError(f"unknown variant {variant!r}")
-    source = {x: 1.0, y: -1.0}
-    energies = []
+    source, ends = {x: 1.0, y: -1.0}, [net._pos[x], net._pos[y]]
+    values = []
     for stage in _usable_stages(plan, x, y):
-        if variant == FREE and net.origin not in stage:
-            continue
         rep = solve_poisson(net, stage, source, variant)
-        energies.append(_energy_of(net, rep.pos, rep.values))
-    converged = (len(energies) >= 2
-                 and abs(energies[-1] - energies[-2]) <= 1e-9 * max(1.0, energies[-1]))
-    return ResistanceValue(value=energies[-1], variant=variant,
-                           converged=converged, stages=tuple(energies))
+        ux, uy = rep.values[np.searchsorted(rep.pos, ends)]
+        values.append(float(ux - uy))
+    converged = (len(values) >= 2
+                 and abs(values[-1] - values[-2]) <= 1e-9 * max(1.0, values[-1]))
+    return ResistanceValue(value=values[-1], variant=variant,
+                           converged=converged, stages=tuple(values))
 
 
 def dirac_expansion_check(net, x, plan):

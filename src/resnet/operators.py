@@ -119,7 +119,9 @@ def energy(net, u, v=None, window=None):
     window = frozenset(window)
     a = net.arrays
     keep = inner_edges(net, net._positions(window))
-    ends = np.union1d(a.edge_x[keep], a.edge_y[keep])
+    read = np.zeros(len(net.vertices), bool)
+    read[a.edge_x[keep]] = read[a.edge_y[keep]] = True
+    ends = np.flatnonzero(read)
     uu = read_values(net, u, ends)
     vv = uu if v is u else read_values(net, v, ends)
     converged = net.is_finite and len(window) == len(net.vertices)

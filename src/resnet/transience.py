@@ -2,8 +2,9 @@
 
 Three independent lines of evidence:
 
-(a) monopole energies: wired regularized solves of Δw = δ_o have bounded,
-    stabilizing energy exactly when a finite-energy monopole exists;
+(a) the monopole: the wired stage resistances R_r = g_r(o) stop growing
+    exactly when a finite-energy monopole exists, and wired regularized
+    solves of (ε + Δ)w = δ_o then reach it;
 (b) Monte Carlo: the expected visits to the origin stop growing with the
     horizon (Green finiteness) and the escape probability stays positive;
 (c) the grounded projection of the constant function 1: its value u_o at the
@@ -15,21 +16,24 @@ self-consistently; writing u = 1 − β g with g the wired unit monopole at the
 origin forces β = 1/(1 + g(o)), and the projection satisfies the parabola
 relation u_o = E(u) + u_o², so (u_o, E(u)) lives on a parabola with peak
 (1/2, 1/4).
+
+Criteria (a) and (c) read one wired trace: one solve of Δg = δ_o per stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
-from .errors import DomainError, IncompatibleSourceError, ResnetError
-from .kernels import (POINTWISE_TOL, _dipole_trace, _energy_of, _harm_trace,
-                      monopole)
+from .errors import DomainError, ResnetError
+from .kernels import (DIVERGENCE_CAP, POINTWISE_TOL, _dipole_trace, _energy_of,
+                      _harm_trace, _monopole, _wired_trace)
 from .network import VertexFunction, doubling_exhaustion
 from .operators import energy
 from .randomwalk import WalkConfig, green_estimate
-from .solver import FREE, WIRED, solve_poisson
+from .solver import FREE, WIRED
 
 TRANSIENT = "transient"
 RECURRENT = "recurrent"
@@ -86,39 +90,32 @@ def _default_plan(net, plan):
 
 
 def grounded_projection_of_one(net, plan=None):
-    """Compute P⊥1 over exhaustion stages via wired unit-monopole solves.
+    """Compute P⊥1 over exhaustion stages from the wired unit monopole.
 
     Each stage solves Δg = δ_o with the complement grounded; the stage
     projection is u = 1 − β g, where β = 1/(1 + g(o)) solves β = 1 − β g(o)
-    in closed form.
+    in closed form, and g(o) is the stage's wired resistance.
     Stabilizing stage resistances give the transient projection; resistances
     that keep growing certify 1 ∈ closure(span δ_x) and the projection is 0.
     """
     plan = _default_plan(net, plan)
+    return _grounded_projection(net, plan, partial(_wired_trace, net, net.origin, plan))
+
+
+def _grounded_projection(net, plan, trace):
+    """:func:`grounded_projection_of_one` on the origin's wired trace that
+    ``trace()`` returns; a plan covering a finite network needs none."""
     if net.is_finite and len(plan.final) == len(net.vertices):
         # Finite network: 1 is itself finitely supported, so P⊥1 = 0.
         zero = VertexFunction.zero(plan.final)
         return GroundedProjection(u=zero, u_o=0.0, energy=0.0, converged=True,
                                   trace=(), meta={"finite": True})
-    trace = []
-    g_last, stage_last = None, None
-    o = net._pos[net.origin]
-    for stage, radius in zip(plan.stages, plan.radii):
-        try:
-            g = solve_poisson(net, stage, {net.origin: 1.0}, WIRED)
-        except IncompatibleSourceError:
-            trace.append((radius, float("inf"), 0.0))
-            continue
-        resistance = float(g.values[np.searchsorted(g.pos, o)])
-        beta = 1.0 / (1.0 + resistance)
-        trace.append((radius, resistance, beta))
-        g_last, stage_last = g, stage
-    if g_last is None:
-        raise DomainError("no usable exhaustion stage")
-    resistances = [r for _, r, _ in trace]
-    betas = [b for _, _, b in trace]
-    growing = (len(resistances) >= 3
-               and resistances[-1] > 1.5 * resistances[len(resistances) // 2])
+    resistances, stage, g = trace()
+    betas = [1.0 / (1.0 + r) for r in resistances]
+    entries = tuple(zip(plan.radii, resistances, betas))
+    growing = (resistances[-1] > DIVERGENCE_CAP
+               or (len(resistances) >= 3
+                   and resistances[-1] > 1.5 * resistances[len(resistances) // 2]))
     # Stage resistances of a transient network are Cauchy; accept either a
     # tight tail or geometrically decaying increments (trees approach their
     # limit like 2^-radius, far slower than tolerance-level agreement).
@@ -131,24 +128,22 @@ def grounded_projection_of_one(net, plan=None):
     converged = tight or decaying
     if converged and not growing:
         beta = betas[-1]
-        u = VertexFunction.at_positions(net.vertices, g_last.pos,
-                                        1.0 - beta * g_last.values)
-        e = energy(net, u, window=stage_last).value
-        e += sum(c * (u.value(x) - 1.0) ** 2
-                 for x, _, c in net.crossing_edges(stage_last))
+        u = VertexFunction.at_positions(net.vertices, g.pos, 1.0 - beta * g.values)
+        e = energy(net, u, window=stage).value
+        e += sum(c * (u.value(x) - 1.0) ** 2 for x, _, c in net.crossing_edges(stage))
         return GroundedProjection(u=u, u_o=beta, energy=e, converged=True,
-                                  trace=tuple(trace))
+                                  trace=entries)
     # Diverging wired resistance: the projection limit is the zero function.
     u_o = 0.0 if growing else betas[-1]
-    return GroundedProjection(u=VertexFunction.zero(stage_last), u_o=u_o,
-                              energy=0.0, converged=False, trace=tuple(trace),
+    return GroundedProjection(u=VertexFunction.zero(stage), u_o=u_o,
+                              energy=0.0, converged=False, trace=entries,
                               meta={"diverging_resistance": growing,
                                     "last_beta": betas[-1]})
 
 
-def _criterion_monopole(net, plan):
+def _criterion_monopole(net, plan, trace):
     try:
-        element = monopole(net, net.origin, plan)
+        element = _monopole(net, net.origin, plan, trace)
     except ResnetError as exc:
         return INCONCLUSIVE, {"error": str(exc)}
     evidence = {"stage_energies": list(element.stage_energies),
@@ -173,8 +168,8 @@ def _criterion_monte_carlo(net, cfg):
     return INCONCLUSIVE, evidence
 
 
-def _criterion_grounded(net, plan):
-    proj = grounded_projection_of_one(net, plan)
+def _criterion_grounded(net, plan, trace):
+    proj = _grounded_projection(net, plan, trace)
     evidence = {"u_o": proj.u_o, "energy": proj.energy,
                 "converged": proj.converged,
                 "parabola_residual": proj.parabola_residual if proj.converged else None,
@@ -198,10 +193,13 @@ def classify(net, plan=None, walk_cfg=None):
     plan = _default_plan(net, plan)
     if walk_cfg is None:
         walk_cfg = WalkConfig(n_walks=4000, max_steps=4000, seed=0)
+    # One wired trace of the origin for the monopole and grounded criteria; a
+    # trace that raised is not cached, so it raises again for the second.
+    trace = cache(partial(_wired_trace, net, net.origin, plan))
     criteria, evidence = {}, {}
-    criteria["monopole"], evidence["monopole"] = _criterion_monopole(net, plan)
+    criteria["monopole"], evidence["monopole"] = _criterion_monopole(net, plan, trace)
     criteria["monte_carlo"], evidence["monte_carlo"] = _criterion_monte_carlo(net, walk_cfg)
-    criteria["grounded"], evidence["grounded"] = _criterion_grounded(net, plan)
+    criteria["grounded"], evidence["grounded"] = _criterion_grounded(net, plan, trace)
     votes = set(criteria.values()) - {INCONCLUSIVE}
     if votes == {TRANSIENT}:
         verdict = TRANSIENT

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import resnet as rn
-from resnet import kernels
+from resnet import kernels, transience
 from resnet.kernels import (ENERGY_CAUCHY_TOL, default_eps_schedule,
                             effective_resistance, energy_kernel, fin_part,
                             harm_part, monopole, wired_monopole)
@@ -100,13 +100,20 @@ def vanish_gauge_items(net, u, stage):
 
 
 def dict_wired_monopole(net, x, plan):
-    """Wired stage energies of Δu = δ_x and the last stage solution."""
-    energies, last = [], None
+    """Wired stage resistances u(x) of Δu = δ_x and the last stage solution."""
+    resistances, last = [], None
     for stage in plan.stages:
         if x in stage:
             last = stage, solve_poisson(net, stage, {x: 1.0}, WIRED).solution
-            energies.append(energy(net, last[1], window=stage).value)
-    return last, tuple(energies)
+            resistances.append(last[1].value(x))
+    return last, tuple(resistances)
+
+
+def ghost_energy(net, u, stage):
+    """E(u) over the stage plus the edges from the stage to the grounded
+    ghost, where u is 0."""
+    return energy(net, u, window=stage).value + sum(
+        c * u.value(x) ** 2 for x, _, c in net.crossing_edges(stage))
 
 
 def test_dipole_traces_match_the_dict_path(case):
@@ -160,12 +167,28 @@ def test_monopole_matches_the_dict_path(case):
 def test_effective_resistance_stages_match_the_dict_path(case, variant):
     net, plan, x, y = case
     value = effective_resistance(net, x, y, plan, variant=variant)
-    energies = []
+    resistances = []
     for stage in plan.stages:
         if x in stage and y in stage and (variant == WIRED or net.origin in stage):
             u = solve_poisson(net, stage, {x: 1.0, y: -1.0}, variant).solution
-            energies.append(energy(net, u, window=stage).value)
-    assert value.stages == tuple(energies)
+            resistances.append(u.value(x) - u.value(y))
+    assert value.stages == tuple(resistances)
+
+
+def test_wired_stage_values_are_ghost_inclusive_energies(case):
+    """E(u, u) = ⟨u, Δu⟩ with the ghost at 0: each wired stage value, read
+    as a source pairing, equals the energy summed over the stage's edges and
+    its edges to the ghost."""
+    net, plan, x, y = case
+    monopole_stages = wired_monopole(net, net.origin, plan).stage_energies
+    dipole_stages = effective_resistance(net, x, y, plan, variant=WIRED).stages
+    expected_monopole = [ghost_energy(net, solve_poisson(
+        net, stage, {net.origin: 1.0}, WIRED).solution, stage) for stage in plan.stages]
+    expected_dipole = [ghost_energy(net, solve_poisson(
+        net, stage, {x: 1.0, y: -1.0}, WIRED).solution, stage)
+        for stage in plan.stages if x in stage and y in stage]
+    assert monopole_stages == pytest.approx(expected_monopole, rel=1e-12, abs=0)
+    assert dipole_stages == pytest.approx(expected_dipole, rel=1e-12, abs=0)
 
 
 def test_harm_dimension_probe_matches_the_dict_path(case):
@@ -204,3 +227,26 @@ def test_harm_dimension_probe_makes_one_free_and_one_wired_trace(monkeypatch):
     assert len(samples) == 4
     assert calls.count(FREE) == calls.count(WIRED) == len(plan.stages) * len(samples)
     assert len(calls) == 2 * len(plan.stages) * len(samples)
+
+
+def test_classify_makes_one_wired_monopole_trace(monkeypatch):
+    net = build(ModelSpec("geom_z", {"c": 2.0}), radius=20)
+    plan = rn.make_exhaustion(net, range(1, 19))
+    calls = []
+
+    def counting(net, region, f, bc, **kwargs):
+        if bc == WIRED and dict(f) == {net.origin: 1.0}:
+            calls.append(frozenset(region))
+        return solve_poisson(net, region, f, bc, **kwargs)
+
+    for module in (kernels, transience):
+        monkeypatch.setattr(module, "solve_poisson", counting, raising=False)
+    verdict = transience.classify(net, plan, rn.WalkConfig(n_walks=50, max_steps=50, seed=0))
+    assert verdict.criteria["monopole"] == verdict.criteria["grounded"] == "transient"
+    assert calls == list(plan.stages)
+
+    element = monopole(net, net.origin, plan)
+    projection = transience.grounded_projection_of_one(net, plan)
+    resistances = tuple(r for _, r, _ in projection.trace)
+    assert len(resistances) == len(plan.stages)
+    assert element.meta["wired_stage_energies"] == resistances
