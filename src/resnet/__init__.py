@@ -22,11 +22,10 @@ from .models import (ModelSpec, build, load_network, log_increment_function,
                      oracle_h, oracle_residuals, oracle_v, oracle_w_o)
 from .network import (ExhaustionPlan, Network, VertexFunction,
                       doubling_exhaustion, make_exhaustion)
-from .operators import (EnergyValue, contract, energy, energy_over_plan,
-                        laplacian_apply, normal_derivative, transfer_apply)
+from .operators import EnergyValue, energy, laplacian_apply
 from .randomwalk import (EscapeTrace, McEstimate, WalkConfig,
                          escape_probability, green_estimate,
-                         hitting_probability, step)
+                         hitting_probability)
 from .solver import (FREE, WIRED, SolveReport, solve_poisson, solve_regularized)
 from .transience import (GroundedProjection, TransienceVerdict, classify,
                          grounded_parameter_sweep, grounded_projection_of_one,

@@ -76,6 +76,15 @@ def _parse_sweep(text):
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
+def _radii(texts, what):
+    """The integer radii spelled by ``texts``; ConfigurationError naming
+    ``what`` if one is not an integer."""
+    try:
+        return [int(t) for t in texts]
+    except ValueError as exc:
+        raise ConfigurationError(f"{what}: {exc}") from None
+
+
 def _parse_plan(net, text):
     """Plan descriptors: balls:A..B | radii:2^k | radii:3^k | radii:1,2,4.
 
@@ -88,7 +97,8 @@ def _parse_plan(net, text):
         a, sep, b = rest.partition("..")
         if not sep:
             raise ConfigurationError(f"expected balls:A..B, got {text!r}")
-        return make_exhaustion(net, range(int(a), int(b) + 1), descriptor=text)
+        a, b = _radii((a, b), f"plan {text!r}")
+        return make_exhaustion(net, range(a, b + 1), descriptor=text)
     if kind == "radii":
         if rest in ("2^k", "3^k"):
             base = int(rest[0])
@@ -99,7 +109,7 @@ def _parse_plan(net, text):
             if not radii:
                 raise ConfigurationError(f"window too small for plan {text!r}")
             return make_exhaustion(net, radii, descriptor=text)
-        return make_exhaustion(net, [int(t) for t in rest.split(",")],
+        return make_exhaustion(net, _radii(rest.split(","), f"plan {text!r}"),
                                descriptor=text)
     raise ConfigurationError(f"unknown plan descriptor {text!r}")
 
@@ -302,6 +312,7 @@ def _cmd_walk(args):
             raise ConfigurationError(
                 f"walk --op escape does not take {', '.join(given)}: escape walks "
                 "start at the network's origin")
+        radii = _radii(args.radii.split(","), f"--radii {args.radii!r}")
     net = _load_net(args)
     cfg = WalkConfig(n_walks=args.walks, max_steps=args.steps, seed=args.seed)
     header = {"version": __version__, "seed": args.seed, "walks": args.walks,
@@ -321,7 +332,6 @@ def _cmd_walk(args):
                    "flags": list(est.flags), "n_walks": est.n_walks,
                    "seed": est.seed, "meta": est.meta}
     else:
-        radii = [int(t) for t in args.radii.split(",")]
         trace = escape_probability(net, net.origin, radii, cfg)
         payload = {"points": [list(p) for p in trace.points],
                    "capped": trace.capped, "exited": trace.exited,

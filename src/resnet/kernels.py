@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, GreenUndefinedError, IncompatibleSourceError
 from .network import GAUGE_ORIGIN, GAUGE_RAW, GAUGE_VANISH, VertexFunction
-from .operators import (edge_energy, energy, inner_edges, read_values,
+from .operators import (edge_energy, inner_edges, read_values,
                         scaled_laplacian_residual)
 from .serialize import csv_text, vertex_label
 from .solver import FREE, WIRED, solve_poisson, solve_regularized
@@ -423,23 +423,3 @@ def dirac_expansion_check(net, x, plan):
     expansion = sum(a * read_values(net, fn, pos)[pos] for a, fn in terms)
     diffs = (pos == net._pos[x]) - expansion
     return float(diffs.max() - diffs.min())
-
-
-def reproducing_residual(net, element, u):
-    """|⟨v_x, u⟩_E − (u(x) − u(o))| over the common window of the pair."""
-    v = element.approximant
-    pairing = energy(net, v, u).value
-    return abs(pairing - (u.value(element.base) - u.value(net.origin)))
-
-
-def kernel_symmetry_residual(net, ex, ey):
-    """|v_x(y) − v_y(x)| in the origin-zero gauge."""
-    return abs(ex.approximant.value(ey.base) - ey.approximant.value(ex.base))
-
-
-def harmonicity_residual(net, element, window=None):
-    """Scaled max |Δh| over the interior: how harmonic the element really is."""
-    h = element.approximant
-    if window is None:
-        window = net.interior_of(h.window)
-    return scaled_laplacian_residual(net, h, {}, window)

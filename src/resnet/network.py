@@ -10,8 +10,8 @@ along exhaustions are always explicit in this package, never implied.
 
 A window comes as arrays, and one constructor builds every network on them:
 the built-in families give theirs in closed form
-(:func:`resnet.models.build`), explicit edge lists and custom generators
-from one O(n + m) breadth-first search.  The constructor builds the
+(:func:`resnet.models.build`), an explicit edge list from one breadth-first
+search over its compressed rows.  The constructor builds the
 :class:`NetworkArrays` every query reads and checks conductance symmetry
 once, on them.  A ball is a prefix of the search order: O(|B_r|).
 
@@ -24,11 +24,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, islice
-from operator import itemgetter
+from itertools import islice
 from threading import Lock
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import ConfigurationError, DomainError, WindowError
 
@@ -49,51 +50,18 @@ def vsorted(vertices):
     return sorted(vertices, key=vertex_key)
 
 
-def _explore(origin, neighbor_fn, radius):
-    """Breadth-first search to distance ``radius``, returning ``(dist,
-    adjacency)`` in search order; each adjacency drops zero conductances and
-    is sorted, and visited, in vertex_key order of the neighbours."""
-    dist, adjacency, order = {origin: 0}, {}, [origin]
-    first = itemgetter(0)
-    for x in order:
-        nbrs = []
-        for y, c in neighbor_fn(x):
-            if y == x:
-                raise DomainError(f"generator produced a self loop at {x!r}")
-            c = float(c)
-            if c < 0.0:
-                raise DomainError(f"negative conductance on edge ({x!r}, {y!r})")
-            if c != 0.0:
-                nbrs.append((y, c))
-        # Plain comparison gives vertex_key order unless ints mix with tuples.
-        try:
-            nbrs.sort(key=first)
-        except TypeError:
-            nbrs.sort(key=lambda e: vertex_key(e[0]))
-        adjacency[x] = nbrs = tuple(nbrs)
-        d = dist[x] + 1
-        if d <= radius:
-            for y, _ in nbrs:
-                if y not in dist:
-                    dist[y] = d
-                    order.append(y)
-    return dist, adjacency
-
-
 class Network:
     """Immutable weighted graph with a distinguished origin.
 
     A window comes as arrays over canonical vertex positions, and every
     network is built on them by one constructor.  The built-in families
     (:func:`resnet.models.build`) give their windows in closed form;
-    :meth:`from_edges` (explicit finite networks) and :meth:`from_generator`
-    (custom generator-backed families) give theirs from one breadth-first
-    search.  ``arrays``, the :class:`NetworkArrays` of the window, is the
-    one representation of it that every query, solve and walk reads.  The
-    network also owns the store of its solver systems (at most
-    ``solver.MAX_SYSTEMS`` factors, freed with it), guarded by a per-network
-    lock.  Instances are safe to share across threads; generators must be
-    pure functions of the vertex id.
+    :meth:`from_edges` gives an explicit finite network its arrays from one
+    breadth-first search.  ``arrays``, the :class:`NetworkArrays` of the
+    window, is the one representation of it that every query, solve and walk
+    reads.  The network also owns the store of its solver systems (bounded
+    in count and bytes, freed with it), guarded by a per-network lock.
+    Instances are safe to share across threads.
     """
 
     def __init__(self, origin, vertices, pos, dist, degree, ids, cond, ring, *,
@@ -118,77 +86,51 @@ class Network:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def _searched(cls, origin, dist, adjacency, **kwargs):
-        """The network of ``dist`` and ``adjacency`` as returned by
-        :func:`_explore`; it takes ``dist`` over."""
-        try:
-            verts = tuple(sorted(adjacency))
-        except TypeError:  # ints mixed with tuples
-            verts = tuple(vsorted(adjacency))
-        n = len(verts)
-        incident = [adjacency[x] for x in verts]
-        pairs = list(chain.from_iterable(incident))
-        dist_array = np.fromiter(map(dist.__getitem__, verts), np.int64, n)
-        # Re-key the search-order dict from distances to canonical positions;
-        # ids beyond the window get distinct values >= n, increasing in pair
-        # order, and then n + i names the i-th of them.
-        pos = dist
-        pos.update(zip(verts, range(n)))
-        ids = np.fromiter(map(pos.setdefault, map(itemgetter(0), pairs), count(n)),
-                          np.int64, len(pairs))
-        beyond = ids >= n
-        ids[beyond] = n + np.unique(ids[beyond], return_inverse=True)[1]
-        ring = tuple(islice(pos, n, None))
-        for y in ring:
-            del pos[y]
-        return cls(origin, verts, pos, dist_array,
-                   np.fromiter(map(len, incident), np.int64, n), ids,
-                   np.fromiter(map(itemgetter(1), pairs), float, len(pairs)),
-                   ring, **kwargs)
-
-    @classmethod
-    def from_edges(cls, origin, edges, *, model=None):
+    def from_edges(cls, origin, edges):
         """Build an explicit finite network from (u, v, conductance) triples.
 
-        Parallel edges are merged by summing their conductances.  Self loops,
-        nonpositive conductances, isolated vertices and disconnected graphs
-        are rejected.
+        Parallel edges are merged by summing their conductances in input
+        order.  Self loops, negative conductances, an origin with no edge and
+        disconnected graphs are rejected; zero conductances are dropped.
         """
-        merged = {}
+        kept = []
         for u, v, c in edges:
             if u == v:
                 raise DomainError(f"self loop at {u!r} is not allowed")
             c = float(c)
             if c < 0.0:
                 raise DomainError(f"negative conductance on edge ({u!r}, {v!r})")
-            if c == 0.0:
-                continue
-            key = tuple(vsorted((u, v)))
-            merged[key] = merged.get(key, 0.0) + c
-        adjacency = {}
-        for (u, v), c in merged.items():
-            adjacency.setdefault(u, []).append((v, c))
-            adjacency.setdefault(v, []).append((u, c))
-        if origin not in adjacency:
+            if c != 0.0:
+                kept.append((u, v, c))
+        found = {w for u, v, _ in kept for w in (u, v)}
+        if origin not in found:
             raise DomainError(f"origin {origin!r} has no incident edge")
-        dist, found = _explore(origin, adjacency.__getitem__, float("inf"))
-        if len(dist) < len(adjacency):
+        try:
+            verts = tuple(sorted(found))
+        except TypeError:  # ints mixed with tuples
+            verts = tuple(vsorted(found))
+        n = len(verts)
+        index = dict(zip(verts, range(n)))
+        # Each edge both ways, in input order: the sorted keys row * n + column
+        # give the rows in canonical order, each row's neighbours too, and
+        # bincount adds the conductances of parallel edges in input order.
+        ends = np.fromiter((index[w] for u, v, _ in kept for w in (u, v, v, u)),
+                           np.int64, 4 * len(kept)).reshape(-1, 2)
+        keys, slot = np.unique(ends[:, 0] * n + ends[:, 1], return_inverse=True)
+        cond = np.bincount(slot, np.repeat([c for _, _, c in kept], 2))
+        rows, ids = np.divmod(keys, n)
+        degree = np.bincount(rows, minlength=n)
+        graph = csr_matrix((cond, ids, np.concatenate(([0], np.cumsum(degree)))),
+                           shape=(n, n))
+        search, parent = breadth_first_order(graph, index[origin], directed=True)
+        if len(search) < n:
             raise DomainError("network is not connected")
-        return cls._searched(origin, dist, found, model=model)
-
-    @classmethod
-    def from_generator(cls, origin, neighbor_fn, radius, *, model=None):
-        """Materialize the ball of the given radius around the origin.
-
-        ``neighbor_fn(x)`` must return the complete, finite list of
-        ``(neighbor, conductance)`` pairs of ``x`` and must be a pure
-        function of ``x``; the one breadth-first search calls it once per
-        window vertex.  Symmetry is checked once, bit-exactly, on the arrays.
-        """
-        if radius < 0:
-            raise ConfigurationError("window radius must be nonnegative")
-        dist, adjacency = _explore(origin, neighbor_fn, radius)
-        return cls._searched(origin, dist, adjacency, window_radius=radius, model=model)
+        search = search.tolist()
+        dist = [0] * n
+        for v, p in zip(search[1:], parent[search[1:]].tolist()):
+            dist[v] = dist[p] + 1
+        pos = dict(zip(map(verts.__getitem__, search), search))
+        return cls(origin, verts, pos, np.array(dist, np.int64), degree, ids, cond, ())
 
     def _validate(self):
         """Reject duplicate pairs, isolated vertices and one-sided or

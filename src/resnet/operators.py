@@ -12,17 +12,13 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DomainError
-from .network import GAUGE_RAW, VertexFunction
-
 
 @dataclass(frozen=True)
 class EnergyValue:
     """An energy evaluated over an explicit truncation window.
 
-    ``converged`` is True when the value is trusted as a limit: either the
-    window covers a finite network, or successive exhaustion stages agreed to
-    the stated relative tolerance (see :func:`energy_over_plan`).
+    ``converged`` is True when the value is trusted as a limit: the window
+    covers the whole of a finite network, so no edge is left out.
     """
 
     value: float
@@ -34,11 +30,6 @@ def laplacian_apply(net, u, x):
     """(Δu)(x); requires u on x and all its neighbors, never zero-extends."""
     ux = u.value(x)
     return sum(c * (ux - u.value(y)) for y, c in net.incident(x))
-
-
-def transfer_apply(net, u, x):
-    """(Tu)(x) = Σ_{y~x} c_xy u(y), so that Δ = c − T pointwise."""
-    return sum(c * u.value(y) for y, c in net.incident(x))
 
 
 def prefix_sums(terms):
@@ -127,32 +118,6 @@ def energy(net, u, v=None, window=None):
     converged = net.is_finite and len(window) == len(net.vertices)
     return EnergyValue(value=edge_energy(net, keep, uu, vv), window=window,
                        converged=converged)
-
-
-def energy_over_plan(net, u, v, plan, rel_tol=1e-9):
-    """Energy along an exhaustion, flagged converged when the last two stages
-    agree to ``rel_tol`` relative."""
-    values = [energy(net, u, v, window=stage).value for stage in plan.stages]
-    converged = len(values) >= 2 and (
-        abs(values[-1] - values[-2]) <= rel_tol * max(1.0, abs(values[-1])))
-    return EnergyValue(value=values[-1], window=frozenset(plan.final),
-                       converged=converged)
-
-
-def normal_derivative(net, subset, v, x):
-    """∂v(x) for x on the boundary of ``subset``: the Laplacian sum restricted
-    to neighbors inside the subset."""
-    sub = subset if isinstance(subset, (set, frozenset)) else frozenset(subset)
-    if x not in sub or all(y in sub for y in net.neighbors(x)):
-        raise DomainError(f"vertex {x!r} is not on the boundary of the subset")
-    vx = v.value(x)
-    return sum(c * (vx - v.value(y)) for y, c in net.incident(x) if y in sub)
-
-
-def contract(u):
-    """Pointwise clamp of u to [0, 1]; never increases energy (Markov property)."""
-    return VertexFunction({x: min(1.0, max(0.0, val)) for x, val in u.items()},
-                          GAUGE_RAW)
 
 
 def scaled_laplacian_residual(net, u, rhs, window):

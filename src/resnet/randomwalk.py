@@ -107,24 +107,6 @@ def _require_vertices(net, **roles):
             raise DomainError(f"{role} vertex {v!r} is not materialized")
 
 
-def transition_probabilities(net, x):
-    """(neighbor, probability) pairs at x; probabilities sum to 1."""
-    c_tot = net.total_conductance(x)
-    return tuple((y, c / c_tot) for y, c in net.incident(x))
-
-
-def step(net, x, rng):
-    """One step of the walk from x using the supplied numpy Generator."""
-    u = float(rng.random())
-    acc = 0.0
-    pairs = transition_probabilities(net, x)
-    for y, p in pairs:
-        acc += p
-        if u < acc:
-            return y
-    return pairs[-1][0]
-
-
 def _simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
               track_max_distance=False, return_home=None, mid_step=None):
     """Vectorized batch of walks from ``start``.

@@ -16,9 +16,10 @@ infinite) network:
 Solves are direct sparse LU factorizations.  Each region system is
 assembled from ``Network.arrays`` straight into compressed arrays (the
 matrix is symmetric, so its compressed rows and columns are the same
-arrays), checked for connectivity and factored once; the network keeps its
-``MAX_SYSTEMS`` most recently used systems and frees them with itself.
-Nothing is cached across networks.
+arrays), checked for connectivity and factored once.  The network keeps its
+most recently used systems, at most ``MAX_SYSTEMS`` of them and
+``MAX_SYSTEM_BYTES`` in all, and frees them with itself.  Nothing is cached
+across networks.
 """
 
 from __future__ import annotations
@@ -43,8 +44,13 @@ DEFAULT_TOLERANCE = 1e-10
 # Free solves treat |sum f| <= COMPAT_TOL * max(1, sum|f|) as balanced.
 COMPAT_TOL = 1e-9
 
-# Region systems (matrix and factor) kept per network.
+# Region systems kept per network, and the bytes they may hold together
+# (_System.nbytes).  A factor holds more than its entries: splu reserves
+# room for L and U up front, at least about half a KiB per nonzero of the
+# matrix on line and grid systems (scipy 1.17), for the factor's lifetime.
 MAX_SYSTEMS = 512
+MAX_SYSTEM_BYTES = 64 * 2 ** 20
+RESERVED_PER_NONZERO = 512
 
 
 @dataclass(frozen=True)
@@ -78,13 +84,15 @@ class SolveReport:
 
 class _System(NamedTuple):
     """One region system: the region's sorted vertex positions, its CSC
-    matrix, the factor a Poisson solve uses (None where none is needed) and
-    whether any edge leaves the region."""
+    matrix, the factor a Poisson solve uses (None where none is needed),
+    whether any edge leaves the region, and the bytes of the positions, the
+    matrix and the factor (a double and an int per entry, and its reserve)."""
 
     pos: np.ndarray
     matrix: sp.csc_matrix
     factor: object
     has_crossing: bool
+    nbytes: int
 
 
 def _compressed(row, col, cond, diag):
@@ -134,12 +142,16 @@ def _assemble(net, region, bc):
         row, col = row[off], col[off]
         factor = _ScaledLU(*_compressed(row - (row > o), col - (col > o),
                                         cond[off], np.delete(diag, o)))
-    return _System(pos, matrix, factor, has_crossing)
+    nbytes = pos.nbytes + matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+    if factor is not None:
+        nbytes += 12 * factor.lu.nnz + RESERVED_PER_NONZERO * matrix.nnz
+    return _System(pos, matrix, factor, has_crossing, nbytes)
 
 
 def _system(net, region, bc):
     """The region system from the network's store, assembled and factored on
-    a miss; the store keeps the MAX_SYSTEMS most recently used."""
+    a miss.  The store drops its least recently used systems, never the
+    newest, while it holds more than MAX_SYSTEMS or MAX_SYSTEM_BYTES."""
     key = (frozenset(region), bc)
     with net._lock:
         system = net._systems.get(key)
@@ -148,9 +160,11 @@ def _system(net, region, bc):
             return system
     system = _assemble(net, key[0], bc)
     with net._lock:
-        net._systems[key] = system
-        if len(net._systems) > MAX_SYSTEMS:
-            net._systems.popitem(last=False)
+        stored = net._systems
+        stored[key] = system
+        size = sum(s.nbytes for s in stored.values())
+        while len(stored) > 1 and (len(stored) > MAX_SYSTEMS or size > MAX_SYSTEM_BYTES):
+            size -= stored.popitem(last=False)[1].nbytes
     return system
 
 

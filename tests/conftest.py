@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -56,9 +58,9 @@ def zplus2_plan(zplus2):
     return rn.make_exhaustion(zplus2, range(1, 29))
 
 
-def make_random_net(rng, max_vertices=40):
-    """Random connected weighted graph: a random spanning tree plus a few
-    extra edges, conductances in [0.5, 5]."""
+def random_edges(rng, max_vertices=40):
+    """The edges of a random connected weighted graph on 0, 1, ...: a random
+    spanning tree plus a few extra edges, conductances in [0.5, 5]."""
     n = int(rng.integers(3, max_vertices + 1))
     edges = []
     for v in range(1, n):
@@ -69,7 +71,28 @@ def make_random_net(rng, max_vertices=40):
         a, b = rng.integers(0, n, size=2)
         if a != b:
             edges.append((int(a), int(b), float(rng.uniform(0.5, 5.0))))
-    return rn.Network.from_edges(0, edges)
+    return edges
+
+
+def make_random_net(rng, max_vertices=40):
+    """Random connected weighted graph with origin 0 (see random_edges)."""
+    return rn.Network.from_edges(0, random_edges(rng, max_vertices))
+
+
+def lognormal_grid_edges(side, seed):
+    """A side x side grid with lognormal(0, 1) conductances drawn from
+    ``random.Random(seed)`` and tuple ids, centred on (0, 0): the grid of the
+    report-grid benchmark workload at side 25."""
+    rng = random.Random(seed)
+    h = side // 2
+    edges = []
+    for i in range(-h, h + 1):
+        for j in range(-h, h + 1):
+            if i < h:
+                edges.append(((i, j), (i + 1, j), rng.lognormvariate(0.0, 1.0)))
+            if j < h:
+                edges.append(((i, j), (i, j + 1), rng.lognormvariate(0.0, 1.0)))
+    return edges
 
 
 def random_function(rng, window, scale=2.0):

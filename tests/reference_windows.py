@@ -1,9 +1,116 @@
-"""Reference windows: the built-in families as neighbour generators, one
-pure function of the vertex id each, for ``Network.from_generator``.  The
-closed-form windows of ``models.build`` are pinned against these."""
+"""Reference windows: one breadth-first search over neighbour generators and
+explicit edge lists, in plain Python, building the network arrays vertex by
+vertex.  The closed-form windows of ``models.build`` and the array search of
+``Network.from_edges`` are pinned against it; the built-in families come
+here as neighbour generators, one pure function of the vertex id each."""
 
-from resnet.errors import UnsupportedModelError
-from resnet.network import Network
+from itertools import chain, count, islice
+from operator import itemgetter
+
+import numpy as np
+
+from resnet.errors import ConfigurationError, DomainError, UnsupportedModelError
+from resnet.network import Network, vertex_key, vsorted
+
+
+def explore(origin, neighbor_fn, radius):
+    """Breadth-first search to distance ``radius``, returning ``(dist,
+    adjacency)`` in search order; each adjacency drops zero conductances and
+    is sorted, and visited, in vertex_key order of the neighbours."""
+    dist, adjacency, order = {origin: 0}, {}, [origin]
+    first = itemgetter(0)
+    for x in order:
+        nbrs = []
+        for y, c in neighbor_fn(x):
+            if y == x:
+                raise DomainError(f"generator produced a self loop at {x!r}")
+            c = float(c)
+            if c < 0.0:
+                raise DomainError(f"negative conductance on edge ({x!r}, {y!r})")
+            if c != 0.0:
+                nbrs.append((y, c))
+        # Plain comparison gives vertex_key order unless ints mix with tuples.
+        try:
+            nbrs.sort(key=first)
+        except TypeError:
+            nbrs.sort(key=lambda e: vertex_key(e[0]))
+        adjacency[x] = nbrs = tuple(nbrs)
+        d = dist[x] + 1
+        if d <= radius:
+            for y, _ in nbrs:
+                if y not in dist:
+                    dist[y] = d
+                    order.append(y)
+    return dist, adjacency
+
+
+def searched(origin, dist, adjacency, **kwargs):
+    """The network of ``dist`` and ``adjacency`` as returned by
+    :func:`explore`; it takes ``dist`` over."""
+    try:
+        verts = tuple(sorted(adjacency))
+    except TypeError:  # ints mixed with tuples
+        verts = tuple(vsorted(adjacency))
+    n = len(verts)
+    incident = [adjacency[x] for x in verts]
+    pairs = list(chain.from_iterable(incident))
+    dist_array = np.fromiter(map(dist.__getitem__, verts), np.int64, n)
+    # Re-key the search-order dict from distances to canonical positions;
+    # ids beyond the window get distinct values >= n, increasing in pair
+    # order, and then n + i names the i-th of them.
+    pos = dist
+    pos.update(zip(verts, range(n)))
+    ids = np.fromiter(map(pos.setdefault, map(itemgetter(0), pairs), count(n)),
+                      np.int64, len(pairs))
+    beyond = ids >= n
+    ids[beyond] = n + np.unique(ids[beyond], return_inverse=True)[1]
+    ring = tuple(islice(pos, n, None))
+    for y in ring:
+        del pos[y]
+    return Network(origin, verts, pos, dist_array,
+                   np.fromiter(map(len, incident), np.int64, n), ids,
+                   np.fromiter(map(itemgetter(1), pairs), float, len(pairs)),
+                   ring, **kwargs)
+
+
+def from_generator(origin, neighbor_fn, radius):
+    """The ball of the given radius around the origin.
+
+    ``neighbor_fn(x)`` must return the complete, finite list of
+    ``(neighbor, conductance)`` pairs of ``x`` and must be a pure function of
+    ``x``; the search calls it once per window vertex.  Symmetry is checked
+    once, bit-exactly, on the arrays.
+    """
+    if radius < 0:
+        raise ConfigurationError("window radius must be nonnegative")
+    dist, adjacency = explore(origin, neighbor_fn, radius)
+    return searched(origin, dist, adjacency, window_radius=radius)
+
+
+def from_edges(origin, edges):
+    """The explicit finite network of (u, v, conductance) triples, with
+    parallel edges merged by a dict sum in input order."""
+    merged = {}
+    for u, v, c in edges:
+        if u == v:
+            raise DomainError(f"self loop at {u!r} is not allowed")
+        c = float(c)
+        if c < 0.0:
+            raise DomainError(f"negative conductance on edge ({u!r}, {v!r})")
+        if c == 0.0:
+            continue
+        key = tuple(vsorted((u, v)))
+        merged[key] = merged.get(key, 0.0) + c
+    adjacency = {}
+    for (u, v), c in merged.items():
+        adjacency.setdefault(u, []).append((v, c))
+        adjacency.setdefault(v, []).append((u, c))
+    if origin not in adjacency:
+        raise DomainError(f"origin {origin!r} has no incident edge")
+    dist, found = explore(origin, adjacency.__getitem__, float("inf"))
+    if len(dist) < len(adjacency):
+        raise DomainError("network is not connected")
+    return searched(origin, dist, found)
 
 
 def geom_edge(c, a, b):
@@ -51,4 +158,4 @@ def reference_generator(spec):
 def reference_window(spec, radius):
     """The window of ``spec`` at ``radius``, from one breadth-first search."""
     origin, nbrs = reference_generator(spec)
-    return Network.from_generator(origin, nbrs, radius)
+    return from_generator(origin, nbrs, radius)

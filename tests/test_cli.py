@@ -288,6 +288,20 @@ def test_walk_escape_rejects_the_vertex_flags(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["monopole", "--plan", "radii:x"], "plan 'radii:x': invalid literal for int()"),
+    (["monopole", "--plan", "balls:1..y"], "plan 'balls:1..y': invalid literal"),
+    (["monopole", "--plan", "radii:"], "plan 'radii:': invalid literal"),
+    (["walk", "--op", "escape", "--radii", "2,x", "--walks", "10", "--steps", "10"],
+     "--radii '2,x': invalid literal"),
+])
+def test_malformed_radii_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--model", "unit-line", "--radius", "10", "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model", ["unit-line", "binary-tree"])
 def test_radius_below_one_is_refused(tmp_path, capsys, model):
     out = tmp_path / "net.json"

@@ -14,9 +14,10 @@ from resnet.gaussgreen import (VERDICT_BOUNDARY, VERDICT_DEPENDENT,
 from resnet.kernels import energy_kernel, wired_monopole
 from resnet.models import (ModelSpec, build, log_increment_function,
                            oracle_h_function, oracle_w_o_function)
-from resnet.operators import energy, laplacian_apply, normal_derivative
+from resnet.operators import energy, laplacian_apply
 
 from conftest import make_random_net, random_function
+from reference_pointwise import normal_derivative
 
 
 @pytest.fixture(scope="module")

@@ -5,13 +5,13 @@ import resnet as rn
 from resnet.errors import DomainError, GreenUndefinedError
 from resnet.kernels import (dirac_expansion_check, effective_resistance,
                             energy_kernel, fin_part, green_kernel,
-                            harm_part, harmonicity_residual,
-                            kernel_symmetry_residual, monopole,
-                            reproducing_residual, wired_monopole)
+                            harm_part, monopole, wired_monopole)
 from resnet.models import ModelSpec, build, oracle_w_o_function
 from resnet.operators import energy, laplacian_apply
 
 from conftest import make_random_net, random_function
+from reference_pointwise import (harmonicity_residual, kernel_symmetry_residual,
+                                 reproducing_residual)
 
 
 def test_unit_path_kernel(unit_path, unit_path_plan):

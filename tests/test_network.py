@@ -11,7 +11,7 @@ from resnet.network import vertex_key
 from resnet.serialize import canonical_json
 
 from conftest import make_random_net
-from reference_windows import reference_generator
+from reference_windows import from_generator, reference_generator
 
 
 def test_total_conductance_geometric_origin(geom2):
@@ -121,7 +121,7 @@ def test_rejects_asymmetric_generator():
             return [(1, 1.0)]
         return [(n - 1, 2.0), (n + 1, 1.0)]
     with pytest.raises(DomainError, match=r"edge \(0, 1\): 1\.0 vs 2\.0"):
-        rn.Network.from_generator(0, nbrs, 4)
+        from_generator(0, nbrs, 4)
 
 
 def test_rejects_one_sided_generator_edge():
@@ -130,33 +130,33 @@ def test_rejects_one_sided_generator_edge():
             return [(2, 1.0)]  # lists no edge back to 0
         return [(n - 1, 1.0), (n + 1, 1.0)] if n > 0 else [(1, 1.0)]
     with pytest.raises(DomainError, match=r"edge \(0, 1\): 1\.0 vs None"):
-        rn.Network.from_generator(0, nbrs, 4)
+        from_generator(0, nbrs, 4)
 
 
 def test_rejects_generator_self_loop():
     with pytest.raises(DomainError, match="self loop"):
-        rn.Network.from_generator(0, lambda n: [(n - 1, 1.0), (n, 1.0), (n + 1, 1.0)], 3)
+        from_generator(0, lambda n: [(n - 1, 1.0), (n, 1.0), (n + 1, 1.0)], 3)
 
 
 def test_rejects_generator_negative_conductance():
     with pytest.raises(DomainError, match="negative"):
-        rn.Network.from_generator(0, lambda n: [(n - 1, -1.0), (n + 1, -1.0)], 3)
+        from_generator(0, lambda n: [(n - 1, -1.0), (n + 1, -1.0)], 3)
 
 
 def test_rejects_generator_duplicate_pair():
     with pytest.raises(DomainError, match="duplicate"):
-        rn.Network.from_generator(0, lambda n: [(n - 1, 1.0), (n + 1, 1.0)] * 2, 3)
+        from_generator(0, lambda n: [(n - 1, 1.0), (n + 1, 1.0)] * 2, 3)
 
 
 def test_rejects_generator_isolated_origin():
     with pytest.raises(DomainError, match="isolated"):
-        rn.Network.from_generator(0, lambda n: [(n - 1, 0.0), (n + 1, 0.0)], 3)
+        from_generator(0, lambda n: [(n - 1, 0.0), (n + 1, 0.0)], 3)
 
 
 def test_generator_zero_conductance_pairs_dropped():
     def nbrs(n):
         return [(n - 1, 0.0 if n == 0 else 1.0), (n + 1, 1.0), (n + 10, 0.0)]
-    net = rn.Network.from_generator(0, nbrs, 4)
+    net = from_generator(0, nbrs, 4)
     assert net.vertices == (0, 1, 2, 3, 4)
     assert net.incident(0) == ((1, 1.0),)
     assert net.incident(2) == ((1, 1.0), (3, 1.0))
@@ -184,7 +184,7 @@ def test_neighbor_fn_called_once_per_window_vertex():
     def counted(v):
         calls[v] += 1
         return nbrs(v)
-    net = rn.Network.from_generator(origin, counted, 6)
+    net = from_generator(origin, counted, 6)
     rn.make_exhaustion(net, range(1, 7))
     assert calls == Counter(net.vertices)
 

@@ -5,11 +5,11 @@ from hypothesis import given, strategies as st
 import resnet as rn
 from resnet.errors import DomainError, WindowError
 from resnet.models import oracle_w_o_function
-from resnet.operators import (contract, energy, energy_over_plan,
-                              laplacian_apply, normal_derivative,
-                              transfer_apply)
+from resnet.operators import energy, laplacian_apply
 
 from conftest import make_random_net, random_function
+from reference_pointwise import (contract, energy_over_plan, normal_derivative,
+                                 transfer_apply)
 
 
 @pytest.fixture(scope="module")

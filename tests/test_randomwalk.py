@@ -7,9 +7,9 @@ from resnet import randomwalk
 from resnet.errors import DomainError, NumericalError
 from resnet.models import ModelSpec, build
 from resnet.randomwalk import (WalkConfig, escape_probability, green_estimate,
-                               hitting_probability, step,
-                               transition_probabilities)
+                               hitting_probability)
 from conftest import make_random_net
+from reference_pointwise import step, transition_probabilities
 
 
 def test_transition_probabilities_sum_to_one(geom2, zplus2):

@@ -217,6 +217,27 @@ def test_system_store_keeps_the_most_recently_used(monkeypatch):
     assert list(net._systems) == [(net.ball(1), WIRED), (net.ball(3), WIRED)]
 
 
+def test_a_long_wired_trace_keeps_the_store_under_its_byte_bound():
+    # The wired trace of a 600-stage unit line assembles systems the store
+    # counts at about 560 MB, each used once.
+    net = build(ModelSpec("unit_line"), radius=601)
+    plan = rn.make_exhaustion(net, range(1, 601))
+    element = rn.wired_monopole(net, 0, plan)
+    assert len(element.stage_energies) == 600
+    stored = net._systems
+    assert sum(s.nbytes for s in stored.values()) <= solver.MAX_SYSTEM_BYTES
+    assert next(reversed(stored)) == (plan.final, WIRED)
+    assert len(stored) < 600 and len(stored) < solver.MAX_SYSTEMS
+
+
+def test_system_store_keeps_the_newest_system_beyond_the_byte_bound(monkeypatch):
+    net = build(ModelSpec("geom_z", {"c": 2.0}), radius=8)
+    monkeypatch.setattr(solver, "MAX_SYSTEM_BYTES", 1)
+    for r in (1, 2, 3):
+        solve_poisson(net, net.ball(r), {0: 1.0}, WIRED)
+        assert list(net._systems) == [(net.ball(r), WIRED)]
+
+
 def test_unknown_bc_rejected(unit_path):
     with pytest.raises(DomainError):
         solve_poisson(unit_path, unit_path.vertices, {}, "periodic")

@@ -17,7 +17,7 @@ from resnet.gaussgreen import (balanced_check, ell2_converse_check,
                                harmonic_boundary_representation,
                                two_sum_identity_check)
 from resnet.kernels import (dirac_expansion_check, energy_kernel, harm_part,
-                            harmonicity_residual, wired_monopole)
+                            wired_monopole)
 from resnet.models import (ModelSpec, build, oracle_h_function, oracle_residuals,
                            oracle_v_function, oracle_w_o_function)
 from resnet.network import vsorted
@@ -26,6 +26,7 @@ from resnet.operators import (energy, laplacian_apply,
 from resnet.solver import WIRED, solve_poisson
 
 from conftest import random_function
+from reference_pointwise import harmonicity_residual
 
 
 # -- per-vertex references ----------------------------------------------------

@@ -1,5 +1,6 @@
-"""The closed-form windows of ``models.build`` against one breadth-first
-search over the reference generators: the same arrays, search order, ring,
+"""The closed-form windows of ``models.build``, and the array search of
+``Network.from_edges``, against one plain breadth-first search over the
+reference generators and edge lists: the same arrays, search order, ring,
 balls and incident pairs, bit for bit."""
 
 import dataclasses
@@ -9,9 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from resnet.errors import DomainError
 from resnet.models import ModelSpec, _largest_exponent, build
+from resnet.network import Network
 
-from reference_windows import reference_window
+from conftest import lognormal_grid_edges, random_edges
+from reference_windows import from_edges, reference_window
 
 
 def assert_same_window(net, ref, radii):
@@ -79,3 +83,63 @@ def test_log_increment_window_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak < 28 * 2 ** 20
+
+
+def assert_same_explicit_network(origin, edges):
+    ref = from_edges(origin, edges)
+    assert_same_window(Network.from_edges(origin, edges), ref, range(len(ref._cuts)))
+
+
+VERTEX_IDS = st.one_of(st.integers(-40, 40),
+                       st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+CONDUCTANCES = st.floats(min_value=0.125, max_value=8.0)
+
+
+@st.composite
+def edge_lists(draw):
+    """(origin, edges) of a connected network: a spanning tree on ids that
+    may mix ints and tuples, extra edges with some zero conductances, one edge
+    repeated at least 9 times with distinct values, in shuffled order and
+    orientation."""
+    ids = draw(st.lists(VERTEX_IDS, min_size=2, max_size=25, unique=True))
+    edges = [(ids[draw(st.integers(0, v - 1))], ids[v], draw(CONDUCTANCES))
+             for v in range(1, len(ids))]
+    extra = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                                    st.one_of(st.just(0.0), CONDUCTANCES)),
+                          max_size=30))
+    edges += [e for e in extra if e[0] != e[1]]
+    u, v, _ = draw(st.sampled_from(edges))
+    copies = draw(st.lists(CONDUCTANCES, min_size=9, max_size=14, unique=True))
+    edges += [(u, v, c) for c in copies]
+    edges = draw(st.permutations(edges))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return ids[0], [(v, u, c) if flip else (u, v, c)
+                    for (u, v, c), flip in zip(edges, flips)]
+
+
+@given(edge_lists())
+def test_from_edges_matches_the_reference_search(case):
+    assert_same_explicit_network(*case)
+
+
+def test_from_edges_matches_the_reference_search_on_the_test_nets():
+    assert_same_explicit_network(0, [(0, 1, 1.0), (1, 2, 1.0)])
+    assert_same_explicit_network(0, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+    for seed in range(10):
+        assert_same_explicit_network(0, random_edges(np.random.default_rng(seed)))
+    for seed in (1, 2, 3):
+        assert_same_explicit_network((0, 0), lognormal_grid_edges(25, seed))
+
+
+@pytest.mark.parametrize("origin, edges, message", [
+    (0, [(0, 1, 1.0), (2, 2, 1.0)], "self loop at 2 is not allowed"),
+    (0, [(0, 1, 1.0), (1, (0, 1), -0.5)], r"negative conductance on edge \(1, \(0, 1\)\)"),
+    (0, [(0, 1, 0.0), (1, 2, 1.0)], "origin 0 has no incident edge"),
+    (5, [(0, 1, 1.0)], "origin 5 has no incident edge"),
+    (0, [], "origin 0 has no incident edge"),
+    (0, [(0, 1, 1.0), (2, 3, 1.0), (1, 3, 0.0)], "network is not connected"),
+])
+def test_from_edges_refuses_what_the_reference_search_refuses(origin, edges, message):
+    for build_network in (Network.from_edges, from_edges):
+        with pytest.raises(DomainError, match=message):
+            build_network(origin, edges)
