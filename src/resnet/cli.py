@@ -166,15 +166,15 @@ def _resolve_function(net, plan, text):
         if spec is None or spec.family != "geom_z":
             raise ConfigurationError("'harm' preset needs a geom-z model network")
         radius = plan.final_radius
-        return oracle_h_function(spec, radius, unit_energy=True)
+        return oracle_h_function(spec, radius, unit_energy=True, vertices=net.vertices)
     if text == "w_o":
         if spec is not None and spec.family in ("geom_z", "geom_zplus"):
-            return oracle_w_o_function(spec, plan.final_radius)
+            return oracle_w_o_function(spec, plan.final_radius, net.vertices)
         return wired_monopole(net, net.origin, plan).approximant
     if text == "logu":
         if spec is None or spec.family != "log_increment_line":
             raise ConfigurationError("'logu' preset needs the log-increment-line model")
-        return log_increment_function(plan.final_radius)
+        return log_increment_function(plan.final_radius, net.vertices)
     if text.startswith("v:x="):
         x = _parse_vertex(text[4:])
         return energy_kernel(net, x, plan).approximant

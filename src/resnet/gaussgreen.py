@@ -209,18 +209,20 @@ def gauss_green(net, u, v, plan, alt_plan=None, *, limit_tol=LIMIT_TOL):
     Every stage of both plans must lie inside the windows of u and v; a
     WindowError naming the plan is raised before any stage is evaluated.
     """
-    covered = u.window if v is u else u.window & v.window
-    for p in (plan, alt_plan):
-        if p is not None and not p.final <= covered:
+    plans = (plan,) if alt_plan is None else (plan, alt_plan)
+    covered = np.zeros((2, len(net.vertices)), bool)
+    for row, f in zip(covered, (u, v)):
+        row[f._positions_in(net)[0]] = True
+    for p in plans:
+        if not covered[:, net._ball_positions(p.final_radius)].all():
             raise WindowError(
                 f"plan {p.descriptor!r} reaches radius {p.final_radius}, "
                 "beyond the windows of u and v")
-    plans = (plan,) if alt_plan is None else (plan, alt_plan)
     energy_at, vertex_at, boundary_at, mass = _stage_sums(net, u, v, plans)
-    stages = tuple(GaussGreenStage(radius=r, size=len(stage), energy=energy_at[r],
+    stages = tuple(GaussGreenStage(radius=r, size=net._cut(r), energy=energy_at[r],
                                    vertex_sum=vertex_at[r], boundary_sum=boundary_at[r],
                                    residual=energy_at[r] - vertex_at[r] - boundary_at[r])
-                   for r, stage in zip(plan.radii, plan.stages))
+                   for r in plan.radii)
     boundary_limit, b_conv = _limit_estimate([s.boundary_sum for s in stages], limit_tol)
     vertex_limit, _ = _limit_estimate([s.vertex_sum for s in stages], limit_tol)
     energies = [s.energy for s in stages]

@@ -15,8 +15,7 @@ computation that did not settle never pretends otherwise.
 
 The stage loops run on the solver's arrays: the origin pin, the stage
 energies (the edge sum of :func:`~resnet.operators.energy`), the harmonic
-difference h = u_free − u_wired and the probe deltas build no dict function;
-only a returned approximant becomes a :class:`VertexFunction`.  The
+difference h = u_free − u_wired and the probe deltas.  The
 harmonic dimension probe of :mod:`resnet.transience` builds one free and one
 wired trace per sample vertex and reads both v_x and h_x from them.
 """
@@ -108,8 +107,10 @@ class ResistanceValue:
 def _probe_positions(net, x, plan):
     """Sorted positions of the probe vertices: the origin, x, their
     neighbours and five seeded picks from the rest of the final stage."""
-    probes = plan.final & {net.origin, x, *net.neighbors(net.origin), *net.neighbors(x)}
-    final, chosen = net._positions(plan.final), net._positions(probes)
+    near = {net.origin, x, *net.neighbors(net.origin), *net.neighbors(x)}
+    chosen = net._positions([y for y in near if net.has_vertex(y)
+                             and net.distance(y) <= plan.final_radius])
+    final = net._ball_positions(plan.final_radius)
     pool = final[~np.isin(final, chosen)]
     rng = np.random.default_rng(_PROBE_SEED)
     picks = (rng.choice(len(pool), size=min(5, len(pool)), replace=False)
@@ -117,11 +118,13 @@ def _probe_positions(net, x, plan):
     return np.union1d(chosen, pool[picks])
 
 
-def _usable_stages(plan, *needed):
-    stages = [s for s in plan.stages if all(v in s for v in needed)]
-    if not stages:
+def _usable_stages(net, plan, *needed):
+    """The plan's balls that hold the ``needed`` vertices, built in turn."""
+    far = max(map(net.distance, needed))
+    radii = [r for r in plan.radii if far <= r]
+    if not radii:
         raise DomainError("no exhaustion stage contains the required vertices")
-    return stages
+    return net._balls(radii)
 
 
 def _energy_of(net, pos, u, v=None):
@@ -155,7 +158,7 @@ def _dipole_trace(net, x, plan, bc, tol, *, energies=True):
     source = {x: 1.0, net.origin: -1.0}
     stages, stage_energies, deltas = [], [], []
     prev = None
-    for stage in _usable_stages(plan, x, net.origin):
+    for stage in _usable_stages(net, plan, x, net.origin):
         rep = solve_poisson(net, stage, source, bc)
         i = np.searchsorted(rep.pos, o)
         u = rep.values - rep.values[i]
@@ -260,8 +263,8 @@ def _wired_trace(net, x, plan):
     energy, edges to the ghost included, and increases to R(x→∞).  The trace
     ends at the first R_r past ``DIVERGENCE_CAP``; a stage covering a whole
     finite network raises IncompatibleSourceError."""
-    resistances, i = [], net._pos[x]
-    for stage in _usable_stages(plan, x):
+    resistances, i = [], net._require(x)
+    for stage in _usable_stages(net, plan, x):
         rep = solve_poisson(net, stage, {x: 1.0}, WIRED)
         resistances.append(float(rep.values[np.searchsorted(rep.pos, i)]))
         if resistances[-1] > DIVERGENCE_CAP:
@@ -392,9 +395,9 @@ def effective_resistance(net, x, y, plan, variant=FREE):
         raise DomainError("effective resistance needs two distinct vertices")
     if variant not in (FREE, WIRED):
         raise DomainError(f"unknown variant {variant!r}")
-    source, ends = {x: 1.0, y: -1.0}, [net._pos[x], net._pos[y]]
+    source, ends = {x: 1.0, y: -1.0}, [net._require(x), net._require(y)]
     values = []
-    for stage in _usable_stages(plan, x, y):
+    for stage in _usable_stages(net, plan, x, y):
         rep = solve_poisson(net, stage, source, variant)
         ux, uy = rep.values[np.searchsorted(rep.pos, ends)]
         values.append(float(ux - uy))

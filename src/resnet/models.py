@@ -228,9 +228,8 @@ def build(spec, radius=None):
     ids[beyond] = len(vertices) + np.arange(np.count_nonzero(beyond))
     model = {"model": spec.family, "params": dict(spec.params), "radius": int(radius)}
     model["params"].pop("radius", None)
-    order = order.tolist()
-    return Network(origin, vertices, dict(zip(map(vertices.__getitem__, order), order)),
-                   dist, degree, ids, cond, ring, window_radius=radius, model=model)
+    return Network(origin, vertices, order, dist, degree, ids, cond, ring,
+                   window_radius=radius, model=model)
 
 
 def spec_of(net):
@@ -308,17 +307,27 @@ def harmonic_energy(spec):
     return 2.0 * (1.0 - r) / r
 
 
-def oracle_v_function(spec, n, radius):
+def _line_function(window, values, gauge, vertices):
+    """``values`` on the integer range ``window``, built on ``vertices``, the
+    canonical tuple of a window of the model at least as large, if given."""
+    vertices = tuple(window) if vertices is None else vertices
+    return VertexFunction.at_positions(vertices, np.array(window) - vertices[0], values,
+                                       gauge)
+
+
+def oracle_v_function(spec, n, radius, vertices=None):
     window = range(-radius, radius + 1) if spec.family == "geom_z" else range(radius + 1)
-    return VertexFunction({k: oracle_v(spec, n, k) for k in window}, GAUGE_ORIGIN)
+    return _line_function(window, [oracle_v(spec, n, k) for k in window], GAUGE_ORIGIN,
+                          vertices)
 
 
-def oracle_w_o_function(spec, radius):
+def oracle_w_o_function(spec, radius, vertices=None):
     window = range(-radius, radius + 1) if spec.family == "geom_z" else range(radius + 1)
-    return VertexFunction({k: oracle_w_o(spec, k) for k in window}, GAUGE_VANISH)
+    return _line_function(window, [oracle_w_o(spec, k) for k in window], GAUGE_VANISH,
+                          vertices)
 
 
-def oracle_h_function(spec, radius, *, unit_energy=False):
+def oracle_h_function(spec, radius, *, unit_energy=False, vertices=None):
     """The harmonic oracle on a symmetric window, optionally scaled to E(h) = 1.
 
     For a harmonic function the whole energy arrives through the boundary
@@ -326,17 +335,16 @@ def oracle_h_function(spec, radius, *, unit_energy=False):
     over symmetric exhaustions converges to exactly 1.
     """
     window = range(-radius, radius + 1)
-    values = {k: oracle_h(spec, k) for k in window}
+    values = np.array([oracle_h(spec, k) for k in window])
     if unit_energy:
         e = harmonic_energy(spec)
         if e <= 0.0:
             raise UnsupportedModelError("no nonconstant harmonic function to normalize")
-        s = e ** -0.5
-        values = {k: s * v for k, v in values.items()}
-    return VertexFunction(values, GAUGE_ORIGIN)
+        values = e ** -0.5 * values
+    return _line_function(window, values, GAUGE_ORIGIN, vertices)
 
 
-def log_increment_function(radius):
+def log_increment_function(radius, vertices=None):
     """The unbounded finite-energy test function on the unit half-line.
 
     u(0) = 0 and u(n) − u(n−1) is 1/k when n = 2^k, else 1/n.  The n = 1
@@ -350,8 +358,8 @@ def log_increment_function(radius):
     k = np.arange(1, int(radius).bit_length())
     inc[(1 << k) - 1] = 1.0 / k
     inc[0] = 1.0
-    return VertexFunction(zip(range(radius + 1), [0.0] + np.cumsum(inc).tolist()),
-                          GAUGE_ORIGIN)
+    return _line_function(range(radius + 1), np.concatenate(([0.0], np.cumsum(inc))),
+                          GAUGE_ORIGIN, vertices)
 
 
 def oracle_residuals(spec, radius=30):
@@ -369,12 +377,12 @@ def oracle_residuals(spec, radius=30):
     interior = net.interior_of(net.ball(radius))
     out = {}
     n0 = 2 if radius >= 3 else 1
-    v = oracle_v_function(spec, n0, radius)
+    v = oracle_v_function(spec, n0, radius, net.vertices)
     out["dipole"] = scaled_laplacian_residual(net, v, {n0: 1.0, 0: -1.0}, interior)
-    w = oracle_w_o_function(spec, radius)
+    w = oracle_w_o_function(spec, radius, net.vertices)
     out["monopole"] = scaled_laplacian_residual(net, w, {0: 1.0}, interior)
     if spec.family == "geom_z":
-        h = oracle_h_function(spec, radius)
+        h = oracle_h_function(spec, radius, vertices=net.vertices)
         out["harmonic"] = scaled_laplacian_residual(net, h, {}, interior)
     return out
 

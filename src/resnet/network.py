@@ -13,7 +13,9 @@ the built-in families give theirs in closed form
 (:func:`resnet.models.build`), an explicit edge list from one breadth-first
 search over its compressed rows.  The constructor builds the
 :class:`NetworkArrays` every query reads and checks conductance symmetry
-once, on them.  A ball is a prefix of the search order: O(|B_r|).
+once, on them.  A ball is a radius: B_r is a prefix of the search order, an
+int array, and an exhaustion plan keeps radii.  A function on a window is an
+array of values over canonical positions (:class:`VertexFunction`).
 
 Vertex ids are integers, or tuples of integers for branched models such as
 stars and trees.
@@ -21,10 +23,12 @@ stars and trees.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import repeat
 from threading import Lock
 
 import numpy as np
@@ -47,7 +51,14 @@ def vertex_key(v):
 
 
 def vsorted(vertices):
-    return sorted(vertices, key=vertex_key)
+    """The vertices in :func:`vertex_key` order: plain order, unless ints
+    mix with tuples."""
+    vertices = list(vertices)
+    try:
+        vertices.sort()
+    except TypeError:  # ints mixed with tuples
+        vertices.sort(key=vertex_key)
+    return vertices
 
 
 class Network:
@@ -59,23 +70,24 @@ class Network:
     :meth:`from_edges` gives an explicit finite network its arrays from one
     breadth-first search.  ``arrays``, the :class:`NetworkArrays` of the
     window, is the one representation of it that every query, solve and walk
-    reads.  The network also owns the store of its solver systems (bounded
+    reads.  The search order is an int array of positions, and the dict
+    from vertex id to position is built on the first lookup by id.  The
+    network also owns the store of its solver systems (bounded
     in count and bytes, freed with it), guarded by a per-network lock.
     Instances are safe to share across threads.
     """
 
-    def __init__(self, origin, vertices, pos, dist, degree, ids, cond, ring, *,
+    def __init__(self, origin, vertices, order, dist, degree, ids, cond, ring, *,
                  window_radius=None, model=None):
-        """The window as arrays: ``vertices`` in canonical order; ``pos``,
-        each vertex in search order (distances nondecreasing) to its
-        canonical position, a dict the network takes over; ``dist``
-        and ``degree``, the distance and row length of each vertex; ``ids``
-        and ``cond``, the neighbour and conductance of each pair, rows in
-        canonical order and each row in canonical order of its neighbours.
+        """The window as arrays: ``vertices`` in canonical order; ``order``,
+        the canonical positions in search order (distances nondecreasing);
+        ``dist`` and ``degree``, the distance and row length of each vertex;
+        ``ids`` and ``cond``, the neighbour and conductance of each pair, rows
+        in canonical order and each row in canonical order of its neighbours.
         A neighbour in the window is its position; ``ring[i]``, the i-th
         vertex of the tuple ``ring`` just outside the window, is n + i."""
         self.origin, self.model, self.window_radius = origin, model, window_radius
-        self._vertices, self._pos, self._ring, self._ids = vertices, pos, ring, ids
+        self._vertices, self._order, self._ring, self._ids = vertices, order, ring, ids
         self.arrays = NetworkArrays.of(dist, degree, ids, cond)
         self._validate()
         # Ball B_r is the first _cuts[r] vertices of the search order.
@@ -105,10 +117,7 @@ class Network:
         found = {w for u, v, _ in kept for w in (u, v)}
         if origin not in found:
             raise DomainError(f"origin {origin!r} has no incident edge")
-        try:
-            verts = tuple(sorted(found))
-        except TypeError:  # ints mixed with tuples
-            verts = tuple(vsorted(found))
+        verts = tuple(vsorted(found))
         n = len(verts)
         index = dict(zip(verts, range(n)))
         # Each edge both ways, in input order: the sorted keys row * n + column
@@ -125,12 +134,11 @@ class Network:
         search, parent = breadth_first_order(graph, index[origin], directed=True)
         if len(search) < n:
             raise DomainError("network is not connected")
-        search = search.tolist()
         dist = [0] * n
-        for v, p in zip(search[1:], parent[search[1:]].tolist()):
+        for v, p in zip(search[1:].tolist(), parent[search[1:]].tolist()):
             dist[v] = dist[p] + 1
-        pos = dict(zip(map(verts.__getitem__, search), search))
-        return cls(origin, verts, pos, np.array(dist, np.int64), degree, ids, cond, ())
+        return cls(origin, verts, search.astype(np.int64), np.array(dist, np.int64),
+                   degree, ids, cond, ())
 
     def _validate(self):
         """Reject duplicate pairs, isolated vertices and one-sided or
@@ -174,6 +182,10 @@ class Network:
     def max_radius(self):
         """The window radius, or on a finite network the largest distance."""
         return len(self._cuts) - 1 if self.is_finite else self.window_radius
+
+    @cached_property
+    def _pos(self):
+        return dict(zip(self._vertices, range(len(self._vertices))))
 
     def has_vertex(self, x):
         return x in self._pos
@@ -235,16 +247,33 @@ class Network:
 
     # -- subsets, balls and boundaries --------------------------------------
 
-    def ball(self, radius):
-        """Vertices within graph distance ``radius`` of the origin: a prefix
-        of the search order, so O(|B_r|)."""
+    def _cut(self, radius):
+        """|B_r|: the length of the search-order prefix that is the ball."""
         if radius < 0:
             raise DomainError("radius must be nonnegative")
         if not self.is_finite and radius > self.window_radius:
             raise WindowError(
                 f"ball radius {radius} exceeds the materialized window "
                 f"(radius {self.window_radius})")
-        return frozenset(islice(self._pos, self._cuts[min(radius, len(self._cuts) - 1)]))
+        return self._cuts[min(radius, len(self._cuts) - 1)]
+
+    def ball(self, radius):
+        """Vertices within graph distance ``radius`` of the origin: a prefix
+        of the search order, so O(|B_r|)."""
+        return next(self._balls((radius,)))
+
+    def _ball_positions(self, radius):
+        """The sorted canonical positions of B_r."""
+        return np.sort(self._order[:self._cut(radius)])
+
+    def _balls(self, radii):
+        """The balls of the increasing ``radii``, each grown from the last."""
+        ball, lo = frozenset(), 0
+        for r in radii:
+            hi = self._cut(r)
+            ball = ball.union(map(self._vertices.__getitem__, self._order[lo:hi].tolist()))
+            lo = hi
+            yield ball
 
     def _positions(self, subset):
         """The sorted canonical positions of a set of window vertices; the
@@ -336,26 +365,36 @@ class NetworkArrays:
 
 
 @dataclass(frozen=True)
-class ExhaustionPlan:
+class ExhaustionPlan(Sequence):
     """Nested increasing finite connected vertex sets exhausting a network.
 
     Stages are graph-distance balls around the origin, so nesting,
-    connectedness and containment of the origin hold by construction.
+    connectedness and containment of the origin hold by construction.  A
+    plan holds radii; it is the sequence of its stages, each ball built when
+    it is read.
     """
 
-    stages: tuple
     radii: tuple
     descriptor: str
+    net: Network = field(repr=False)
 
     def __len__(self):
-        return len(self.stages)
+        return len(self.radii)
 
     def __iter__(self):
-        return iter(self.stages)
+        return self.net._balls(self.radii)
+
+    def __getitem__(self, k):
+        return (tuple(map(self.net.ball, self.radii[k])) if isinstance(k, slice)
+                else self.net.ball(self.radii[k]))
+
+    @property
+    def stages(self):
+        return self
 
     @property
     def final(self):
-        return self.stages[-1]
+        return self.net.ball(self.radii[-1])
 
     @property
     def final_radius(self):
@@ -371,10 +410,10 @@ def make_exhaustion(net, radii, descriptor=None):
         raise ConfigurationError("radii must be positive")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigurationError(f"radius schedule must be strictly increasing: {radii}")
-    stages = tuple(net.ball(r) for r in radii)
+    net._cut(radii[-1])  # a ball beyond the window raises here
     if descriptor is None:
         descriptor = "balls:" + ",".join(str(r) for r in radii)
-    return ExhaustionPlan(stages=stages, radii=radii, descriptor=descriptor)
+    return ExhaustionPlan(radii=radii, descriptor=descriptor, net=net)
 
 
 def doubling_exhaustion(net):
@@ -390,19 +429,28 @@ def doubling_exhaustion(net):
 class VertexFunction:
     """Real-valued function on a finite vertex window with an explicit gauge.
 
+    ``_values[i]`` is the value at vertex ``_vertices[_pos[i]]``: a tuple of
+    ids in canonical order, and increasing positions into it, the window.
+    A function computed on a network shares its ``vertices`` tuple
+    (:meth:`at_positions`), so the network reads it by indexing; one built
+    from a mapping is built on its own sorted keys.  An id is found by
+    binary search in canonical order.
+
     The gauge records which representative of an energy equivalence class the
     values carry: ``origin-zero`` (value 0 at the origin), ``vanish-at-infinity``
     (values tending to 0 at the window edge) or ``raw``.  Reading a vertex
     outside the window raises :class:`WindowError`.
     """
 
-    __slots__ = ("_values", "gauge")
+    __slots__ = ("_vertices", "_pos", "_values", "gauge")
 
     def __init__(self, values, gauge=GAUGE_RAW):
+        values = dict(values)
+        keys = tuple(vsorted(values))
         if gauge not in GAUGES:
             raise ConfigurationError(f"unknown gauge {gauge!r}")
-        self._values = dict(values)
-        self.gauge = gauge
+        self._vertices, self._pos, self.gauge = keys, np.arange(len(keys)), gauge
+        self._values = np.fromiter(map(values.__getitem__, keys), float, len(keys))
 
     @classmethod
     def zero(cls, window, gauge=GAUGE_RAW):
@@ -410,67 +458,98 @@ class VertexFunction:
 
     @classmethod
     def at_positions(cls, vertices, pos, values, gauge=GAUGE_RAW):
-        """The function with ``values[i]`` at vertex ``vertices[pos[i]]``."""
-        return cls(zip(map(vertices.__getitem__, pos.tolist()), values.tolist()), gauge)
+        """The function with ``values[i]`` at vertex ``vertices[pos[i]]``, for
+        a canonical vertex tuple and increasing positions ``pos``."""
+        u = cls((), gauge)
+        u._vertices, u._pos, u._values = vertices, np.asarray(pos), np.array(values, float)
+        return u
 
     @classmethod
     def indicator(cls, window, on, gauge=GAUGE_RAW):
         on = frozenset(on)
         return cls({x: (1.0 if x in on else 0.0) for x in window}, gauge)
 
+    def _index(self, x):
+        """The index of vertex ``x`` in the arrays, or -1 off the window."""
+        try:
+            k = bisect_left(self._vertices, vertex_key(x), key=vertex_key)
+        except TypeError:  # not a vertex id
+            return -1
+        i = int(np.searchsorted(self._pos, k))
+        hit = i < len(self._pos) and self._pos[i] == k and self._vertices[k] == x
+        return i if hit else -1
+
+    def _ids(self):
+        return map(self._vertices.__getitem__, self._pos.tolist())
+
+    def _positions_in(self, net):
+        """The increasing positions in ``net`` of the window vertices, and the
+        values there: the function's own arrays when it is on
+        ``net.vertices``, else translated through ``net._pos`` (both tuples
+        are in canonical order)."""
+        if self._vertices is net.vertices:
+            return self._pos, self._values
+        pos = np.fromiter(map(net._pos.get, self._ids(), repeat(-1)), np.int64, len(self))
+        keep = np.flatnonzero(pos >= 0)
+        return pos[keep], self._values[keep]
+
     @property
     def window(self):
-        return frozenset(self._values)
+        return frozenset(self._ids())
 
     def __contains__(self, x):
-        return x in self._values
+        return self._index(x) >= 0
 
     def __len__(self):
-        return len(self._values)
+        return len(self._pos)
 
     def value(self, x):
-        try:
-            return self._values[x]
-        except KeyError:
-            raise WindowError(f"vertex {x!r} is outside the function window") from None
+        i = self._index(x)
+        if i < 0:
+            raise WindowError(f"vertex {x!r} is outside the function window")
+        return float(self._values[i])
 
     __call__ = value
 
     def items(self):
         """(vertex, value) pairs in canonical vertex order."""
-        return [(x, self._values[x]) for x in vsorted(self._values)]
+        return list(zip(self._ids(), self._values.tolist()))
+
+    def _like(self, at, values, gauge):
+        """``values`` at the window entries ``at``, on the same vertex tuple."""
+        return VertexFunction.at_positions(self._vertices, self._pos[at], values, gauge)
 
     def restricted(self, window):
-        window = frozenset(window)
-        missing = window - self.window
+        at = {x: self._index(x) for x in frozenset(window)}
+        missing = [x for x, i in at.items() if i < 0]
         if missing:
             raise WindowError(f"window extends beyond the function: {vsorted(missing)[:3]}")
-        return VertexFunction({x: self._values[x] for x in window}, self.gauge)
+        at = np.sort(np.fromiter(at.values(), np.int64, len(at)))
+        return self._like(at, self._values[at], self.gauge)
 
     def shifted(self, k):
         """The representative u + k (same class, raw gauge)."""
-        return VertexFunction({x: v + k for x, v in self._values.items()}, GAUGE_RAW)
+        return self._like(slice(None), self._values + k, GAUGE_RAW)
 
     def pinned_at(self, origin):
         """The representative with value exactly 0 at ``origin``."""
-        u0 = self.value(origin)
-        vals = {x: v - u0 for x, v in self._values.items()}
-        vals[origin] = 0.0
-        return VertexFunction(vals, GAUGE_ORIGIN)
+        values = self._values - self.value(origin)
+        values[self._index(origin)] = 0.0
+        return self._like(slice(None), values, GAUGE_ORIGIN)
 
     def scaled(self, a):
-        return VertexFunction({x: a * v for x, v in self._values.items()}, self.gauge)
+        return self._like(slice(None), a * self._values, self.gauge)
 
     def _merge(self, other, op):
-        window = self.window & other.window
-        return VertexFunction({x: op(self._values[x], other._values[x]) for x in window},
-                              GAUGE_RAW)
+        theirs = np.fromiter(map(other._index, self._ids()), np.int64, len(self))
+        at = np.flatnonzero(theirs >= 0)
+        return self._like(at, op(self._values[at], other._values[theirs[at]]), GAUGE_RAW)
 
     def __add__(self, other):
-        return self._merge(other, lambda a, b: a + b)
+        return self._merge(other, np.add)
 
     def __sub__(self, other):
-        return self._merge(other, lambda a, b: a - b)
+        return self._merge(other, np.subtract)
 
     def __mul__(self, a):
         return self.scaled(float(a))

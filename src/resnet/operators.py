@@ -42,12 +42,14 @@ def read_values(net, u, positions):
     """u at the given vertex positions, scattered into an array over every
     vertex (0.0 elsewhere); reads through u's window, so a vertex outside it
     raises WindowError."""
-    ids = list(map(net.vertices.__getitem__, positions.tolist()))
+    have, values = u._positions_in(net)
+    at = np.searchsorted(have, positions)
+    found = at < len(have)
+    found[found] = have[at[found]] == positions[found]
+    if not found.all():  # u.value names the first vertex outside the window
+        u.value(net.vertices[positions[np.argmin(found)]])
     out = np.zeros(len(net.vertices))
-    try:
-        out[positions] = np.fromiter(map(u._values.__getitem__, ids), float, len(ids))
-    except KeyError:  # u.value names the vertex outside the window
-        out[positions] = np.fromiter(map(u.value, ids), float, len(ids))
+    out[positions] = values[at]
     return out
 
 

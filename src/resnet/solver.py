@@ -19,7 +19,12 @@ matrix is symmetric, so its compressed rows and columns are the same
 arrays), checked for connectivity and factored once.  The network keeps its
 most recently used systems, at most ``MAX_SYSTEMS`` of them and
 ``MAX_SYSTEM_BYTES`` in all, and frees them with itself.  Nothing is cached
-across networks.
+across networks.  The byte count takes ``RESERVED_PER_NONZERO`` (512 B) per
+matrix nonzero for the room splu reserves, about what the factors of large
+line and grid systems take; a small factor reserves 1.9-4.4 KB of address
+space per nonzero (a 500-row line, a 10x10 grid; scipy 1.17), so in a
+session of many small systems it is the ``MAX_SYSTEMS`` cap that bounds
+memory.
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ COMPAT_TOL = 1e-9
 
 # Region systems kept per network, and the bytes they may hold together
 # (_System.nbytes).  A factor holds more than its entries: splu reserves
-# room for L and U up front, at least about half a KiB per nonzero of the
-# matrix on line and grid systems (scipy 1.17), for the factor's lifetime.
+# room for L and U up front for the factor's lifetime, counted here as half
+# a KiB per matrix nonzero (see the module docstring for small factors).
 MAX_SYSTEMS = 512
 MAX_SYSTEM_BYTES = 64 * 2 ** 20
 RESERVED_PER_NONZERO = 512
@@ -60,8 +65,8 @@ class SolveReport:
     ``pos`` holds the region's canonical vertex positions in increasing
     order (read-only: the stored system shares it) and ``values`` the
     solution at them; ``vertices`` is the network's canonical vertex tuple.
-    ``solution`` is the same function as a :class:`VertexFunction`, built on
-    first access, so a solve whose caller reads the arrays builds no dict.
+    ``solution`` is the same function as a :class:`VertexFunction` over the
+    same arrays, built on first access.
 
     The residual is the max over region rows of |(system·u − f)(x)| scaled by
     max(1, c(x)) and the solution magnitude, a backward-error style metric:

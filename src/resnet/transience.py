@@ -105,7 +105,7 @@ def grounded_projection_of_one(net, plan=None):
 def _grounded_projection(net, plan, trace):
     """:func:`grounded_projection_of_one` on the origin's wired trace that
     ``trace()`` returns; a plan covering a finite network needs none."""
-    if net.is_finite and len(plan.final) == len(net.vertices):
+    if net.is_finite and net._cut(plan.final_radius) == len(net.vertices):
         # Finite network: 1 is itself finitely supported, so P⊥1 = 0.
         zero = VertexFunction.zero(plan.final)
         return GroundedProjection(u=zero, u_o=0.0, energy=0.0, converged=True,

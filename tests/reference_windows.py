@@ -57,7 +57,8 @@ def searched(origin, dist, adjacency, **kwargs):
     dist_array = np.fromiter(map(dist.__getitem__, verts), np.int64, n)
     # Re-key the search-order dict from distances to canonical positions;
     # ids beyond the window get distinct values >= n, increasing in pair
-    # order, and then n + i names the i-th of them.
+    # order, and then n + i names the i-th of them.  The first n values are
+    # the search order as positions.
     pos = dist
     pos.update(zip(verts, range(n)))
     ids = np.fromiter(map(pos.setdefault, map(itemgetter(0), pairs), count(n)),
@@ -65,9 +66,8 @@ def searched(origin, dist, adjacency, **kwargs):
     beyond = ids >= n
     ids[beyond] = n + np.unique(ids[beyond], return_inverse=True)[1]
     ring = tuple(islice(pos, n, None))
-    for y in ring:
-        del pos[y]
-    return Network(origin, verts, pos, dist_array,
+    order = np.fromiter(islice(pos.values(), n), np.int64, n)
+    return Network(origin, verts, order, dist_array,
                    np.fromiter(map(len, incident), np.int64, n), ids,
                    np.fromiter(map(itemgetter(1), pairs), float, len(pairs)),
                    ring, **kwargs)

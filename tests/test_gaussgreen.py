@@ -334,3 +334,26 @@ def test_boundary_zero_shift_uses_the_main_plan_final_stage():
     mass = sum(laplacian_apply(net, v, x) for x in net.interior_of(plan.final))
     assert mass == -1.0
     assert report.boundary_zero_shift == -1.0
+
+
+def test_functions_on_the_network_tuple_are_read_as_arrays():
+    # logu built on the window's vertex tuple: the sums and the coverage check
+    # index arrays and never build the window's id -> position dict.  The
+    # same function built on its own keys is translated, to the same bits.
+    net = build(ModelSpec("log_increment_line"), radius=3 ** 6)
+    plan = rn.make_exhaustion(net, [3 ** k for k in range(1, 7)], "radii:3^k")
+    alt = rn.make_exhaustion(net, [2 ** k for k in range(1, 10)], "radii:2^k")
+    u, own = log_increment_function(3 ** 6, net.vertices), log_increment_function(3 ** 6)
+    report = gauss_green(net, u, u, plan, alt)
+    assert "_pos" not in vars(net)
+    assert report == gauss_green(net, own, own, plan, alt)
+    assert [s.size for s in report.stages] == [3 ** k + 1 for k in range(1, 7)]
+    # The first plan, in argument order, that u or v does not cover is named.
+    for radius, named in ((600, r"'radii:3\^k' reaches radius 729"),
+                          (400, r"'radii:2\^k' reaches radius 512")):
+        for short in (log_increment_function(radius, net.vertices),
+                      log_increment_function(radius)):
+            with pytest.raises(WindowError, match=named):
+                gauss_green(net, short, short, alt, plan)
+            with pytest.raises(WindowError, match=named):
+                gauss_green(net, u, short, alt, plan)

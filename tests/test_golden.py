@@ -32,6 +32,24 @@ GOLDEN = [
                               "--radius", "243", "--u", "logu", "--v", "logu",
                               "--plan", "radii:3^k", "--alt-plan", "radii:2^k"], 0,
      "fe44aec9f3c18083b4ad06b3d46245716a95f9789b0127578736982de98e161f"),
+    ("gaussgreen-log-59049-3k-2k", ["gaussgreen", "--model", "log-increment-line",
+                                    "--radius", "59049", "--u", "logu", "--v", "logu",
+                                    "--plan", "radii:3^k", "--alt-plan", "radii:2^k"], 0,
+     "a62327d7dbe438c4124a17ed5b18dbea7fa2ea0e9acd2f2439fd60f81dd767e1"),
+    ("gaussgreen-log-59049-2k-3k", ["gaussgreen", "--model", "log-increment-line",
+                                    "--radius", "59049", "--u", "logu", "--v", "logu",
+                                    "--plan", "radii:2^k", "--alt-plan", "radii:3^k"], 0,
+     "c7a441b63217fd4c494b9b68053bb7c2e80194001fdbf4a55e9411ccf1a44322"),
+    ("gaussgreen-log-59049-3k-2k-csv", ["gaussgreen", "--model", "log-increment-line",
+                                        "--radius", "59049", "--u", "logu", "--v", "logu",
+                                        "--plan", "radii:3^k", "--alt-plan", "radii:2^k",
+                                        "--format", "csv"], 0,
+     "5f3b8f7bf4afce9882c6bc1f109a86219826320c9561ec2215a4630d7c751e5b"),
+    ("gaussgreen-log-59049-2k-3k-csv", ["gaussgreen", "--model", "log-increment-line",
+                                        "--radius", "59049", "--u", "logu", "--v", "logu",
+                                        "--plan", "radii:2^k", "--alt-plan", "radii:3^k",
+                                        "--format", "csv"], 0,
+     "27ffce782460b7e5d0dc34e00acfaeee663478596df980c8338028b702899b53"),
     ("kernel-harm-csv", ["kernel", "--model", "geom-z", "--c", "2", "--radius", "40",
                          "--plan", "balls:1..38", "--x", "1", "--kind", "harm",
                          "--format", "csv"], 0,

@@ -1,5 +1,7 @@
 import json
+import tracemalloc
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -312,3 +314,19 @@ def test_model_json_round_trip():
 def test_malformed_json_rejected():
     with pytest.raises(ConfigurationError):
         load_network('{"edges": "nope"}')
+
+
+def test_plan_holds_radii_not_balls():
+    # 2000 balls of a 4001-vertex line hold about 4M vertex entries in all.
+    net = build(ModelSpec("unit_line"), radius=2000)
+    tracemalloc.start()
+    try:
+        plan = rn.make_exhaustion(net, range(1, 2001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert plan.final == frozenset(range(-2000, 2001))
+    assert len(plan.stages) == 2000 and len(plan.stages[999]) == 2001
+    first = [net.ball(1), net.ball(2)]
+    assert list(islice(plan.stages, 2)) == first == list(plan[1::-1])[::-1]

@@ -24,7 +24,8 @@ def assert_same_window(net, ref, radii):
         assert got.dtype == want.dtype, field.name
         assert np.array_equal(got, want), field.name
     assert net.vertices == ref.vertices
-    assert list(net._pos.items()) == list(ref._pos.items())
+    assert np.array_equal(net._order, ref._order)
+    assert net._pos == ref._pos
     assert net._ring == ref._ring
     assert net._cuts == ref._cuts
     assert net.origin == ref.origin and net.window_radius == ref.window_radius
