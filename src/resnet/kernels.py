@@ -13,11 +13,13 @@ regularized solves (ε + Δ)u = δ_x with ε driven to zero then reach w_x.
 All elements report per-stage energies and an explicit convergence flag; a
 computation that did not settle never pretends otherwise.
 
-The stage loops run on the solver's arrays: the origin pin, the stage
-energies (the edge sum of :func:`~resnet.operators.energy`), the harmonic
-difference h = u_free − u_wired and the probe deltas.  The
-harmonic dimension probe of :mod:`resnet.transience` builds one free and one
-wired trace per sample vertex and reads both v_x and h_x from them.
+The stage loops pass each ball to the solver as its radius and run on the
+solver's arrays: the origin pin, the stage energies (the edge sum of
+:func:`~resnet.operators.energy`), the harmonic difference h = u_free −
+u_wired and the probe deltas.  Dipole traces sweep the plan stage-major, one
+block solve per stage for all of their sources; the harmonic dimension probe
+of :mod:`resnet.transience` makes one free and one wired sweep over its
+sample vertices and reads every v_x and h_x from them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, GreenUndefinedError, IncompatibleSourceError
-from .network import GAUGE_ORIGIN, GAUGE_RAW, GAUGE_VANISH, VertexFunction
+from .network import GAUGE_ORIGIN, GAUGE_RAW, GAUGE_VANISH, Ball, VertexFunction
 from .operators import (edge_energy, inner_edges, read_values,
                         scaled_laplacian_residual)
 from .serialize import csv_text, vertex_label
@@ -118,20 +120,38 @@ def _probe_positions(net, x, plan):
     return np.union1d(chosen, pool[picks])
 
 
-def _usable_stages(net, plan, *needed):
-    """The plan's balls that hold the ``needed`` vertices, built in turn."""
-    far = max(map(net.distance, needed))
-    radii = [r for r in plan.radii if far <= r]
-    if not radii:
+def _distances(net, plan, needed):
+    """The distance of each ``needed`` vertex; the plan's last ball must hold
+    them all."""
+    far = [net.distance(x) for x in needed]
+    if max(far) > plan.final_radius:
         raise DomainError("no exhaustion stage contains the required vertices")
-    return net._balls(radii)
+    return far
+
+
+def _usable_stages(net, plan, *needed):
+    """The plan's balls that hold the ``needed`` vertices, as radii."""
+    far = max(_distances(net, plan, needed))
+    return [Ball(net, r) for r in plan.radii if far <= r]
+
+
+def _covers(net, plan):
+    """Whether the plan's last ball is the whole of a finite network."""
+    return net.is_finite and net._cut(plan.final_radius) == len(net.vertices)
+
+
+def _zero_on(net, radius, gauge=GAUGE_RAW):
+    """The zero function on B_radius."""
+    pos = net._ball_positions(radius)
+    return VertexFunction.at_positions(net.vertices, pos, np.zeros(len(pos)), gauge)
 
 
 def _energy_of(net, pos, u, v=None):
     """E(u, v) over the induced subgraph on a region, for functions given by
-    their values at the region's sorted canonical positions ``pos``; the same
-    sum as :func:`energy` over that window."""
-    uu, vv = np.zeros((2, len(net.vertices)))
+    their values at the region's sorted canonical positions ``pos``, or one
+    energy per column of blocks of them; each the same sum as :func:`energy`
+    over that window."""
+    uu, vv = np.zeros((2, len(net.vertices)) + u.shape[1:])
     uu[pos] = u
     vv[pos] = u if v is None else v
     return edge_energy(net, inner_edges(net, pos), uu, vv)
@@ -149,25 +169,39 @@ class _Trace(NamedTuple):
     converged: bool
 
 
-def _dipole_trace(net, x, plan, bc, tol, *, energies=True):
-    """Per-stage solves of Δu = δ_x − δ_o under the given boundary condition,
-    re-gauged to the origin-zero representative (u − u(o), then exactly 0 at
-    the origin)."""
-    probes = _probe_positions(net, x, plan)
-    o = net._pos[net.origin]
-    source = {x: 1.0, net.origin: -1.0}
-    stages, stage_energies, deltas = [], [], []
-    prev = None
-    for stage in _usable_stages(net, plan, x, net.origin):
-        rep = solve_poisson(net, stage, source, bc)
+def _sweep(net, xs, plan, bc):
+    """Stage-major solves of Δu = δ_x − δ_o for each source x of ``xs``
+    under the given boundary condition: at each stage one block solve for
+    the sources the stage holds, re-gauged to the origin-zero representative
+    (u − u(o), then exactly 0 at the origin).  Yields the stage's sorted
+    positions, the solutions as columns and the indices in ``xs`` of their
+    sources."""
+    far, o = _distances(net, plan, xs), net._pos[net.origin]
+    for r in plan.radii:
+        held = [k for k, d in enumerate(far) if d <= r]
+        if not held:
+            continue
+        rep = solve_poisson(net, Ball(net, r),
+                            [{xs[k]: 1.0, net.origin: -1.0} for k in held], bc)
         i = np.searchsorted(rep.pos, o)
         u = rep.values - rep.values[i]
         u[i] = 0.0
-        stages.append((rep.pos, u))
+        yield rep.pos, u, held
+
+
+def _dipole_trace(net, x, plan, bc, tol, *, energies=True):
+    """The stages of :func:`_sweep` for the one source x, with their energies
+    (when asked for), probe deltas and convergence flag."""
+    probes = _probe_positions(net, x, plan)
+    stages, stage_energies, deltas = [], [], []
+    prev = None
+    for pos, u, _ in _sweep(net, [x], plan, bc):
+        u = u[:, 0]
+        stages.append((pos, u))
         if energies:
-            stage_energies.append(_energy_of(net, rep.pos, u))
-        at = np.minimum(np.searchsorted(rep.pos, probes), len(rep.pos) - 1)
-        inside, read = rep.pos[at] == probes, u[at]
+            stage_energies.append(_energy_of(net, pos, u))
+        at = np.minimum(np.searchsorted(pos, probes), len(pos) - 1)
+        inside, read = pos[at] == probes, u[at]
         if prev is not None:
             common, before = prev
             deltas.append(float(np.max(np.abs(read[common] - before[common]))))
@@ -235,13 +269,14 @@ def default_eps_schedule(max_k=40):
     return tuple(2.0 ** -k for k in range(max_k + 1))
 
 
-def _vanish_gauge(net, rep, stage):
-    """The solution of ``rep``, a solve on ``stage``, less its mean over the
-    boundary of the stage, added in canonical order."""
-    bd = net._positions(net.boundary_of(stage))
+def _vanish_gauge(net, rep, ball):
+    """The solution of ``rep``, a solve on ``ball``, less its mean over the
+    boundary of the ball (the vertices with a neighbour beyond it), added in
+    canonical order."""
+    bd = np.flatnonzero(net.arrays.reach[rep.pos] > ball.radius)
     if not bd.size:
         return rep.solution
-    shift = sum(rep.values[np.searchsorted(rep.pos, bd)].tolist()) / len(bd)
+    shift = sum(rep.values[bd].tolist()) / len(bd)
     return VertexFunction.at_positions(net.vertices, rep.pos, rep.values - shift,
                                        GAUGE_VANISH)
 
@@ -307,17 +342,18 @@ def monopole(net, x, plan, eps_schedule=None, *, cauchy_tol=ENERGY_CAUCHY_TOL):
 
 
 def _monopole(net, x, plan, trace, eps_schedule=None, cauchy_tol=ENERGY_CAUCHY_TOL):
-    """:func:`monopole` on the wired trace that ``trace()`` returns."""
-    try:
-        resistances, last_stage, rep = trace()
-    except IncompatibleSourceError:
+    """:func:`monopole` on the wired trace that ``trace()`` returns; a plan
+    covering a finite network needs none."""
+    net._require(x)
+    if _covers(net, plan):
         # Full finite network: no ghost, no monopole.  Pure recurrence.
         return KernelElement(base=x, kind=KIND_MONOPOLE,
-                             approximant=VertexFunction.zero(plan.final),
+                             approximant=_zero_on(net, plan.final_radius),
                              stage_energies=(float("inf"),), converged=False,
                              diverged=True,
                              meta={"plan": plan.descriptor,
                                    "reason": "finite network admits no monopole"})
+    resistances, last_stage, rep = trace()
     settled, growing = _window_limit(net, resistances)
     meta = {"plan": plan.descriptor, "wired_stage_energies": resistances}
     if not settled:
@@ -417,7 +453,7 @@ def dirac_expansion_check(net, x, plan):
     """
     def kernel_fn(z):
         if z == net.origin:
-            return VertexFunction.zero(plan.final, GAUGE_ORIGIN)
+            return _zero_on(net, plan.final_radius, GAUGE_ORIGIN)
         return energy_kernel(net, z, plan).approximant
 
     terms = [(net.total_conductance(x), kernel_fn(x))]

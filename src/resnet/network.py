@@ -364,6 +364,25 @@ class NetworkArrays:
                    reach=reach, ctot=np.bincount(rows, cond, minlength=n))
 
 
+class Ball:
+    """B_r as its radius: it iterates the vertices of ``net.ball(radius)``,
+    in search order, without building the set.  The solver keys the systems
+    of balls by radius and reads their positions from
+    :meth:`Network._ball_positions`."""
+
+    __slots__ = ("net", "radius")
+
+    def __init__(self, net, radius):
+        self.net, self.radius = net, radius
+
+    def __len__(self):
+        return self.net._cut(self.radius)
+
+    def __iter__(self):
+        net = self.net
+        return map(net._vertices.__getitem__, net._order[:len(self)].tolist())
+
+
 @dataclass(frozen=True)
 class ExhaustionPlan(Sequence):
     """Nested increasing finite connected vertex sets exhausting a network.

@@ -33,9 +33,9 @@ def laplacian_apply(net, u, x):
 
 
 def prefix_sums(terms):
-    """[0, t0, t0 + t1, ...]: running sums added left to right, each equal to
-    a sequential ``sum`` of the leading terms."""
-    return np.cumsum(np.concatenate(([0.0], terms)))
+    """[0, t0, t0 + t1, ...] along the first axis: running sums added left to
+    right, each equal to a sequential ``sum`` of the leading terms."""
+    return np.cumsum(np.concatenate((np.zeros((1,) + terms.shape[1:]), terms)), axis=0)
 
 
 def read_values(net, u, positions):
@@ -64,11 +64,14 @@ def inner_edges(net, pos):
 def edge_energy(net, keep, uu, vv):
     """Σ c_xy (u(x) − u(y))(v(x) − v(y)) over the edges that the mask ``keep``
     selects, added left to right in the order of the edge list of
-    ``net.arrays``; ``uu`` and ``vv`` hold u and v by vertex position.  The
-    one summation behind :func:`energy` and the kernel traces."""
+    ``net.arrays``; ``uu`` and ``vv`` hold u and v by vertex position, or
+    one function per column, with one sum per column (a list).  The one
+    summation behind :func:`energy` and the kernel traces."""
     a = net.arrays
     ex, ey, ec = a.edge_x[keep], a.edge_y[keep], a.edge_c[keep]
-    return float(prefix_sums(ec * (uu[ex] - uu[ey]) * (vv[ex] - vv[ey]))[-1])
+    if uu.ndim == 2:
+        ec = ec[:, None]
+    return prefix_sums(ec * (uu[ex] - uu[ey]) * (vv[ex] - vv[ey]))[-1].tolist()
 
 
 def pair_sums(net, keep, vv):

@@ -13,18 +13,28 @@ infinite) network:
   diagonal, giving a positive definite system with no compatibility
   condition.
 
-Solves are direct sparse LU factorizations.  Each region system is
-assembled from ``Network.arrays`` straight into compressed arrays (the
-matrix is symmetric, so its compressed rows and columns are the same
-arrays), checked for connectivity and factored once.  The network keeps its
-most recently used systems, at most ``MAX_SYSTEMS`` of them and
-``MAX_SYSTEM_BYTES`` in all, and frees them with itself.  Nothing is cached
-across networks.  The byte count takes ``RESERVED_PER_NONZERO`` (512 B) per
-matrix nonzero for the room splu reserves, about what the factors of large
-line and grid systems take; a small factor reserves 1.9-4.4 KB of address
-space per nonzero (a 500-row line, a 10x10 grid; scipy 1.17), so in a
-session of many small systems it is the ``MAX_SYSTEMS`` cap that bounds
-memory.
+Solves are direct sparse LU factorizations.  A region is a ball, passed as
+its radius (:class:`~resnet.network.Ball`), or any set of window vertices.
+Each region system is assembled from ``Network.arrays`` on the region's
+sorted positions straight into compressed arrays (the matrix is symmetric,
+so its compressed rows and columns are the same arrays) and factored once.
+The network keeps its most recently used systems, at most ``MAX_SYSTEMS``
+of them and ``MAX_SYSTEM_BYTES`` in all, and frees them with itself; a
+ball's system is keyed by ``(radius, bc)`` and takes its positions from
+``Network._ball_positions``, any other region's by ``(frozenset, bc)``
+through ``Network._positions``.  Only the latter is searched for
+connectivity: a shortest path from the origin to a vertex of B_r stays in
+B_r, so every ball is connected.  Nothing is cached across networks.  The
+byte count takes ``RESERVED_PER_NONZERO`` (512 B) per matrix nonzero for
+the room splu reserves, about what the factors of large line and grid
+systems take; a small factor reserves 1.9-4.4 KB of address space per
+nonzero (a 500-row line, a 10x10 grid; scipy 1.17), so in a session of many
+small systems it is the ``MAX_SYSTEMS`` cap that bounds memory.
+
+A solve takes one source or a block of them.  A block is one column per
+source, solved by one call of the factor and checked by one residual
+product; each column is the same bits as its single solve (SuperLU solves
+the columns of a block one by one) and is held to the same residual bound.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (DomainError, IncompatibleSourceError, NumericalError)
-from .network import GAUGE_ORIGIN, GAUGE_RAW, GAUGE_VANISH, VertexFunction
+from .network import GAUGE_ORIGIN, GAUGE_RAW, GAUGE_VANISH, Ball, VertexFunction
 
 FREE = "free"
 WIRED = "wired"
@@ -64,14 +74,16 @@ class SolveReport:
 
     ``pos`` holds the region's canonical vertex positions in increasing
     order (read-only: the stored system shares it) and ``values`` the
-    solution at them; ``vertices`` is the network's canonical vertex tuple.
-    ``solution`` is the same function as a :class:`VertexFunction` over the
-    same arrays, built on first access.
+    solution at them, one column per source for a block of sources;
+    ``vertices`` is the network's canonical vertex tuple.  ``solution`` is
+    the same function as a :class:`VertexFunction` over the same arrays,
+    built on first access (for a single source).
 
-    The residual is the max over region rows of |(system·u − f)(x)| scaled by
-    max(1, c(x)) and the solution magnitude, a backward-error style metric:
-    it reflects what float64 can represent when edge weights grow
-    geometrically or the solution carries a large zero-mode component.
+    The residual is the max over region rows and columns of |(system·u −
+    f)(x)| scaled by max(1, c(x)) and the magnitude of the column's solution,
+    a backward-error style metric: it reflects what float64 can represent
+    when edge weights grow geometrically or the solution carries a large
+    zero-mode component.
     """
 
     pos: np.ndarray
@@ -117,11 +129,16 @@ def _columns(indptr):
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
-def _assemble(net, region, bc):
-    """The system of a validated, connected region, from ``net.arrays``."""
-    if not region:
-        raise DomainError("empty region")
-    pos = net._positions(region)
+def _origin_index(net, pos):
+    """The index of the origin in the sorted window positions ``pos``, or -1."""
+    o = net._pos[net.origin]
+    i = int(np.searchsorted(pos, o))
+    return i if i < len(pos) and pos[i] == o else -1
+
+
+def _assemble(net, pos, bc, connected):
+    """The system of the region at the sorted window positions ``pos``, from
+    ``net.arrays``; a region not known to be ``connected`` is searched first."""
     pos.flags.writeable = False
     a, m = net.arrays, len(pos)
     # Every pair of the region's rows, in incident order (so increasing
@@ -134,15 +151,14 @@ def _assemble(net, region, bc):
     diag = a.ctot[pos] if bc == WIRED else np.bincount(row, cond, minlength=m)
     indptr, indices, data = _compressed(row, col, cond, diag)
     matrix = sp.csc_matrix((data, indices, indptr), shape=(m, m))
-    if connected_components(matrix, directed=False)[0] != 1:
+    if not connected and connected_components(matrix, directed=False)[0] != 1:
         raise DomainError("region is not connected")
     has_crossing = not inner.all()
-    factor = None
+    factor, o = None, _origin_index(net, pos)
     if bc == WIRED and has_crossing:
         factor = _ScaledLU(indptr, indices, data)
-    elif bc == FREE and net.origin in region and m > 1:
+    elif bc == FREE and o >= 0 and m > 1:
         # Pin the gauge: drop the origin's row and column.
-        o = int(np.searchsorted(pos, net._pos[net.origin]))
         off = (row != o) & (col != o)
         row, col = row[off], col[off]
         factor = _ScaledLU(*_compressed(row - (row > o), col - (col > o),
@@ -154,16 +170,24 @@ def _assemble(net, region, bc):
 
 
 def _system(net, region, bc):
-    """The region system from the network's store, assembled and factored on
-    a miss.  The store drops its least recently used systems, never the
+    """The system of a region, a :class:`~resnet.network.Ball` or a set of
+    window vertices, from the network's store, assembled and factored on a
+    miss.  The store drops its least recently used systems, never the
     newest, while it holds more than MAX_SYSTEMS or MAX_SYSTEM_BYTES."""
-    key = (frozenset(region), bc)
+    ball = isinstance(region, Ball)
+    key = (region.radius if ball else frozenset(region), bc)
     with net._lock:
         system = net._systems.get(key)
         if system is not None:
             net._systems.move_to_end(key)
             return system
-    system = _assemble(net, key[0], bc)
+    if ball:
+        pos = net._ball_positions(region.radius)
+    elif key[0]:
+        pos = net._positions(key[0])
+    else:
+        raise DomainError("empty region")
+    system = _assemble(net, pos, bc, connected=ball)
     with net._lock:
         stored = net._systems
         stored[key] = system
@@ -205,80 +229,91 @@ class _ScaledLU:
                             options={"SymmetricMode": True})
 
     def solve(self, b):
-        return self.scale * self.lu.solve(self.scale * b)
+        """The solution for ``b``, a vector or one column per right-hand side."""
+        scale = self.scale if b.ndim == 1 else self.scale[:, None]
+        return scale * self.lu.solve(scale * b)
 
 
-def _rhs_array(net, region, pos, f):
-    b = np.zeros(len(pos))
-    for x, val in f.items():
-        if val != 0.0:
-            if x not in region:
-                raise DomainError(f"source vertex {x!r} lies outside the region")
-            b[np.searchsorted(pos, net._pos[x])] = val
+def _rhs(net, pos, sources):
+    """The right-hand sides at the region's sorted positions ``pos``, one
+    column per source mapping, each column contiguous."""
+    b = np.zeros((len(pos), len(sources)), order="F")
+    for j, f in enumerate(sources):
+        for x, val in f.items():
+            if val != 0.0:
+                p = net._pos.get(x, -1)
+                i = int(np.searchsorted(pos, p))
+                if i == len(pos) or pos[i] != p:
+                    raise DomainError(f"source vertex {x!r} lies outside the region")
+                b[i, j] = val
     return b
 
 
-def _residual(net, pos, matrix, u, b, eps=0.0):
-    """Backward-error style residual: |system*u - f| relative to the local
-    conductance scale c(x) + eps and the solution magnitude."""
-    r = matrix @ u - b
-    scale = np.maximum(1.0, net.arrays.ctot[pos] + eps)
-    scale *= 1.0 + (float(np.max(np.abs(u))) if len(u) else 0.0)
-    return float(np.max(np.abs(r) / scale)) if len(r) else 0.0
-
-
-def _report(net, pos, u, residual, gauge, bc):
-    return SolveReport(pos=pos, values=u, residual=residual, gauge=gauge, bc=bc,
-                       vertices=net.vertices)
-
-
-def _free_solve(net, region, f, tol):
-    system = _system(net, region, FREE)
-    b = _rhs_array(net, region, system.pos, f)
-    total = float(b.sum())
-    if abs(total) > COMPAT_TOL * max(1.0, float(np.abs(b).sum())):
-        raise IncompatibleSourceError(
-            f"free boundary solve needs a balanced source, got sum {total:g}")
-    if net.origin not in region:
-        raise DomainError("free solve region must contain the origin (gauge pin)")
-    u = np.zeros(len(b))
-    if system.factor is not None:
-        keep = np.flatnonzero(system.pos != net._pos[net.origin])
-        u[keep] = system.factor.solve(b[keep])
-    residual = _residual(net, system.pos, system.matrix, u, b)
-    if residual > tol:
+def _residual(net, pos, matrix, u, b, tol, what, note="", eps=0.0):
+    """The largest backward-error style residual of the columns: |system*u −
+    f| relative to the local conductance scale c(x) + eps and the column's
+    magnitude.  The first column above ``tol`` raises."""
+    scale = np.maximum(1.0, net.arrays.ctot[pos] + eps)[:, None]
+    scale = scale * (1.0 + np.abs(u).max(axis=0))
+    residuals = (np.abs(matrix @ u - b) / scale).max(axis=0)
+    over = residuals[residuals > tol]
+    if len(over):
         raise NumericalError(
-            f"free solve residual {residual:.3e} exceeds tolerance {tol:.1e} "
-            f"(region size {len(region)})")
-    return _report(net, system.pos, u, residual, GAUGE_ORIGIN, FREE)
+            f"{what} residual {over[0]:.3e} exceeds tolerance {tol:.1e}{note}")
+    return float(residuals.max())
+
+
+def _report(net, pos, u, residual, gauge, bc, block):
+    return SolveReport(pos=pos, values=u if block else u[:, 0], residual=residual,
+                       gauge=gauge, bc=bc, vertices=net.vertices)
+
+
+def _free_solve(net, region, sources, tol, block):
+    system = _system(net, region, FREE)
+    b = _rhs(net, system.pos, sources)
+    for column in b.T:
+        total = float(column.sum())
+        if abs(total) > COMPAT_TOL * max(1.0, float(np.abs(column).sum())):
+            raise IncompatibleSourceError(
+                f"free boundary solve needs a balanced source, got sum {total:g}")
+    o = _origin_index(net, system.pos)
+    if o < 0:
+        raise DomainError("free solve region must contain the origin (gauge pin)")
+    u = np.zeros(b.shape)
+    if system.factor is not None:
+        keep = np.arange(len(b)) != o
+        u[keep] = system.factor.solve(b[keep])
+    residual = _residual(net, system.pos, system.matrix, u, b, tol, "free solve",
+                         f" (region size {len(b)})")
+    return _report(net, system.pos, u, residual, GAUGE_ORIGIN, FREE, block)
 
 
 def solve_poisson(net, region, f, bc, *, tol=DEFAULT_TOLERANCE):
     """Solve Δu = f on the region under the given boundary condition.
 
+    The region is a :class:`~resnet.network.Ball` or a set of vertices.
     ``f`` maps vertices to source values; vertices of the region missing from
-    ``f`` carry source 0 (the region must contain the support of ``f``).
-    Free solves require a balanced source and return the origin-zero
+    ``f`` carry source 0 (the region must contain the support of ``f``).  A
+    list of such maps is a block of sources, solved together: ``values`` then
+    holds one solution column per source, each checked as a single solve.
+    Free solves require balanced sources and return the origin-zero
     representative; wired solves return the ghost-grounded solution, which is
     the vanish-at-infinity representative.
     """
     if bc not in (FREE, WIRED):
         raise DomainError(f"unknown boundary condition {bc!r}")
-    region = frozenset(region)
-    f = dict(f.items() if hasattr(f, "items") else f)
+    block = not hasattr(f, "items")
+    sources = f if block else [f]
     if bc == WIRED:
         system = _system(net, region, WIRED)
         if system.has_crossing:
-            b = _rhs_array(net, region, system.pos, f)
+            b = _rhs(net, system.pos, sources)
             u = system.factor.solve(b)
-            residual = _residual(net, system.pos, system.matrix, u, b)
-            if residual > tol:
-                raise NumericalError(
-                    f"wired solve residual {residual:.3e} exceeds tolerance {tol:.1e}")
-            return _report(net, system.pos, u, residual, GAUGE_VANISH, WIRED)
+            residual = _residual(net, system.pos, system.matrix, u, b, tol, "wired solve")
+            return _report(net, system.pos, u, residual, GAUGE_VANISH, WIRED, block)
         # The complement is empty, so wiring changes nothing; fall back to the
         # free system (finite networks admit no unbalanced solution).
-    return _free_solve(net, region, f, tol)
+    return _free_solve(net, region, sources, tol, block)
 
 
 def solve_regularized(net, region, eps, f, *, bc=FREE, tol=DEFAULT_TOLERANCE):
@@ -293,15 +328,11 @@ def solve_regularized(net, region, eps, f, *, bc=FREE, tol=DEFAULT_TOLERANCE):
         raise DomainError(f"regularization parameter must be positive, got {eps:g}")
     if bc not in (FREE, WIRED):
         raise DomainError(f"unknown boundary condition {bc!r}")
-    region = frozenset(region)
-    f = dict(f.items() if hasattr(f, "items") else f)
     system = _system(net, region, bc)
     matrix = system.matrix.copy()
     matrix.data[matrix.indices == _columns(matrix.indptr)] += eps
-    b = _rhs_array(net, region, system.pos, f)
+    b = _rhs(net, system.pos, [f])
     u = _ScaledLU(matrix.indptr, matrix.indices, matrix.data).solve(b)
-    residual = _residual(net, system.pos, matrix, u, b, eps)
-    if residual > tol:
-        raise NumericalError(
-            f"regularized solve residual {residual:.3e} exceeds tolerance {tol:.1e}")
-    return _report(net, system.pos, u, residual, GAUGE_RAW, bc)
+    residual = _residual(net, system.pos, matrix, u, b, tol, "regularized solve",
+                         eps=eps)
+    return _report(net, system.pos, u, residual, GAUGE_RAW, bc, False)

@@ -18,6 +18,7 @@ relation u_o = E(u) + u_o², so (u_o, E(u)) lives on a parabola with peak
 (1/2, 1/4).
 
 Criteria (a) and (c) read one wired trace: one solve of Δg = δ_o per stage.
+When the plan covers a finite network, neither needs it.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from functools import cache, partial
 import numpy as np
 
 from .errors import DomainError, ResnetError
-from .kernels import (DIVERGENCE_CAP, POINTWISE_TOL, _dipole_trace, _energy_of,
-                      _harm_trace, _monopole, _wired_trace)
+from .kernels import (DIVERGENCE_CAP, _covers, _energy_of, _monopole, _sweep,
+                      _wired_trace, _zero_on)
 from .network import VertexFunction, doubling_exhaustion
 from .operators import energy
 from .randomwalk import WalkConfig, green_estimate
@@ -105,9 +106,9 @@ def grounded_projection_of_one(net, plan=None):
 def _grounded_projection(net, plan, trace):
     """:func:`grounded_projection_of_one` on the origin's wired trace that
     ``trace()`` returns; a plan covering a finite network needs none."""
-    if net.is_finite and net._cut(plan.final_radius) == len(net.vertices):
+    if _covers(net, plan):
         # Finite network: 1 is itself finitely supported, so P⊥1 = 0.
-        zero = VertexFunction.zero(plan.final)
+        zero = _zero_on(net, plan.final_radius)
         return GroundedProjection(u=zero, u_o=0.0, energy=0.0, converged=True,
                                   trace=(), meta={"finite": True})
     resistances, stage, g = trace()
@@ -135,7 +136,7 @@ def _grounded_projection(net, plan, trace):
                                   trace=entries)
     # Diverging wired resistance: the projection limit is the zero function.
     u_o = 0.0 if growing else betas[-1]
-    return GroundedProjection(u=VertexFunction.zero(stage), u_o=u_o,
+    return GroundedProjection(u=_zero_on(net, stage.radius), u_o=u_o,
                               energy=0.0, converged=False, trace=entries,
                               meta={"diverging_resistance": growing,
                                     "last_beta": betas[-1]})
@@ -240,27 +241,27 @@ def harm_dimension_probe(net, plan=None, samples=None):
     samples = [s for s in samples if s != net.origin]
     if not samples:
         raise DomainError("need at least one non-origin sample vertex")
-    kept = []
-    detail = {}
-    for x in samples:
-        # One free and one wired trace give both v_x and h_x = v_x − f_x.
-        # Their last stage is the final one, so the last stage energies are
-        # E(h_x) and E(v_x) over plan.final.
-        free = _dipole_trace(net, x, plan, FREE, POINTWISE_TOL)
-        wired = _dipole_trace(net, x, plan, WIRED, POINTWISE_TOL, energies=False)
-        hx, h_energies = _harm_trace(net, free, wired)
-        e_h = h_energies[-1]
-        e_v = max(free.energies[-1], 1e-300)
+    # One free and one wired sweep give every v_x and h_x = v_x − f_x, a
+    # column per sample.  The last stage is the final one and holds every
+    # sample, so its energies are E(h_x) and E(v_x) over plan.final.
+    h_energies = [[] for _ in samples]
+    for (pos, v, held), (_, f, _) in zip(_sweep(net, samples, plan, FREE),
+                                         _sweep(net, samples, plan, WIRED)):
+        h = v - f
+        for k, e in zip(held, _energy_of(net, pos, h)):
+            h_energies[k].append(e)
+    kept, detail = [], {}
+    for k, (x, e_v) in enumerate(zip(samples, _energy_of(net, pos, v))):
+        e_h, e_v = h_energies[k][-1], max(e_v, 1e-300)
         detail[str(x)] = {"harm_energy": e_h, "dipole_energy": e_v,
-                          "stage_energies": list(h_energies)}
+                          "stage_energies": h_energies[k]}
         if e_h > HARM_MASS_THRESHOLD * e_v:
-            kept.append(hx)
+            kept.append(k)
     if not kept:
         return 0, detail
-    gram = np.empty((len(kept), len(kept)))
-    for i, (pos, hi) in enumerate(kept):
-        for j, (_, hj) in enumerate(kept[:i + 1]):
-            gram[i, j] = gram[j, i] = _energy_of(net, pos, hi, hj)
+    gram, hk = np.empty((len(kept), len(kept))), h[:, kept]
+    i, j = np.tril_indices(len(kept))
+    gram[i, j] = gram[j, i] = _energy_of(net, pos, hk[:, i], hk[:, j])
     eigvals = np.linalg.eigvalsh(gram)
     top = max(eigvals.max(), 1e-300)
     rank = int((eigvals > GRAM_RANK_THRESHOLD * top).sum())

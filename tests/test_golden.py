@@ -17,6 +17,9 @@ from resnet.cli import main
 from conftest import lognormal_grid_edges
 
 GRID = "grid.json"
+# The report-grid benchmark's grid: 25x25, so the default plan balls:1..24
+# has 24 stages and its last ball covers the network.
+GRID25 = "grid25.json"
 
 # (id, argv, exit code, SHA-256 of stdout)
 GOLDEN = [
@@ -24,6 +27,8 @@ GOLDEN = [
      "5c1dad0720162dd2ffa589636e3c9eda095b69ee58038860231e0116345ed31c"),
     ("report-grid", ["report", "--net", GRID, "--walks", "200", "--steps", "200"], 0,
      "3af6f781965b15842c264267394ecdac89c8f783f27c66075739766bbecae523"),
+    ("report-grid25", ["report", "--net", GRID25, "--walks", "200", "--steps", "200"], 0,
+     "49978562bfae93321eb8764a3c0e5dfdc6450488aeeec712cb20a73c3e61dc4f"),
     ("gaussgreen-log-2k-3k", ["gaussgreen", "--model", "log-increment-line",
                               "--radius", "243", "--u", "logu", "--v", "logu",
                               "--plan", "radii:2^k", "--alt-plan", "radii:3^k"], 0,
@@ -85,6 +90,7 @@ def write_grid(path, side=9, seed=3):
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden")
     write_grid(path / GRID)
+    write_grid(path / GRID25, side=25, seed=1)
     return path
 
 

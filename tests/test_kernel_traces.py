@@ -21,6 +21,8 @@ from resnet.solver import FREE, WIRED, solve_poisson, solve_regularized
 from resnet.transience import (GRAM_RANK_THRESHOLD, HARM_MASS_THRESHOLD,
                                _default_probe_vertices, harm_dimension_probe)
 
+from conftest import lognormal_grid_edges
+
 
 def diagonal_grid(half):
     """A (2 half + 1)^2 grid with tuple ids, one diagonal per square and
@@ -191,11 +193,10 @@ def test_wired_stage_values_are_ghost_inclusive_energies(case):
     assert dipole_stages == pytest.approx(expected_dipole, rel=1e-12, abs=0)
 
 
-def test_harm_dimension_probe_matches_the_dict_path(case):
-    net, plan, _, _ = case
-    rank, detail = harm_dimension_probe(net, plan)
+def _check_probe(net, plan, samples=None):
+    rank, detail = harm_dimension_probe(net, plan, samples)
     expected, kept = {}, []
-    for x in _default_probe_vertices(net):
+    for x in samples or _default_probe_vertices(net):
         hs, h_energies = dict_harm(net, x, plan)
         free, _, _ = dict_dipole(net, x, plan, FREE)
         e_h = energy(net, hs[-1][1], window=plan.final).value
@@ -212,21 +213,37 @@ def test_harm_dimension_probe_matches_the_dict_path(case):
     assert rank == int((eigvals > GRAM_RANK_THRESHOLD * top).sum())
 
 
+def test_harm_dimension_probe_matches_the_dict_path(case):
+    net, plan, _, _ = case
+    _check_probe(net, plan)
+
+
+def test_probe_samples_at_several_distances_match_the_dict_path(case):
+    # Each sample's trace starts at the first ball that holds it, so the
+    # stage-major sweep solves a growing block of sources.
+    net, plan, x, y = case
+    samples = [y, net.neighbors(net.origin)[0], x]
+    assert len({net.distance(z) for z in samples}) > 1
+    _check_probe(net, plan, samples)
+
+
 def test_harm_dimension_probe_makes_one_free_and_one_wired_trace(monkeypatch):
     net = diagonal_grid(4)
     plan = rn.make_exhaustion(net, [1, 2, 3])
     calls = []
 
     def counting(net, region, f, bc, **kwargs):
-        calls.append(bc)
+        calls.append((bc, frozenset(region), f))
         return solve_poisson(net, region, f, bc, **kwargs)
 
     monkeypatch.setattr(kernels, "solve_poisson", counting)
     samples = _default_probe_vertices(net)
     harm_dimension_probe(net, plan)
     assert len(samples) == 4
-    assert calls.count(FREE) == calls.count(WIRED) == len(plan.stages) * len(samples)
-    assert len(calls) == 2 * len(plan.stages) * len(samples)
+    # Stage-major: one block solve per stage and boundary condition, with a
+    # source column for every sample.
+    sources = [{x: 1.0, net.origin: -1.0} for x in samples]
+    assert calls == [(bc, stage, sources) for stage in plan.stages for bc in (FREE, WIRED)]
 
 
 def test_classify_makes_one_wired_monopole_trace(monkeypatch):
@@ -250,3 +267,38 @@ def test_classify_makes_one_wired_monopole_trace(monkeypatch):
     resistances = tuple(r for _, r, _ in projection.trace)
     assert len(resistances) == len(plan.stages)
     assert element.meta["wired_stage_energies"] == resistances
+
+
+@pytest.mark.parametrize("radii", [range(1, 25), range(1, 8)], ids=["covering", "inner"])
+def test_classify_and_probe_solve_on_radii(monkeypatch, radii):
+    # The report-grid network: its traces key balls by radius, so neither
+    # builds a ball's vertex set nor maps one back to positions.
+    net = rn.Network.from_edges((0, 0), lognormal_grid_edges(25, 1))
+    plan = rn.make_exhaustion(net, radii)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a ball was built as a vertex set")
+
+    for name in ("_positions", "_balls", "ball"):
+        monkeypatch.setattr(rn.Network, name, refused)
+    transience.classify(net, plan, rn.WalkConfig(n_walks=20, max_steps=20, seed=0))
+    harm_dimension_probe(net, plan)
+
+
+def test_monopole_on_a_covered_finite_network_solves_nothing(monkeypatch):
+    net = diagonal_grid(2)
+    plan = rn.make_exhaustion(net, [1, 2, 3, 4])
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a covered finite network was solved")
+
+    monkeypatch.setattr(kernels, "solve_poisson", refused)
+    element = monopole(net, (1, 1), plan)
+    assert element.stage_energies == (float("inf"),)
+    assert element.diverged and not element.converged
+    assert element.meta["reason"] == "finite network admits no monopole"
+    assert element.approximant.items() == [(x, 0.0) for x in vsorted(net.vertices)]
+    verdict = transience.classify(net, plan, rn.WalkConfig(n_walks=20, max_steps=20, seed=0))
+    assert verdict.criteria["monopole"] == verdict.criteria["grounded"] == "recurrent"
+    with pytest.raises(rn.DomainError, match="unknown vertex"):
+        monopole(net, (7, 7), plan)

@@ -10,11 +10,14 @@ import scipy.sparse.linalg as spla
 
 import resnet as rn
 from resnet import solver
-from resnet.errors import DomainError, IncompatibleSourceError, WindowError
+from resnet.errors import (DomainError, IncompatibleSourceError, NumericalError,
+                           WindowError)
 from resnet.models import ModelSpec, build
-from resnet.network import vsorted
+from resnet.network import Ball, vsorted
 from resnet.randomwalk import WalkConfig, green_estimate
 from resnet.solver import FREE, WIRED, solve_poisson, solve_regularized
+
+from conftest import lognormal_grid_edges
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +106,92 @@ def test_region_must_be_connected(geom2, diag_grid):
             solve_poisson(geom2, geom2.ball(32) | {33}, {0: 1.0}, bc)
         with pytest.raises(DomainError, match="unknown vertex"):
             solve_regularized(diag_grid, L_REGION | {(9, 9)}, 0.5, {}, bc=bc)
+
+
+def test_ball_systems_are_keyed_by_radius_and_not_searched(monkeypatch):
+    # A shortest path from the origin to a vertex of B_r stays in B_r, so a
+    # ball is connected and its system skips the connectivity search.
+    def no_search(*args, **kwargs):
+        raise AssertionError("a ball system searched for connectivity")
+
+    monkeypatch.setattr(solver, "connected_components", no_search)
+    net = build(ModelSpec("geom_z", {"c": 5.0}), radius=8)
+    solve_poisson(net, Ball(net, 3), {2: 1.0, 0: -1.0}, FREE)
+    solve_poisson(net, Ball(net, 3), {0: 1.0}, WIRED)
+    solve_regularized(net, Ball(net, 4), 0.5, {0: 1.0}, bc=WIRED)
+    assert list(net._systems) == [(3, FREE), (3, WIRED), (4, WIRED)]
+    with pytest.raises(AssertionError, match="searched"):
+        solve_poisson(net, net.ball(3), {0: 1.0}, WIRED)
+
+
+def _ball_cases():
+    grid = rn.Network.from_edges((0, 0), lognormal_grid_edges(9, 3))
+    geom = build(ModelSpec("geom_z", {"c": 5.0}), radius=12)
+    return [(grid, (1, 0), (2, 2), (-4, 3)), (geom, 1, -2, 7)]
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_radius_keyed_and_region_keyed_solves_agree(case):
+    net, *xs = _ball_cases()[case]
+    o = net.origin
+    for r in range(1, net.max_radius):
+        held = [x for x in xs if net.distance(x) <= r]
+        for bc, f in [(FREE, {x: 1.0, o: -1.0}) for x in held] + [(WIRED, {o: 1.0})]:
+            by_radius = solve_poisson(net, Ball(net, r), f, bc)
+            by_region = solve_poisson(net, net.ball(r), f, bc)
+            assert np.array_equal(by_radius.pos, by_region.pos)
+            assert np.array_equal(by_radius.values, by_region.values)
+            assert by_radius.residual == by_region.residual
+            assert (r, bc) in net._systems and (net.ball(r), bc) in net._systems
+
+
+def _block_cases():
+    grid = rn.Network.from_edges((0, 0), lognormal_grid_edges(9, 3))
+    cases = [(grid, [Ball(grid, r) for r in (1, 2, 5, 7)] + [grid.ball(6)])]
+    for family, params in (("geom_z", {"c": 2.0}), ("geom_z", {"c": 5.0}),
+                           ("binary_tree", {}), ("star", {}), ("unit_line", {}),
+                           ("log_increment_line", {})):
+        net = build(ModelSpec(family, params), radius=8)
+        cases.append((net, [Ball(net, r) for r in (1, 3, 7)]))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_block_columns_equal_single_solves_bit_for_bit(case):
+    net, regions = _block_cases()[case]
+    o = net.origin
+    for region in regions:
+        xs = [x for x in region if x != o][:5]
+        for bc, sources in ((FREE, [{x: 1.0, o: -1.0} for x in xs]),
+                            (WIRED, [{x: 1.0} for x in xs] + [{o: 1.0, xs[-1]: -0.5}])):
+            block = solve_poisson(net, region, sources, bc)
+            singles = [solve_poisson(net, region, f, bc) for f in sources]
+            assert block.values.shape == (len(block.pos), len(sources))
+            for j, single in enumerate(singles):
+                assert np.array_equal(block.values[:, j], single.values)
+            assert block.residual == max(single.residual for single in singles)
+
+
+def test_one_failing_column_fails_the_block(geom2):
+    region = Ball(geom2, 20)
+    sources = [{x: 1.0, 0: -1.0} for x in (1, -1, 2, -2, 3, 5, -7)]
+    residuals = sorted({solve_poisson(geom2, region, f, FREE).residual: f
+                        for f in sources}.items())
+    (low, passing), (high, failing) = residuals[0], residuals[-1]
+    assert low < high
+    tol = (low + high) / 2
+    solve_poisson(geom2, region, [passing, passing], FREE, tol=tol)
+    with pytest.raises(NumericalError, match=f"residual {high:.3e} exceeds"):
+        solve_poisson(geom2, region, failing, FREE, tol=tol)
+    with pytest.raises(NumericalError, match=f"residual {high:.3e} exceeds"):
+        solve_poisson(geom2, region, [passing, failing, passing], FREE, tol=tol)
+
+
+def test_every_block_column_is_checked(unit_path, geom2):
+    with pytest.raises(IncompatibleSourceError):
+        solve_poisson(unit_path, unit_path.vertices, [{2: 1.0, 0: -1.0}, {1: 1.0}], FREE)
+    with pytest.raises(DomainError, match="outside the region"):
+        solve_poisson(geom2, Ball(geom2, 3), [{0: 1.0}, {5: 1.0}], WIRED)
 
 
 def test_source_must_live_in_region(geom2, diag_grid):
@@ -226,7 +315,7 @@ def test_a_long_wired_trace_keeps_the_store_under_its_byte_bound():
     assert len(element.stage_energies) == 600
     stored = net._systems
     assert sum(s.nbytes for s in stored.values()) <= solver.MAX_SYSTEM_BYTES
-    assert next(reversed(stored)) == (plan.final, WIRED)
+    assert next(reversed(stored)) == (plan.final_radius, WIRED)
     assert len(stored) < 600 and len(stored) < solver.MAX_SYSTEMS
 
 
