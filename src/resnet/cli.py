@@ -133,13 +133,8 @@ def _load_net(args):
                 f"malformed network JSON in {args.net}: {exc}") from exc
     if getattr(args, "model", None):
         family = args.model.replace("-", "_")
-        params = {}
-        if args.c is not None:
-            params["c"] = args.c
-        if args.arms is not None:
-            params["arms"] = args.arms
-        spec = ModelSpec(family, params)
-        return build(spec, radius=radius)
+        params = {k: getattr(args, k) for k in ("c", "arms") if getattr(args, k) is not None}
+        return build(ModelSpec(family, params), radius=radius)
     raise ConfigurationError("specify either --net FILE or --model NAME")
 
 

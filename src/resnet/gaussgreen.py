@@ -101,7 +101,7 @@ def _limit_estimate(values, tol=LIMIT_TOL, window=3):
         return None, False
     tail = values[-window:]
     if max(tail) - min(tail) <= tol:
-        return sum(tail) / len(tail), True
+        return float(prefix_sums(np.array(tail))[-1]) / len(tail), True
     return None, False
 
 
@@ -156,10 +156,8 @@ def _stage_sums(net, u, v, plans, *, vertex_part=True):
     row, nbr = a.rows, a.nbr
     # Boundary vertices of some stage, and the pairs their ∂v sums over.
     bd = np.flatnonzero(np.isin(a.dist, radii) & (a.reach > a.dist))
-    on_bd = np.zeros(len(a.dist), bool)
-    on_bd[bd] = True
-    inward = on_bd[row] & (nbr >= 0)
-    inward[inward] = a.dist[nbr[inward]] <= a.dist[row[inward]]
+    pairs = net._pairs(bd)
+    inward = pairs[(nbr[pairs] >= 0) & (a.dist[nbr[pairs]] <= a.dist[row[pairs]])]
     if vertex_part:
         ball = np.flatnonzero(a.dist <= top)
         uu = read_values(net, u, ball)
@@ -170,30 +168,26 @@ def _stage_sums(net, u, v, plans, *, vertex_part=True):
 
     # Σ_{bd B_r} u ∂v for every radius r, each summed in canonical order.
     bd = bd[np.argsort(a.dist[bd], kind="stable")]
-    bd_terms = (uu[bd] * pair_sums(net, inward, vv)[bd]).tolist()
+    bd_terms = uu[bd] * pair_sums(net, inward, vv)[bd]
     cuts = np.searchsorted(a.dist[bd], radii, side="left").tolist() + [len(bd)]
-    boundary_at = {r: sum(bd_terms[lo:hi])
+    boundary_at = {r: float(prefix_sums(bd_terms[lo:hi])[-1])
                    for r, lo, hi in zip(radii.tolist(), cuts, cuts[1:])}
     if not vertex_part:
         return None, None, boundary_at, None
 
+    def staged(key, terms):  # for every radius r, the terms keyed <= r in stable key order
+        order = np.argsort(key, kind="stable")
+        cuts = np.searchsorted(key[order], radii, side="right")
+        sums = prefix_sums(terms[order[:cuts[-1]]])[cuts]
+        return dict(zip(radii.tolist(), sums.tolist()))
+
     ex, ey = a.edge_x, a.edge_y
-    edge_key = np.maximum(a.dist[ex], a.dist[ey])
-    order = np.argsort(edge_key, kind="stable")
-    order = order[edge_key[order] <= top]
-    ex, ey = ex[order], ey[order]
-    energies = prefix_sums(a.edge_c[order] * (uu[ex] - uu[ey]) * (vv[ex] - vv[ey]))
-    edge_cuts = np.searchsorted(edge_key[order], radii, side="right")
-    energy_at = dict(zip(radii.tolist(), energies[edge_cuts].tolist()))
-
-    lap = pair_sums(net, a.reach[row] <= top, vv)
-    order = np.argsort(a.reach, kind="stable")
-    order = order[a.reach[order] <= top]
-    vertex_sums = prefix_sums(uu[order] * lap[order])
-    vertex_cuts = np.searchsorted(a.reach[order], radii, side="right")
-    vertex_at = dict(zip(radii.tolist(), vertex_sums[vertex_cuts].tolist()))
-
-    mass = sum(lap[a.reach <= plans[0].final_radius].tolist())
+    du = uu[ex] - uu[ey]
+    dv = du if v is u else vv[ex] - vv[ey]
+    energy_at = staged(np.maximum(a.dist[ex], a.dist[ey]), a.edge_c * du * dv)
+    lap = pair_sums(net, slice(None), vv)  # exact on the rows of reach <= top
+    vertex_at = staged(a.reach, uu * lap)
+    mass = float(prefix_sums(lap[a.reach <= plans[0].final_radius])[-1])
     return energy_at, vertex_at, boundary_at, mass
 
 
@@ -210,11 +204,11 @@ def gauss_green(net, u, v, plan, alt_plan=None, *, limit_tol=LIMIT_TOL):
     WindowError naming the plan is raised before any stage is evaluated.
     """
     plans = (plan,) if alt_plan is None else (plan, alt_plan)
-    covered = np.zeros((2, len(net.vertices)), bool)
+    covered = np.zeros((1 if v is u else 2, len(net.vertices)), bool)
     for row, f in zip(covered, (u, v)):
         row[f._positions_in(net)[0]] = True
     for p in plans:
-        if not covered[:, net._ball_positions(p.final_radius)].all():
+        if not covered[:, net._order[:net._cut(p.final_radius)]].all():
             raise WindowError(
                 f"plan {p.descriptor!r} reaches radius {p.final_radius}, "
                 "beyond the windows of u and v")
@@ -296,7 +290,7 @@ def balanced_check(net, u, window=None):
     """
     if window is None:
         window = net.interior_of(u.window)
-    return sum(window_laplacian(net, u, window)[1].tolist())
+    return float(prefix_sums(window_laplacian(net, u, window)[1])[-1])
 
 
 def two_sum_identity_check(net, u, window=None):
@@ -311,8 +305,8 @@ def two_sum_identity_check(net, u, window=None):
     pos, lap = window_laplacian(net, u, window)
     lap_fn = VertexFunction.at_positions(net.vertices, pos, lap)
     lhs = energy(net, u, lap_fn, window=window).value
-    total = sum(lap.tolist())
-    rhs = sum((lap * lap).tolist()) + total * total
+    total = float(prefix_sums(lap)[-1])
+    rhs = float(prefix_sums(lap * lap)[-1]) + total * total
     return lhs, rhs
 
 
@@ -338,5 +332,5 @@ def ell2_converse_check(net, u, v, window=None, *, tail_tol=1e-6):
             f"outer-window squared mass {tail:.3e} exceeds {tail_tol:.1e}; "
             "functions are not summable-square on this window")
     lhs = energy(net, u, v, window=window).value
-    rhs = sum((uu * dv).tolist())
+    rhs = float(prefix_sums(uu * dv)[-1])
     return abs(lhs - rhs)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, GreenUndefinedError, IncompatibleSourceError
 from .network import GAUGE_ORIGIN, GAUGE_RAW, GAUGE_VANISH, Ball, VertexFunction
-from .operators import (edge_energy, inner_edges, read_values,
+from .operators import (edge_energy, inner_edges, prefix_sums, read_values,
                         scaled_laplacian_residual)
 from .serialize import csv_text, vertex_label
 from .solver import FREE, WIRED, solve_poisson, solve_regularized
@@ -276,7 +276,7 @@ def _vanish_gauge(net, rep, ball):
     bd = np.flatnonzero(net.arrays.reach[rep.pos] > ball.radius)
     if not bd.size:
         return rep.solution
-    shift = sum(rep.values[bd].tolist()) / len(bd)
+    shift = float(prefix_sums(rep.values[bd])[-1]) / len(bd)
     return VertexFunction.at_positions(net.vertices, rep.pos, rep.values - shift,
                                        GAUGE_VANISH)
 
@@ -378,8 +378,8 @@ def _monopole(net, x, plan, trace, eps_schedule=None, cauchy_tol=ENERGY_CAUCHY_T
     if converged:
         # Bounded energies alone are not enough: the limit must actually
         # solve Δu = δ_x pointwise.
-        res = scaled_laplacian_residual(net, rep.solution, {x: 1.0},
-                                        net.interior_of(last_stage))
+        interior = rep.pos[net.arrays.reach[rep.pos] <= last_stage.radius]
+        res = scaled_laplacian_residual(net, rep.solution, {x: 1.0}, interior)
         meta["defining_residual"] = res
         if not res <= 1e-6:  # NaN fails too
             converged = False
@@ -458,7 +458,7 @@ def dirac_expansion_check(net, x, plan):
 
     terms = [(net.total_conductance(x), kernel_fn(x))]
     terms.extend((-c, kernel_fn(y)) for y, c in net.incident(x))
-    pos = net._positions(net.interior_of(plan.final))
+    pos = np.flatnonzero(net.arrays.reach <= plan.final_radius)  # int B_r
     expansion = sum(a * read_values(net, fn, pos)[pos] for a, fn in terms)
     diffs = (pos == net._pos[x]) - expansion
     return float(diffs.max() - diffs.min())

@@ -149,20 +149,22 @@ def _line(spec, radius, powers):
     carries powers[max(|n - 1|, |n|)]."""
     half = spec.family in ("geom_zplus", "log_increment_line")
     lo = 0 if half else -radius
-    v = np.arange(lo, radius + 1)
-    nbrs = np.stack((v - 1, v + 1), axis=1).ravel()
-    rows = np.repeat(v, 2)
-    keep = nbrs >= 0 if half else slice(None)  # the half-line stops at 0
-    nbrs, rows = nbrs[keep], rows[keep]
-    ids = np.where((nbrs < lo) | (nbrs > radius), -1, nbrs - lo)
+    n = radius + 1 - lo
+    # Row p pairs with p - 1 and p + 1 (-1 past either end) over edges p, p + 1.
+    pairs = np.empty((n, 2), np.int64)
+    pairs[:, 0], pairs[:, 1] = np.arange(-1, n - 1), np.arange(1, n + 1)
+    pairs[0, 0] = pairs[-1, 1] = -1
+    size = np.abs(np.arange(lo - 1, radius + 2))
+    edge = powers[np.maximum(size[:-1], size[1:])]  # edge p: {lo + p - 1, lo + p}
+    degree = 2 - (np.arange(n) < half)  # the half-line's 0 has one neighbour
     if half:
-        order, ring = np.arange(len(v)), (radius + 1,)
+        order, ring = np.arange(n), (radius + 1,)
     else:
         # 0, -1, 1, -2, 2, ...: positions from the centre outwards.
-        order = radius + np.stack((-v[radius:], v[radius:]), axis=1).ravel()[1:]
+        order = radius + np.outer(np.arange(radius + 1), [-1, 1]).ravel()[1:]
         ring = (lo - 1, radius + 1)
-    cond = powers[np.maximum(np.abs(rows), np.abs(nbrs))]
-    return 0, tuple(v.tolist()), order, np.abs(v), np.bincount(rows - lo), ids, cond, ring
+    return (0, tuple(range(lo, radius + 1)), order, size[1:-1], degree,
+            pairs.ravel()[half:], np.repeat(edge, 2)[1 + half:-1], ring)
 
 
 def _star(spec, radius, powers):
@@ -311,8 +313,8 @@ def _line_function(window, values, gauge, vertices):
     """``values`` on the integer range ``window``, built on ``vertices``, the
     canonical tuple of a window of the model at least as large, if given."""
     vertices = tuple(window) if vertices is None else vertices
-    return VertexFunction.at_positions(vertices, np.array(window) - vertices[0], values,
-                                       gauge)
+    pos = np.arange(window.start, window.stop) - vertices[0]
+    return VertexFunction.at_positions(vertices, pos, values, gauge)
 
 
 def oracle_v_function(spec, n, radius, vertices=None):
@@ -374,7 +376,7 @@ def oracle_residuals(spec, radius=30):
     from .operators import scaled_laplacian_residual
 
     net = build(spec, radius=radius)
-    interior = net.interior_of(net.ball(radius))
+    interior = np.flatnonzero(net.arrays.reach <= radius)  # positions of int B_r
     out = {}
     n0 = 2 if radius >= 3 else 1
     v = oracle_v_function(spec, n0, radius, net.vertices)

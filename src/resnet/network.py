@@ -91,7 +91,7 @@ class Network:
         self.arrays = NetworkArrays.of(dist, degree, ids, cond)
         self._validate()
         # Ball B_r is the first _cuts[r] vertices of the search order.
-        self._cuts = np.cumsum(np.bincount(self.arrays.dist)).tolist()
+        self._cuts = np.cumsum(np.bincount(self.arrays.dist))
         # Solver systems of this network, least recently used first.
         self._systems, self._lock = OrderedDict(), Lock()
 
@@ -152,19 +152,23 @@ class Network:
         isolated = np.flatnonzero(a.indptr[1:] == a.indptr[:-1])
         if isolated.size:
             raise DomainError(f"vertex {verts[isolated[0]]!r} is isolated")
-        # Keys x * n + y of the pairs inside the window come in increasing
-        # order; each pair must find its reverse pair, with the same value.
-        inside = a.nbr >= 0
-        x, y, c = a.rows[inside], a.nbr[inside], a.cond[inside]
-        keys, back = x * len(verts) + y, y * len(verts) + x
-        at = np.minimum(np.searchsorted(keys, back), max(len(keys) - 1, 0))
+        # Each pair inside the window has its reverse, with the same value,
+        # exactly when the pairs below the diagonal, reversed and sorted, are
+        # the edge list.  Only a failure is searched, for the first bad pair.
+        n, lower = len(verts), np.flatnonzero((a.nbr < a.rows) & (a.nbr >= 0))
+        back = a.nbr[lower] * n + a.rows[lower]
+        at = np.argsort(back, kind="stable")
+        if np.array_equal(back[at], a.edge_x * n + a.edge_y) and np.array_equal(
+                a.cond[lower][at], a.edge_c):
+            return
+        x, y, c = (col[a.nbr >= 0] for col in (a.rows, a.nbr, a.cond))
+        keys, back = x * n + y, y * n + x
+        at = np.minimum(np.searchsorted(keys, back), len(keys) - 1)
         found = keys[at] == back
-        bad = np.flatnonzero(~found | (c[at] != c))
-        if bad.size:
-            k = bad[0]
-            raise DomainError(
-                f"asymmetric conductance on edge ({verts[x[k]]!r}, {verts[y[k]]!r}): "
-                f"{float(c[k])!r} vs {float(c[at[k]]) if found[k] else None!r}")
+        k = np.flatnonzero(~found | (c[at] != c))[0]
+        raise DomainError(
+            f"asymmetric conductance on edge ({verts[x[k]]!r}, {verts[y[k]]!r}): "
+            f"{float(c[k])!r} vs {float(c[at[k]]) if found[k] else None!r}")
 
     # -- basic queries -----------------------------------------------------
 
@@ -255,7 +259,7 @@ class Network:
             raise WindowError(
                 f"ball radius {radius} exceeds the materialized window "
                 f"(radius {self.window_radius})")
-        return self._cuts[min(radius, len(self._cuts) - 1)]
+        return int(self._cuts[min(radius, len(self._cuts) - 1)])
 
     def ball(self, radius):
         """Vertices within graph distance ``radius`` of the origin: a prefix
@@ -311,14 +315,6 @@ class Network:
         sub = frozenset(subset)
         return sub - self.boundary_of(sub)
 
-    def crossing_edges(self, subset):
-        """Edges from inside ``subset`` to outside it, as (x, y, c) with x in,
-        in canonical order of x and then of y."""
-        pairs = self._leaving(self._positions(frozenset(subset)))
-        return zip(map(self._vertices.__getitem__, self.arrays.rows[pairs].tolist()),
-                   map(self._name, self._ids[pairs].tolist()),
-                   self.arrays.cond[pairs].tolist())
-
 
 @dataclass(frozen=True)
 class NetworkArrays:
@@ -356,12 +352,15 @@ class NetworkArrays:
         indptr = np.concatenate(([0], np.cumsum(degree)))
         rows = np.repeat(np.arange(n), degree)
         nbr = np.where(ids < n, ids, -1)
-        inner = nbr > rows
-        reach = dist.astype(float)
-        np.maximum.at(reach, rows, np.where(nbr >= 0, dist[nbr], np.inf))
+        inner = np.flatnonzero(nbr > rows)  # indices: faster to gather than a mask
+        ex, ey = rows[inner], nbr[inner]
+        farther, dx, dy = np.zeros(n, bool), dist[ex], dist[ey]
+        farther[ex[dx < dy]] = farther[ey[dy < dx]] = True
+        reach = np.add(dist, farther, dtype=float)  # neighbours' dist differ by <= 1
+        reach[rows[nbr < 0]] = np.inf
         return cls(dist=dist, indptr=indptr, rows=rows, nbr=nbr, cond=cond,
-                   edge_x=rows[inner], edge_y=nbr[inner], edge_c=cond[inner],
-                   reach=reach, ctot=np.bincount(rows, cond, minlength=n))
+                   edge_x=ex, edge_y=ey, edge_c=cond[inner], reach=reach,
+                   ctot=np.bincount(rows, cond, minlength=n))
 
 
 class Ball:

@@ -29,12 +29,13 @@ class EnergyValue:
 def laplacian_apply(net, u, x):
     """(Δu)(x); requires u on x and all its neighbors, never zero-extends."""
     ux = u.value(x)
-    return sum(c * (ux - u.value(y)) for y, c in net.incident(x))
+    terms = [c * (ux - u.value(y)) for y, c in net.incident(x)]
+    return float(prefix_sums(np.array(terms))[-1])
 
 
 def prefix_sums(terms):
-    """[0, t0, t0 + t1, ...] along the first axis: running sums added left to
-    right, each equal to a sequential ``sum`` of the leading terms."""
+    """[0, t0, t0 + t1, ...] along the first axis, added one at a time left to
+    right: never the builtin ``sum``, which compensates floats from Python 3.12."""
     return np.cumsum(np.concatenate((np.zeros((1,) + terms.shape[1:]), terms)), axis=0)
 
 
@@ -43,11 +44,13 @@ def read_values(net, u, positions):
     vertex (0.0 elsewhere); reads through u's window, so a vertex outside it
     raises WindowError."""
     have, values = u._positions_in(net)
-    at = np.searchsorted(have, positions)
-    found = at < len(have)
-    found[found] = have[at[found]] == positions[found]
-    if not found.all():  # u.value names the first vertex outside the window
-        u.value(net.vertices[positions[np.argmin(found)]])
+    at = positions  # u on every vertex has its values by position
+    if len(have) < len(net.vertices):
+        at = np.full(len(net.vertices), -1)
+        at[have] = np.arange(len(have))
+        at = at[positions]
+        if (at < 0).any():  # u.value names the first vertex outside the window
+            u.value(net.vertices[positions[np.argmax(at < 0)]])
     out = np.zeros(len(net.vertices))
     out[positions] = values[at]
     return out
@@ -76,21 +79,22 @@ def edge_energy(net, keep, uu, vv):
 
 def pair_sums(net, keep, vv):
     """Σ c_xy (v(x) − v(y)) at every vertex x over the pairs of ``net.arrays``
-    that ``keep`` (a mask or increasing indices) selects, added left to right
-    in ``incident`` order as :func:`laplacian_apply` adds them; ``vv`` holds v
-    by vertex position.  The one pair sum behind Δ and ∂."""
+    that ``keep`` (a mask, increasing indices or a slice) selects, added left
+    to right in ``incident`` order as :func:`laplacian_apply` adds them; ``vv``
+    holds v by vertex position.  The one pair sum behind Δ and ∂."""
     a = net.arrays
     x, y = a.rows[keep], a.nbr[keep]
     return np.bincount(x, a.cond[keep] * (vv[x] - vv[y]), minlength=len(a.dist))
 
 
 def window_laplacian(net, u, window):
-    """The sorted canonical positions of ``window`` and Δu there, the floats of
-    :func:`laplacian_apply`, from one :func:`pair_sums` pass that reads u once
-    over the window and its neighbours.  A window vertex with a neighbour
-    beyond the materialized window or outside u's window raises WindowError."""
+    """The sorted canonical positions of ``window`` (vertices, or sorted
+    positions) and Δu there, the floats of :func:`laplacian_apply`, from one
+    :func:`pair_sums` pass that reads u once over the window and its
+    neighbours.  A window vertex with a neighbour beyond the materialized
+    window or outside u's window raises WindowError."""
     a = net.arrays
-    pos = net._positions(frozenset(window))
+    pos = window if isinstance(window, np.ndarray) else net._positions(frozenset(window))
     pairs = net._pairs(pos)
     beyond = pairs[a.nbr[pairs] < 0]
     if beyond.size:  # WindowError naming the first such neighbour
@@ -126,7 +130,7 @@ def energy(net, u, v=None, window=None):
 
 
 def scaled_laplacian_residual(net, u, rhs, window):
-    """max over ``window`` of |Δu − rhs| / max(1, c(x)).
+    """max over ``window`` (vertices, or sorted positions) of |Δu − rhs| / max(1, c(x)).
 
     Conductance scaling keeps the check meaningful across the huge dynamic
     ranges of geometric models, where forming c_xy (u(x) − u(y)) already costs

@@ -32,7 +32,7 @@ from .errors import DomainError, ResnetError
 from .kernels import (DIVERGENCE_CAP, _covers, _energy_of, _monopole, _sweep,
                       _wired_trace, _zero_on)
 from .network import VertexFunction, doubling_exhaustion
-from .operators import energy
+from .operators import prefix_sums
 from .randomwalk import WalkConfig, green_estimate
 from .solver import FREE, WIRED
 
@@ -129,9 +129,13 @@ def _grounded_projection(net, plan, trace):
     converged = tight or decaying
     if converged and not growing:
         beta = betas[-1]
-        u = VertexFunction.at_positions(net.vertices, g.pos, 1.0 - beta * g.values)
-        e = energy(net, u, window=stage).value
-        e += sum(c * (u.value(x) - 1.0) ** 2 for x, _, c in net.crossing_edges(stage))
+        values = 1.0 - beta * g.values
+        u = VertexFunction.at_positions(net.vertices, g.pos, values)
+        pairs = net._leaving(g.pos)  # the edges to the ghost, in row order
+        gaps = values[np.searchsorted(g.pos, net.arrays.rows[pairs])] - 1.0
+        # Python's d ** 2 (C pow), not numpy's d * d: they differ in the last bit.
+        ghost = [c * d ** 2 for c, d in zip(net.arrays.cond[pairs].tolist(), gaps.tolist())]
+        e = _energy_of(net, g.pos, values) + float(prefix_sums(np.array(ghost))[-1])
         return GroundedProjection(u=u, u_o=beta, energy=e, converged=True,
                                   trace=entries)
     # Diverging wired resistance: the projection limit is the zero function.

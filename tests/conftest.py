@@ -1,3 +1,4 @@
+import builtins
 import random
 
 import numpy as np
@@ -102,3 +103,20 @@ def random_function(rng, window, scale=2.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def strict_sum(monkeypatch):
+    """A call that makes ``builtins.sum`` refuse float terms for the rest of
+    the test.  From Python 3.12 on, the builtin compensates float sums, so a
+    float sum that reaches it would move bytes there; this emulates that
+    interpreter's difference as an error on any interpreter."""
+    real = builtins.sum
+
+    def refusing(iterable, /, start=0):
+        terms = list(iterable)
+        if any(isinstance(t, float) for t in (start, *terms)):
+            raise AssertionError(f"builtin sum over floats: {terms[:3]}")
+        return real(terms, start)
+
+    return lambda: monkeypatch.setattr(builtins, "sum", refusing)

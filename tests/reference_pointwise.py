@@ -7,9 +7,18 @@ from resnet.network import GAUGE_RAW, VertexFunction
 from resnet.operators import EnergyValue, energy, scaled_laplacian_residual
 
 
+def seq_sum(terms):
+    """The terms added left to right to 0.0, as the package adds floats; the
+    builtin ``sum`` compensates float sums from Python 3.12 on."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
 def transfer_apply(net, u, x):
     """(Tu)(x) = Σ_{y~x} c_xy u(y), so that Δ = c − T pointwise."""
-    return sum(c * u.value(y) for y, c in net.incident(x))
+    return seq_sum(c * u.value(y) for y, c in net.incident(x))
 
 
 def normal_derivative(net, subset, v, x):
@@ -19,7 +28,7 @@ def normal_derivative(net, subset, v, x):
     if x not in sub or all(y in sub for y in net.neighbors(x)):
         raise DomainError(f"vertex {x!r} is not on the boundary of the subset")
     vx = v.value(x)
-    return sum(c * (vx - v.value(y)) for y, c in net.incident(x) if y in sub)
+    return seq_sum(c * (vx - v.value(y)) for y, c in net.incident(x) if y in sub)
 
 
 def contract(u):

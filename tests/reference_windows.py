@@ -1,16 +1,19 @@
 """Reference windows: one breadth-first search over neighbour generators and
-explicit edge lists, in plain Python, building the network arrays vertex by
-vertex.  The closed-form windows of ``models.build`` and the array search of
-``Network.from_edges`` are pinned against it; the built-in families come
-here as neighbour generators, one pure function of the vertex id each."""
+explicit edge lists, in plain Python, building the network's inputs vertex
+by vertex, and the arrays a network derives from them
+(:func:`pointwise_arrays`).  The closed-form windows of ``models.build``, the
+array search of ``Network.from_edges`` and ``NetworkArrays.of`` are pinned
+against it; the built-in families come here as neighbour generators, one
+pure function of the vertex id each."""
 
+from functools import partial
 from itertools import chain, count, islice
 from operator import itemgetter
 
 import numpy as np
 
 from resnet.errors import ConfigurationError, DomainError, UnsupportedModelError
-from resnet.network import Network, vertex_key, vsorted
+from resnet.network import Network, NetworkArrays, vertex_key, vsorted
 
 
 def explore(origin, neighbor_fn, radius):
@@ -87,9 +90,10 @@ def from_generator(origin, neighbor_fn, radius):
     return searched(origin, dist, adjacency, window_radius=radius)
 
 
-def from_edges(origin, edges):
-    """The explicit finite network of (u, v, conductance) triples, with
-    parallel edges merged by a dict sum in input order."""
+def explore_edges(origin, edges):
+    """:func:`explore` over the explicit finite network of (u, v,
+    conductance) triples, with parallel edges merged by a dict sum in input
+    order."""
     merged = {}
     for u, v, c in edges:
         if u == v:
@@ -110,7 +114,51 @@ def from_edges(origin, edges):
     dist, found = explore(origin, adjacency.__getitem__, float("inf"))
     if len(dist) < len(adjacency):
         raise DomainError("network is not connected")
-    return searched(origin, dist, found)
+    return dist, found
+
+
+def from_edges(origin, edges):
+    """The explicit finite network of (u, v, conductance) triples."""
+    return searched(origin, *explore_edges(origin, edges))
+
+
+def pointwise_arrays(dist, adjacency):
+    """The :class:`NetworkArrays` of the window that :func:`explore` found,
+    built vertex by vertex in plain Python: ``reach`` as the largest distance
+    over each row (inf next to the ring), ``ctot`` added left to right and
+    the edge lists by a loop."""
+    verts = vsorted(adjacency)
+    index = {x: i for i, x in enumerate(verts)}
+    indptr, rows, nbr, cond, reach, ctot, edges = [0], [], [], [], [], [], []
+    for i, x in enumerate(verts):
+        far, total = dist[x], 0.0
+        for y, c in adjacency[x]:
+            j = index.get(y, -1)
+            rows.append(i)
+            nbr.append(j)
+            cond.append(c)
+            far = max(far, dist[y] if j >= 0 else float("inf"))
+            total += c
+            if j > i:
+                edges.append((i, j, c))
+        indptr.append(len(rows))
+        reach.append(float(far))
+        ctot.append(total)
+    ints, floats = partial(np.array, dtype=np.int64), partial(np.array, dtype=float)
+    edge_x, edge_y, edge_c = zip(*edges) if edges else ((), (), ())
+    return NetworkArrays(dist=ints([dist[x] for x in verts]), indptr=ints(indptr),
+                         rows=ints(rows), nbr=ints(nbr), cond=floats(cond),
+                         edge_x=ints(edge_x), edge_y=ints(edge_y), edge_c=floats(edge_c),
+                         reach=floats(reach), ctot=floats(ctot))
+
+
+def crossing_edges(net, subset):
+    """Edges from inside ``subset`` to outside it, as (x, y, c) with x in,
+    in canonical order of x and then of y."""
+    pairs = net._leaving(net._positions(frozenset(subset)))
+    return zip(map(net.vertices.__getitem__, net.arrays.rows[pairs].tolist()),
+               map(net._name, net._ids[pairs].tolist()),
+               net.arrays.cond[pairs].tolist())
 
 
 def geom_edge(c, a, b):
@@ -159,3 +207,9 @@ def reference_window(spec, radius):
     """The window of ``spec`` at ``radius``, from one breadth-first search."""
     origin, nbrs = reference_generator(spec)
     return from_generator(origin, nbrs, radius)
+
+
+def reference_window_arrays(spec, radius):
+    """The :func:`pointwise_arrays` of the window of ``spec`` at ``radius``."""
+    origin, nbrs = reference_generator(spec)
+    return pointwise_arrays(*explore(origin, nbrs, radius))

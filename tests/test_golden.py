@@ -102,3 +102,11 @@ def test_cli_bytes_are_pinned(workdir, monkeypatch, capsys, argv, code, digest):
     assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, code, digest", [g[1:] for g in GOLDEN],
+                         ids=[g[0] for g in GOLDEN])
+def test_cli_bytes_hold_without_the_builtin_float_sum(workdir, monkeypatch, capsys,
+                                                      strict_sum, argv, code, digest):
+    strict_sum()
+    test_cli_bytes_are_pinned(workdir, monkeypatch, capsys, argv, code, digest)

@@ -22,6 +22,8 @@ from resnet.transience import (GRAM_RANK_THRESHOLD, HARM_MASS_THRESHOLD,
                                _default_probe_vertices, harm_dimension_probe)
 
 from conftest import lognormal_grid_edges
+from reference_pointwise import seq_sum
+from reference_windows import crossing_edges
 
 
 def diagonal_grid(half):
@@ -97,7 +99,7 @@ def dict_harm(net, x, plan):
 
 def vanish_gauge_items(net, u, stage):
     bd = vsorted(net.boundary_of(stage))
-    shift = sum(u.value(b) for b in bd) / len(bd)
+    shift = seq_sum(u.value(b) for b in bd) / len(bd)
     return [(v, val - shift) for v, val in u.items()]
 
 
@@ -114,8 +116,8 @@ def dict_wired_monopole(net, x, plan):
 def ghost_energy(net, u, stage):
     """E(u) over the stage plus the edges from the stage to the grounded
     ghost, where u is 0."""
-    return energy(net, u, window=stage).value + sum(
-        c * u.value(x) ** 2 for x, _, c in net.crossing_edges(stage))
+    return energy(net, u, window=stage).value + seq_sum(
+        c * u.value(x) ** 2 for x, _, c in crossing_edges(net, stage))
 
 
 def test_dipole_traces_match_the_dict_path(case):
@@ -283,6 +285,28 @@ def test_classify_and_probe_solve_on_radii(monkeypatch, radii):
         monkeypatch.setattr(rn.Network, name, refused)
     transience.classify(net, plan, rn.WalkConfig(n_walks=20, max_steps=20, seed=0))
     harm_dimension_probe(net, plan)
+
+
+def test_classify_reads_the_last_ball_on_positions(monkeypatch):
+    # geom-z c = 2 is transient: the monopole runs its regularized stage and
+    # its residual check, the grounded projection its converged branch, and
+    # both read the last ball's interior and crossing edges on positions.
+    cfg = rn.WalkConfig(n_walks=50, max_steps=50, seed=0)
+
+    def classified():
+        net = build(ModelSpec("geom_z", {"c": 2.0}), radius=20)
+        return transience.classify(net, rn.make_exhaustion(net, range(1, 19)), cfg)
+
+    want = classified()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the last ball was read as a vertex set")
+
+    monkeypatch.setattr(rn.Network, "_positions", refused)
+    got = classified()
+    assert got.criteria["monopole"] == got.criteria["grounded"] == "transient"
+    assert got.evidence["monopole"]["converged"] and got.evidence["grounded"]["converged"]
+    assert got.to_jsonable() == want.to_jsonable()
 
 
 def test_monopole_on_a_covered_finite_network_solves_nothing(monkeypatch):

@@ -17,16 +17,18 @@ from resnet.gaussgreen import (balanced_check, ell2_converse_check,
                                harmonic_boundary_representation,
                                two_sum_identity_check)
 from resnet.kernels import (dirac_expansion_check, energy_kernel, harm_part,
-                            wired_monopole)
+                            monopole, wired_monopole)
 from resnet.models import (ModelSpec, build, oracle_h_function, oracle_residuals,
                            oracle_v_function, oracle_w_o_function)
 from resnet.network import vsorted
 from resnet.operators import (energy, laplacian_apply,
                               scaled_laplacian_residual, window_laplacian)
 from resnet.solver import WIRED, solve_poisson
+from resnet.transience import grounded_projection_of_one
 
 from conftest import random_function
-from reference_pointwise import harmonicity_residual
+from reference_pointwise import harmonicity_residual, seq_sum
+from reference_windows import crossing_edges
 
 
 # -- per-vertex references ----------------------------------------------------
@@ -41,22 +43,22 @@ def ref_scaled_residual(net, u, rhs, window):
 
 
 def ref_balanced(net, u):
-    return sum(laplacian_apply(net, u, x) for x in vsorted(net.interior_of(u.window)))
+    return seq_sum(laplacian_apply(net, u, x) for x in vsorted(net.interior_of(u.window)))
 
 
 def ref_two_sum(net, u):
     window = net.interior_of(u.window)
     lap = {x: laplacian_apply(net, u, x) for x in vsorted(window)}
     lhs = energy(net, u, rn.VertexFunction(lap), window=window).value
-    total = sum(lap.values())
-    return lhs, sum(val * val for val in lap.values()) + total * total
+    total = seq_sum(lap.values())
+    return lhs, seq_sum(val * val for val in lap.values()) + total * total
 
 
 def ref_ell2(net, u, v):
     window = net.interior_of(u.window & v.window)
     lhs = energy(net, u, v, window=window).value
-    return abs(lhs - sum(u.value(x) * laplacian_apply(net, v, x)
-                         for x in vsorted(window)))
+    return abs(lhs - seq_sum(u.value(x) * laplacian_apply(net, v, x)
+                             for x in vsorted(window)))
 
 
 def ref_dirac(net, x, plan):
@@ -67,7 +69,7 @@ def ref_dirac(net, x, plan):
 
     terms = [(net.total_conductance(x), kernel_fn(x))]
     terms.extend((-c, kernel_fn(y)) for y, c in net.incident(x))
-    diffs = [(1.0 if w == x else 0.0) - sum(a * fn.value(w) for a, fn in terms)
+    diffs = [(1.0 if w == x else 0.0) - seq_sum(a * fn.value(w) for a, fn in terms)
              for w in vsorted(net.interior_of(plan.final))]
     return max(diffs) - min(diffs)
 
@@ -143,6 +145,25 @@ def test_ell2_converse_matches_pointwise(net, uv):
         ell2_converse_check(net, u, v)
 
 
+def test_helpers_add_floats_without_the_builtin_sum(net, uv, strict_sum):
+    # The vanish gauge of the monopole and the grounded projection's
+    # crossing edges add floats too.
+    u, v = uv
+    plan = _plan(net)
+
+    def elements():
+        g = grounded_projection_of_one(net, plan)
+        return (monopole(net, net.origin, plan).to_jsonable(), g.u.items(), g.u_o,
+                g.energy, g.trace)
+
+    want = elements()
+    strict_sum()
+    assert balanced_check(net, u) == ref_balanced(net, u)
+    assert two_sum_identity_check(net, u) == ref_two_sum(net, u)
+    assert ell2_converse_check(net, u, v, tail_tol=float("inf")) == ref_ell2(net, u, v)
+    assert elements() == want
+
+
 def test_dirac_expansion_matches_pointwise(net):
     plan = _plan(net)
     x = net.neighbors(net.origin)[-1]
@@ -166,7 +187,7 @@ def test_vanish_gauge_matches_pointwise(net):
     w = wired_monopole(net, net.origin, plan).approximant
     u = solve_poisson(net, plan.final, {net.origin: 1.0}, WIRED).solution
     bd = vsorted(net.boundary_of(plan.final))
-    shift = sum(u.value(b) for b in bd) / len(bd)
+    shift = seq_sum(u.value(b) for b in bd) / len(bd)
     assert w.items() == [(x, val - shift) for x, val in u.items()]
 
 
@@ -233,6 +254,6 @@ def test_window_vertex_outside_the_network_names_the_first():
     with pytest.raises(WindowError, match="vertex -13 lies beyond"):
         energy(net, u, window={0, 13, -13})
     with pytest.raises(DomainError, match="unknown vertex -40"):
-        list(net.crossing_edges({0, 40, -40}))
+        list(crossing_edges(net, {0, 40, -40}))
     with pytest.raises(DomainError, match="unknown vertex -40"):
         net.boundary_of({0, 40, -40})

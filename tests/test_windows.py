@@ -8,26 +8,31 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from resnet.errors import DomainError
 from resnet.models import ModelSpec, _largest_exponent, build
 from resnet.network import Network
 
 from conftest import lognormal_grid_edges, random_edges
-from reference_windows import from_edges, reference_window
+from reference_windows import (explore_edges, from_edges, pointwise_arrays,
+                               reference_window, reference_window_arrays)
+
+
+def assert_same_arrays(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a.dtype == b.dtype, field.name
+        assert np.array_equal(a, b), field.name
 
 
 def assert_same_window(net, ref, radii):
-    for field in dataclasses.fields(ref.arrays):
-        got, want = getattr(net.arrays, field.name), getattr(ref.arrays, field.name)
-        assert got.dtype == want.dtype, field.name
-        assert np.array_equal(got, want), field.name
+    assert_same_arrays(net.arrays, ref.arrays)
     assert net.vertices == ref.vertices
     assert np.array_equal(net._order, ref._order)
     assert net._pos == ref._pos
     assert net._ring == ref._ring
-    assert net._cuts == ref._cuts
+    assert np.array_equal(net._cuts, ref._cuts)
     assert net.origin == ref.origin and net.window_radius == ref.window_radius
     for x in ref.vertices:
         assert net.incident(x) == ref.incident(x)
@@ -123,13 +128,18 @@ def test_from_edges_matches_the_reference_search(case):
     assert_same_explicit_network(*case)
 
 
-def test_from_edges_matches_the_reference_search_on_the_test_nets():
-    assert_same_explicit_network(0, [(0, 1, 1.0), (1, 2, 1.0)])
-    assert_same_explicit_network(0, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+def explicit_nets():
+    yield 0, [(0, 1, 1.0), (1, 2, 1.0)]
+    yield 0, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]
     for seed in range(10):
-        assert_same_explicit_network(0, random_edges(np.random.default_rng(seed)))
+        yield 0, random_edges(np.random.default_rng(seed))
     for seed in (1, 2, 3):
-        assert_same_explicit_network((0, 0), lognormal_grid_edges(25, seed))
+        yield (0, 0), lognormal_grid_edges(25, seed)
+
+
+def test_from_edges_matches_the_reference_search_on_the_test_nets():
+    for origin, edges in explicit_nets():
+        assert_same_explicit_network(origin, edges)
 
 
 @pytest.mark.parametrize("origin, edges, message", [
@@ -144,3 +154,91 @@ def test_from_edges_refuses_what_the_reference_search_refuses(origin, edges, mes
     for build_network in (Network.from_edges, from_edges):
         with pytest.raises(DomainError, match=message):
             build_network(origin, edges)
+
+
+# -- NetworkArrays against its pointwise reference ----------------------------
+
+
+@pytest.mark.parametrize("spec, radius", CASES + [(ModelSpec("log_increment_line"), 3 ** 10)],
+                         ids=[f"{s.family}-{s.params}-{r}" for s, r in CASES]
+                         + ["log_increment_line-59049"])
+def test_window_arrays_match_the_pointwise_reference(spec, radius):
+    assert_same_arrays(build(spec, radius).arrays, reference_window_arrays(spec, radius))
+
+
+def test_explicit_arrays_match_the_pointwise_reference():
+    for origin, edges in explicit_nets():
+        assert_same_arrays(Network.from_edges(origin, edges).arrays,
+                           pointwise_arrays(*explore_edges(origin, edges)))
+
+
+@given(edge_lists())
+def test_explicit_arrays_match_the_pointwise_reference_on_any_edge_list(case):
+    origin, edges = case
+    assert_same_arrays(Network.from_edges(origin, edges).arrays,
+                       pointwise_arrays(*explore_edges(origin, edges)))
+
+
+# -- refusals of the symmetry check ------------------------------------------
+
+
+def dict_refusal(verts, ring, degree, ids, cond):
+    """The DomainError message ``Network`` must raise for its inputs, from a
+    dict of the pairs: the first duplicate pair, then the first isolated
+    vertex, then the first pair (in canonical order) whose reverse is missing
+    or differs; None for a valid window."""
+    n, pairs, k = len(verts), {}, 0
+    for x, d in zip(verts, degree.tolist()):
+        for j in ids[k:k + d].tolist():
+            y = verts[j] if j < n else ring[j - n]
+            if (x, y) in pairs:
+                return f"duplicate edge ({x!r}, {y!r})"
+            pairs[x, y] = float(cond[k])
+            k += 1
+    for x, d in zip(verts, degree.tolist()):
+        if d == 0:
+            return f"vertex {x!r} is isolated"
+    window = set(verts)
+    for (x, y), c in pairs.items():
+        if y in window and pairs.get((y, x)) != c:
+            return f"asymmetric conductance on edge ({x!r}, {y!r}): {c!r} vs {pairs.get((y, x))!r}"
+    return None
+
+
+REFUSAL_NETS = {
+    "geom-z": lambda: build(ModelSpec("geom_z", {"c": 2.0}), 6),
+    "geom-zplus": lambda: build(ModelSpec("geom_zplus", {"c": 3.0}), 5),
+    "star": lambda: build(ModelSpec("star", {"c": 2.0, "arms": 3}), 4),
+    "binary-tree": lambda: build(ModelSpec("binary_tree"), 4),
+    "log-increment": lambda: build(ModelSpec("log_increment_line"), 9),
+    "grid": lambda: Network.from_edges((0, 0), lognormal_grid_edges(4, 1)),
+    "random": lambda: Network.from_edges(0, random_edges(np.random.default_rng(3))),
+}
+
+
+@settings(max_examples=200)
+@given(name=st.sampled_from(sorted(REFUSAL_NETS)),
+       fault=st.sampled_from(["asymmetric", "missing", "duplicate"]),
+       pick=st.integers(min_value=0))
+def test_one_bad_pair_is_refused_as_the_dict_reference_refuses_it(name, fault, pick):
+    net = REFUSAL_NETS[name]()
+    a, n = net.arrays, len(net.vertices)
+    degree, ids, cond = np.diff(a.indptr), net._ids.copy(), a.cond.copy()
+    inside = np.flatnonzero(ids < n)
+    if fault == "asymmetric":  # one bit off
+        k = inside[pick % len(inside)]
+        cond[k] = np.nextafter(cond[k], np.inf)
+    elif fault == "missing":
+        k = inside[pick % len(inside)]
+        ids, cond = np.delete(ids, k), np.delete(cond, k)
+        degree[a.rows[k]] -= 1
+    else:  # a twin right after the pair, so the row stays sorted
+        k = pick % len(ids)
+        ids, cond = np.insert(ids, k + 1, ids[k]), np.insert(cond, k + 1, 2.0 * cond[k])
+        degree[a.rows[k]] += 1
+    want = dict_refusal(net.vertices, net._ring, degree, ids, cond)
+    assert want is not None
+    with pytest.raises(DomainError) as refused:
+        Network(net.origin, net.vertices, net._order, a.dist, degree, ids, cond, net._ring,
+                window_radius=net.window_radius)
+    assert str(refused.value) == want
