@@ -161,7 +161,7 @@ def _resolve_function(net, plan, text):
         if spec is None or spec.family != "geom_z":
             raise ConfigurationError("'harm' preset needs a geom-z model network")
         radius = plan.final_radius
-        return oracle_h_function(spec, radius, unit_energy=True, vertices=net.vertices)
+        return oracle_h_function(spec, radius, net.vertices, unit_energy=True)
     if text == "w_o":
         if spec is not None and spec.family in ("geom_z", "geom_zplus"):
             return oracle_w_o_function(spec, plan.final_radius, net.vertices)
@@ -174,22 +174,38 @@ def _resolve_function(net, plan, text):
         x = _parse_vertex(text[4:])
         return energy_kernel(net, x, plan).approximant
     if text.startswith("file:"):
-        path, values = text[5:], {}
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigurationError(f"cannot read function file {path}: {exc}") from None
-        for lineno, line in enumerate(map(str.strip, lines), 1):
-            if not line or line.startswith(("#", "vertex")):
-                continue
-            vid, _, val = line.rpartition(",")
-            try:
-                values[_parse_vertex(vid.replace(";", ","))] = float(val)
-            except ValueError as exc:  # ConfigurationError is a ValueError too
-                raise ConfigurationError(f"{path}, line {lineno}: {exc}") from None
-        return VertexFunction(values)
+        return _function_file(net, text[5:])
     raise ConfigurationError(f"unknown function preset {text!r}")
+
+
+def _function_file(net, path):
+    """The function of the ``vertex,value`` rows of a CSV file, on the
+    network's vertices.  A vertex the network lacks, a vertex given twice and
+    a value that is not finite are refused, naming the line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read function file {path}: {exc}") from None
+    values = {}  # position in net.vertices -> value
+    for lineno, line in enumerate(map(str.strip, lines), 1):
+        if not line or line.startswith(("#", "vertex")):
+            continue
+        vid, _, val = line.rpartition(",")
+        try:
+            x, value = _parse_vertex(vid.replace(";", ",")), float(val)
+            p = net._pos.get(x)
+            if p is None:
+                raise ConfigurationError(f"vertex {x!r} is not in the network's window")
+            if p in values:
+                raise ConfigurationError(f"vertex {x!r} is given twice")
+            if not math.isfinite(value):
+                raise ConfigurationError(f"value {value!r} at vertex {x!r} is not finite")
+        except ValueError as exc:  # ConfigurationError is a ValueError too
+            raise ConfigurationError(f"{path}, line {lineno}: {exc}") from None
+        values[p] = value
+    pos = sorted(values)
+    return VertexFunction(net.vertices, pos, [values[p] for p in pos])
 
 
 def _config_header(args, net, plan=None, tol=None):

@@ -28,8 +28,8 @@ import numpy as np
 from .errors import DomainError, PreconditionError, WindowError
 from .kernels import harm_part
 from .network import VertexFunction
-from .operators import (energy, pair_sums, prefix_sums, read_values,
-                        scaled_laplacian_residual, window_laplacian)
+from .operators import (common_window, energy, pair_sums, prefix_sums,
+                        read_values, scaled_laplacian_residual, window_laplacian)
 
 LIMIT_TOL = 1e-6          # last-3-stage agreement declares a limit
 EXHAUSTION_TOL = 1e-3     # two plans differing more than this are dependent
@@ -204,11 +204,10 @@ def gauss_green(net, u, v, plan, alt_plan=None, *, limit_tol=LIMIT_TOL):
     WindowError naming the plan is raised before any stage is evaluated.
     """
     plans = (plan,) if alt_plan is None else (plan, alt_plan)
-    covered = np.zeros((1 if v is u else 2, len(net.vertices)), bool)
-    for row, f in zip(covered, (u, v)):
-        row[f._positions_in(net)[0]] = True
+    covered = np.zeros(len(net.vertices), bool)
+    covered[common_window(net, u, v)] = True
     for p in plans:
-        if not covered[:, net._order[:net._cut(p.final_radius)]].all():
+        if not covered[net._order[:net._cut(p.final_radius)]].all():
             raise WindowError(
                 f"plan {p.descriptor!r} reaches radius {p.final_radius}, "
                 "beyond the windows of u and v")
@@ -271,7 +270,7 @@ def harmonic_boundary_representation(net, u, x, plan, *, harmonic_tol=1e-6):
     h_x is the harmonic part of the dipole kernel element at x.  Raises
     DomainError when u is not harmonic on the window interior.
     """
-    res = scaled_laplacian_residual(net, u, {}, net.interior_of(u.window))
+    res = scaled_laplacian_residual(net, u, {}, net._interior(common_window(net, u)))
     if not res <= harmonic_tol:  # a NaN residual is no evidence of harmonicity
         raise DomainError(f"function is not harmonic (scaled residual {res:.2e})")
     if x == net.origin:
@@ -289,8 +288,8 @@ def balanced_check(net, u, window=None):
     sinks cancel); equal to the total injected charge for monopoles.
     """
     if window is None:
-        window = net.interior_of(u.window)
-    return float(prefix_sums(window_laplacian(net, u, window)[1])[-1])
+        window = net._interior(common_window(net, u))
+    return float(prefix_sums(window_laplacian(net, u, window))[-1])
 
 
 def two_sum_identity_check(net, u, window=None):
@@ -301,9 +300,9 @@ def two_sum_identity_check(net, u, window=None):
     total of a balanced source, hence ≈ 0 for true kernel combinations).
     """
     if window is None:
-        window = net.interior_of(u.window)
-    pos, lap = window_laplacian(net, u, window)
-    lap_fn = VertexFunction.at_positions(net.vertices, pos, lap)
+        window = net._interior(common_window(net, u))
+    lap = window_laplacian(net, u, window)
+    lap_fn = VertexFunction(net.vertices, window, lap)
     lhs = energy(net, u, lap_fn, window=window).value
     total = float(prefix_sums(lap)[-1])
     rhs = float(prefix_sums(lap * lap)[-1]) + total * total
@@ -319,12 +318,10 @@ def ell2_converse_check(net, u, v, window=None, *, tail_tol=1e-6):
     no-boundary-term case.
     """
     if window is None:
-        window = net.interior_of(u.window & v.window)
-    window = frozenset(window)
-    pos, du = window_laplacian(net, u, window)
-    dv = window_laplacian(net, v, window)[1]
-    uu, vv = read_values(net, u, pos)[pos], read_values(net, v, pos)[pos]
-    dist = net.arrays.dist[pos]
+        window = net._interior(common_window(net, u, v))
+    du, dv = window_laplacian(net, u, window), window_laplacian(net, v, window)
+    uu, vv = read_values(net, u, window)[window], read_values(net, v, window)[window]
+    dist = net.arrays.dist[window]
     outer = dist > dist.max() // 2
     tail = float(prefix_sums((uu * uu + vv * vv + du * du + dv * dv)[outer])[-1])
     if tail > tail_tol:

@@ -109,9 +109,11 @@ class ResistanceValue:
 def _probe_positions(net, x, plan):
     """Sorted positions of the probe vertices: the origin, x, their
     neighbours and five seeded picks from the rest of the final stage."""
-    near = {net.origin, x, *net.neighbors(net.origin), *net.neighbors(x)}
-    chosen = net._positions([y for y in near if net.has_vertex(y)
-                             and net.distance(y) <= plan.final_radius])
+    a = net.arrays
+    ends = np.array([net._order[0], net._require(x)])
+    near = np.concatenate((ends, a.nbr[net._pairs(ends)]))
+    near = near[near >= 0]
+    chosen = np.unique(near[a.dist[near] <= plan.final_radius])
     final = net._ball_positions(plan.final_radius)
     pool = final[~np.isin(final, chosen)]
     rng = np.random.default_rng(_PROBE_SEED)
@@ -143,7 +145,7 @@ def _covers(net, plan):
 def _zero_on(net, radius, gauge=GAUGE_RAW):
     """The zero function on B_radius."""
     pos = net._ball_positions(radius)
-    return VertexFunction.at_positions(net.vertices, pos, np.zeros(len(pos)), gauge)
+    return VertexFunction(net.vertices, pos, np.zeros(len(pos)), gauge)
 
 
 def _energy_of(net, pos, u, v=None):
@@ -225,8 +227,8 @@ def _dipole_element(net, x, plan, kind, bc, tol):
         raise DomainError("the kernel element at the origin is the zero class")
     trace = _dipole_trace(net, x, plan, bc, tol)
     return KernelElement(base=x, kind=kind,
-                         approximant=VertexFunction.at_positions(
-                             net.vertices, *trace.stages[-1], GAUGE_ORIGIN),
+                         approximant=VertexFunction(net.vertices, *trace.stages[-1],
+                                                    GAUGE_ORIGIN),
                          stage_energies=trace.energies, converged=trace.converged,
                          meta={"plan": plan.descriptor, "bc": bc,
                                "probe_deltas": trace.deltas})
@@ -257,8 +259,7 @@ def harm_part(net, x, plan, *, tol=POINTWISE_TOL):
     wired = _dipole_trace(net, x, plan, WIRED, tol, energies=False)
     h, energies = _harm_trace(net, free, wired)
     return KernelElement(base=x, kind=KIND_HARM,
-                         approximant=VertexFunction.at_positions(
-                             net.vertices, *h, GAUGE_RAW),
+                         approximant=VertexFunction(net.vertices, *h, GAUGE_RAW),
                          stage_energies=energies,
                          converged=free.converged and wired.converged,
                          meta={"plan": plan.descriptor})
@@ -277,8 +278,7 @@ def _vanish_gauge(net, rep, ball):
     if not bd.size:
         return rep.solution
     shift = float(prefix_sums(rep.values[bd])[-1]) / len(bd)
-    return VertexFunction.at_positions(net.vertices, rep.pos, rep.values - shift,
-                                       GAUGE_VANISH)
+    return VertexFunction(net.vertices, rep.pos, rep.values - shift, GAUGE_VANISH)
 
 
 def _classify_energy_trace(energies):

@@ -310,26 +310,25 @@ def harmonic_energy(spec):
 
 
 def _line_function(window, values, gauge, vertices):
-    """``values`` on the integer range ``window``, built on ``vertices``, the
-    canonical tuple of a window of the model at least as large, if given."""
-    vertices = tuple(window) if vertices is None else vertices
+    """``values`` on the integer range ``window``, on ``vertices``, the vertex
+    tuple of a network of the model whose window is at least as large."""
     pos = np.arange(window.start, window.stop) - vertices[0]
-    return VertexFunction.at_positions(vertices, pos, values, gauge)
+    return VertexFunction(vertices, pos, values, gauge)
 
 
-def oracle_v_function(spec, n, radius, vertices=None):
+def oracle_v_function(spec, n, radius, vertices):
     window = range(-radius, radius + 1) if spec.family == "geom_z" else range(radius + 1)
     return _line_function(window, [oracle_v(spec, n, k) for k in window], GAUGE_ORIGIN,
                           vertices)
 
 
-def oracle_w_o_function(spec, radius, vertices=None):
+def oracle_w_o_function(spec, radius, vertices):
     window = range(-radius, radius + 1) if spec.family == "geom_z" else range(radius + 1)
     return _line_function(window, [oracle_w_o(spec, k) for k in window], GAUGE_VANISH,
                           vertices)
 
 
-def oracle_h_function(spec, radius, *, unit_energy=False, vertices=None):
+def oracle_h_function(spec, radius, vertices, *, unit_energy=False):
     """The harmonic oracle on a symmetric window, optionally scaled to E(h) = 1.
 
     For a harmonic function the whole energy arrives through the boundary
@@ -346,7 +345,7 @@ def oracle_h_function(spec, radius, *, unit_energy=False, vertices=None):
     return _line_function(window, values, GAUGE_ORIGIN, vertices)
 
 
-def log_increment_function(radius, vertices=None):
+def log_increment_function(radius, vertices):
     """The unbounded finite-energy test function on the unit half-line.
 
     u(0) = 0 and u(n) − u(n−1) is 1/k when n = 2^k, else 1/n.  The n = 1
@@ -384,7 +383,7 @@ def oracle_residuals(spec, radius=30):
     w = oracle_w_o_function(spec, radius, net.vertices)
     out["monopole"] = scaled_laplacian_residual(net, w, {0: 1.0}, interior)
     if spec.family == "geom_z":
-        h = oracle_h_function(spec, radius, vertices=net.vertices)
+        h = oracle_h_function(spec, radius, net.vertices)
         out["harmonic"] = scaled_laplacian_residual(net, h, {}, interior)
     return out
 

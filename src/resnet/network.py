@@ -13,9 +13,10 @@ the built-in families give theirs in closed form
 (:func:`resnet.models.build`), an explicit edge list from one breadth-first
 search over its compressed rows.  The constructor builds the
 :class:`NetworkArrays` every query reads and checks conductance symmetry
-once, on them.  A ball is a radius: B_r is a prefix of the search order, an
-int array, and an exhaustion plan keeps radii.  A function on a window is an
-array of values over canonical positions (:class:`VertexFunction`).
+once, on them.  A window is the sorted int64 positions of its vertices in
+:attr:`Network.vertices`, and a function on it the array of its values
+there, on that vertex tuple (:class:`VertexFunction`).  A ball is a radius:
+B_r is a prefix of the search order, and an exhaustion plan keeps radii.
 
 Vertex ids are integers, or tuples of integers for branched models such as
 stars and trees.
@@ -23,12 +24,11 @@ stars and trees.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import OrderedDict
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from threading import Lock
 
 import numpy as np
@@ -102,14 +102,17 @@ class Network:
         """Build an explicit finite network from (u, v, conductance) triples.
 
         Parallel edges are merged by summing their conductances in input
-        order.  Self loops, negative conductances, an origin with no edge and
-        disconnected graphs are rejected; zero conductances are dropped.
+        order.  Self loops, negative or non-finite conductances, an origin
+        with no edge and disconnected graphs are rejected; zero conductances
+        are dropped.
         """
         kept = []
         for u, v, c in edges:
             if u == v:
                 raise DomainError(f"self loop at {u!r} is not allowed")
             c = float(c)
+            if not math.isfinite(c):
+                raise DomainError(f"non-finite conductance on edge ({u!r}, {v!r})")
             if c < 0.0:
                 raise DomainError(f"negative conductance on edge ({u!r}, {v!r})")
             if c != 0.0:
@@ -261,34 +264,9 @@ class Network:
                 f"(radius {self.window_radius})")
         return int(self._cuts[min(radius, len(self._cuts) - 1)])
 
-    def ball(self, radius):
-        """Vertices within graph distance ``radius`` of the origin: a prefix
-        of the search order, so O(|B_r|)."""
-        return next(self._balls((radius,)))
-
     def _ball_positions(self, radius):
         """The sorted canonical positions of B_r."""
         return np.sort(self._order[:self._cut(radius)])
-
-    def _balls(self, radii):
-        """The balls of the increasing ``radii``, each grown from the last."""
-        ball, lo = frozenset(), 0
-        for r in radii:
-            hi = self._cut(r)
-            ball = ball.union(map(self._vertices.__getitem__, self._order[lo:hi].tolist()))
-            lo = hi
-            yield ball
-
-    def _positions(self, subset):
-        """The sorted canonical positions of a set of window vertices; the
-        first vertex outside the window, in canonical order, raises
-        :meth:`_require`'s error."""
-        try:
-            pos = np.fromiter(map(self._pos.__getitem__, subset), np.int64, len(subset))
-        except KeyError:
-            for x in vsorted(subset):
-                self._require(x)
-        return np.sort(pos)
 
     def _pairs(self, pos):
         """The pairs of the rows at window positions ``pos``, row after row,
@@ -305,15 +283,16 @@ class Network:
         pairs = self._pairs(pos)
         return pairs[~inside[self.arrays.nbr[pairs]]]
 
+    def _interior(self, pos):
+        """The sorted window positions ``pos`` less those with a neighbour
+        outside them."""
+        return np.setdiff1d(pos, self.arrays.rows[self._leaving(pos)])
+
     def boundary_of(self, subset):
         """Vertices of ``subset`` having a neighbor outside it."""
-        rows = self.arrays.rows[self._leaving(self._positions(frozenset(subset)))]
+        pos = np.fromiter(map(self._require, vsorted(frozenset(subset))), np.int64)
+        rows = self.arrays.rows[self._leaving(pos)]
         return frozenset(map(self._vertices.__getitem__, np.unique(rows).tolist()))
-
-    def interior_of(self, subset):
-        """Vertices of ``subset`` all of whose neighbors lie in it."""
-        sub = frozenset(subset)
-        return sub - self.boundary_of(sub)
 
 
 @dataclass(frozen=True)
@@ -364,10 +343,9 @@ class NetworkArrays:
 
 
 class Ball:
-    """B_r as its radius: it iterates the vertices of ``net.ball(radius)``,
-    in search order, without building the set.  The solver keys the systems
-    of balls by radius and reads their positions from
-    :meth:`Network._ball_positions`."""
+    """B_r as its radius: it iterates the vertices of B_r in search order.
+    The solver keys the systems of balls by radius and reads their positions
+    from :meth:`Network._ball_positions`."""
 
     __slots__ = ("net", "radius")
 
@@ -383,36 +361,21 @@ class Ball:
 
 
 @dataclass(frozen=True)
-class ExhaustionPlan(Sequence):
+class ExhaustionPlan:
     """Nested increasing finite connected vertex sets exhausting a network.
 
     Stages are graph-distance balls around the origin, so nesting,
     connectedness and containment of the origin hold by construction.  A
-    plan holds radii; it is the sequence of its stages, each ball built when
-    it is read.
+    plan holds radii; its stages are the :class:`Ball` of each radius.
     """
 
     radii: tuple
     descriptor: str
     net: Network = field(repr=False)
 
-    def __len__(self):
-        return len(self.radii)
-
-    def __iter__(self):
-        return self.net._balls(self.radii)
-
-    def __getitem__(self, k):
-        return (tuple(map(self.net.ball, self.radii[k])) if isinstance(k, slice)
-                else self.net.ball(self.radii[k]))
-
     @property
     def stages(self):
-        return self
-
-    @property
-    def final(self):
-        return self.net.ball(self.radii[-1])
+        return tuple(Ball(self.net, r) for r in self.radii)
 
     @property
     def final_radius(self):
@@ -447,12 +410,10 @@ def doubling_exhaustion(net):
 class VertexFunction:
     """Real-valued function on a finite vertex window with an explicit gauge.
 
-    ``_values[i]`` is the value at vertex ``_vertices[_pos[i]]``: a tuple of
-    ids in canonical order, and increasing positions into it, the window.
-    A function computed on a network shares its ``vertices`` tuple
-    (:meth:`at_positions`), so the network reads it by indexing; one built
-    from a mapping is built on its own sorted keys.  An id is found by
-    binary search in canonical order.
+    ``VertexFunction(vertices, pos, values)`` has ``values[i]`` at vertex
+    ``vertices[pos[i]]``: the vertex tuple of a network, and increasing
+    positions into it, the window.  An id is found by binary search in
+    canonical order.
 
     The gauge records which representative of an energy equivalence class the
     values carry: ``origin-zero`` (value 0 at the origin), ``vanish-at-infinity``
@@ -462,30 +423,11 @@ class VertexFunction:
 
     __slots__ = ("_vertices", "_pos", "_values", "gauge")
 
-    def __init__(self, values, gauge=GAUGE_RAW):
-        values = dict(values)
-        keys = tuple(vsorted(values))
+    def __init__(self, vertices, pos, values, gauge=GAUGE_RAW):
         if gauge not in GAUGES:
             raise ConfigurationError(f"unknown gauge {gauge!r}")
-        self._vertices, self._pos, self.gauge = keys, np.arange(len(keys)), gauge
-        self._values = np.fromiter(map(values.__getitem__, keys), float, len(keys))
-
-    @classmethod
-    def zero(cls, window, gauge=GAUGE_RAW):
-        return cls({x: 0.0 for x in window}, gauge)
-
-    @classmethod
-    def at_positions(cls, vertices, pos, values, gauge=GAUGE_RAW):
-        """The function with ``values[i]`` at vertex ``vertices[pos[i]]``, for
-        a canonical vertex tuple and increasing positions ``pos``."""
-        u = cls((), gauge)
-        u._vertices, u._pos, u._values = vertices, np.asarray(pos), np.array(values, float)
-        return u
-
-    @classmethod
-    def indicator(cls, window, on, gauge=GAUGE_RAW):
-        on = frozenset(on)
-        return cls({x: (1.0 if x in on else 0.0) for x in window}, gauge)
+        self._vertices, self._pos, self.gauge = vertices, np.asarray(pos, np.int64), gauge
+        self._values = np.array(values, float)
 
     def _index(self, x):
         """The index of vertex ``x`` in the arrays, or -1 off the window."""
@@ -500,16 +442,11 @@ class VertexFunction:
     def _ids(self):
         return map(self._vertices.__getitem__, self._pos.tolist())
 
-    def _positions_in(self, net):
-        """The increasing positions in ``net`` of the window vertices, and the
-        values there: the function's own arrays when it is on
-        ``net.vertices``, else translated through ``net._pos`` (both tuples
-        are in canonical order)."""
-        if self._vertices is net.vertices:
-            return self._pos, self._values
-        pos = np.fromiter(map(net._pos.get, self._ids(), repeat(-1)), np.int64, len(self))
-        keep = np.flatnonzero(pos >= 0)
-        return pos[keep], self._values[keep]
+    def _on(self, vertices):
+        """Positions and values of a function on the tuple ``vertices``."""
+        if self._vertices is not vertices:
+            raise DomainError("function is not on the network's vertices")
+        return self._pos, self._values
 
     @property
     def window(self):
@@ -535,15 +472,7 @@ class VertexFunction:
 
     def _like(self, at, values, gauge):
         """``values`` at the window entries ``at``, on the same vertex tuple."""
-        return VertexFunction.at_positions(self._vertices, self._pos[at], values, gauge)
-
-    def restricted(self, window):
-        at = {x: self._index(x) for x in frozenset(window)}
-        missing = [x for x, i in at.items() if i < 0]
-        if missing:
-            raise WindowError(f"window extends beyond the function: {vsorted(missing)[:3]}")
-        at = np.sort(np.fromiter(at.values(), np.int64, len(at)))
-        return self._like(at, self._values[at], self.gauge)
+        return VertexFunction(self._vertices, self._pos[at], values, gauge)
 
     def shifted(self, k):
         """The representative u + k (same class, raw gauge)."""
@@ -559,9 +488,10 @@ class VertexFunction:
         return self._like(slice(None), a * self._values, self.gauge)
 
     def _merge(self, other, op):
-        theirs = np.fromiter(map(other._index, self._ids()), np.int64, len(self))
-        at = np.flatnonzero(theirs >= 0)
-        return self._like(at, op(self._values[at], other._values[theirs[at]]), GAUGE_RAW)
+        pos, values = other._on(self._vertices)
+        _, mine, theirs = np.intersect1d(self._pos, pos, assume_unique=True,
+                                         return_indices=True)
+        return self._like(mine, op(self._values[mine], values[theirs]), GAUGE_RAW)
 
     def __add__(self, other):
         return self._merge(other, np.add)

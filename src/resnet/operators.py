@@ -3,6 +3,9 @@
 The Laplacian used throughout has the positive-spectrum sign convention,
 (Δv)(x) = Σ_{y~x} c_xy (v(x) − v(y)), and the energy form counts every edge
 exactly once: E(u, v) = ½ Σ_{x,y} c_xy (u(x) − u(y))(v(x) − v(y)).
+
+A ``window`` argument is the sorted positions of its vertices in
+``net.vertices``, and every function lies on that vertex tuple.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ class EnergyValue:
     """
 
     value: float
-    window: frozenset
     converged: bool
 
 
@@ -43,7 +45,7 @@ def read_values(net, u, positions):
     """u at the given vertex positions, scattered into an array over every
     vertex (0.0 elsewhere); reads through u's window, so a vertex outside it
     raises WindowError."""
-    have, values = u._positions_in(net)
+    have, values = u._on(net.vertices)
     at = positions  # u on every vertex has its values by position
     if len(have) < len(net.vertices):
         at = np.full(len(net.vertices), -1)
@@ -54,6 +56,14 @@ def read_values(net, u, positions):
     out = np.zeros(len(net.vertices))
     out[positions] = values[at]
     return out
+
+
+def common_window(net, u, v=None):
+    """The sorted positions of u's window, or of the windows of u and v."""
+    pos = u._on(net.vertices)[0]
+    if v is not None and v is not u:
+        pos = np.intersect1d(pos, v._on(net.vertices)[0], assume_unique=True)
+    return pos
 
 
 def inner_edges(net, pos):
@@ -87,14 +97,13 @@ def pair_sums(net, keep, vv):
     return np.bincount(x, a.cond[keep] * (vv[x] - vv[y]), minlength=len(a.dist))
 
 
-def window_laplacian(net, u, window):
-    """The sorted canonical positions of ``window`` (vertices, or sorted
-    positions) and Δu there, the floats of :func:`laplacian_apply`, from one
-    :func:`pair_sums` pass that reads u once over the window and its
-    neighbours.  A window vertex with a neighbour beyond the materialized
-    window or outside u's window raises WindowError."""
+def window_laplacian(net, u, pos):
+    """Δu at the window positions ``pos``, the floats of
+    :func:`laplacian_apply`, from one :func:`pair_sums` pass that reads u
+    once over the window and its neighbours.  A window vertex with a
+    neighbour beyond the materialized window or outside u's window raises
+    WindowError."""
     a = net.arrays
-    pos = window if isinstance(window, np.ndarray) else net._positions(frozenset(window))
     pairs = net._pairs(pos)
     beyond = pairs[a.nbr[pairs] < 0]
     if beyond.size:  # WindowError naming the first such neighbour
@@ -102,7 +111,7 @@ def window_laplacian(net, u, window):
     read = np.zeros(len(a.dist), bool)
     read[pos] = read[a.nbr[pairs]] = True
     uu = read_values(net, u, np.flatnonzero(read))
-    return pos, pair_sums(net, pairs, uu)[pos]
+    return pair_sums(net, pairs, uu)[pos]
 
 
 def energy(net, u, v=None, window=None):
@@ -115,29 +124,27 @@ def energy(net, u, v=None, window=None):
     if v is None:
         v = u
     if window is None:
-        window = u.window if v is u else (u.window & v.window)
-    window = frozenset(window)
+        window = common_window(net, u, v)
     a = net.arrays
-    keep = inner_edges(net, net._positions(window))
+    keep = inner_edges(net, window)
     read = np.zeros(len(net.vertices), bool)
     read[a.edge_x[keep]] = read[a.edge_y[keep]] = True
     ends = np.flatnonzero(read)
     uu = read_values(net, u, ends)
     vv = uu if v is u else read_values(net, v, ends)
     converged = net.is_finite and len(window) == len(net.vertices)
-    return EnergyValue(value=edge_energy(net, keep, uu, vv), window=window,
-                       converged=converged)
+    return EnergyValue(value=edge_energy(net, keep, uu, vv), converged=converged)
 
 
 def scaled_laplacian_residual(net, u, rhs, window):
-    """max over ``window`` (vertices, or sorted positions) of |Δu − rhs| / max(1, c(x)).
+    """max over ``window`` of |Δu − rhs| / max(1, c(x)).
 
     Conductance scaling keeps the check meaningful across the huge dynamic
     ranges of geometric models, where forming c_xy (u(x) − u(y)) already costs
     c_xy·eps of absolute accuracy in floating point.
     """
-    pos, lap = window_laplacian(net, u, window)
-    f = np.fromiter(map(rhs.get, map(net.vertices.__getitem__, pos.tolist()),
-                        repeat(0.0)), float, len(pos))
-    worst = np.abs(lap - f) / np.maximum(1.0, net.arrays.ctot[pos])
+    lap = window_laplacian(net, u, window)
+    f = np.fromiter(map(rhs.get, map(net.vertices.__getitem__, window.tolist()),
+                        repeat(0.0)), float, len(window))
+    worst = np.abs(lap - f) / np.maximum(1.0, net.arrays.ctot[window])
     return float(worst.max(initial=0.0))

@@ -111,11 +111,12 @@ def _simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
               track_max_distance=False, return_home=None, mid_step=None):
     """Vectorized batch of walks from ``start``.
 
-    Returns a dict with per-walk outcome arrays: ``absorbed_at`` (index into
-    ``absorb`` order, -1 if none), ``exited`` (left the window), ``capped``
-    (still walking at the horizon), plus optional visit counts, max
-    pre-return distance and visit counts up to step ``mid_step``.  Absorption
-    applies from step 1, never at time 0.
+    ``absorb`` holds the positions of the absorbing vertices.  Returns a dict
+    with per-walk outcome arrays: ``absorbed_at`` (index into ``absorb``, -1
+    if none), ``exited`` (left the window), ``capped`` (still walking at the
+    horizon), plus optional visit counts, max pre-return distance and visit
+    counts up to step ``mid_step``.  Absorption applies from step 1, never
+    at time 0.
 
     Only active walks move.  They are kept as an ascending array of walk
     indices, with their positions, visit counts and maximum distances aligned
@@ -137,8 +138,7 @@ def _simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
     code = None
     if absorb:
         code = np.full(n_verts + 1, -1, dtype=np.int64)
-        for a_i, aset in enumerate(absorb):
-            code[net._positions(aset)] = a_i
+        code[list(absorb)] = np.arange(len(absorb))
         halt |= code >= 0
     if return_home is not None:
         halt[index[return_home]] = True
@@ -238,7 +238,7 @@ def hitting_probability(net, target, absorber, start, cfg):
     if start == absorber:
         return McEstimate(value=0.0, stderr=0.0, n_walks=cfg.n_walks,
                           seed=cfg.seed)
-    out = _simulate(net, start, cfg, absorb=({target}, {absorber}))
+    out = _simulate(net, start, cfg, absorb=(net._pos[target], net._pos[absorber]))
     decided = out["absorbed_at"] >= 0
     n_dec = int(decided.sum())
     lost = cfg.n_walks - n_dec

@@ -13,23 +13,21 @@ infinite) network:
   diagonal, giving a positive definite system with no compatibility
   condition.
 
-Solves are direct sparse LU factorizations.  A region is a ball, passed as
-its radius (:class:`~resnet.network.Ball`), or any set of window vertices.
-Each region system is assembled from ``Network.arrays`` on the region's
-sorted positions straight into compressed arrays (the matrix is symmetric,
-so its compressed rows and columns are the same arrays) and factored once.
-The network keeps its most recently used systems, at most ``MAX_SYSTEMS``
-of them and ``MAX_SYSTEM_BYTES`` in all, and frees them with itself; a
-ball's system is keyed by ``(radius, bc)`` and takes its positions from
-``Network._ball_positions``, any other region's by ``(frozenset, bc)``
-through ``Network._positions``.  Only the latter is searched for
-connectivity: a shortest path from the origin to a vertex of B_r stays in
-B_r, so every ball is connected.  Nothing is cached across networks.  The
-byte count takes ``RESERVED_PER_NONZERO`` (512 B) per matrix nonzero for
-the room splu reserves, about what the factors of large line and grid
-systems take; a small factor reserves 1.9-4.4 KB of address space per
-nonzero (a 500-row line, a 10x10 grid; scipy 1.17), so in a session of many
-small systems it is the ``MAX_SYSTEMS`` cap that bounds memory.
+Solves are direct sparse LU factorizations.  A region is a ball B_r,
+passed as its radius (:class:`~resnet.network.Ball`); it holds the origin
+and is connected, since a shortest path from the origin to a vertex of B_r
+stays in B_r.  Each ball's system is assembled from ``Network.arrays`` on
+the sorted positions of ``Network._ball_positions`` straight into
+compressed arrays (the matrix is symmetric, so its compressed rows and
+columns are the same arrays) and factored once.  The network keeps its most
+recently used systems, keyed by ``(radius, bc)``, at most ``MAX_SYSTEMS``
+of them and ``MAX_SYSTEM_BYTES`` in all, and frees them with itself.
+Nothing is cached across networks.  The byte count takes
+``RESERVED_PER_NONZERO`` (512 B) per matrix nonzero for the room splu
+reserves, about what the factors of large line and grid systems take; a
+small factor reserves 1.9-4.4 KB of address space per nonzero (a 500-row
+line, a 10x10 grid; scipy 1.17), so in a session of many small systems it is
+the ``MAX_SYSTEMS`` cap that bounds memory.
 
 A solve takes one source or a block of them.  A block is one column per
 source, solved by one call of the factor and checked by one residual
@@ -46,10 +44,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (DomainError, IncompatibleSourceError, NumericalError)
-from .network import GAUGE_ORIGIN, GAUGE_RAW, GAUGE_VANISH, Ball, VertexFunction
+from .network import GAUGE_ORIGIN, GAUGE_RAW, GAUGE_VANISH, VertexFunction
 
 FREE = "free"
 WIRED = "wired"
@@ -95,8 +92,7 @@ class SolveReport:
 
     @cached_property
     def solution(self):
-        return VertexFunction.at_positions(self.vertices, self.pos, self.values,
-                                           self.gauge)
+        return VertexFunction(self.vertices, self.pos, self.values, self.gauge)
 
 
 class _System(NamedTuple):
@@ -130,15 +126,13 @@ def _columns(indptr):
 
 
 def _origin_index(net, pos):
-    """The index of the origin in the sorted window positions ``pos``, or -1."""
-    o = net._pos[net.origin]
-    i = int(np.searchsorted(pos, o))
-    return i if i < len(pos) and pos[i] == o else -1
+    """The index of the origin, first in the search order, in a ball's ``pos``."""
+    return int(np.searchsorted(pos, net._order[0]))
 
 
-def _assemble(net, pos, bc, connected):
-    """The system of the region at the sorted window positions ``pos``, from
-    ``net.arrays``; a region not known to be ``connected`` is searched first."""
+def _assemble(net, pos, bc):
+    """The system of the ball at the sorted window positions ``pos``, from
+    ``net.arrays``."""
     pos.flags.writeable = False
     a, m = net.arrays, len(pos)
     # Every pair of the region's rows, in incident order (so increasing
@@ -151,13 +145,11 @@ def _assemble(net, pos, bc, connected):
     diag = a.ctot[pos] if bc == WIRED else np.bincount(row, cond, minlength=m)
     indptr, indices, data = _compressed(row, col, cond, diag)
     matrix = sp.csc_matrix((data, indices, indptr), shape=(m, m))
-    if not connected and connected_components(matrix, directed=False)[0] != 1:
-        raise DomainError("region is not connected")
     has_crossing = not inner.all()
     factor, o = None, _origin_index(net, pos)
     if bc == WIRED and has_crossing:
         factor = _ScaledLU(indptr, indices, data)
-    elif bc == FREE and o >= 0 and m > 1:
+    elif bc == FREE and m > 1:
         # Pin the gauge: drop the origin's row and column.
         off = (row != o) & (col != o)
         row, col = row[off], col[off]
@@ -169,25 +161,18 @@ def _assemble(net, pos, bc, connected):
     return _System(pos, matrix, factor, has_crossing, nbytes)
 
 
-def _system(net, region, bc):
-    """The system of a region, a :class:`~resnet.network.Ball` or a set of
-    window vertices, from the network's store, assembled and factored on a
-    miss.  The store drops its least recently used systems, never the
-    newest, while it holds more than MAX_SYSTEMS or MAX_SYSTEM_BYTES."""
-    ball = isinstance(region, Ball)
-    key = (region.radius if ball else frozenset(region), bc)
+def _system(net, ball, bc):
+    """The system of a :class:`~resnet.network.Ball` from the network's
+    store, assembled and factored on a miss.  The store drops its least
+    recently used systems, never the newest, while it holds more than
+    MAX_SYSTEMS or MAX_SYSTEM_BYTES."""
+    key = (ball.radius, bc)
     with net._lock:
         system = net._systems.get(key)
         if system is not None:
             net._systems.move_to_end(key)
             return system
-    if ball:
-        pos = net._ball_positions(region.radius)
-    elif key[0]:
-        pos = net._positions(key[0])
-    else:
-        raise DomainError("empty region")
-    system = _assemble(net, pos, bc, connected=ball)
+    system = _assemble(net, net._ball_positions(ball.radius), bc)
     with net._lock:
         stored = net._systems
         stored[key] = system
@@ -277,8 +262,6 @@ def _free_solve(net, region, sources, tol, block):
             raise IncompatibleSourceError(
                 f"free boundary solve needs a balanced source, got sum {total:g}")
     o = _origin_index(net, system.pos)
-    if o < 0:
-        raise DomainError("free solve region must contain the origin (gauge pin)")
     u = np.zeros(b.shape)
     if system.factor is not None:
         keep = np.arange(len(b)) != o
@@ -291,11 +274,11 @@ def _free_solve(net, region, sources, tol, block):
 def solve_poisson(net, region, f, bc, *, tol=DEFAULT_TOLERANCE):
     """Solve Δu = f on the region under the given boundary condition.
 
-    The region is a :class:`~resnet.network.Ball` or a set of vertices.
-    ``f`` maps vertices to source values; vertices of the region missing from
-    ``f`` carry source 0 (the region must contain the support of ``f``).  A
-    list of such maps is a block of sources, solved together: ``values`` then
-    holds one solution column per source, each checked as a single solve.
+    The region is a :class:`~resnet.network.Ball`.  ``f`` maps vertices to
+    source values; vertices of the region missing from ``f`` carry source 0
+    (the region must contain the support of ``f``).  A list of such maps is
+    a block of sources, solved together: ``values`` then holds one solution
+    column per source, each checked as a single solve.
     Free solves require balanced sources and return the origin-zero
     representative; wired solves return the ghost-grounded solution, which is
     the vanish-at-infinity representative.

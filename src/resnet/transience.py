@@ -130,7 +130,7 @@ def _grounded_projection(net, plan, trace):
     if converged and not growing:
         beta = betas[-1]
         values = 1.0 - beta * g.values
-        u = VertexFunction.at_positions(net.vertices, g.pos, values)
+        u = VertexFunction(net.vertices, g.pos, values)
         pairs = net._leaving(g.pos)  # the edges to the ghost, in row order
         gaps = values[np.searchsorted(g.pos, net.arrays.rows[pairs])] - 1.0
         # Python's d ** 2 (C pow), not numpy's d * d: they differ in the last bit.
@@ -247,7 +247,7 @@ def harm_dimension_probe(net, plan=None, samples=None):
         raise DomainError("need at least one non-origin sample vertex")
     # One free and one wired sweep give every v_x and h_x = v_x − f_x, a
     # column per sample.  The last stage is the final one and holds every
-    # sample, so its energies are E(h_x) and E(v_x) over plan.final.
+    # sample, so its energies are E(h_x) and E(v_x) over its ball.
     h_energies = [[] for _ in samples]
     for (pos, v, held), (_, f, _) in zip(_sweep(net, samples, plan, FREE),
                                          _sweep(net, samples, plan, WIRED)):

@@ -8,6 +8,8 @@ from hypothesis import HealthCheck, settings
 import resnet as rn
 from resnet.models import ModelSpec, build
 
+from reference_pointwise import function_on
+
 settings.register_profile(
     "suite", derandomize=True, max_examples=25, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
@@ -96,8 +98,11 @@ def lognormal_grid_edges(side, seed):
     return edges
 
 
-def random_function(rng, window, scale=2.0):
-    return rn.VertexFunction({x: float(rng.uniform(-scale, scale)) for x in window})
+def random_function(rng, net, scale=2.0):
+    """Uniform values in [-scale, scale] on every vertex of ``net``, drawn in
+    the iteration order of the vertex set."""
+    return function_on(net, {x: float(rng.uniform(-scale, scale))
+                             for x in frozenset(net.vertices)})
 
 
 @pytest.fixture

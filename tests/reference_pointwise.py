@@ -6,6 +6,27 @@ from resnet.errors import DomainError
 from resnet.network import GAUGE_RAW, VertexFunction
 from resnet.operators import EnergyValue, energy, scaled_laplacian_residual
 
+from reference_windows import interior_of, positions
+
+
+def function_on(net, values, gauge=GAUGE_RAW):
+    """The function on ``net``'s vertex tuple with the values of the mapping
+    ``values`` from window vertices; a vertex outside the window raises the
+    network's error for it."""
+    pos = positions(net, values)
+    at = [values[net.vertices[p]] for p in pos.tolist()]
+    return VertexFunction(net.vertices, pos, at, gauge)
+
+
+def indicator(net, window, on):
+    """The function on ``window`` that is 1 on ``on`` and 0 elsewhere."""
+    return function_on(net, {x: float(x in on) for x in window})
+
+
+def restricted(net, u, window):
+    """u on the part ``window`` of its window."""
+    return function_on(net, {x: u.value(x) for x in window}, u.gauge)
+
 
 def seq_sum(terms):
     """The terms added left to right to 0.0, as the package adds floats; the
@@ -31,20 +52,19 @@ def normal_derivative(net, subset, v, x):
     return seq_sum(c * (vx - v.value(y)) for y, c in net.incident(x) if y in sub)
 
 
-def contract(u):
+def contract(net, u):
     """Pointwise clamp of u to [0, 1]; never increases energy (Markov property)."""
-    return VertexFunction({x: min(1.0, max(0.0, val)) for x, val in u.items()},
-                          GAUGE_RAW)
+    return function_on(net, {x: min(1.0, max(0.0, val)) for x, val in u.items()})
 
 
 def energy_over_plan(net, u, v, plan, rel_tol=1e-9):
     """Energy along an exhaustion, flagged converged when the last two stages
     agree to ``rel_tol`` relative."""
-    values = [energy(net, u, v, window=stage).value for stage in plan.stages]
+    values = [energy(net, u, v, window=positions(net, stage)).value
+              for stage in plan.stages]
     converged = len(values) >= 2 and (
         abs(values[-1] - values[-2]) <= rel_tol * max(1.0, abs(values[-1])))
-    return EnergyValue(value=values[-1], window=frozenset(plan.final),
-                       converged=converged)
+    return EnergyValue(value=values[-1], converged=converged)
 
 
 def reproducing_residual(net, element, u):
@@ -63,7 +83,7 @@ def harmonicity_residual(net, element, window=None):
     """Scaled max |Δh| over the interior: how harmonic the element really is."""
     h = element.approximant
     if window is None:
-        window = net.interior_of(h.window)
+        window = positions(net, interior_of(net, h.window))
     return scaled_laplacian_residual(net, h, {}, window)
 
 

@@ -13,7 +13,7 @@ from operator import itemgetter
 import numpy as np
 
 from resnet.errors import ConfigurationError, DomainError, UnsupportedModelError
-from resnet.network import Network, NetworkArrays, vertex_key, vsorted
+from resnet.network import Ball, Network, NetworkArrays, vertex_key, vsorted
 
 
 def explore(origin, neighbor_fn, radius):
@@ -152,10 +152,39 @@ def pointwise_arrays(dist, adjacency):
                          reach=floats(reach), ctot=floats(ctot))
 
 
+def positions(net, subset):
+    """The sorted positions in ``net.vertices`` of a set of window vertices
+    (a ``Ball`` too); the first vertex outside the window, in canonical
+    order, raises the network's error for it."""
+    subset = frozenset(subset)
+    try:
+        pos = np.fromiter(map(net._pos.__getitem__, subset), np.int64, len(subset))
+    except KeyError:
+        for x in vsorted(subset):
+            net._require(x)
+    return np.sort(pos)
+
+
+def ball(net, radius):
+    """The vertex set of B_radius."""
+    return frozenset(Ball(net, radius))
+
+
+def final_ball(plan):
+    """The vertex set of the last stage of ``plan``."""
+    return ball(plan.net, plan.final_radius)
+
+
+def interior_of(net, subset):
+    """The vertices of ``subset`` all of whose neighbours lie in it."""
+    subset = frozenset(subset)
+    return subset - net.boundary_of(subset)
+
+
 def crossing_edges(net, subset):
     """Edges from inside ``subset`` to outside it, as (x, y, c) with x in,
     in canonical order of x and then of y."""
-    pairs = net._leaving(net._positions(frozenset(subset)))
+    pairs = net._leaving(positions(net, subset))
     return zip(map(net.vertices.__getitem__, net.arrays.rows[pairs].tolist()),
                map(net._name, net._ids[pairs].tolist()),
                net.arrays.cond[pairs].tolist())

@@ -19,6 +19,7 @@ from resnet.transience import (classify, grounded_parameter_sweep,
                                harm_dimension_probe)
 
 from conftest import make_random_net, random_function
+from reference_windows import final_ball, positions
 
 
 def report(number, label, ok, detail=""):
@@ -40,7 +41,7 @@ def test_criterion_01_monopole_energy(geom2, geom2_plan):
 
 def test_criterion_02_boundary_term(geom2, geom2_spec):
     plan = rn.make_exhaustion(geom2, range(1, 29))
-    h1 = oracle_h_function(geom2_spec, 32, unit_energy=True)
+    h1 = oracle_h_function(geom2_spec, 32, geom2.vertices, unit_energy=True)
     rep = gauss_green(geom2, h1, h1, plan)
     ok = (rep.verdict == VERDICT_BOUNDARY
           and abs(rep.boundary_limit - 1.0) < 1e-6
@@ -52,7 +53,7 @@ def test_criterion_02_boundary_term(geom2, geom2_spec):
 def test_criterion_03_exhaustion_dependence():
     radius = 3 ** 10
     net = build(ModelSpec("log_increment_line"), radius=radius)
-    u = log_increment_function(radius)
+    u = log_increment_function(radius, net.vertices)
     p2 = rn.make_exhaustion(net, [2 ** k for k in range(1, 11)])
     p3 = rn.make_exhaustion(net, [3 ** k for k in range(1, 11)])
     trace = boundary_sum(net, u, u, p2, alt_plan=p3)
@@ -69,9 +70,8 @@ def test_criterion_04_finite_gauss_green():
     worst = 0.0
     for _ in range(50):
         net = make_random_net(rng, max_vertices=40)
-        window = frozenset(net.vertices)
-        u = random_function(rng, window)
-        v = random_function(rng, window)
+        u = random_function(rng, net)
+        v = random_function(rng, net)
         vertex_sum = sum(u.value(x) * laplacian_apply(net, v, x)
                          for x in net.vertices)
         worst = max(worst, abs(energy(net, u, v).value - vertex_sum))
@@ -115,13 +115,13 @@ def test_criterion_06_dirac_expansion():
 
 def test_criterion_07_royden_orthogonality(geom2, geom2_plan, zplus2,
                                            zplus2_plan):
-    worst = 0.0
+    worst, final = 0.0, positions(geom2, final_ball(geom2_plan))
     for x in (1, 2, -3):
         fx = fin_part(geom2, x, geom2_plan)
         for y in (1, -2, 3):
             hy = harm_part(geom2, y, geom2_plan)
             worst = max(worst, abs(energy(geom2, fx.approximant, hy.approximant,
-                                          window=geom2_plan.final).value))
+                                          window=final).value))
     dims = {}
     dims["geom_z"], _ = harm_dimension_probe(geom2, geom2_plan)
     dims["geom_zplus"], _ = harm_dimension_probe(zplus2, zplus2_plan)

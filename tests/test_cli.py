@@ -379,6 +379,10 @@ def test_radius_with_explicit_edges_is_refused(tmp_path, capsys):
     (json.dumps({"origin": 0, "edges": [{"u": 0, "v": 1, "c": 1.0},
                                         {"u": 2, "v": 3, "c": 1.0}]}),
      "network is not connected"),
+    ('{"origin": 0, "edges": [{"u": 0, "v": 1, "c": Infinity}, {"u": 1, "v": 2, "c": 1}]}',
+     "non-finite conductance on edge (0, 1)"),
+    ('{"origin": 0, "edges": [{"u": 0, "v": 1, "c": NaN}, {"u": 1, "v": 2, "c": 1}]}',
+     "non-finite conductance on edge (0, 1)"),
 ])
 def test_net_file_errors_keep_their_message(tmp_path, capsys, text, message):
     net = tmp_path / "net.json"
@@ -393,6 +397,12 @@ def test_net_file_errors_keep_their_message(tmp_path, capsys, text, message):
 @pytest.mark.parametrize("content, where", [
     ("vertex,value\n0,abc\n", ", line 2: could not convert string to float: 'abc'"),
     (None, ": [Errno 21] Is a directory"),
+    ("vertex,value\n" + "".join(f"{x},{x}\n" for x in range(-3, 4)) + "1,7\n",
+     ", line 9: vertex 1 is given twice"),
+    ("vertex,value\n0,0\n1,nan\n-1,1\n", ", line 3: value nan at vertex 1 is not finite"),
+    ("vertex,value\n0,0\n1,1\n-1,-inf\n", ", line 4: value -inf at vertex -1 is not finite"),
+    ("vertex,value\n0,0\n99,1\n1,1\n-1,1\n",
+     ", line 3: vertex 99 is not in the network's window"),
 ])
 def test_function_file_preset_errors_exit_2(tmp_path, capsys, content, where):
     path = tmp_path / "u.csv"

@@ -17,21 +17,21 @@ from resnet.models import (ModelSpec, build, log_increment_function,
 from resnet.operators import energy, laplacian_apply
 
 from conftest import make_random_net, random_function
-from reference_pointwise import normal_derivative
+from reference_pointwise import function_on, indicator, normal_derivative, restricted
+from reference_windows import final_ball, interior_of, positions
 
 
 @pytest.fixture(scope="module")
-def harm_unit(geom2_spec):
-    return oracle_h_function(geom2_spec, 32, unit_energy=True)
+def harm_unit(geom2_spec, geom2):
+    return oracle_h_function(geom2_spec, 32, geom2.vertices, unit_energy=True)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_stage_exactness_on_random_finite_nets(seed):
     rng = np.random.default_rng(seed)
     net = make_random_net(rng, max_vertices=25)
-    window = frozenset(net.vertices)
-    u = random_function(rng, window)
-    v = random_function(rng, window)
+    u = random_function(rng, net)
+    v = random_function(rng, net)
     radius = max(net.distance(x) for x in net.vertices)
     plan = rn.make_exhaustion(net, range(1, radius + 1)) if radius >= 1 else None
     report = gauss_green(net, u, v, plan)
@@ -70,21 +70,20 @@ def test_harmonic_boundary_term_is_unit(geom2, harm_unit):
 
 def test_kernel_span_has_no_boundary_term(geom2, geom2_plan):
     v2 = energy_kernel(geom2, 2, geom2_plan).approximant
-    u = oracle_w_o_function(ModelSpec("geom_z", {"c": 2.0}), 32)
+    u = oracle_w_o_function(ModelSpec("geom_z", {"c": 2.0}), 32, geom2.vertices)
     report = gauss_green(geom2, u, v2, geom2_plan)
     assert report.verdict == VERDICT_IDENTITY
     assert report.boundary_limit == pytest.approx(0.0, abs=1e-6)
     vertex_sum = sum(u.value(x) * laplacian_apply(geom2, v2, x)
-                     for x in sorted(geom2.interior_of(geom2_plan.final)))
-    assert energy(geom2, u, v2, window=geom2_plan.final).value == pytest.approx(
-        vertex_sum, abs=1e-6)
+                     for x in sorted(interior_of(geom2, final_ball(geom2_plan))))
+    window = positions(geom2, final_ball(geom2_plan))
+    assert energy(geom2, u, v2, window=window).value == pytest.approx(vertex_sum, abs=1e-6)
 
 
 def test_finite_net_boundary_empty(rng):
     net = make_random_net(rng, max_vertices=15)
-    window = frozenset(net.vertices)
-    u = random_function(rng, window)
-    v = random_function(rng, window)
+    u = random_function(rng, net)
+    v = random_function(rng, net)
     radius = max(net.distance(x) for x in net.vertices)
     plan = rn.make_exhaustion(net, range(1, radius + 1))
     report = gauss_green(net, u, v, plan)
@@ -95,7 +94,7 @@ def test_finite_net_boundary_empty(rng):
 def test_log_increment_boundary_sums():
     radius = 3 ** 10
     net = build(ModelSpec("log_increment_line"), radius=radius)
-    u = log_increment_function(radius)
+    u = log_increment_function(radius, net.vertices)
     p2 = rn.make_exhaustion(net, [2 ** k for k in range(1, 11)],
                             descriptor="radii:2^k")
     p3 = rn.make_exhaustion(net, [3 ** k for k in range(1, 11)],
@@ -109,7 +108,7 @@ def test_log_increment_boundary_sums():
 def test_gauss_green_flags_exhaustion_dependence():
     radius = 3 ** 7
     net = build(ModelSpec("log_increment_line"), radius=radius)
-    u = log_increment_function(radius)
+    u = log_increment_function(radius, net.vertices)
     p2 = rn.make_exhaustion(net, [2 ** k for k in range(1, 8)])
     p3 = rn.make_exhaustion(net, [3 ** k for k in range(1, 8)])
     report = gauss_green(net, u, u, p2, alt_plan=p3)
@@ -123,7 +122,7 @@ def test_gauss_green_rejects_plan_beyond_function_window():
                             descriptor="radii:2^k")
     p3 = rn.make_exhaustion(net, [3 ** k for k in range(1, 8)],
                             descriptor="radii:3^k")
-    u = log_increment_function(2 ** 11)
+    u = log_increment_function(2 ** 11, net.vertices)
     with pytest.raises(WindowError, match=r"'radii:3\^k' reaches radius 2187"):
         gauss_green(net, u, u, p2, alt_plan=p3)
     with pytest.raises(WindowError, match=r"'radii:3\^k' reaches radius 2187"):
@@ -131,8 +130,8 @@ def test_gauss_green_rejects_plan_beyond_function_window():
 
 
 def test_finitely_supported_boundary_eventually_zero(geom2, geom2_plan):
-    window = geom2_plan.final
-    u = rn.VertexFunction.indicator(window, {0, 1, -1})
+    window = final_ball(geom2_plan)
+    u = indicator(geom2, window, {0, 1, -1})
     w = wired_monopole(geom2, 0, geom2_plan).approximant
     trace = boundary_sum(geom2, u, w, geom2_plan)
     assert trace.converged
@@ -160,7 +159,7 @@ def test_harmonic_reconstruction_at_origin(geom2, geom2_plan, harm_unit):
 
 
 def test_harmonic_reconstruction_rejects_nonharmonic(geom2, geom2_plan):
-    u = rn.VertexFunction.indicator(geom2_plan.final, {0, 2})
+    u = indicator(geom2, final_ball(geom2_plan), {0, 2})
     with pytest.raises(DomainError):
         harmonic_boundary_representation(geom2, u, 3, geom2_plan)
 
@@ -187,7 +186,7 @@ def test_two_sum_identity_on_unit_path(unit_path, unit_path_plan):
 
 
 def test_two_sum_identity_zero_function(unit_path):
-    zero = rn.VertexFunction.zero(frozenset(unit_path.vertices))
+    zero = function_on(unit_path, dict.fromkeys(unit_path.vertices, 0.0))
     lhs, rhs = two_sum_identity_check(unit_path, zero)
     assert lhs == 0.0 and rhs == 0.0
 
@@ -210,14 +209,14 @@ def test_two_sum_identity_random_combinations(family, c, rng):
 
 
 def test_ell2_converse_on_half_line(zplus2, zplus2_plan, zplus2_spec):
-    w = oracle_w_o_function(zplus2_spec, 32)
+    w = oracle_w_o_function(zplus2_spec, 32, zplus2.vertices)
     assert ell2_converse_check(zplus2, w, w) < 1e-6
 
 
 def test_ell2_converse_on_finite_support(geom2, geom2_plan):
-    window = geom2_plan.final
-    u = rn.VertexFunction.indicator(window, {0, 1})
-    v = rn.VertexFunction.indicator(window, {-1, 0})
+    window = final_ball(geom2_plan)
+    u = indicator(geom2, window, {0, 1})
+    v = indicator(geom2, window, {-1, 0})
     assert ell2_converse_check(geom2, u, v) < 1e-9
 
 
@@ -234,9 +233,9 @@ def _stagewise(net, u, v, plan):
     out = []
     for stage in plan.stages:
         out.append((
-            energy(net, u, v, window=stage).value,
+            energy(net, u, v, window=positions(net, stage)).value,
             sum(u.value(x) * laplacian_apply(net, v, x)
-                for x in net.interior_of(stage)),
+                for x in interior_of(net, stage)),
             sum(u.value(x) * normal_derivative(net, stage, v, x)
                 for x in net.boundary_of(stage))))
     return out
@@ -266,22 +265,20 @@ def _assert_matches_stagewise(net, u, v, plan, alt_plan):
 
 def test_stage_sums_match_stagewise_on_binary_tree(rng):
     net = build(ModelSpec("binary_tree"), radius=8)
-    window = frozenset(net.vertices)
-    u, v = random_function(rng, window), random_function(rng, window)
+    u, v = random_function(rng, net), random_function(rng, net)
     _assert_matches_stagewise(net, u, v, rn.make_exhaustion(net, range(1, 9)),
                               rn.make_exhaustion(net, [2, 5, 8]))
 
 
 def test_stage_sums_match_stagewise_on_star(rng):
     net = build(ModelSpec("star", {"c": 2.0, "arms": 3}), radius=10)
-    window = frozenset(net.vertices)
-    u, v = random_function(rng, window), random_function(rng, window)
+    u, v = random_function(rng, net), random_function(rng, net)
     _assert_matches_stagewise(net, u, v, rn.make_exhaustion(net, range(1, 11)),
                               rn.make_exhaustion(net, [3, 9]))
 
 
 def test_stage_sums_match_stagewise_on_geom_z_with_alt_plan(geom2, geom2_plan):
-    u = oracle_w_o_function(ModelSpec("geom_z", {"c": 2.0}), 32)
+    u = oracle_w_o_function(ModelSpec("geom_z", {"c": 2.0}), 32, geom2.vertices)
     v = energy_kernel(geom2, 2, geom2_plan).approximant
     alt = rn.make_exhaustion(geom2, [2, 4, 8, 16, 30])
     report = _assert_matches_stagewise(
@@ -297,8 +294,7 @@ def test_stage_sums_match_stagewise_on_explicit_grid(rng):
              for di, dj in ((1, 0), (0, 1), (1, 1))
              if i + di < 4 and j + dj < 4]
     net = rn.Network.from_edges((1, 1), edges)
-    window = frozenset(net.vertices)
-    u, v = random_function(rng, window), random_function(rng, window)
+    u, v = random_function(rng, net), random_function(rng, net)
     radius = max(net.distance(x) for x in net.vertices)
     report = _assert_matches_stagewise(
         net, u, v, rn.make_exhaustion(net, range(1, radius + 1)),
@@ -310,14 +306,14 @@ def test_stage_sums_match_stagewise_on_explicit_grid(rng):
 def test_boundary_sum_reads_u_only_on_stage_boundaries(rng):
     net = build(ModelSpec("binary_tree"), radius=7)
     window = frozenset(net.vertices)
-    u, v = random_function(rng, window), random_function(rng, window)
+    u, v = random_function(rng, net), random_function(rng, net)
     plan = rn.make_exhaustion(net, [1, 3, 4, 7])
     alt = rn.make_exhaustion(net, [2, 6])
     on_boundaries = frozenset().union(
         *(net.boundary_of(stage) for p in (plan, alt) for stage in p.stages))
     assert on_boundaries < window
     full = boundary_sum(net, u, v, plan, alt)
-    narrow = boundary_sum(net, u.restricted(on_boundaries), v, plan, alt)
+    narrow = boundary_sum(net, restricted(net, u, on_boundaries), v, plan, alt)
     assert narrow == full
 
 
@@ -326,34 +322,37 @@ def test_boundary_zero_shift_uses_the_main_plan_final_stage():
     # the interior of the main plan's last ball differs from the alt plan's.
     net = rn.Network.from_edges(0, [(x, x + 1, 1.0) for x in range(10)])
     window = frozenset(net.vertices)
-    u = rn.VertexFunction({x: 1.0 for x in window})
-    v = rn.VertexFunction({x: float(x + max(0, x - 3) ** 2) for x in window})
+    u = function_on(net, {x: 1.0 for x in window})
+    v = function_on(net, {x: float(x + max(0, x - 3) ** 2) for x in window})
     plan = rn.make_exhaustion(net, [1, 2, 3])
     report = gauss_green(net, u, v, plan, rn.make_exhaustion(net, [5, 8]))
     assert report.boundary_limit == 1.0
-    mass = sum(laplacian_apply(net, v, x) for x in net.interior_of(plan.final))
+    mass = sum(laplacian_apply(net, v, x) for x in interior_of(net, final_ball(plan)))
     assert mass == -1.0
     assert report.boundary_zero_shift == -1.0
 
 
 def test_functions_on_the_network_tuple_are_read_as_arrays():
     # logu built on the window's vertex tuple: the sums and the coverage check
-    # index arrays and never build the window's id -> position dict.  The
-    # same function built on its own keys is translated, to the same bits.
+    # index arrays and never build the window's id -> position dict.  A
+    # function on another network's vertex tuple is refused.
     net = build(ModelSpec("log_increment_line"), radius=3 ** 6)
     plan = rn.make_exhaustion(net, [3 ** k for k in range(1, 7)], "radii:3^k")
     alt = rn.make_exhaustion(net, [2 ** k for k in range(1, 10)], "radii:2^k")
-    u, own = log_increment_function(3 ** 6, net.vertices), log_increment_function(3 ** 6)
+    u = log_increment_function(3 ** 6, net.vertices)
     report = gauss_green(net, u, u, plan, alt)
     assert "_pos" not in vars(net)
-    assert report == gauss_green(net, own, own, plan, alt)
     assert [s.size for s in report.stages] == [3 ** k + 1 for k in range(1, 7)]
+    wider = build(ModelSpec("log_increment_line"), radius=3 ** 6 + 1)
+    own = log_increment_function(3 ** 6, wider.vertices)
+    for f, g in ((own, own), (u, own), (own, u)):
+        with pytest.raises(DomainError, match="not on the network's vertices"):
+            gauss_green(net, f, g, plan, alt)
     # The first plan, in argument order, that u or v does not cover is named.
     for radius, named in ((600, r"'radii:3\^k' reaches radius 729"),
                           (400, r"'radii:2\^k' reaches radius 512")):
-        for short in (log_increment_function(radius, net.vertices),
-                      log_increment_function(radius)):
-            with pytest.raises(WindowError, match=named):
-                gauss_green(net, short, short, alt, plan)
-            with pytest.raises(WindowError, match=named):
-                gauss_green(net, u, short, alt, plan)
+        short = log_increment_function(radius, net.vertices)
+        with pytest.raises(WindowError, match=named):
+            gauss_green(net, short, short, alt, plan)
+        with pytest.raises(WindowError, match=named):
+            gauss_green(net, u, short, alt, plan)

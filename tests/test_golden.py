@@ -20,6 +20,8 @@ GRID = "grid.json"
 # The report-grid benchmark's grid: 25x25, so the default plan balls:1..24
 # has 24 stages and its last ball covers the network.
 GRID25 = "grid25.json"
+# Two functions on the star of radius 4, for the file: preset of --u and --v.
+STAR_U, STAR_V = "star_u.csv", "star_v.csv"
 
 # (id, argv, exit code, SHA-256 of stdout)
 GOLDEN = [
@@ -76,6 +78,10 @@ GOLDEN = [
     ("walk-green-star", ["walk", "--model", "star", "--radius", "10", "--op", "green",
                          "--walks", "500", "--steps", "500", "--seed", "2"], 0,
      "9ce47d7a8de79a7fd9a703a128c5554ea03972ba4e66142316ed74aa516fc7d3"),
+    ("gaussgreen-star-file", ["gaussgreen", "--model", "star", "--radius", "4",
+                              "--plan", "balls:1..3", "--u", f"file:{STAR_U}",
+                              "--v", f"file:{STAR_V}"], 3,
+     "1ed4c0cde0557de814c25486c0ecdf9115ca9e4222aab684c1ad8a0aaf1a13c8"),
 ]
 
 
@@ -86,11 +92,22 @@ def write_grid(path, side=9, seed=3):
     path.write_text(json.dumps({"origin": [0, 0], "edges": edges}))
 
 
+def write_star_functions(path):
+    """u(b, d) = 1/(1 + d) + b/4 and v(b, d) = d² − b on the star's vertices
+    (three arms, radius 4), one CSV each, rows in reverse canonical order."""
+    ids = [(0, 0)] + [(b, d) for b in range(3) for d in range(1, 5)]
+    for name, f in ((STAR_U, lambda b, d: 1.0 / (1 + d) + b / 4),
+                    (STAR_V, lambda b, d: float(d * d - b))):
+        rows = [f"{b};{d},{f(b, d)!r}" for b, d in reversed(ids)]
+        (path / name).write_text("vertex,value\n# star, radius 4\n" + "\n".join(rows) + "\n")
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden")
     write_grid(path / GRID)
     write_grid(path / GRID25, side=25, seed=1)
+    write_star_functions(path)
     return path
 
 

@@ -1,9 +1,10 @@
-"""The array traces of the kernel stages against the dict path they replace.
+"""The array traces of the kernel stages against the per-function path
+they replace.
 
 Each reference below is built the slow way: ``solve_poisson(...).solution``
-as a dict ``VertexFunction``, ``pinned_at`` the origin, ``energy`` over the
-stage and ``VertexFunction`` subtraction.  The traces must give the same
-bits, not merely close values.
+as a ``VertexFunction``, ``pinned_at`` the origin, read vertex by vertex,
+``energy`` over the stage and ``VertexFunction`` subtraction.  The traces
+must give the same bits, not merely close values.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from resnet.kernels import (ENERGY_CAUCHY_TOL, default_eps_schedule,
                             effective_resistance, energy_kernel, fin_part,
                             harm_part, monopole, wired_monopole)
 from resnet.models import ModelSpec, build
-from resnet.network import vsorted
+from resnet.network import Ball, vsorted
 from resnet.operators import energy
 from resnet.solver import FREE, WIRED, solve_poisson, solve_regularized
 from resnet.transience import (GRAM_RANK_THRESHOLD, HARM_MASS_THRESHOLD,
@@ -23,7 +24,7 @@ from resnet.transience import (GRAM_RANK_THRESHOLD, HARM_MASS_THRESHOLD,
 
 from conftest import lognormal_grid_edges
 from reference_pointwise import seq_sum
-from reference_windows import crossing_edges
+from reference_windows import crossing_edges, final_ball, positions
 
 
 def diagonal_grid(half):
@@ -63,8 +64,8 @@ def case(request):
 
 def _probes(net, x, plan):
     probes = {net.origin, x, *net.neighbors(net.origin), *net.neighbors(x)}
-    probes &= plan.final
-    pool = [v for v in vsorted(plan.final) if v not in probes]
+    probes &= final_ball(plan)
+    pool = [v for v in vsorted(final_ball(plan)) if v not in probes]
     rng = np.random.default_rng(kernels._PROBE_SEED)
     for i in rng.choice(len(pool), size=min(5, len(pool)), replace=False):
         probes.add(pool[int(i)])
@@ -81,7 +82,7 @@ def dict_dipole(net, x, plan, bc):
             continue
         u = solve_poisson(net, stage, {x: 1.0, net.origin: -1.0}, bc)
         u = u.solution.pinned_at(net.origin)
-        energies.append(energy(net, u, window=stage).value)
+        energies.append(energy(net, u, window=positions(net, stage)).value)
         if sols:
             prev = sols[-1][1]
             deltas.append(max(abs(u.value(p) - prev.value(p))
@@ -94,7 +95,8 @@ def dict_harm(net, x, plan):
     free, _, _ = dict_dipole(net, x, plan, FREE)
     wired, _, _ = dict_dipole(net, x, plan, WIRED)
     hs = [(stage, uf - uw) for (stage, uf), (_, uw) in zip(free, wired)]
-    return hs, tuple(energy(net, h, window=stage).value for stage, h in hs)
+    return hs, tuple(energy(net, h, window=positions(net, stage)).value
+                     for stage, h in hs)
 
 
 def vanish_gauge_items(net, u, stage):
@@ -116,7 +118,7 @@ def dict_wired_monopole(net, x, plan):
 def ghost_energy(net, u, stage):
     """E(u) over the stage plus the edges from the stage to the grounded
     ghost, where u is 0."""
-    return energy(net, u, window=stage).value + seq_sum(
+    return energy(net, u, window=positions(net, stage)).value + seq_sum(
         c * u.value(x) ** 2 for x, _, c in crossing_edges(net, stage))
 
 
@@ -158,7 +160,7 @@ def test_monopole_matches_the_dict_path(case):
         for eps in default_eps_schedule():
             rep = solve_regularized(net, stage, eps, {net.origin: 1.0}, bc=WIRED)
             u = rep.solution
-            energies.append(energy(net, u, window=stage).value)
+            energies.append(energy(net, u, window=positions(net, stage)).value)
             if len(energies) >= 2 and abs(energies[-1] - energies[-2]) < ENERGY_CAUCHY_TOL:
                 break
         assert element.stage_energies == tuple(energies)
@@ -201,14 +203,16 @@ def _check_probe(net, plan, samples=None):
     for x in samples or _default_probe_vertices(net):
         hs, h_energies = dict_harm(net, x, plan)
         free, _, _ = dict_dipole(net, x, plan, FREE)
-        e_h = energy(net, hs[-1][1], window=plan.final).value
-        e_v = max(energy(net, free[-1][1], window=plan.final).value, 1e-300)
+        final = positions(net, final_ball(plan))
+        e_h = energy(net, hs[-1][1], window=final).value
+        e_v = max(energy(net, free[-1][1], window=final).value, 1e-300)
         expected[str(x)] = {"harm_energy": e_h, "dipole_energy": e_v,
                             "stage_energies": list(h_energies)}
         if e_h > HARM_MASS_THRESHOLD * e_v:
             kept.append(hs[-1][1])
     assert detail == expected
-    gram = np.array([[energy(net, hi, hj, window=plan.final).value for hj in kept]
+    final = positions(net, final_ball(plan))
+    gram = np.array([[energy(net, hi, hj, window=final).value for hj in kept]
                      for hi in kept]).reshape(len(kept), len(kept))
     eigvals = np.linalg.eigvalsh(gram) if kept else np.zeros(0)
     top = max(eigvals.max(), 1e-300) if kept else 1.0
@@ -245,7 +249,8 @@ def test_harm_dimension_probe_makes_one_free_and_one_wired_trace(monkeypatch):
     # Stage-major: one block solve per stage and boundary condition, with a
     # source column for every sample.
     sources = [{x: 1.0, net.origin: -1.0} for x in samples]
-    assert calls == [(bc, stage, sources) for stage in plan.stages for bc in (FREE, WIRED)]
+    assert calls == [(bc, frozenset(stage), sources)
+                     for stage in plan.stages for bc in (FREE, WIRED)]
 
 
 def test_classify_makes_one_wired_monopole_trace(monkeypatch):
@@ -262,7 +267,7 @@ def test_classify_makes_one_wired_monopole_trace(monkeypatch):
         monkeypatch.setattr(module, "solve_poisson", counting, raising=False)
     verdict = transience.classify(net, plan, rn.WalkConfig(n_walks=50, max_steps=50, seed=0))
     assert verdict.criteria["monopole"] == verdict.criteria["grounded"] == "transient"
-    assert calls == list(plan.stages)
+    assert calls == [frozenset(stage) for stage in plan.stages]
 
     element = monopole(net, net.origin, plan)
     projection = transience.grounded_projection_of_one(net, plan)
@@ -274,15 +279,15 @@ def test_classify_makes_one_wired_monopole_trace(monkeypatch):
 @pytest.mark.parametrize("radii", [range(1, 25), range(1, 8)], ids=["covering", "inner"])
 def test_classify_and_probe_solve_on_radii(monkeypatch, radii):
     # The report-grid network: its traces key balls by radius, so neither
-    # builds a ball's vertex set nor maps one back to positions.
+    # lists a ball's vertices nor maps a vertex set to positions.
     net = rn.Network.from_edges((0, 0), lognormal_grid_edges(25, 1))
     plan = rn.make_exhaustion(net, radii)
 
     def refused(*args, **kwargs):
         raise AssertionError("a ball was built as a vertex set")
 
-    for name in ("_positions", "_balls", "ball"):
-        monkeypatch.setattr(rn.Network, name, refused)
+    monkeypatch.setattr(Ball, "__iter__", refused)
+    monkeypatch.setattr(rn.Network, "boundary_of", refused)
     transience.classify(net, plan, rn.WalkConfig(n_walks=20, max_steps=20, seed=0))
     harm_dimension_probe(net, plan)
 
@@ -302,7 +307,8 @@ def test_classify_reads_the_last_ball_on_positions(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the last ball was read as a vertex set")
 
-    monkeypatch.setattr(rn.Network, "_positions", refused)
+    monkeypatch.setattr(Ball, "__iter__", refused)
+    monkeypatch.setattr(rn.Network, "boundary_of", refused)
     got = classified()
     assert got.criteria["monopole"] == got.criteria["grounded"] == "transient"
     assert got.evidence["monopole"]["converged"] and got.evidence["grounded"]["converged"]

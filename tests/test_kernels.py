@@ -10,8 +10,9 @@ from resnet.models import ModelSpec, build, oracle_w_o_function
 from resnet.operators import energy, laplacian_apply
 
 from conftest import make_random_net, random_function
-from reference_pointwise import (harmonicity_residual, kernel_symmetry_residual,
-                                 reproducing_residual)
+from reference_pointwise import (function_on, harmonicity_residual, indicator,
+                                 kernel_symmetry_residual, reproducing_residual)
+from reference_windows import final_ball, interior_of, positions
 
 
 def test_unit_path_kernel(unit_path, unit_path_plan):
@@ -37,7 +38,7 @@ def test_geometric_kernel_values(geom2, geom2_plan, geom2_spec):
 
 def test_kernel_defining_equation(geom2, geom2_plan):
     v3 = energy_kernel(geom2, 3, geom2_plan).approximant
-    interior = geom2.interior_of(geom2_plan.final)
+    interior = interior_of(geom2, final_ball(geom2_plan))
     for x in sorted(interior):
         expected = (1.0 if x == 3 else 0.0) - (1.0 if x == 0 else 0.0)
         res = abs(laplacian_apply(geom2, v3, x) - expected)
@@ -46,12 +47,12 @@ def test_kernel_defining_equation(geom2, geom2_plan):
 
 def test_reproducing_property(geom2, geom2_plan, geom2_spec, rng):
     v2 = energy_kernel(geom2, 2, geom2_plan)
-    window = geom2_plan.final
-    probes = [rn.VertexFunction.indicator(window, {y}) for y in (-2, -1, 1, 3)]
-    probes.append(oracle_w_o_function(geom2_spec, 30))
+    window = final_ball(geom2_plan)
+    probes = [indicator(geom2, window, {y}) for y in (-2, -1, 1, 3)]
+    probes.append(oracle_w_o_function(geom2_spec, 30, geom2.vertices))
     support = [x for x in window if abs(x) <= 5]
-    probes.append(rn.VertexFunction(
-        {x: (float(rng.uniform(-1, 1)) if x in support else 0.0) for x in window}))
+    probes.append(function_on(
+        geom2, {x: (float(rng.uniform(-1, 1)) if x in support else 0.0) for x in window}))
     for u in probes:
         assert reproducing_residual(geom2, v2, u) < 1e-6
 
@@ -59,10 +60,10 @@ def test_reproducing_property(geom2, geom2_plan, geom2_spec, rng):
 def test_dirac_reproducing_on_finite_nets(rng):
     for _ in range(5):
         net = make_random_net(rng, max_vertices=20)
-        u = random_function(rng, frozenset(net.vertices))
+        u = random_function(rng, net)
         window = frozenset(net.vertices)
         for x in net.vertices[:4]:
-            dirac = rn.VertexFunction.indicator(window, {x})
+            dirac = indicator(net, window, {x})
             assert abs(energy(net, dirac, u).value
                        - laplacian_apply(net, u, x)) < 1e-9
 
@@ -82,8 +83,9 @@ def test_unit_line_harmonic_part_vanishes():
     plan = rn.doubling_exhaustion(net)
     h1 = harm_part(net, 1, plan)
     v1 = energy_kernel(net, 1, plan)
-    e_h = energy(net, h1.approximant, window=plan.final).value
-    e_v = energy(net, v1.approximant, window=plan.final).value
+    final = positions(net, final_ball(plan))
+    e_h = energy(net, h1.approximant, window=final).value
+    e_v = energy(net, v1.approximant, window=final).value
     assert e_h < 1e-4 * e_v
     # stage energies decay toward zero: wired and free limits merge
     assert h1.stage_energies[-1] < 0.5 * h1.stage_energies[2]
@@ -102,7 +104,7 @@ def test_royden_orthogonality(geom2, geom2_plan):
     for fx in fins.values():
         for hy in harms.values():
             val = energy(geom2, fx.approximant, hy.approximant,
-                         window=geom2_plan.final).value
+                         window=positions(geom2, final_ball(geom2_plan))).value
             assert abs(val) < 1e-5
 
 
@@ -129,7 +131,7 @@ def test_monopole_diverges_on_unit_line():
     w = monopole(net, 0, plan)
     assert w.diverged and not w.converged
     # energies track the stage resistance while windows grow
-    prefix = w.stage_energies[:len(plan)]
+    prefix = w.stage_energies[:len(plan.radii)]
     assert prefix[-1] > 5.0 * prefix[len(prefix) // 2]
 
 
@@ -228,10 +230,9 @@ def test_semibounded_on_kernel_span(geom2, geom2_plan, rng):
         u = elements[0] * float(coeffs[0])
         for c, el in zip(coeffs[1:], elements[1:]):
             u = u + el * float(c)
-        window = geom2.interior_of(u.window)
-        lap = rn.VertexFunction({x: laplacian_apply(geom2, u, x)
-                                 for x in sorted(window)})
-        assert energy(geom2, u, lap, window=window).value > -1e-9
+        window = interior_of(geom2, u.window)
+        lap = function_on(geom2, {x: laplacian_apply(geom2, u, x) for x in window})
+        assert energy(geom2, u, lap, window=positions(geom2, window)).value > -1e-9
 
 
 def test_element_serialization_round_trip(geom2, geom2_plan):

@@ -129,7 +129,8 @@ def test_computed_harmonic_part_is_scaled_oracle(c):
 
 
 def test_log_increment_values():
-    u = log_increment_function(2 ** 5)
+    net = build(ModelSpec("log_increment_line"), radius=2 ** 5)
+    u = log_increment_function(2 ** 5, net.vertices)
     assert u.value(0) == 0.0
     assert u.value(1) == 1.0
     assert u.value(2) == 2.0          # n = 2^1 contributes 1/1
@@ -141,23 +142,24 @@ def test_log_increment_values():
 def test_log_increment_energy_bound():
     radius = 2 ** 14
     net = build(ModelSpec("log_increment_line"), radius=radius)
-    u = log_increment_function(radius)
-    e = energy(net, u, window=net.ball(radius)).value
+    u = log_increment_function(radius, net.vertices)
+    e = energy(net, u, window=net._ball_positions(radius)).value
     assert e < math.pi ** 2 / 6.0 * 2.0
     assert e > 1.0
 
 
 def test_log_increment_needs_radius():
     with pytest.raises(ConfigurationError):
-        log_increment_function(1)
+        log_increment_function(1, (0, 1))
 
 
 def test_oracle_functions_carry_gauges(geom2_spec):
-    assert oracle_v_function(geom2_spec, 2, 10).gauge == "origin-zero"
-    assert oracle_w_o_function(geom2_spec, 10).gauge == "vanish-at-infinity"
-    h1 = oracle_h_function(geom2_spec, 20, unit_energy=True)
     net = build(geom2_spec, radius=20)
-    assert energy(net, h1, window=net.ball(20)).value == pytest.approx(1.0, abs=1e-5)
+    assert oracle_v_function(geom2_spec, 2, 10, net.vertices).gauge == "origin-zero"
+    assert oracle_w_o_function(geom2_spec, 10, net.vertices).gauge == "vanish-at-infinity"
+    h1 = oracle_h_function(geom2_spec, 20, net.vertices, unit_energy=True)
+    window = net._ball_positions(20)
+    assert energy(net, h1, window=window).value == pytest.approx(1.0, abs=1e-5)
 
 
 @pytest.mark.parametrize("spec, largest, size", [
@@ -217,7 +219,7 @@ def test_log_increment_function_adds_its_increments_left_to_right():
         k = n.bit_length() - 1
         total += 1.0 if n == 1 else 1.0 / k if n == 1 << k else 1.0 / n
         values.append(total)
-    u = log_increment_function(radius)
+    u = log_increment_function(radius, tuple(range(radius + 1)))
     assert u.items() == list(enumerate(values))
     assert u.gauge == "origin-zero"
 

@@ -245,7 +245,7 @@ def _reference_simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
     pos, active = [start] * n, [True] * n
     absorbed_at = np.full(n, -1, dtype=np.int64)
     exited = np.zeros(n, dtype=bool)
-    code = {v: i for i, vs in enumerate(absorb) for v in vs}
+    code = {net.vertices[p]: i for i, p in enumerate(absorb)}
     visits = mid_visits = maxdist = None
     if count_visits_to is not None:
         visits = np.full(n, int(start == count_visits_to), dtype=np.int64)
@@ -325,7 +325,7 @@ def test_engine_equals_scalar_reference(case, seed, monkeypatch):
          lambda: green_estimate(net, start, o, cfg)),
         ((o, cfg), dict(track_max_distance=True, return_home=o),
          lambda: escape_probability(net, o, radii, cfg)),
-        ((start, cfg), dict(absorb=({target}, {absorber})),
+        ((start, cfg), dict(absorb=(net._pos[target], net._pos[absorber])),
          lambda: hitting_probability(net, target, absorber, start, cfg)),
     ]
     engine = [(randomwalk._simulate(net, *args, **kw), estimate())

@@ -35,11 +35,6 @@ def diag_grid():
     return rn.Network.from_edges((1, 1), edges)
 
 
-# Connected, not a ball around (1, 1), with edges leaving it on every side.
-L_REGION = frozenset([(i, j) for i in range(3) for j in range(3)]
-                     + [(3, 0), (4, 0), (4, 1), (1, 3)])
-
-
 def _dense_system(net, region, bc, eps=0.0):
     """The region system assembled entry by entry from ``incident``."""
     xs = vsorted(region)
@@ -55,7 +50,7 @@ def _dense_system(net, region, bc, eps=0.0):
 
 
 def test_unit_path_dipole_free(unit_path):
-    rep = solve_poisson(unit_path, unit_path.vertices, {2: 1.0, 0: -1.0}, FREE)
+    rep = solve_poisson(unit_path, Ball(unit_path, 2), {2: 1.0, 0: -1.0}, FREE)
     assert rep.gauge == "origin-zero"
     for k in (0, 1, 2):
         assert rep.solution.value(k) == pytest.approx(float(k), abs=1e-10)
@@ -65,13 +60,13 @@ def test_unit_path_dipole_free(unit_path):
 def test_gamblers_ruin_profile_exact():
     n = 9
     net = rn.Network.from_edges(0, [(k, k + 1, 1.0) for k in range(n)])
-    rep = solve_poisson(net, net.vertices, {n: 1.0, 0: -1.0}, FREE)
+    rep = solve_poisson(net, Ball(net, n), {n: 1.0, 0: -1.0}, FREE)
     for k in range(n + 1):
         assert rep.solution.value(k) == pytest.approx(float(k), abs=1e-10)
 
 
 def test_wired_monopole_on_half_line(zplus2):
-    region = zplus2.ball(30)
+    region = Ball(zplus2, 30)
     rep = solve_poisson(zplus2, region, {0: 1.0}, WIRED)
     assert rep.gauge == "vanish-at-infinity"
     assert rep.solution.value(0) == pytest.approx(1.0, abs=1e-8)
@@ -80,48 +75,33 @@ def test_wired_monopole_on_half_line(zplus2):
 
 
 def test_zero_source_wired(zplus2):
-    rep = solve_poisson(zplus2, zplus2.ball(10), {}, WIRED)
+    rep = solve_poisson(zplus2, Ball(zplus2, 10), {}, WIRED)
     assert all(v == 0.0 for _, v in rep.solution.items())
 
 
 def test_free_rejects_unbalanced_source(unit_path):
     with pytest.raises(IncompatibleSourceError):
-        solve_poisson(unit_path, unit_path.vertices, {1: 1.0}, FREE)
+        solve_poisson(unit_path, Ball(unit_path, 2), {1: 1.0}, FREE)
 
 
-def test_region_must_be_connected(geom2, diag_grid):
-    with pytest.raises(DomainError, match="not connected"):
-        solve_poisson(geom2, {-3, -2, 0, 1}, {1: 1.0, 0: -1.0}, FREE)
-    split = {(1, 1), (1, 2), (3, 3), (4, 4)}
+def test_ball_beyond_the_window_raises(geom2):
     for bc in (FREE, WIRED):
-        with pytest.raises(DomainError, match="not connected"):
-            solve_poisson(diag_grid, split, {(1, 2): 1.0, (1, 1): -1.0}, bc)
-        with pytest.raises(DomainError, match="not connected"):
-            solve_regularized(diag_grid, split, 0.5, {(1, 1): 1.0}, bc=bc)
-        with pytest.raises(DomainError, match="empty region"):
-            solve_poisson(diag_grid, (), {}, bc)
-        with pytest.raises(DomainError, match="empty region"):
-            solve_regularized(diag_grid, set(), 0.5, {}, bc=bc)
-        with pytest.raises(WindowError, match="33"):
-            solve_poisson(geom2, geom2.ball(32) | {33}, {0: 1.0}, bc)
-        with pytest.raises(DomainError, match="unknown vertex"):
-            solve_regularized(diag_grid, L_REGION | {(9, 9)}, 0.5, {}, bc=bc)
+        with pytest.raises(WindowError, match="radius 33"):
+            solve_poisson(geom2, Ball(geom2, 33), {0: 1.0}, bc)
+        with pytest.raises(WindowError, match="radius 33"):
+            solve_regularized(geom2, Ball(geom2, 33), 0.5, {0: 1.0}, bc=bc)
 
 
-def test_ball_systems_are_keyed_by_radius_and_not_searched(monkeypatch):
+def test_ball_systems_are_keyed_by_radius_and_not_searched():
     # A shortest path from the origin to a vertex of B_r stays in B_r, so a
-    # ball is connected and its system skips the connectivity search.
-    def no_search(*args, **kwargs):
-        raise AssertionError("a ball system searched for connectivity")
-
-    monkeypatch.setattr(solver, "connected_components", no_search)
+    # ball is connected: its system is assembled with no connectivity search.
     net = build(ModelSpec("geom_z", {"c": 5.0}), radius=8)
     solve_poisson(net, Ball(net, 3), {2: 1.0, 0: -1.0}, FREE)
     solve_poisson(net, Ball(net, 3), {0: 1.0}, WIRED)
     solve_regularized(net, Ball(net, 4), 0.5, {0: 1.0}, bc=WIRED)
-    assert list(net._systems) == [(3, FREE), (3, WIRED), (4, WIRED)]
-    with pytest.raises(AssertionError, match="searched"):
-        solve_poisson(net, net.ball(3), {0: 1.0}, WIRED)
+    solve_poisson(net, Ball(net, 3), {0: 1.0}, WIRED)
+    assert list(net._systems) == [(3, FREE), (4, WIRED), (3, WIRED)]
+    assert not hasattr(solver, "connected_components")
 
 
 def _ball_cases():
@@ -131,23 +111,27 @@ def _ball_cases():
 
 
 @pytest.mark.parametrize("case", range(2))
-def test_radius_keyed_and_region_keyed_solves_agree(case):
+def test_ball_solves_match_the_dense_systems(case):
     net, *xs = _ball_cases()[case]
     o = net.origin
     for r in range(1, net.max_radius):
         held = [x for x in xs if net.distance(x) <= r]
         for bc, f in [(FREE, {x: 1.0, o: -1.0}) for x in held] + [(WIRED, {o: 1.0})]:
-            by_radius = solve_poisson(net, Ball(net, r), f, bc)
-            by_region = solve_poisson(net, net.ball(r), f, bc)
-            assert np.array_equal(by_radius.pos, by_region.pos)
-            assert np.array_equal(by_radius.values, by_region.values)
-            assert by_radius.residual == by_region.residual
-            assert (r, bc) in net._systems and (net.ball(r), bc) in net._systems
+            rep = solve_poisson(net, Ball(net, r), f, bc)
+            ids, at, a = _dense_system(net, Ball(net, r), bc)
+            b = np.array([f.get(x, 0.0) for x in ids])
+            keep = [i for i in range(len(ids)) if bc == WIRED or ids[i] != o]
+            a = a[np.ix_(keep, keep)]
+            want = np.zeros(len(ids))
+            want[keep] = np.linalg.solve(a, b[keep])
+            assert [x for x, _ in rep.solution.items()] == ids
+            # The dense solve itself is off by up to about cond(a) * eps.
+            assert np.abs(rep.values - want).max() <= 1e-14 * np.linalg.cond(a)
 
 
 def _block_cases():
     grid = rn.Network.from_edges((0, 0), lognormal_grid_edges(9, 3))
-    cases = [(grid, [Ball(grid, r) for r in (1, 2, 5, 7)] + [grid.ball(6)])]
+    cases = [(grid, [Ball(grid, r) for r in (1, 2, 5, 6, 7)])]
     for family, params in (("geom_z", {"c": 2.0}), ("geom_z", {"c": 5.0}),
                            ("binary_tree", {}), ("star", {}), ("unit_line", {}),
                            ("log_increment_line", {})):
@@ -189,42 +173,45 @@ def test_one_failing_column_fails_the_block(geom2):
 
 def test_every_block_column_is_checked(unit_path, geom2):
     with pytest.raises(IncompatibleSourceError):
-        solve_poisson(unit_path, unit_path.vertices, [{2: 1.0, 0: -1.0}, {1: 1.0}], FREE)
+        solve_poisson(unit_path, Ball(unit_path, 2), [{2: 1.0, 0: -1.0}, {1: 1.0}], FREE)
     with pytest.raises(DomainError, match="outside the region"):
         solve_poisson(geom2, Ball(geom2, 3), [{0: 1.0}, {5: 1.0}], WIRED)
 
 
 def test_source_must_live_in_region(geom2, diag_grid):
     with pytest.raises(DomainError):
-        solve_poisson(geom2, geom2.ball(3), {5: 1.0, 0: -1.0}, FREE)
+        solve_poisson(geom2, Ball(geom2, 3), {5: 1.0, 0: -1.0}, FREE)
     for bc in (FREE, WIRED):
         with pytest.raises(DomainError, match="outside the region"):
-            solve_poisson(diag_grid, L_REGION, {(4, 4): 1.0, (1, 1): -1.0}, bc)
+            solve_poisson(diag_grid, Ball(diag_grid, 2), {(4, 4): 1.0, (1, 1): -1.0}, bc)
         with pytest.raises(DomainError, match="outside the region"):
-            solve_regularized(diag_grid, L_REGION, 0.5, {(4, 4): 1.0}, bc=bc)
+            solve_regularized(diag_grid, Ball(diag_grid, 2), 0.5, {(4, 4): 1.0}, bc=bc)
+        with pytest.raises(DomainError, match="outside the region"):
+            solve_poisson(diag_grid, Ball(diag_grid, 2), {(9, 9): 1.0}, bc)
 
 
-def test_arbitrary_region_against_dense_oracle(diag_grid):
-    net, o, x, y = diag_grid, (1, 1), (4, 1), (1, 3)
-    xs, at, free = _dense_system(net, L_REGION, FREE)
-    assert any(z not in L_REGION for v in xs for z, _ in net.incident(v))
+def test_diag_grid_ball_against_dense_oracle(diag_grid):
+    net, o, x, y = diag_grid, (1, 1), (3, 1), (1, 3)
+    region = Ball(net, 2)
+    xs, at, free = _dense_system(net, region, FREE)
+    assert any(z not in xs for v in xs for z, _ in net.incident(v))
     f = np.zeros(len(xs))
     f[at[x]], f[at[o]] = 1.0, -1.0
     keep = [i for i in range(len(xs)) if i != at[o]]
     expected = np.zeros(len(xs))
     expected[keep] = np.linalg.solve(free[np.ix_(keep, keep)], f[keep])
-    rep = solve_poisson(net, L_REGION, {x: 1.0, o: -1.0}, FREE)
+    rep = solve_poisson(net, region, {x: 1.0, o: -1.0}, FREE)
     assert [v for v, _ in rep.solution.items()] == xs
     assert np.allclose([u for _, u in rep.solution.items()], expected, rtol=0, atol=1e-12)
-    _, _, wired = _dense_system(net, L_REGION, WIRED)
+    _, _, wired = _dense_system(net, region, WIRED)
     g = np.zeros(len(xs))
     g[at[x]], g[at[y]] = 1.0, -0.5
-    rep = solve_poisson(net, L_REGION, {x: 1.0, y: -0.5}, WIRED)
+    rep = solve_poisson(net, region, {x: 1.0, y: -0.5}, WIRED)
     assert np.allclose([u for _, u in rep.solution.items()],
                        np.linalg.solve(wired, g), rtol=0, atol=1e-12)
     for bc in (FREE, WIRED):
-        _, _, a = _dense_system(net, L_REGION, bc, eps=0.3)
-        rep = solve_regularized(net, L_REGION, 0.3, {x: 1.0, y: -0.5}, bc=bc)
+        _, _, a = _dense_system(net, region, bc, eps=0.3)
+        rep = solve_regularized(net, region, 0.3, {x: 1.0, y: -0.5}, bc=bc)
         assert np.allclose([u for _, u in rep.solution.items()],
                            np.linalg.solve(a, g), rtol=0, atol=1e-12)
 
@@ -250,8 +237,8 @@ def _pinning_cases():
     grid_net = rn.Network.from_edges((1, 1), edges)
     geom = build(ModelSpec("geom_z", {"c": 2.0}), radius=8)
     star = build(ModelSpec("star"), radius=8)
-    return [(geom, geom.ball(r)) for r in (1, 5, 8)] + \
-        [(star, star.ball(r)) for r in (2, 8)] + [(grid_net, L_REGION)]
+    return [(geom, Ball(geom, r)) for r in (1, 5, 8)] + \
+        [(star, Ball(star, r)) for r in (2, 8)] + [(grid_net, Ball(grid_net, 2))]
 
 
 @pytest.mark.parametrize("case", range(6))
@@ -288,12 +275,12 @@ def test_total_conductance_is_the_incident_sum(diag_grid, geom2):
 def test_networks_are_freed_after_solves_and_walks():
     net = build(ModelSpec("geom_z", {"c": 2.0}), radius=8)
     ref = weakref.ref(net)
-    region = net.ball(5)
+    region = Ball(net, 5)
     solve_poisson(net, region, {2: 1.0, 0: -1.0}, FREE)
     solve_poisson(net, region, {0: 1.0}, WIRED)
     solve_regularized(net, region, 0.5, {0: 1.0}, bc=WIRED)
     green_estimate(net, 0, 0, WalkConfig(n_walks=20, max_steps=20))
-    del net
+    del net, region
     gc.collect()
     assert ref() is None
 
@@ -302,8 +289,8 @@ def test_system_store_keeps_the_most_recently_used(monkeypatch):
     net = build(ModelSpec("geom_z", {"c": 2.0}), radius=8)
     monkeypatch.setattr(solver, "MAX_SYSTEMS", 2)
     for r in (1, 2, 1, 3):
-        solve_poisson(net, net.ball(r), {0: 1.0}, WIRED)
-    assert list(net._systems) == [(net.ball(1), WIRED), (net.ball(3), WIRED)]
+        solve_poisson(net, Ball(net, r), {0: 1.0}, WIRED)
+    assert list(net._systems) == [(1, WIRED), (3, WIRED)]
 
 
 def test_a_long_wired_trace_keeps_the_store_under_its_byte_bound():
@@ -323,19 +310,19 @@ def test_system_store_keeps_the_newest_system_beyond_the_byte_bound(monkeypatch)
     net = build(ModelSpec("geom_z", {"c": 2.0}), radius=8)
     monkeypatch.setattr(solver, "MAX_SYSTEM_BYTES", 1)
     for r in (1, 2, 3):
-        solve_poisson(net, net.ball(r), {0: 1.0}, WIRED)
-        assert list(net._systems) == [(net.ball(r), WIRED)]
+        solve_poisson(net, Ball(net, r), {0: 1.0}, WIRED)
+        assert list(net._systems) == [(r, WIRED)]
 
 
 def test_unknown_bc_rejected(unit_path):
     with pytest.raises(DomainError):
-        solve_poisson(unit_path, unit_path.vertices, {}, "periodic")
+        solve_poisson(unit_path, Ball(unit_path, 2), {}, "periodic")
 
 
 def test_wired_equals_free_when_complement_empty(unit_path):
     f = {2: 1.0, 0: -1.0}
-    free = solve_poisson(unit_path, unit_path.vertices, f, FREE)
-    wired = solve_poisson(unit_path, unit_path.vertices, f, WIRED)
+    free = solve_poisson(unit_path, Ball(unit_path, 2), f, FREE)
+    wired = solve_poisson(unit_path, Ball(unit_path, 2), f, WIRED)
     for k in (0, 1, 2):
         assert wired.solution.value(k) == free.solution.value(k)
 
@@ -345,7 +332,7 @@ def test_regularized_against_dense_oracle(unit_path):
     eps = 1.0
     L = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
     expected = np.linalg.solve(eps * np.eye(3) + L, np.array([0.0, 1.0, 0.0]))
-    rep = solve_regularized(unit_path, unit_path.vertices, eps, {1: 1.0})
+    rep = solve_regularized(unit_path, Ball(unit_path, 2), eps, {1: 1.0})
     for k in (0, 1, 2):
         assert rep.solution.value(k) == pytest.approx(expected[k], abs=1e-12)
     assert rep.residual < 1e-10
@@ -353,7 +340,7 @@ def test_regularized_against_dense_oracle(unit_path):
 
 def test_regularized_dominant_diagonal_limit(unit_path):
     eps = 1e6
-    rep = solve_regularized(unit_path, unit_path.vertices, eps, {1: 1.0})
+    rep = solve_regularized(unit_path, Ball(unit_path, 2), eps, {1: 1.0})
     worst = max(abs(eps * rep.solution.value(k) - (1.0 if k == 1 else 0.0))
                 for k in (0, 1, 2))
     assert worst < 1e-4
@@ -361,24 +348,24 @@ def test_regularized_dominant_diagonal_limit(unit_path):
 
 def test_regularized_rejects_nonpositive_eps(unit_path):
     with pytest.raises(DomainError):
-        solve_regularized(unit_path, unit_path.vertices, 0.0, {1: 1.0})
+        solve_regularized(unit_path, Ball(unit_path, 2), 0.0, {1: 1.0})
 
 
 def test_regularized_energy_schedule_increases_to_monopole_energy(geom2):
-    region = geom2.ball(30)
+    region = Ball(geom2, 30)
     energies = []
     for k in range(0, 31):
         rep = solve_regularized(geom2, region, 2.0 ** -k, {0: 1.0}, bc=WIRED)
-        energies.append(rn.energy(geom2, rep.solution, window=region).value)
+        energies.append(rn.energy(geom2, rep.solution, window=rep.pos).value)
     assert all(b >= a - 1e-12 for a, b in zip(energies, energies[1:]))
     assert energies[-1] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_residual_reported_below_tolerance(geom2):
     for radius in (10, 20, 30):
-        rep = solve_poisson(geom2, geom2.ball(radius), {2: 1.0, 0: -1.0}, FREE)
+        rep = solve_poisson(geom2, Ball(geom2, radius), {2: 1.0, 0: -1.0}, FREE)
         assert rep.residual < 1e-10
-        rep = solve_poisson(geom2, geom2.ball(radius), {0: 1.0}, WIRED)
+        rep = solve_poisson(geom2, Ball(geom2, radius), {0: 1.0}, WIRED)
         assert rep.residual < 1e-10
 
 
@@ -387,7 +374,7 @@ def test_threads_share_one_store(monkeypatch):
     monkeypatch.setattr(solver, "MAX_SYSTEMS", 3)
 
     def trace(_):
-        return [solve_poisson(net, net.ball(r), {0: 1.0}, WIRED).solution.value(0)
+        return [solve_poisson(net, Ball(net, r), {0: 1.0}, WIRED).solution.value(0)
                 for r in range(1, 13)]
 
     expected = trace(None)

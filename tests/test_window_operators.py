@@ -27,8 +27,9 @@ from resnet.solver import WIRED, solve_poisson
 from resnet.transience import grounded_projection_of_one
 
 from conftest import random_function
-from reference_pointwise import harmonicity_residual, seq_sum
-from reference_windows import crossing_edges
+from reference_pointwise import (function_on, harmonicity_residual, restricted,
+                                 seq_sum)
+from reference_windows import ball, crossing_edges, final_ball, interior_of, positions
 
 
 # -- per-vertex references ----------------------------------------------------
@@ -43,20 +44,20 @@ def ref_scaled_residual(net, u, rhs, window):
 
 
 def ref_balanced(net, u):
-    return seq_sum(laplacian_apply(net, u, x) for x in vsorted(net.interior_of(u.window)))
+    return seq_sum(laplacian_apply(net, u, x) for x in vsorted(interior_of(net, u.window)))
 
 
 def ref_two_sum(net, u):
-    window = net.interior_of(u.window)
+    window = interior_of(net, u.window)
     lap = {x: laplacian_apply(net, u, x) for x in vsorted(window)}
-    lhs = energy(net, u, rn.VertexFunction(lap), window=window).value
+    lhs = energy(net, u, function_on(net, lap), window=positions(net, window)).value
     total = seq_sum(lap.values())
     return lhs, seq_sum(val * val for val in lap.values()) + total * total
 
 
 def ref_ell2(net, u, v):
-    window = net.interior_of(u.window & v.window)
-    lhs = energy(net, u, v, window=window).value
+    window = interior_of(net, u.window & v.window)
+    lhs = energy(net, u, v, window=positions(net, window)).value
     return abs(lhs - seq_sum(u.value(x) * laplacian_apply(net, v, x)
                              for x in vsorted(window)))
 
@@ -64,13 +65,13 @@ def ref_ell2(net, u, v):
 def ref_dirac(net, x, plan):
     def kernel_fn(z):
         if z == net.origin:
-            return rn.VertexFunction.zero(plan.final)
+            return function_on(net, dict.fromkeys(final_ball(plan), 0.0))
         return energy_kernel(net, z, plan).approximant
 
     terms = [(net.total_conductance(x), kernel_fn(x))]
     terms.extend((-c, kernel_fn(y)) for y, c in net.incident(x))
     diffs = [(1.0 if w == x else 0.0) - seq_sum(a * fn.value(w) for a, fn in terms)
-             for w in vsorted(net.interior_of(plan.final))]
+             for w in vsorted(interior_of(net, final_ball(plan)))]
     return max(diffs) - min(diffs)
 
 
@@ -102,8 +103,7 @@ def net(request):
 @pytest.fixture
 def uv(net):
     rng = np.random.default_rng(11)
-    window = frozenset(net.vertices)
-    return random_function(rng, window), random_function(rng, window)
+    return random_function(rng, net), random_function(rng, net)
 
 
 def _plan(net):
@@ -115,21 +115,19 @@ def _plan(net):
 
 def test_window_laplacian_matches_pointwise(net, uv):
     u, _ = uv
-    window = net.interior_of(u.window)
-    pos, lap = window_laplacian(net, u, window)
-    xs = vsorted(window)
-    assert [net.vertices[p] for p in pos.tolist()] == xs
-    assert lap.tolist() == [laplacian_apply(net, u, x) for x in xs]
+    window = interior_of(net, u.window)
+    lap = window_laplacian(net, u, positions(net, window))
+    assert lap.tolist() == [laplacian_apply(net, u, x) for x in vsorted(window)]
 
 
 def test_scaled_residual_matches_pointwise(net, uv):
     u, _ = uv
-    window = net.interior_of(u.window)
+    window = interior_of(net, u.window)
     far = net.vertices[-1]
     rhs = {net.origin: 1.0, far: -0.5, "not a vertex": 3.0}
-    assert scaled_laplacian_residual(net, u, rhs, window) == \
+    assert scaled_laplacian_residual(net, u, rhs, positions(net, window)) == \
         ref_scaled_residual(net, u, rhs, window)
-    assert scaled_laplacian_residual(net, u, {}, frozenset()) == 0.0
+    assert scaled_laplacian_residual(net, u, {}, np.zeros(0, np.int64)) == 0.0
 
 
 def test_balanced_and_two_sum_match_pointwise(net, uv):
@@ -175,7 +173,7 @@ def test_dirac_expansion_matches_pointwise(net):
 def test_harmonicity_residual_matches_pointwise(net):
     plan = _plan(net)
     h = harm_part(net, net.neighbors(net.origin)[-1], plan)
-    interior = net.interior_of(h.approximant.window)
+    interior = interior_of(net, h.approximant.window)
     assert harmonicity_residual(net, h) == \
         ref_scaled_residual(net, h.approximant, {}, interior)
 
@@ -185,8 +183,8 @@ def test_vanish_gauge_matches_pointwise(net):
         pytest.skip("a finite network admits no wired monopole")
     plan = _plan(net)
     w = wired_monopole(net, net.origin, plan).approximant
-    u = solve_poisson(net, plan.final, {net.origin: 1.0}, WIRED).solution
-    bd = vsorted(net.boundary_of(plan.final))
+    u = solve_poisson(net, plan.stages[-1], {net.origin: 1.0}, WIRED).solution
+    bd = vsorted(net.boundary_of(final_ball(plan)))
     shift = seq_sum(u.value(b) for b in bd) / len(bd)
     assert w.items() == [(x, val - shift) for x, val in u.items()]
 
@@ -195,24 +193,25 @@ def test_vanish_gauge_matches_pointwise(net):
 def test_oracle_residuals_match_pointwise(family):
     spec, radius = ModelSpec(family, {"c": 2.0}), 20
     net = build(spec, radius=radius)
-    interior = net.interior_of(net.ball(radius))
+    interior = interior_of(net, ball(net, radius))
     expected = {
-        "dipole": ref_scaled_residual(net, oracle_v_function(spec, 2, radius),
+        "dipole": ref_scaled_residual(net, oracle_v_function(spec, 2, radius, net.vertices),
                                       {2: 1.0, 0: -1.0}, interior),
-        "monopole": ref_scaled_residual(net, oracle_w_o_function(spec, radius),
+        "monopole": ref_scaled_residual(net, oracle_w_o_function(spec, radius, net.vertices),
                                         {0: 1.0}, interior),
     }
     if family == "geom_z":
         expected["harmonic"] = ref_scaled_residual(
-            net, oracle_h_function(spec, radius), {}, interior)
+            net, oracle_h_function(spec, radius, net.vertices), {}, interior)
     assert oracle_residuals(spec, radius=radius) == expected
 
 
 def test_nan_residual_is_reported_and_refused():
     # A per-vertex max skipped NaN terms and reported 0.0 for this function.
     net = build(ModelSpec("geom_z", {"c": 2.0}), radius=8)
-    u = rn.VertexFunction({x: (float("nan") if x == 3 else 0.0) for x in net.vertices})
-    assert np.isnan(scaled_laplacian_residual(net, u, {}, net.interior_of(u.window)))
+    u = function_on(net, {x: (float("nan") if x == 3 else 0.0) for x in net.vertices})
+    interior = positions(net, interior_of(net, u.window))
+    assert np.isnan(scaled_laplacian_residual(net, u, {}, interior))
     with pytest.raises(DomainError, match="not harmonic"):
         harmonic_boundary_representation(net, u, 2, rn.make_exhaustion(net, range(1, 7)))
 
@@ -222,37 +221,35 @@ def test_nan_residual_is_reported_and_refused():
 
 def test_neighbour_outside_the_function_window_raises(net, uv):
     u, _ = uv
-    narrow = u.restricted(net.ball(2))
-    for window in (narrow.window, net.ball(2)):
-        with pytest.raises(WindowError, match="outside the function window"):
-            window_laplacian(net, narrow, window)
+    narrow = restricted(net, u, ball(net, 2))
+    window = positions(net, narrow.window)
+    with pytest.raises(WindowError, match="outside the function window"):
+        window_laplacian(net, narrow, window)
     with pytest.raises(WindowError):
-        balanced_check(net, narrow, window=narrow.window)
+        balanced_check(net, narrow, window=window)
     with pytest.raises(WindowError):
-        scaled_laplacian_residual(net, narrow, {}, narrow.window)
+        scaled_laplacian_residual(net, narrow, {}, window)
 
 
 def test_neighbour_beyond_the_materialized_window_raises():
-    # u reaches onto the ring just outside the window, which a per-vertex
-    # loop would read; the window Laplacian refuses to step off the window.
+    # The vertices of B_5 at depth 5 have neighbours on the ring just outside
+    # the window: the window Laplacian refuses to step off the window.
     net = build(ModelSpec("star", {"c": 2.0, "arms": 3}), radius=5)
-    ring = [(arm, 6) for arm in range(3)]
-    u = rn.VertexFunction({x: 1.0 for x in [*net.vertices, *ring]})
+    u = function_on(net, {x: 1.0 for x in net.vertices})
     with pytest.raises(WindowError, match=r"\(0, 6\) lies beyond the materialized window"):
-        window_laplacian(net, u, net.ball(5))
+        window_laplacian(net, u, positions(net, ball(net, 5)))
     with pytest.raises(WindowError, match="beyond the materialized window"):
-        scaled_laplacian_residual(net, u, {}, net.ball(5))
-    assert window_laplacian(net, u, net.ball(4))[1].tolist() == \
-        [laplacian_apply(net, u, x) for x in vsorted(net.ball(4))]
+        scaled_laplacian_residual(net, u, {}, positions(net, ball(net, 5)))
+    assert window_laplacian(net, u, positions(net, ball(net, 4))).tolist() == \
+        [laplacian_apply(net, u, x) for x in vsorted(ball(net, 4))]
 
 
 def test_window_vertex_outside_the_network_names_the_first():
     net = build(ModelSpec("geom_z", {"c": 2.0}), radius=12)
-    u = rn.VertexFunction({x: 0.0 for x in net.vertices})
     with pytest.raises(WindowError, match="vertex -13 lies beyond"):
-        window_laplacian(net, u, {0, 13, -13})
+        positions(net, {0, 13, -13})
     with pytest.raises(WindowError, match="vertex -13 lies beyond"):
-        energy(net, u, window={0, 13, -13})
+        net.boundary_of({0, 13, -13})
     with pytest.raises(DomainError, match="unknown vertex -40"):
         list(crossing_edges(net, {0, 40, -40}))
     with pytest.raises(DomainError, match="unknown vertex -40"):

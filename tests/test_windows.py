@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from resnet.errors import DomainError
 from resnet.models import ModelSpec, _largest_exponent, build
-from resnet.network import Network
+from resnet.network import Ball, Network
 
 from conftest import lognormal_grid_edges, random_edges
 from reference_windows import (explore_edges, from_edges, pointwise_arrays,
@@ -37,7 +37,7 @@ def assert_same_window(net, ref, radii):
     for x in ref.vertices:
         assert net.incident(x) == ref.incident(x)
     for r in radii:
-        assert list(net.ball(r)) == list(ref.ball(r))
+        assert list(Ball(net, r)) == list(Ball(ref, r))
 
 
 CASES = [
