@@ -194,9 +194,10 @@ def _function_file(net, path):
         vid, _, val = line.rpartition(",")
         try:
             x, value = _parse_vertex(vid.replace(";", ",")), float(val)
-            p = net._pos.get(x)
-            if p is None:
-                raise ConfigurationError(f"vertex {x!r} is not in the network's window")
+            try:
+                p = net._require(x)
+            except ResnetError:
+                raise ConfigurationError(f"vertex {x!r} is not in the network's window") from None
             if p in values:
                 raise ConfigurationError(f"vertex {x!r} is given twice")
             if not math.isfinite(value):
@@ -343,7 +344,7 @@ def _cmd_walk(args):
                    "flags": list(est.flags), "n_walks": est.n_walks,
                    "seed": est.seed, "meta": est.meta}
     else:
-        trace = escape_probability(net, net.origin, radii, cfg)
+        trace = escape_probability(net, radii, cfg)
         payload = {"points": [list(p) for p in trace.points],
                    "capped": trace.capped, "exited": trace.exited,
                    "n_walks": trace.n_walks, "seed": trace.seed}

@@ -270,7 +270,7 @@ def harmonic_boundary_representation(net, u, x, plan, *, harmonic_tol=1e-6):
     h_x is the harmonic part of the dipole kernel element at x.  Raises
     DomainError when u is not harmonic on the window interior.
     """
-    res = scaled_laplacian_residual(net, u, {}, net._interior(common_window(net, u)))
+    res = scaled_laplacian_residual(net, u, ((), ()), net._interior(common_window(net, u)))
     if not res <= harmonic_tol:  # a NaN residual is no evidence of harmonicity
         raise DomainError(f"function is not harmonic (scaled residual {res:.2e})")
     if x == net.origin:

@@ -13,7 +13,10 @@ regularized solves (ε + Δ)u = δ_x with ε driven to zero then reach w_x.
 All elements report per-stage energies and an explicit convergence flag; a
 computation that did not settle never pretends otherwise.
 
-The stage loops pass each ball to the solver as its radius and run on the
+Each public function reads its vertex ids once, as positions in
+``net.vertices`` (``Network._require``, which refuses an unknown or ring id
+before any solve); the private helpers take a vertex x as its position.  The
+stage loops pass each ball to the solver as its radius and run on the
 solver's arrays: the origin pin, the stage energies (the edge sum of
 :func:`~resnet.operators.energy`), the harmonic difference h = u_free −
 u_wired and the probe deltas.  Dipole traces sweep the plan stage-major, one
@@ -110,7 +113,7 @@ def _probe_positions(net, x, plan):
     """Sorted positions of the probe vertices: the origin, x, their
     neighbours and five seeded picks from the rest of the final stage."""
     a = net.arrays
-    ends = np.array([net._order[0], net._require(x)])
+    ends = np.array([net._order[0], x])
     near = np.concatenate((ends, a.nbr[net._pairs(ends)]))
     near = near[near >= 0]
     chosen = np.unique(near[a.dist[near] <= plan.final_radius])
@@ -125,15 +128,15 @@ def _probe_positions(net, x, plan):
 def _distances(net, plan, needed):
     """The distance of each ``needed`` vertex; the plan's last ball must hold
     them all."""
-    far = [net.distance(x) for x in needed]
-    if max(far) > plan.final_radius:
+    far = net.arrays.dist[needed]
+    if far.max() > plan.final_radius:
         raise DomainError("no exhaustion stage contains the required vertices")
     return far
 
 
-def _usable_stages(net, plan, *needed):
-    """The plan's balls that hold the ``needed`` vertices, as radii."""
-    far = max(_distances(net, plan, needed))
+def _usable_stages(net, plan, needed):
+    """The plan's balls that hold the ``needed`` vertices."""
+    far = _distances(net, plan, needed).max()
     return [Ball(net, r) for r in plan.radii if far <= r]
 
 
@@ -178,22 +181,27 @@ def _sweep(net, xs, plan, bc):
     (u − u(o), then exactly 0 at the origin).  Yields the stage's sorted
     positions, the solutions as columns and the indices in ``xs`` of their
     sources."""
-    far, o = _distances(net, plan, xs), net._pos[net.origin]
+    xs, o = np.asarray(xs), net._order[0]
+    far = _distances(net, plan, xs)
     for r in plan.radii:
-        held = [k for k, d in enumerate(far) if d <= r]
-        if not held:
+        held = np.flatnonzero(far <= r)
+        if not held.size:
             continue
-        rep = solve_poisson(net, Ball(net, r),
-                            [{xs[k]: 1.0, net.origin: -1.0} for k in held], bc)
+        # Column k is δ at xs[held[k]] (row k + 1) less δ_o (row 0).
+        values = np.vstack((np.full(len(held), -1.0), np.eye(len(held))))
+        rep = solve_poisson(net, Ball(net, r), (np.r_[o, xs[held]], values), bc)
         i = np.searchsorted(rep.pos, o)
         u = rep.values - rep.values[i]
         u[i] = 0.0
-        yield rep.pos, u, held
+        yield rep.pos, u, held.tolist()
 
 
 def _dipole_trace(net, x, plan, bc, tol, *, energies=True):
     """The stages of :func:`_sweep` for the one source x, with their energies
-    (when asked for), probe deltas and convergence flag."""
+    (when asked for), probe deltas and convergence flag; a last ball that
+    covers a finite network gives the exact solution."""
+    if x == net._order[0]:
+        raise DomainError("the kernel element at the origin is the zero class")
     probes = _probe_positions(net, x, plan)
     stages, stage_energies, deltas = [], [], []
     prev = None
@@ -208,25 +216,13 @@ def _dipole_trace(net, x, plan, bc, tol, *, energies=True):
             common, before = prev
             deltas.append(float(np.max(np.abs(read[common] - before[common]))))
         prev = inside, read
-    converged = bool(deltas) and deltas[-1] <= tol
+    converged = (bool(deltas) and deltas[-1] <= tol) or _covers(net, plan)
     return _Trace(tuple(stages), tuple(stage_energies), tuple(deltas), converged)
 
 
-def _harm_trace(net, free, wired):
-    """h = u_free − u_wired at every stage of a free and a wired dipole trace:
-    its last stage as ``(pos, values)`` and its stage energies."""
-    energies = []
-    for (pos, uf), (_, uw) in zip(free.stages, wired.stages):
-        h = uf - uw
-        energies.append(_energy_of(net, pos, h))
-    return (pos, h), tuple(energies)
-
-
 def _dipole_element(net, x, plan, kind, bc, tol):
-    if x == net.origin:
-        raise DomainError("the kernel element at the origin is the zero class")
     trace = _dipole_trace(net, x, plan, bc, tol)
-    return KernelElement(base=x, kind=kind,
+    return KernelElement(base=net.vertices[x], kind=kind,
                          approximant=VertexFunction(net.vertices, *trace.stages[-1],
                                                     GAUGE_ORIGIN),
                          stage_energies=trace.energies, converged=trace.converged,
@@ -243,24 +239,28 @@ def energy_kernel(net, x, plan, *, tol=POINTWISE_TOL):
     probe set to ``tol``; a plan too short to settle yields
     ``converged=False``, never a silent answer.
     """
-    return _dipole_element(net, x, plan, KIND_DIPOLE, FREE, tol)
+    return _dipole_element(net, net._require(x), plan, KIND_DIPOLE, FREE, tol)
 
 
 def fin_part(net, x, plan, *, tol=POINTWISE_TOL):
     """Projection of the dipole kernel element onto the closure of the
     finitely supported functions, from wired solves of the same equation."""
-    return _dipole_element(net, x, plan, KIND_FIN, WIRED, tol)
+    return _dipole_element(net, net._require(x), plan, KIND_FIN, WIRED, tol)
 
 
 def harm_part(net, x, plan, *, tol=POINTWISE_TOL):
     """Harmonic component h_x = v_x − f_x, with per-stage energies of the
     difference (their decay or stabilization feeds the dimension probe)."""
-    free = _dipole_trace(net, x, plan, FREE, tol, energies=False)
-    wired = _dipole_trace(net, x, plan, WIRED, tol, energies=False)
-    h, energies = _harm_trace(net, free, wired)
+    i = net._require(x)
+    free = _dipole_trace(net, i, plan, FREE, tol, energies=False)
+    wired = _dipole_trace(net, i, plan, WIRED, tol, energies=False)
+    energies = []
+    for (pos, uf), (_, uw) in zip(free.stages, wired.stages):
+        h = uf - uw
+        energies.append(_energy_of(net, pos, h))
     return KernelElement(base=x, kind=KIND_HARM,
-                         approximant=VertexFunction(net.vertices, *h, GAUGE_RAW),
-                         stage_energies=energies,
+                         approximant=VertexFunction(net.vertices, pos, h, GAUGE_RAW),
+                         stage_energies=tuple(energies),
                          converged=free.converged and wired.converged,
                          meta={"plan": plan.descriptor})
 
@@ -298,16 +298,16 @@ def _wired_trace(net, x, plan):
     energy, edges to the ghost included, and increases to R(x→∞).  The trace
     ends at the first R_r past ``DIVERGENCE_CAP``; a stage covering a whole
     finite network raises IncompatibleSourceError."""
-    resistances, i = [], net._require(x)
-    for stage in _usable_stages(net, plan, x):
-        rep = solve_poisson(net, stage, {x: 1.0}, WIRED)
-        resistances.append(float(rep.values[np.searchsorted(rep.pos, i)]))
+    resistances = []
+    for stage in _usable_stages(net, plan, [x]):
+        rep = solve_poisson(net, stage, ([x], [1.0]), WIRED)
+        resistances.append(float(rep.values[np.searchsorted(rep.pos, x)]))
         if resistances[-1] > DIVERGENCE_CAP:
             break
     return tuple(resistances), stage, rep
 
 
-def _window_limit(net, resistances):
+def _window_limit(resistances):
     """The converged and diverged flags of a wired trace: decaying increments
     mean the window has stopped mattering, steady growth is the recurrent
     signature."""
@@ -323,7 +323,6 @@ def _window_limit(net, resistances):
                                      1e-12 * max(1.0, resistances[-1])))
     settled = settled or (len(deltas) >= 1 and
                           deltas[-1] <= ENERGY_CAUCHY_TOL * max(1.0, resistances[-1]))
-    settled = settled or (len(resistances) == 1 and net.is_finite)
     return settled and not growing, growing
 
 
@@ -337,37 +336,38 @@ def monopole(net, x, plan, eps_schedule=None, *, cauchy_tol=ENERGY_CAUCHY_TOL):
     successive in-window energies agree to ``cauchy_tol``, then verifies the
     limit solves the defining equation pointwise.
     """
-    return _monopole(net, x, plan, partial(_wired_trace, net, x, plan),
+    i = net._require(x)
+    return _monopole(net, i, plan, partial(_wired_trace, net, i, plan),
                      eps_schedule, cauchy_tol)
 
 
 def _monopole(net, x, plan, trace, eps_schedule=None, cauchy_tol=ENERGY_CAUCHY_TOL):
     """:func:`monopole` on the wired trace that ``trace()`` returns; a plan
     covering a finite network needs none."""
-    net._require(x)
+    base = net.vertices[x]
     if _covers(net, plan):
         # Full finite network: no ghost, no monopole.  Pure recurrence.
-        return KernelElement(base=x, kind=KIND_MONOPOLE,
+        return KernelElement(base=base, kind=KIND_MONOPOLE,
                              approximant=_zero_on(net, plan.final_radius),
                              stage_energies=(float("inf"),), converged=False,
                              diverged=True,
                              meta={"plan": plan.descriptor,
                                    "reason": "finite network admits no monopole"})
     resistances, last_stage, rep = trace()
-    settled, growing = _window_limit(net, resistances)
+    settled, growing = _window_limit(resistances)
     meta = {"plan": plan.descriptor, "wired_stage_energies": resistances}
     if not settled:
-        return KernelElement(base=x, kind=KIND_MONOPOLE,
+        return KernelElement(base=base, kind=KIND_MONOPOLE,
                              approximant=_vanish_gauge(net, rep, last_stage),
                              stage_energies=resistances, converged=False,
                              diverged=growing, meta=meta)
 
-    energies, converged = [], False
+    energies, converged, source = [], False, ([x], [1.0])
     for eps in default_eps_schedule() if eps_schedule is None else eps_schedule:
         if eps == 0.0:
-            rep = solve_poisson(net, last_stage, {x: 1.0}, WIRED)
+            rep = solve_poisson(net, last_stage, source, WIRED)
         else:
-            rep = solve_regularized(net, last_stage, eps, {x: 1.0}, bc=WIRED)
+            rep = solve_regularized(net, last_stage, eps, source, bc=WIRED)
         energies.append(_energy_of(net, rep.pos, rep.values))
         if energies[-1] > DIVERGENCE_CAP:
             break
@@ -379,13 +379,13 @@ def _monopole(net, x, plan, trace, eps_schedule=None, cauchy_tol=ENERGY_CAUCHY_T
         # Bounded energies alone are not enough: the limit must actually
         # solve Δu = δ_x pointwise.
         interior = rep.pos[net.arrays.reach[rep.pos] <= last_stage.radius]
-        res = scaled_laplacian_residual(net, rep.solution, {x: 1.0}, interior)
+        res = scaled_laplacian_residual(net, rep.solution, source, interior)
         meta["defining_residual"] = res
         if not res <= 1e-6:  # NaN fails too
             converged = False
             meta["reason"] = "regularized limit does not solve the monopole equation"
     diverged = not converged and ("reason" in meta or _classify_energy_trace(energies))
-    return KernelElement(base=x, kind=KIND_MONOPOLE,
+    return KernelElement(base=base, kind=KIND_MONOPOLE,
                          approximant=_vanish_gauge(net, rep, last_stage),
                          stage_energies=tuple(energies),
                          converged=converged and not diverged, diverged=diverged,
@@ -395,8 +395,8 @@ def _monopole(net, x, plan, trace, eps_schedule=None, cauchy_tol=ENERGY_CAUCHY_T
 def wired_monopole(net, x, plan):
     """Direct (ε = 0) wired monopole stages; the staged values are the wired
     resistances R_r = g_r(x) from x to the collapsed complement."""
-    resistances, stage, rep = _wired_trace(net, x, plan)
-    settled, growing = _window_limit(net, resistances)
+    resistances, stage, rep = _wired_trace(net, net._require(x), plan)
+    settled, growing = _window_limit(resistances)
     return KernelElement(base=x, kind=KIND_MONOPOLE,
                          approximant=_vanish_gauge(net, rep, stage),
                          stage_energies=resistances, converged=settled,
@@ -406,6 +406,7 @@ def wired_monopole(net, x, plan):
 def green_kernel(net, x, y, plan):
     """Symmetrized Green value g(x, y): the wired monopole at x, in the
     vanish-at-infinity gauge, read at y.  Undefined on recurrent networks."""
+    net._require(y)
     try:
         element = wired_monopole(net, x, plan)
     except IncompatibleSourceError:
@@ -431,14 +432,14 @@ def effective_resistance(net, x, y, plan, variant=FREE):
         raise DomainError("effective resistance needs two distinct vertices")
     if variant not in (FREE, WIRED):
         raise DomainError(f"unknown variant {variant!r}")
-    source, ends = {x: 1.0, y: -1.0}, [net._require(x), net._require(y)]
+    ends = [net._require(x), net._require(y)]
     values = []
-    for stage in _usable_stages(net, plan, x, y):
-        rep = solve_poisson(net, stage, source, variant)
+    for stage in _usable_stages(net, plan, ends):
+        rep = solve_poisson(net, stage, (ends, [1.0, -1.0]), variant)
         ux, uy = rep.values[np.searchsorted(rep.pos, ends)]
         values.append(float(ux - uy))
-    converged = (len(values) >= 2
-                 and abs(values[-1] - values[-2]) <= 1e-9 * max(1.0, values[-1]))
+    converged = _covers(net, plan) or (  # a covering last ball is exact
+        len(values) >= 2 and abs(values[-1] - values[-2]) <= 1e-9 * max(1.0, values[-1]))
     return ResistanceValue(value=values[-1], variant=variant,
                            converged=converged, stages=tuple(values))
 
@@ -451,14 +452,16 @@ def dirac_expansion_check(net, x, plan):
     difference over the interior of the final stage (0 for a perfect match up
     to a constant).
     """
-    def kernel_fn(z):
-        if z == net.origin:
-            return _zero_on(net, plan.final_radius, GAUGE_ORIGIN)
-        return energy_kernel(net, z, plan).approximant
+    i, a = net._require(x), net.arrays
+    pairs = net._inside(net._pairs(np.array([i])))
 
-    terms = [(net.total_conductance(x), kernel_fn(x))]
-    terms.extend((-c, kernel_fn(y)) for y, c in net.incident(x))
-    pos = np.flatnonzero(net.arrays.reach <= plan.final_radius)  # int B_r
-    expansion = sum(a * read_values(net, fn, pos)[pos] for a, fn in terms)
-    diffs = (pos == net._pos[x]) - expansion
+    def kernel_fn(p):
+        if p == net._order[0]:
+            return _zero_on(net, plan.final_radius, GAUGE_ORIGIN)
+        return _dipole_element(net, p, plan, KIND_DIPOLE, FREE, POINTWISE_TOL).approximant
+
+    terms = zip(np.r_[a.ctot[i], -a.cond[pairs]].tolist(), np.r_[i, a.nbr[pairs]].tolist())
+    pos = np.flatnonzero(a.reach <= plan.final_radius)  # int B_r
+    expansion = sum(c * read_values(net, kernel_fn(p), pos)[pos] for c, p in terms)
+    diffs = (pos == i) - expansion
     return float(diffs.max() - diffs.min())

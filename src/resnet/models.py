@@ -379,12 +379,14 @@ def oracle_residuals(spec, radius=30):
     out = {}
     n0 = 2 if radius >= 3 else 1
     v = oracle_v_function(spec, n0, radius, net.vertices)
-    out["dipole"] = scaled_laplacian_residual(net, v, {n0: 1.0, 0: -1.0}, interior)
+    o = net._order[0]
+    out["dipole"] = scaled_laplacian_residual(net, v, ([net._require(n0), o], [1.0, -1.0]),
+                                              interior)
     w = oracle_w_o_function(spec, radius, net.vertices)
-    out["monopole"] = scaled_laplacian_residual(net, w, {0: 1.0}, interior)
+    out["monopole"] = scaled_laplacian_residual(net, w, ([o], [1.0]), interior)
     if spec.family == "geom_z":
         h = oracle_h_function(spec, radius, net.vertices)
-        out["harmonic"] = scaled_laplacian_residual(net, h, {}, interior)
+        out["harmonic"] = scaled_laplacian_residual(net, h, ((), ()), interior)
     return out
 
 

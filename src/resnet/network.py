@@ -19,7 +19,9 @@ there, on that vertex tuple (:class:`VertexFunction`).  A ball is a radius:
 B_r is a prefix of the search order, and an exhaustion plan keeps radii.
 
 Vertex ids are integers, or tuples of integers for branched models such as
-stars and trees.
+stars and trees.  A public entry that takes an id reads it once, by
+:meth:`Network._require`, which refuses an unknown id (DomainError) and a ring
+id (WindowError); everything below works on positions.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ class Network:
     breadth-first search.  ``arrays``, the :class:`NetworkArrays` of the
     window, is the one representation of it that every query, solve and walk
     reads.  The search order is an int array of positions, and the dict
-    from vertex id to position is built on the first lookup by id.  The
+    from vertex id to position is built on the first :meth:`_require`.  The
     network also owns the store of its solver systems (bounded
     in count and bytes, freed with it), guarded by a per-network lock.
     Instances are safe to share across threads.
@@ -194,9 +196,6 @@ class Network:
     def _pos(self):
         return dict(zip(self._vertices, range(len(self._vertices))))
 
-    def has_vertex(self, x):
-        return x in self._pos
-
     def _require(self, x):
         """The position of window vertex ``x``."""
         p = self._pos.get(x)
@@ -218,39 +217,12 @@ class Network:
         n = len(self._vertices)
         return self._vertices[i] if i < n else self._ring[i - n]
 
-    def _row(self, x):
-        """The pair range of ``x`` in the arrays."""
-        p = self._require(x)
-        return self.arrays.indptr[p:p + 2].tolist()
-
-    def neighbors(self, x):
-        lo, hi = self._row(x)
-        return tuple(map(self._name, self._ids[lo:hi].tolist()))
-
     def incident(self, x):
         """(neighbor, conductance) pairs of ``x`` in canonical order."""
-        lo, hi = self._row(x)
+        p = self._require(x)
+        lo, hi = self.arrays.indptr[p:p + 2].tolist()
         return tuple(zip(map(self._name, self._ids[lo:hi].tolist()),
                          self.arrays.cond[lo:hi].tolist()))
-
-    def degree(self, x):
-        lo, hi = self._row(x)
-        return hi - lo
-
-    def conductance(self, x, y):
-        """Edge conductance, 0.0 for non-adjacent pairs."""
-        for z, c in self.incident(x):
-            if z == y:
-                return c
-        return 0.0
-
-    def total_conductance(self, x):
-        """c(x), the sum of conductances of all edges at ``x``."""
-        return float(self.arrays.ctot[self._require(x)])
-
-    def distance(self, x):
-        """Graph distance from the origin."""
-        return int(self.arrays.dist[self._require(x)])
 
     # -- subsets, balls and boundaries --------------------------------------
 
@@ -274,6 +246,14 @@ class Network:
         lo, hi = self.arrays.indptr[pos], self.arrays.indptr[pos + 1]
         deg = hi - lo
         return np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+
+    def _inside(self, pairs):
+        """``pairs``, if every neighbour they reach lies in the window; the
+        first that does not raises WindowError naming it."""
+        beyond = pairs[self.arrays.nbr[pairs] < 0]
+        if beyond.size:
+            self._require(self._name(int(self._ids[beyond[0]])))
+        return pairs
 
     def _leaving(self, pos):
         """For the sorted window positions ``pos``: the pairs of their rows

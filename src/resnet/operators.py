@@ -5,13 +5,13 @@ The Laplacian used throughout has the positive-spectrum sign convention,
 exactly once: E(u, v) = ½ Σ_{x,y} c_xy (u(x) − u(y))(v(x) − v(y)).
 
 A ``window`` argument is the sorted positions of its vertices in
-``net.vertices``, and every function lies on that vertex tuple.
+``net.vertices``, and every function lies on that vertex tuple.  Only
+``laplacian_apply``, the pointwise reference, takes a vertex id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -30,8 +30,9 @@ class EnergyValue:
 
 def laplacian_apply(net, u, x):
     """(Δu)(x); requires u on x and all its neighbors, never zero-extends."""
+    pairs = net.incident(x)
     ux = u.value(x)
-    terms = [c * (ux - u.value(y)) for y, c in net.incident(x)]
+    terms = [c * (ux - u.value(y)) for y, c in pairs]
     return float(prefix_sums(np.array(terms))[-1])
 
 
@@ -104,10 +105,7 @@ def window_laplacian(net, u, pos):
     neighbour beyond the materialized window or outside u's window raises
     WindowError."""
     a = net.arrays
-    pairs = net._pairs(pos)
-    beyond = pairs[a.nbr[pairs] < 0]
-    if beyond.size:  # WindowError naming the first such neighbour
-        net._require(net._name(int(net._ids[beyond[0]])))
+    pairs = net._inside(net._pairs(pos))
     read = np.zeros(len(a.dist), bool)
     read[pos] = read[a.nbr[pairs]] = True
     uu = read_values(net, u, np.flatnonzero(read))
@@ -137,14 +135,16 @@ def energy(net, u, v=None, window=None):
 
 
 def scaled_laplacian_residual(net, u, rhs, window):
-    """max over ``window`` of |Δu − rhs| / max(1, c(x)).
+    """max over ``window`` of |Δu − f| / max(1, c(x)), for the source f =
+    Σ_k values[k] δ_{at[k]} that ``rhs = (at, values)`` gives by vertex
+    position; sources outside the window are ignored.
 
     Conductance scaling keeps the check meaningful across the huge dynamic
     ranges of geometric models, where forming c_xy (u(x) − u(y)) already costs
     c_xy·eps of absolute accuracy in floating point.
     """
     lap = window_laplacian(net, u, window)
-    f = np.fromiter(map(rhs.get, map(net.vertices.__getitem__, window.tolist()),
-                        repeat(0.0)), float, len(window))
-    worst = np.abs(lap - f) / np.maximum(1.0, net.arrays.ctot[window])
+    f = np.zeros(len(net.vertices))
+    np.add.at(f, np.asarray(rhs[0], np.int64), rhs[1])
+    worst = np.abs(lap - f[window]) / np.maximum(1.0, net.arrays.ctot[window])
     return float(worst.max(initial=0.0))

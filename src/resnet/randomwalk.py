@@ -13,6 +13,8 @@ neighbour as comparing the double.
 
 Walks that step beyond the materialized window are terminated and counted as
 exits; estimators report that fraction so truncation never passes silently.
+The estimators read their vertex ids once, as positions (an id outside the
+window is a DomainError naming its role); the engine sees only positions.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, ResnetError
 
 _MASK64 = (1 << 64) - 1
 
@@ -101,22 +103,25 @@ def _walk_space(net):
 
 
 def _require_vertices(net, **roles):
-    """Raise DomainError for the first role whose vertex is not in ``net``."""
+    """The window positions of the vertices, in role order; DomainError
+    naming the role of the first one that is not in the window."""
     for role, v in roles.items():
-        if not net.has_vertex(v):
-            raise DomainError(f"{role} vertex {v!r} is not materialized")
+        try:
+            yield net._require(v)
+        except ResnetError:  # an unknown id, or one beyond the window
+            raise DomainError(f"{role} vertex {v!r} is not materialized") from None
 
 
 def _simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
               track_max_distance=False, return_home=None, mid_step=None):
     """Vectorized batch of walks from ``start``.
 
-    ``absorb`` holds the positions of the absorbing vertices.  Returns a dict
-    with per-walk outcome arrays: ``absorbed_at`` (index into ``absorb``, -1
-    if none), ``exited`` (left the window), ``capped`` (still walking at the
-    horizon), plus optional visit counts, max pre-return distance and visit
-    counts up to step ``mid_step``.  Absorption applies from step 1, never
-    at time 0.
+    Vertices come as window positions; ``absorb`` holds those of the
+    absorbing vertices.  Returns a dict with per-walk outcome arrays:
+    ``absorbed_at`` (index into ``absorb``, -1 if none), ``exited`` (left the
+    window), ``capped`` (still walking at the horizon), plus optional visit
+    counts, max pre-return distance and visit counts up to step
+    ``mid_step``.  Absorption applies from step 1, never at time 0.
 
     Only active walks move.  They are kept as an ascending array of walk
     indices, with their positions, visit counts and maximum distances aligned
@@ -130,7 +135,7 @@ def _simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
     a walk can stop: with absorbers, a home vertex or a window ring.
     """
     nbr, thr, width = _walk_space(net)
-    index, n_verts = net._pos, len(net.vertices)
+    n_verts = len(net.vertices)
     # Per vertex, with slot n_verts for every vertex beyond the window:
     # whether stepping onto it ends the walk, and its absorber index.
     halt = np.zeros(n_verts + 1, dtype=bool)
@@ -141,20 +146,19 @@ def _simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
         code[list(absorb)] = np.arange(len(absorb))
         halt |= code >= 0
     if return_home is not None:
-        halt[index[return_home]] = True
+        halt[return_home] = True
     # Padding points at slot n_verts too, but no walk steps onto padding:
     # only absorbers, the home vertex and the ring can stop one.
     can_stop = bool(absorb) or return_home is not None or bool((net.arrays.nbr < 0).any())
 
     n = cfg.n_walks
     walks = np.arange(n)
-    cur = np.full(n, index[start], dtype=np.int64)
+    cur = np.full(n, start, dtype=np.int64)
     absorbed_at = np.full(n, -1, dtype=np.int64)
     exited = np.zeros(n, dtype=bool)
     visits = mid_visits = maxdist = None
     if count_visits_to is not None:
-        target = index[count_visits_to]
-        visits = np.full(n, int(index[start] == target), dtype=np.int64)
+        visits = np.full(n, int(start == count_visits_to), dtype=np.int64)
         vis = visits.copy()
     if track_max_distance:
         dist = np.append(net.arrays.dist, 0)
@@ -187,7 +191,7 @@ def _simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
             pick += (raw > shifted.take(pick)) * half
         cur = nbr.take(pick)
         if visits is not None:
-            vis += cur == target
+            vis += cur == count_visits_to
         if maxdist is not None:
             np.maximum(far, dist.take(cur), out=far)
         if not can_stop:
@@ -229,16 +233,16 @@ def hitting_probability(net, target, absorber, start, cfg):
     Walks that hit the step cap or leave the window are excluded from the
     estimate; a ``biased`` flag is raised when they exceed 1% of the batch.
     """
-    _require_vertices(net, start=start, target=target, absorber=absorber)
-    if target == absorber:
+    s, t, a = _require_vertices(net, start=start, target=target, absorber=absorber)
+    if t == a:
         raise DomainError("target and absorber must differ")
-    if start == target:
+    if s == t:
         return McEstimate(value=1.0, stderr=0.0, n_walks=cfg.n_walks,
                           seed=cfg.seed)
-    if start == absorber:
+    if s == a:
         return McEstimate(value=0.0, stderr=0.0, n_walks=cfg.n_walks,
                           seed=cfg.seed)
-    out = _simulate(net, start, cfg, absorb=(net._pos[target], net._pos[absorber]))
+    out = _simulate(net, s, cfg, absorb=(t, a))
     decided = out["absorbed_at"] >= 0
     n_dec = int(decided.sum())
     lost = cfg.n_walks - n_dec
@@ -262,8 +266,8 @@ def green_estimate(net, x, y, cfg):
     sums still growing by more than 15% earn a ``diverging`` flag, the Monte
     Carlo signature of recurrence.
     """
-    _require_vertices(net, start=x, target=y)
-    out = _simulate(net, x, cfg, count_visits_to=y, mid_step=cfg.max_steps // 2)
+    s, t = _require_vertices(net, start=x, target=y)
+    out = _simulate(net, s, cfg, count_visits_to=t, mid_step=cfg.max_steps // 2)
     visits = out["visits"].astype(np.float64)
     value = float(visits.mean())
     stderr = float(visits.std(ddof=1) / np.sqrt(cfg.n_walks)) if cfg.n_walks > 1 else 0.0
@@ -289,22 +293,23 @@ class EscapeTrace:
     seed: int
 
 
-def escape_probability(net, origin, radii, cfg):
-    """P[the walk leaves the ball of radius r before returning to origin].
+def escape_probability(net, radii, cfg):
+    """P[the walk from the origin leaves the ball of radius r before
+    returning to the origin].
 
-    One batch serves every radius: each walk records the largest distance it
+    The ball is measured from the origin, so the walks start there.  One
+    batch serves every radius: each walk records the largest distance it
     reaches before first returning home.  Radii must stay strictly inside the
     materialized window so the edge kill cannot be mistaken for a return.
     """
-    _require_vertices(net, start=origin)
     radii = tuple(int(r) for r in radii)
     if not radii:
         raise DomainError("need at least one radius")
     if not net.is_finite and max(radii) >= net.window_radius:
         raise DomainError(
             f"escape radii must stay below the window radius {net.window_radius}")
-    out = _simulate(net, origin, cfg, track_max_distance=True,
-                    return_home=origin)
+    o = net._order[0]
+    out = _simulate(net, o, cfg, track_max_distance=True, return_home=o)
     maxdist = out["max_distance"]
     points = []
     for r in radii:

@@ -29,10 +29,13 @@ small factor reserves 1.9-4.4 KB of address space per nonzero (a 500-row
 line, a 10x10 grid; scipy 1.17), so in a session of many small systems it is
 the ``MAX_SYSTEMS`` cap that bounds memory.
 
-A solve takes one source or a block of them.  A block is one column per
-source, solved by one call of the factor and checked by one residual
-product; each column is the same bits as its single solve (SuperLU solves
-the columns of a block one by one) and is held to the same residual bound.
+A source is given by vertex position, as ``(at, values)``: the solver takes
+positions in ``net.vertices``, as its reports give them, and never reads a
+vertex id.  A solve takes one source or a block of them.  A block is one
+column per source, solved by one call of the factor and checked by one
+residual product; each column is the same bits as its single solve (SuperLU
+solves the columns of a block one by one) and is held to the same residual
+bound.
 """
 
 from __future__ import annotations
@@ -219,18 +222,20 @@ class _ScaledLU:
         return scale * self.lu.solve(scale * b)
 
 
-def _rhs(net, pos, sources):
-    """The right-hand sides at the region's sorted positions ``pos``, one
-    column per source mapping, each column contiguous."""
-    b = np.zeros((len(pos), len(sources)), order="F")
-    for j, f in enumerate(sources):
-        for x, val in f.items():
-            if val != 0.0:
-                p = net._pos.get(x, -1)
-                i = int(np.searchsorted(pos, p))
-                if i == len(pos) or pos[i] != p:
-                    raise DomainError(f"source vertex {x!r} lies outside the region")
-                b[i, j] = val
+def _rhs(net, pos, f):
+    """The right-hand sides at the region's sorted positions ``pos`` of the
+    source ``f = (at, values)``, one column per source, each contiguous."""
+    at, values = np.asarray(f[0], np.int64), np.asarray(f[1], float)
+    if values.ndim == 1:
+        values = values[:, None]
+    i = np.searchsorted(pos, at)
+    inside = pos[np.minimum(i, len(pos) - 1)] == at
+    outside = ~inside & (values != 0.0).any(axis=1)
+    if outside.any():
+        x = net.vertices[at[np.argmax(outside)]]
+        raise DomainError(f"source vertex {x!r} lies outside the region")
+    b = np.zeros((len(pos), values.shape[1]), order="F")
+    np.add.at(b, i[inside], values[inside])
     return b
 
 
@@ -248,14 +253,14 @@ def _residual(net, pos, matrix, u, b, tol, what, note="", eps=0.0):
     return float(residuals.max())
 
 
-def _report(net, pos, u, residual, gauge, bc, block):
-    return SolveReport(pos=pos, values=u if block else u[:, 0], residual=residual,
-                       gauge=gauge, bc=bc, vertices=net.vertices)
+def _report(net, pos, u, f, residual, gauge, bc):
+    return SolveReport(pos=pos, values=u if np.ndim(f[1]) == 2 else u[:, 0],
+                       residual=residual, gauge=gauge, bc=bc, vertices=net.vertices)
 
 
-def _free_solve(net, region, sources, tol, block):
+def _free_solve(net, region, f, tol):
     system = _system(net, region, FREE)
-    b = _rhs(net, system.pos, sources)
+    b = _rhs(net, system.pos, f)
     for column in b.T:
         total = float(column.sum())
         if abs(total) > COMPAT_TOL * max(1.0, float(np.abs(column).sum())):
@@ -268,35 +273,34 @@ def _free_solve(net, region, sources, tol, block):
         u[keep] = system.factor.solve(b[keep])
     residual = _residual(net, system.pos, system.matrix, u, b, tol, "free solve",
                          f" (region size {len(b)})")
-    return _report(net, system.pos, u, residual, GAUGE_ORIGIN, FREE, block)
+    return _report(net, system.pos, u, f, residual, GAUGE_ORIGIN, FREE)
 
 
 def solve_poisson(net, region, f, bc, *, tol=DEFAULT_TOLERANCE):
     """Solve Δu = f on the region under the given boundary condition.
 
-    The region is a :class:`~resnet.network.Ball`.  ``f`` maps vertices to
-    source values; vertices of the region missing from ``f`` carry source 0
-    (the region must contain the support of ``f``).  A list of such maps is
-    a block of sources, solved together: ``values`` then holds one solution
-    column per source, each checked as a single solve.
+    The region is a :class:`~resnet.network.Ball`.  The source ``f = (at,
+    values)`` is Σ_k values[k] δ_{at[k]}, for vertex positions ``at`` in
+    ``net.vertices``; the region must hold every position with a nonzero
+    value.  A 2-d ``values`` is a block of sources, one column each, solved
+    together: the report's ``values`` then holds one solution column per
+    source, each checked as a single solve.
     Free solves require balanced sources and return the origin-zero
     representative; wired solves return the ghost-grounded solution, which is
     the vanish-at-infinity representative.
     """
     if bc not in (FREE, WIRED):
         raise DomainError(f"unknown boundary condition {bc!r}")
-    block = not hasattr(f, "items")
-    sources = f if block else [f]
     if bc == WIRED:
         system = _system(net, region, WIRED)
         if system.has_crossing:
-            b = _rhs(net, system.pos, sources)
+            b = _rhs(net, system.pos, f)
             u = system.factor.solve(b)
             residual = _residual(net, system.pos, system.matrix, u, b, tol, "wired solve")
-            return _report(net, system.pos, u, residual, GAUGE_VANISH, WIRED, block)
+            return _report(net, system.pos, u, f, residual, GAUGE_VANISH, WIRED)
         # The complement is empty, so wiring changes nothing; fall back to the
         # free system (finite networks admit no unbalanced solution).
-    return _free_solve(net, region, sources, tol, block)
+    return _free_solve(net, region, f, tol)
 
 
 def solve_regularized(net, region, eps, f, *, bc=FREE, tol=DEFAULT_TOLERANCE):
@@ -304,7 +308,8 @@ def solve_regularized(net, region, eps, f, *, bc=FREE, tol=DEFAULT_TOLERANCE):
 
     The default matches the induced subgraph (free); monopole and Green
     computations pass ``bc='wired'`` so the regularized solutions stay inside
-    the energy-limits of finitely supported functions.
+    the energy-limits of finitely supported functions.  ``f`` is a source
+    as :func:`solve_poisson` takes it.
     """
     eps = float(eps)
     if eps <= 0.0:
@@ -314,8 +319,8 @@ def solve_regularized(net, region, eps, f, *, bc=FREE, tol=DEFAULT_TOLERANCE):
     system = _system(net, region, bc)
     matrix = system.matrix.copy()
     matrix.data[matrix.indices == _columns(matrix.indptr)] += eps
-    b = _rhs(net, system.pos, [f])
+    b = _rhs(net, system.pos, f)
     u = _ScaledLU(matrix.indptr, matrix.indices, matrix.data).solve(b)
     residual = _residual(net, system.pos, matrix, u, b, tol, "regularized solve",
                          eps=eps)
-    return _report(net, system.pos, u, residual, GAUGE_RAW, bc, False)
+    return _report(net, system.pos, u, f, residual, GAUGE_RAW, bc)

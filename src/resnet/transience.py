@@ -100,7 +100,7 @@ def grounded_projection_of_one(net, plan=None):
     that keep growing certify 1 ∈ closure(span δ_x) and the projection is 0.
     """
     plan = _default_plan(net, plan)
-    return _grounded_projection(net, plan, partial(_wired_trace, net, net.origin, plan))
+    return _grounded_projection(net, plan, partial(_wired_trace, net, net._order[0], plan))
 
 
 def _grounded_projection(net, plan, trace):
@@ -148,7 +148,7 @@ def _grounded_projection(net, plan, trace):
 
 def _criterion_monopole(net, plan, trace):
     try:
-        element = _monopole(net, net.origin, plan, trace)
+        element = _monopole(net, net._order[0], plan, trace)
     except ResnetError as exc:
         return INCONCLUSIVE, {"error": str(exc)}
     evidence = {"stage_energies": list(element.stage_energies),
@@ -200,7 +200,7 @@ def classify(net, plan=None, walk_cfg=None):
         walk_cfg = WalkConfig(n_walks=4000, max_steps=4000, seed=0)
     # One wired trace of the origin for the monopole and grounded criteria; a
     # trace that raised is not cached, so it raises again for the second.
-    trace = cache(partial(_wired_trace, net, net.origin, plan))
+    trace = cache(partial(_wired_trace, net, net._order[0], plan))
     criteria, evidence = {}, {}
     criteria["monopole"], evidence["monopole"] = _criterion_monopole(net, plan, trace)
     criteria["monte_carlo"], evidence["monte_carlo"] = _criterion_monte_carlo(net, walk_cfg)
@@ -216,17 +216,18 @@ def classify(net, plan=None, walk_cfg=None):
 
 
 def _default_probe_vertices(net, count=4):
-    """Vertices adjacent to the origin, one per outgoing direction.
+    """The positions of vertices adjacent to the origin, one per outgoing
+    direction.
 
     Distance-1 samples keep the harmonic-mass gate sharp: the leakage energy
     of the dipole at x on a recurrent net scales with the distance of x, so
     probing farther out only blurs the threshold.
     """
-    dist, verts = net.arrays.dist, net.vertices
-    picks = [verts[p] for p in np.flatnonzero(dist == 1).tolist()]
+    dist = net.arrays.dist
+    picks = np.flatnonzero(dist == 1)
     if len(picks) < 2:
-        picks += [verts[p] for p in np.flatnonzero(dist == 2).tolist()]
-    return tuple(picks[:max(count, 3)])
+        picks = np.concatenate((picks, np.flatnonzero(dist == 2)))
+    return picks[:max(count, 3)]
 
 
 def harm_dimension_probe(net, plan=None, samples=None):
@@ -240,9 +241,9 @@ def harm_dimension_probe(net, plan=None, samples=None):
     signature) is visible in the evidence.
     """
     plan = _default_plan(net, plan)
-    if samples is None:
-        samples = _default_probe_vertices(net)
-    samples = [s for s in samples if s != net.origin]
+    samples = (_default_probe_vertices(net) if samples is None
+               else [net._require(x) for x in samples])
+    samples = [p for p in samples if p != net._order[0]]
     if not samples:
         raise DomainError("need at least one non-origin sample vertex")
     # One free and one wired sweep give every v_x and h_x = v_x − f_x, a
@@ -257,8 +258,8 @@ def harm_dimension_probe(net, plan=None, samples=None):
     kept, detail = [], {}
     for k, (x, e_v) in enumerate(zip(samples, _energy_of(net, pos, v))):
         e_h, e_v = h_energies[k][-1], max(e_v, 1e-300)
-        detail[str(x)] = {"harm_energy": e_h, "dipole_energy": e_v,
-                          "stage_energies": h_energies[k]}
+        detail[str(net.vertices[x])] = {"harm_energy": e_h, "dipole_energy": e_v,
+                                        "stage_energies": h_energies[k]}
         if e_h > HARM_MASS_THRESHOLD * e_v:
             kept.append(k)
     if not kept:

@@ -2,11 +2,13 @@
 package's identities and window-level operators with.  No command or
 acceptance criterion calls them, so they live with the tests."""
 
+import numpy as np
+
 from resnet.errors import DomainError
 from resnet.network import GAUGE_RAW, VertexFunction
 from resnet.operators import EnergyValue, energy, scaled_laplacian_residual
 
-from reference_windows import interior_of, positions
+from reference_windows import interior_of, neighbors, positions, total_conductance
 
 
 def function_on(net, values, gauge=GAUGE_RAW):
@@ -16,6 +18,32 @@ def function_on(net, values, gauge=GAUGE_RAW):
     pos = positions(net, values)
     at = [values[net.vertices[p]] for p in pos.tolist()]
     return VertexFunction(net.vertices, pos, at, gauge)
+
+
+def source(net, f):
+    """The ``(at, values)`` source of the solver and the window residual for
+    a mapping {vertex: value}, or for a list of them (a block, one column
+    each): the vertices in canonical order of their positions."""
+    block = not hasattr(f, "items")
+    maps = f if block else [f]
+    at = positions(net, {x for m in maps for x in m})
+    values = np.array([[m.get(net.vertices[p], 0.0) for m in maps] for p in at.tolist()],
+                      float).reshape(len(at), len(maps))
+    return at, values if block else values[:, 0]
+
+
+def source_maps(net, f):
+    """The mapping, or the list of mappings for a block, of the nonzero
+    values of an ``(at, values)`` source, added up by vertex."""
+    at, values = np.asarray(f[0]), np.asarray(f[1], float)
+    columns = values.reshape(len(at), -1).T
+    maps = []
+    for column in columns:
+        m = {}
+        for p, val in zip(at.tolist(), column.tolist()):
+            m[net.vertices[p]] = m.get(net.vertices[p], 0.0) + val
+        maps.append({x: val for x, val in m.items() if val != 0.0})
+    return maps if values.ndim == 2 else maps[0]
 
 
 def indicator(net, window, on):
@@ -46,7 +74,7 @@ def normal_derivative(net, subset, v, x):
     """∂v(x) for x on the boundary of ``subset``: the Laplacian sum restricted
     to neighbors inside the subset."""
     sub = subset if isinstance(subset, (set, frozenset)) else frozenset(subset)
-    if x not in sub or all(y in sub for y in net.neighbors(x)):
+    if x not in sub or all(y in sub for y in neighbors(net, x)):
         raise DomainError(f"vertex {x!r} is not on the boundary of the subset")
     vx = v.value(x)
     return seq_sum(c * (vx - v.value(y)) for y, c in net.incident(x) if y in sub)
@@ -84,12 +112,12 @@ def harmonicity_residual(net, element, window=None):
     h = element.approximant
     if window is None:
         window = positions(net, interior_of(net, h.window))
-    return scaled_laplacian_residual(net, h, {}, window)
+    return scaled_laplacian_residual(net, h, ((), ()), window)
 
 
 def transition_probabilities(net, x):
     """(neighbor, probability) pairs at x; probabilities sum to 1."""
-    c_tot = net.total_conductance(x)
+    c_tot = total_conductance(net, x)
     return tuple((y, c / c_tot) for y, c in net.incident(x))
 
 

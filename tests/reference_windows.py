@@ -4,7 +4,9 @@ by vertex, and the arrays a network derives from them
 (:func:`pointwise_arrays`).  The closed-form windows of ``models.build``, the
 array search of ``Network.from_edges`` and ``NetworkArrays.of`` are pinned
 against it; the built-in families come here as neighbour generators, one
-pure function of the vertex id each."""
+pure function of the vertex id each.  The per-vertex queries by id
+(:func:`neighbors`, :func:`distance`, ...) read the network's arrays through
+``Network._require`` and ``Network.incident``."""
 
 from functools import partial
 from itertools import chain, count, islice
@@ -150,6 +152,35 @@ def pointwise_arrays(dist, adjacency):
                          rows=ints(rows), nbr=ints(nbr), cond=floats(cond),
                          edge_x=ints(edge_x), edge_y=ints(edge_y), edge_c=floats(edge_c),
                          reach=floats(reach), ctot=floats(ctot))
+
+
+def has_vertex(net, x):
+    """Whether ``x`` is a vertex of the window."""
+    return x in net._pos
+
+
+def neighbors(net, x):
+    """The neighbours of ``x`` in canonical order, ring vertices included."""
+    return tuple(y for y, _ in net.incident(x))
+
+
+def degree(net, x):
+    return len(net.incident(x))
+
+
+def conductance(net, x, y):
+    """Edge conductance, 0.0 for non-adjacent pairs."""
+    return dict(net.incident(x)).get(y, 0.0)
+
+
+def total_conductance(net, x):
+    """c(x), the sum of conductances of all edges at ``x``."""
+    return float(net.arrays.ctot[net._require(x)])
+
+
+def distance(net, x):
+    """Graph distance from the origin."""
+    return int(net.arrays.dist[net._require(x)])
 
 
 def positions(net, subset):

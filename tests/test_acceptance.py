@@ -86,7 +86,7 @@ def test_criterion_05_two_sum_identity():
                            ("unit_line", {})):
         net = build(ModelSpec(family, params), radius=32)
         plan = rn.make_exhaustion(net, range(1, 31))
-        bases = [x for x in (1, 2, 3, 5) if net.has_vertex(x)]
+        bases = [x for x in (1, 2, 3, 5) if x in net.vertices]
         elements = [energy_kernel(net, x, plan).approximant for x in bases]
         for _ in range(20):
             coeffs = rng.uniform(-2.0, 2.0, size=len(elements))
@@ -188,7 +188,7 @@ def test_criterion_10_monte_carlo(unit_path, zplus2):
         verts = [v for v in net.vertices if v != 0]
         x = verts[int(rng.integers(0, len(verts)))]
         y = verts[int(rng.integers(0, len(verts)))]
-        radius = max(net.distance(v) for v in net.vertices)
+        radius = net.max_radius
         p = rn.make_exhaustion(net, range(1, radius + 1))
         exact = energy_kernel(net, x, p).approximant
         r_xo = rn.effective_resistance(net, x, 0, p).value

@@ -257,6 +257,23 @@ def test_walk_green_defaults_to_the_origin_on_star(tmp_path):
     assert implicit.read_bytes() == explicit.read_bytes()
 
 
+@pytest.mark.parametrize("argv, read", [
+    (["resistance", "--x", "0", "--y", "3"], lambda payload: payload["resistance"]),
+    (["kernel", "--x", "3"], lambda payload: dict(payload["values"])[3]),
+], ids=["resistance", "kernel"])
+def test_a_covering_default_plan_converges(tmp_path, argv, read):
+    # A triangle with a pendant vertex 3: the default plan balls:1,2 ends on
+    # the whole network, whose solve is exact even with one usable stage.
+    net, out = tmp_path / "tri.json", tmp_path / "out.json"
+    net.write_text(json.dumps({"origin": 0, "edges": [
+        {"u": 0, "v": 1, "c": 1.0}, {"u": 1, "v": 2, "c": 2.0},
+        {"u": 0, "v": 2, "c": 1.0}, {"u": 2, "v": 3, "c": 1.0}]}))
+    assert main([*argv, "--net", str(net), "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["converged"] is True
+    assert read(payload) == pytest.approx(1.6, abs=1e-12)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--model", "star", "--op", "hitting", "--x", "(1,1)", "--start", "0",
       "--absorber", "0"], "start vertex 0"),

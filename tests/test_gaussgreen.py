@@ -32,7 +32,7 @@ def test_stage_exactness_on_random_finite_nets(seed):
     net = make_random_net(rng, max_vertices=25)
     u = random_function(rng, net)
     v = random_function(rng, net)
-    radius = max(net.distance(x) for x in net.vertices)
+    radius = net.max_radius
     plan = rn.make_exhaustion(net, range(1, radius + 1)) if radius >= 1 else None
     report = gauss_green(net, u, v, plan)
     for stage in report.stages:
@@ -84,7 +84,7 @@ def test_finite_net_boundary_empty(rng):
     net = make_random_net(rng, max_vertices=15)
     u = random_function(rng, net)
     v = random_function(rng, net)
-    radius = max(net.distance(x) for x in net.vertices)
+    radius = net.max_radius
     plan = rn.make_exhaustion(net, range(1, radius + 1))
     report = gauss_green(net, u, v, plan)
     assert report.stages[-1].boundary_sum == 0.0
@@ -197,7 +197,7 @@ def test_two_sum_identity_random_combinations(family, c, rng):
     params = {} if c is None else {"c": c}
     net = build(ModelSpec(family, params), radius=32)
     plan = rn.make_exhaustion(net, range(1, 31))
-    bases = [x for x in (1, 2, 3, 5) if net.has_vertex(x)]
+    bases = [x for x in (1, 2, 3, 5) if x in net.vertices]
     elements = [energy_kernel(net, x, plan).approximant for x in bases]
     for _ in range(20):
         coeffs = rng.uniform(-2.0, 2.0, size=len(elements))
@@ -295,7 +295,7 @@ def test_stage_sums_match_stagewise_on_explicit_grid(rng):
              if i + di < 4 and j + dj < 4]
     net = rn.Network.from_edges((1, 1), edges)
     u, v = random_function(rng, net), random_function(rng, net)
-    radius = max(net.distance(x) for x in net.vertices)
+    radius = net.max_radius
     report = _assert_matches_stagewise(
         net, u, v, rn.make_exhaustion(net, range(1, radius + 1)),
         rn.make_exhaustion(net, [2, radius]))

@@ -23,8 +23,8 @@ from resnet.transience import (GRAM_RANK_THRESHOLD, HARM_MASS_THRESHOLD,
                                _default_probe_vertices, harm_dimension_probe)
 
 from conftest import lognormal_grid_edges
-from reference_pointwise import seq_sum
-from reference_windows import crossing_edges, final_ball, positions
+from reference_pointwise import seq_sum, source, source_maps
+from reference_windows import crossing_edges, distance, final_ball, neighbors, positions
 
 
 def diagonal_grid(half):
@@ -63,7 +63,7 @@ def case(request):
 
 
 def _probes(net, x, plan):
-    probes = {net.origin, x, *net.neighbors(net.origin), *net.neighbors(x)}
+    probes = {net.origin, x, *neighbors(net, net.origin), *neighbors(net, x)}
     probes &= final_ball(plan)
     pool = [v for v in vsorted(final_ball(plan)) if v not in probes]
     rng = np.random.default_rng(kernels._PROBE_SEED)
@@ -80,7 +80,7 @@ def dict_dipole(net, x, plan, bc):
     for stage in plan.stages:
         if x not in stage or net.origin not in stage:
             continue
-        u = solve_poisson(net, stage, {x: 1.0, net.origin: -1.0}, bc)
+        u = solve_poisson(net, stage, source(net, {x: 1.0, net.origin: -1.0}), bc)
         u = u.solution.pinned_at(net.origin)
         energies.append(energy(net, u, window=positions(net, stage)).value)
         if sols:
@@ -110,7 +110,7 @@ def dict_wired_monopole(net, x, plan):
     resistances, last = [], None
     for stage in plan.stages:
         if x in stage:
-            last = stage, solve_poisson(net, stage, {x: 1.0}, WIRED).solution
+            last = stage, solve_poisson(net, stage, source(net, {x: 1.0}), WIRED).solution
             resistances.append(last[1].value(x))
     return last, tuple(resistances)
 
@@ -158,7 +158,7 @@ def test_monopole_matches_the_dict_path(case):
     if "eps_steps" in element.meta:
         energies = []
         for eps in default_eps_schedule():
-            rep = solve_regularized(net, stage, eps, {net.origin: 1.0}, bc=WIRED)
+            rep = solve_regularized(net, stage, eps, source(net, {net.origin: 1.0}), bc=WIRED)
             u = rep.solution
             energies.append(energy(net, u, window=positions(net, stage)).value)
             if len(energies) >= 2 and abs(energies[-1] - energies[-2]) < ENERGY_CAUCHY_TOL:
@@ -176,7 +176,7 @@ def test_effective_resistance_stages_match_the_dict_path(case, variant):
     resistances = []
     for stage in plan.stages:
         if x in stage and y in stage and (variant == WIRED or net.origin in stage):
-            u = solve_poisson(net, stage, {x: 1.0, y: -1.0}, variant).solution
+            u = solve_poisson(net, stage, source(net, {x: 1.0, y: -1.0}), variant).solution
             resistances.append(u.value(x) - u.value(y))
     assert value.stages == tuple(resistances)
 
@@ -189,9 +189,10 @@ def test_wired_stage_values_are_ghost_inclusive_energies(case):
     monopole_stages = wired_monopole(net, net.origin, plan).stage_energies
     dipole_stages = effective_resistance(net, x, y, plan, variant=WIRED).stages
     expected_monopole = [ghost_energy(net, solve_poisson(
-        net, stage, {net.origin: 1.0}, WIRED).solution, stage) for stage in plan.stages]
+        net, stage, source(net, {net.origin: 1.0}), WIRED).solution, stage)
+        for stage in plan.stages]
     expected_dipole = [ghost_energy(net, solve_poisson(
-        net, stage, {x: 1.0, y: -1.0}, WIRED).solution, stage)
+        net, stage, source(net, {x: 1.0, y: -1.0}), WIRED).solution, stage)
         for stage in plan.stages if x in stage and y in stage]
     assert monopole_stages == pytest.approx(expected_monopole, rel=1e-12, abs=0)
     assert dipole_stages == pytest.approx(expected_dipole, rel=1e-12, abs=0)
@@ -200,7 +201,7 @@ def test_wired_stage_values_are_ghost_inclusive_energies(case):
 def _check_probe(net, plan, samples=None):
     rank, detail = harm_dimension_probe(net, plan, samples)
     expected, kept = {}, []
-    for x in samples or _default_probe_vertices(net):
+    for x in samples or [net.vertices[p] for p in _default_probe_vertices(net)]:
         hs, h_energies = dict_harm(net, x, plan)
         free, _, _ = dict_dipole(net, x, plan, FREE)
         final = positions(net, final_ball(plan))
@@ -228,8 +229,8 @@ def test_probe_samples_at_several_distances_match_the_dict_path(case):
     # Each sample's trace starts at the first ball that holds it, so the
     # stage-major sweep solves a growing block of sources.
     net, plan, x, y = case
-    samples = [y, net.neighbors(net.origin)[0], x]
-    assert len({net.distance(z) for z in samples}) > 1
+    samples = [y, neighbors(net, net.origin)[0], x]
+    assert len({distance(net, z) for z in samples}) > 1
     _check_probe(net, plan, samples)
 
 
@@ -239,11 +240,11 @@ def test_harm_dimension_probe_makes_one_free_and_one_wired_trace(monkeypatch):
     calls = []
 
     def counting(net, region, f, bc, **kwargs):
-        calls.append((bc, frozenset(region), f))
+        calls.append((bc, frozenset(region), source_maps(net, f)))
         return solve_poisson(net, region, f, bc, **kwargs)
 
     monkeypatch.setattr(kernels, "solve_poisson", counting)
-    samples = _default_probe_vertices(net)
+    samples = [net.vertices[p] for p in _default_probe_vertices(net)]
     harm_dimension_probe(net, plan)
     assert len(samples) == 4
     # Stage-major: one block solve per stage and boundary condition, with a
@@ -259,7 +260,7 @@ def test_classify_makes_one_wired_monopole_trace(monkeypatch):
     calls = []
 
     def counting(net, region, f, bc, **kwargs):
-        if bc == WIRED and dict(f) == {net.origin: 1.0}:
+        if bc == WIRED and source_maps(net, f) == {net.origin: 1.0}:
             calls.append(frozenset(region))
         return solve_poisson(net, region, f, bc, **kwargs)
 

@@ -12,7 +12,7 @@ from resnet.operators import energy, laplacian_apply
 from conftest import make_random_net, random_function
 from reference_pointwise import (function_on, harmonicity_residual, indicator,
                                  kernel_symmetry_residual, reproducing_residual)
-from reference_windows import final_ball, interior_of, positions
+from reference_windows import final_ball, interior_of, positions, total_conductance
 
 
 def test_unit_path_kernel(unit_path, unit_path_plan):
@@ -42,7 +42,7 @@ def test_kernel_defining_equation(geom2, geom2_plan):
     for x in sorted(interior):
         expected = (1.0 if x == 3 else 0.0) - (1.0 if x == 0 else 0.0)
         res = abs(laplacian_apply(geom2, v3, x) - expected)
-        assert res / max(1.0, geom2.total_conductance(x)) < 1e-8
+        assert res / max(1.0, total_conductance(geom2, x)) < 1e-8
 
 
 def test_reproducing_property(geom2, geom2_plan, geom2_spec, rng):
@@ -154,6 +154,35 @@ def test_green_kernel_undefined_when_recurrent():
     plan = rn.doubling_exhaustion(net)
     with pytest.raises(GreenUndefinedError):
         green_kernel(net, 0, 0, plan)
+
+
+def test_one_wired_stage_on_a_finite_network_is_not_settled():
+    # A single wired stage on a finite network is no window limit: the 10x10
+    # grid is recurrent, so the monopole may not settle and g(x, y) is undefined.
+    net = rn.Network.from_edges((0, 0), [
+        ((i, j), (i + di, j + dj), 1.0) for i in range(10) for j in range(10)
+        for di, dj in ((1, 0), (0, 1)) if i + di < 10 and j + dj < 10])
+    plan = rn.make_exhaustion(net, [1])
+    element = wired_monopole(net, (0, 0), plan)
+    assert element.stage_energies == pytest.approx((0.75,))
+    assert not element.converged
+    with pytest.raises(GreenUndefinedError, match="did not stabilize"):
+        green_kernel(net, (0, 0), (0, 0), plan)
+
+
+def test_a_covering_last_ball_is_converged():
+    # A triangle with a pendant vertex: the plan's last ball is the whole
+    # network, so its one stage holding the pendant is exact.
+    net = rn.Network.from_edges(0, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 1.0), (2, 3, 1.0)])
+    plan = rn.make_exhaustion(net, [1, 2])
+    for variant in ("free", "wired"):
+        r = effective_resistance(net, 0, 3, plan, variant=variant)
+        assert r.stages == pytest.approx((1.6,), abs=1e-12)
+        assert r.converged
+    for op in (energy_kernel, fin_part, harm_part):
+        element = op(net, 3, plan)
+        assert element.converged
+    assert energy_kernel(net, 3, plan).approximant.value(3) == pytest.approx(1.6, abs=1e-12)
 
 
 def test_effective_resistance_series(unit_path, unit_path_plan):

@@ -1,11 +1,13 @@
 import json
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 import resnet as rn
+from resnet import kernels, randomwalk
 from resnet.errors import ConfigurationError, DomainError, WindowError
 from resnet.models import ModelSpec, build, load_network, network_to_jsonable
 from resnet.network import vertex_key
@@ -13,26 +15,27 @@ from resnet.serialize import canonical_json
 
 from conftest import make_random_net
 from reference_pointwise import function_on
-from reference_windows import (ball, crossing_edges, final_ball, from_generator,
-                               interior_of, reference_generator)
+from reference_windows import (ball, conductance, crossing_edges, degree, distance,
+                               final_ball, from_generator, has_vertex, interior_of,
+                               neighbors, reference_generator, total_conductance)
 
 
 def test_total_conductance_geometric_origin(geom2):
-    assert geom2.total_conductance(0) == 4.0
+    assert total_conductance(geom2, 0) == 4.0
 
 
 def test_total_conductance_single_edge():
     net = rn.Network.from_edges(0, [(0, 1, 3.0)])
-    assert net.total_conductance(0) == 3.0
+    assert total_conductance(net, 0) == 3.0
 
 
 def test_total_conductance_zplus(zplus2):
-    assert zplus2.total_conductance(1) == 6.0  # 2 + 4
+    assert total_conductance(zplus2, 1) == 6.0  # 2 + 4
 
 
 def test_total_conductance_unknown_vertex(unit_path):
     with pytest.raises(DomainError):
-        unit_path.total_conductance(99)
+        total_conductance(unit_path, 99)
 
 
 def test_boundary_of_line_ball(geom2):
@@ -94,8 +97,8 @@ def test_exhaustion_contains_origin(geom2):
 def test_conductance_symmetry_bit_exact(geom2):
     for x in geom2.vertices:
         for y, c in geom2.incident(x):
-            if geom2.has_vertex(y):
-                assert geom2.conductance(y, x) == c
+            if has_vertex(geom2, y):
+                assert conductance(geom2, y, x) == c
 
 
 def test_rejects_self_loop():
@@ -115,7 +118,7 @@ def test_rejects_disconnected():
 
 def test_merges_parallel_edges():
     net = rn.Network.from_edges(0, [(0, 1, 1.0), (1, 0, 2.5)])
-    assert net.conductance(0, 1) == 3.5
+    assert conductance(net, 0, 1) == 3.5
 
 
 def test_rejects_asymmetric_generator():
@@ -164,7 +167,7 @@ def test_generator_zero_conductance_pairs_dropped():
     assert net.incident(0) == ((1, 1.0),)
     assert net.incident(2) == ((1, 1.0), (3, 1.0))
     with pytest.raises(DomainError):
-        net.neighbors(-1)  # dropped, so not even beyond the window
+        neighbors(net, -1)  # dropped, so not even beyond the window
 
 
 def test_mixed_ids_keep_vertex_key_order():
@@ -206,9 +209,9 @@ def _grid(side):
     _grid(7),
 ], ids=["star", "binary-tree", "grid"])
 def test_ball_is_distance_sublevel_set(net):
-    top = net.window_radius if not net.is_finite else max(map(net.distance, net.vertices)) + 2
+    top = net.max_radius + (2 if net.is_finite else 0)
     for r in range(top + 1):
-        assert ball(net, r) == frozenset(x for x in net.vertices if net.distance(x) <= r)
+        assert ball(net, r) == frozenset(x for x in net.vertices if distance(net, x) <= r)
 
 
 def test_ball_beyond_window_raises():
@@ -221,7 +224,7 @@ def test_ball_beyond_window_raises():
 def test_max_radius():
     assert build(ModelSpec("binary_tree"), radius=5).max_radius == 5
     grid = _grid(7)
-    assert grid.max_radius == max(map(grid.distance, grid.vertices)) == 6
+    assert grid.max_radius == max(distance(grid, x) for x in grid.vertices) == 6
     assert rn.doubling_exhaustion(grid).radii == (1, 2, 4, 6)
 
 
@@ -229,7 +232,7 @@ def test_window_is_loud(geom2):
     with pytest.raises(WindowError):
         ball(geom2, 33)
     with pytest.raises(WindowError):
-        geom2.neighbors(33)  # ring vertex: known id, no adjacency
+        neighbors(geom2, 33)  # ring vertex: known id, no adjacency
 
 
 @pytest.mark.parametrize("spec, x, pairs, ring", [
@@ -243,13 +246,13 @@ def test_window_is_loud(geom2):
 def test_incident_names_the_ring_neighbour(spec, x, pairs, ring):
     net = build(spec, radius=4)
     assert net.incident(x) == pairs
-    assert net.neighbors(x) == tuple(y for y, _ in pairs)
-    assert net.degree(x) == len(pairs)
+    assert neighbors(net, x) == tuple(y for y, _ in pairs)
+    assert degree(net, x) == len(pairs)
     c = dict(pairs)[ring]
-    assert net.conductance(x, ring) == c
+    assert conductance(net, x, ring) == c
     assert (x, ring, c) in list(crossing_edges(net, ball(net, 4)))
     with pytest.raises(WindowError, match="beyond the materialized window"):
-        net.neighbors(ring)
+        neighbors(net, ring)
 
 
 @pytest.mark.parametrize("spec, ring, unknown", [
@@ -260,10 +263,10 @@ def test_incident_names_the_ring_neighbour(spec, x, pairs, ring):
 def test_neighbors_beyond_the_window(spec, ring, unknown):
     net = build(spec, radius=4)
     with pytest.raises(WindowError):
-        net.neighbors(ring)
+        neighbors(net, ring)
     with pytest.raises(DomainError, match="unknown vertex"):
-        net.neighbors(unknown)
-    assert not net.has_vertex(ring) and not net.has_vertex(unknown)
+        neighbors(net, unknown)
+    assert not has_vertex(net, ring) and not has_vertex(net, unknown)
 
 
 def test_crossing_edges_in_canonical_order(geom2):
@@ -330,3 +333,60 @@ def test_plan_holds_radii_not_balls():
     assert final_ball(plan) == frozenset(range(-2000, 2001))
     assert len(plan.stages) == 2000 and len(plan.stages[999]) == 2001
     assert [frozenset(s) for s in plan.stages[:2]] == [ball(net, 1), ball(net, 2)]
+
+
+# -- vertex ids at the public entries -------------------------------------------
+
+# Each entry that takes a vertex id reads it once, as a position: called on
+# ``a`` (the network, plan, function and walk config below) with the id x,
+# and the role a walk names when it refuses x (None: the network's errors).
+ID_ENTRIES = {
+    "energy_kernel": (lambda a, x: rn.energy_kernel(a.net, x, a.plan), None),
+    "fin_part": (lambda a, x: rn.fin_part(a.net, x, a.plan), None),
+    "harm_part": (lambda a, x: rn.harm_part(a.net, x, a.plan), None),
+    "monopole": (lambda a, x: rn.monopole(a.net, x, a.plan), None),
+    "wired_monopole": (lambda a, x: rn.wired_monopole(a.net, x, a.plan), None),
+    "effective_resistance-x": (lambda a, x: rn.effective_resistance(a.net, x, 0, a.plan),
+                               None),
+    "effective_resistance-y": (lambda a, x: rn.effective_resistance(
+        a.net, 0, x, a.plan, variant="wired"), None),
+    "green_kernel-x": (lambda a, x: rn.green_kernel(a.net, x, 0, a.plan), None),
+    "green_kernel-y": (lambda a, x: rn.green_kernel(a.net, 0, x, a.plan), None),
+    "dirac_expansion_check": (lambda a, x: rn.dirac_expansion_check(a.net, x, a.plan),
+                              None),
+    "harm_dimension_probe": (lambda a, x: rn.harm_dimension_probe(
+        a.net, a.plan, samples=[1, x]), None),
+    "laplacian_apply": (lambda a, x: rn.laplacian_apply(a.net, a.u, x), None),
+    "hitting_probability-start": (lambda a, x: rn.hitting_probability(
+        a.net, 1, 0, x, a.cfg), "start"),
+    "hitting_probability-absorber": (lambda a, x: rn.hitting_probability(
+        a.net, 1, x, 0, a.cfg), "absorber"),
+    "green_estimate-target": (lambda a, x: rn.green_estimate(a.net, 0, x, a.cfg),
+                              "target"),
+}
+
+
+@pytest.mark.parametrize("bad", ["unknown", "ring"])
+@pytest.mark.parametrize("entry", sorted(ID_ENTRIES))
+def test_id_entries_refuse_unknown_and_ring_ids_before_solving(monkeypatch, entry, bad):
+    net = build(ModelSpec("geom_z", {"c": 2.0}), radius=6)
+    a = SimpleNamespace(net=net, plan=rn.make_exhaustion(net, range(1, 6)),
+                        u=function_on(net, dict.fromkeys(net.vertices, 1.0)),
+                        cfg=rn.WalkConfig(n_walks=10, max_steps=10, seed=0))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("solved or walked before the ids were checked")
+
+    for module, name in ((kernels, "solve_poisson"), (kernels, "solve_regularized"),
+                         (randomwalk, "_simulate")):
+        monkeypatch.setattr(module, name, refused)
+    x = 99 if bad == "unknown" else 7  # 7 lies on the ring just outside radius 6
+    call, role = ID_ENTRIES[entry]
+    if role is not None:
+        error, message = DomainError, f"{role} vertex {x} is not materialized"
+    elif bad == "unknown":
+        error, message = DomainError, f"unknown vertex {x}"
+    else:
+        error, message = WindowError, f"vertex {x} lies beyond the materialized window"
+    with pytest.raises(error, match=message):
+        call(a, x)

@@ -10,7 +10,7 @@ from resnet.operators import energy, laplacian_apply
 from conftest import make_random_net, random_function
 from reference_pointwise import (contract, energy_over_plan, function_on, indicator,
                                  normal_derivative, restricted, transfer_apply)
-from reference_windows import ball, interior_of, positions
+from reference_windows import ball, interior_of, positions, total_conductance
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,7 @@ def test_transfer_on_unit_path(unit_path):
     assert transfer_apply(unit_path, u, 0) == 1.0
     # c(x) u(x) - (T u)(x) = (laplacian u)(x)
     x = 1
-    lhs = unit_path.total_conductance(x) * u.value(x) - transfer_apply(unit_path, u, x)
+    lhs = total_conductance(unit_path, x) * u.value(x) - transfer_apply(unit_path, u, x)
     assert lhs == laplacian_apply(unit_path, u, x) == 2.0
 
 
@@ -180,7 +180,7 @@ def test_stagewise_cancellation_for_any_function(seed):
     rng = np.random.default_rng(seed)
     net = make_random_net(rng, max_vertices=20)
     u = random_function(rng, net)
-    radius = max(net.distance(x) for x in net.vertices)
+    radius = net.max_radius
     for k in range(1, radius + 1):
         stage = ball(net, k)
         total = sum(laplacian_apply(net, u, x) for x in interior_of(net, stage))

@@ -10,6 +10,7 @@ from resnet.randomwalk import (WalkConfig, escape_probability, green_estimate,
                                hitting_probability)
 from conftest import make_random_net
 from reference_pointwise import step, transition_probabilities
+from reference_windows import distance, has_vertex, total_conductance
 
 
 def test_transition_probabilities_sum_to_one(geom2, zplus2):
@@ -84,7 +85,7 @@ def test_kernel_reconstruction_from_hitting(rng):
         x = verts[int(rng.integers(0, len(verts)))]
         y = verts[int(rng.integers(0, len(verts)))]
         plan = rn.make_exhaustion(
-            net, range(1, max(net.distance(v) for v in net.vertices) + 1))
+            net, range(1, net.max_radius + 1))
         vx = rn.energy_kernel(net, x, plan).approximant
         resistance = rn.effective_resistance(net, x, 0, plan).value
         est = hitting_probability(net, x, 0, y, cfg)
@@ -115,7 +116,7 @@ def test_green_estimate_unreachable_target(zplus2):
 
 def test_escape_probability_geometric(geom2):
     cfg = WalkConfig(n_walks=20000, max_steps=20000, seed=8)
-    trace = escape_probability(geom2, 0, (2, 4, 8, 16), cfg)
+    trace = escape_probability(geom2, (2, 4, 8, 16), cfg)
     # limit cross-check: 1 / (c(o) * minimal monopole energy) = 1/(4 * 0.5)
     r, p, stderr = trace.points[-1]
     assert abs(p - 0.5) < max(3 * stderr, 0.01)
@@ -126,7 +127,7 @@ def test_escape_probability_geometric(geom2):
 def test_escape_probability_unit_line_decays():
     net = build(ModelSpec("unit_line"), radius=600)
     cfg = WalkConfig(n_walks=4000, max_steps=200000, seed=4)
-    trace = escape_probability(net, 0, (4, 16, 64, 256), cfg)
+    trace = escape_probability(net, (4, 16, 64, 256), cfg)
     probs = [p for _, p, _ in trace.points]
     assert probs[-1] < 0.25 * probs[0]
     assert probs[-1] < 0.02
@@ -136,14 +137,14 @@ def test_escape_probability_complete_graph():
     k4 = rn.Network.from_edges(0, [(i, j, 1.0) for i in range(4)
                                    for j in range(i + 1, 4)])
     cfg = WalkConfig(n_walks=3000, max_steps=500, seed=6)
-    trace = escape_probability(k4, 0, (1,), cfg)
+    trace = escape_probability(k4, (1,), cfg)
     assert trace.points[0][1] == 0.0
 
 
 def test_escape_radii_must_fit_window(geom2):
     cfg = WalkConfig(n_walks=10, max_steps=10, seed=0)
     with pytest.raises(DomainError):
-        escape_probability(geom2, 0, (40,), cfg)
+        escape_probability(geom2, (40,), cfg)
 
 
 def test_walk_config_validation():
@@ -162,8 +163,6 @@ def test_walks_reject_vertices_outside_the_network(unit_path):
         hitting_probability(unit_path, 2, 99, 1, cfg)
     with pytest.raises(DomainError, match="target vertex 99"):
         green_estimate(unit_path, 0, 99, cfg)
-    with pytest.raises(DomainError, match="start vertex 99"):
-        escape_probability(unit_path, 99, (1,), cfg)
 
 
 # -- integer thresholds ---------------------------------------------------------
@@ -229,7 +228,7 @@ def _reference_row(seed, t, n):
 def _reference_step(net, x, u):
     """The neighbour of x that u picks, adding c_xy / c(x) in incident order."""
     pairs = net.incident(x)
-    acc, c_x = 0.0, net.total_conductance(x)
+    acc, c_x = 0.0, total_conductance(net, x)
     for y, c in pairs[:-1]:
         acc += c / c_x
         if u < acc:
@@ -240,7 +239,12 @@ def _reference_step(net, x, u):
 def _reference_simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
                         track_max_distance=False, return_home=None,
                         mid_step=None):
-    """One walk at a time, with the outputs of ``randomwalk._simulate``."""
+    """One walk at a time, with the outputs of ``randomwalk._simulate``; it
+    takes window positions and walks on vertex ids."""
+    ids = net.vertices
+    start = ids[start]
+    count_visits_to = None if count_visits_to is None else ids[count_visits_to]
+    return_home = None if return_home is None else ids[return_home]
     n = cfg.n_walks
     pos, active = [start] * n, [True] * n
     absorbed_at = np.full(n, -1, dtype=np.int64)
@@ -261,7 +265,7 @@ def _reference_simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
             if not active[w]:
                 continue
             y = _reference_step(net, pos[w], row[w])
-            if not net.has_vertex(y):
+            if not has_vertex(net, y):
                 exited[w], active[w] = True, False
                 continue
             pos[w] = y
@@ -270,7 +274,7 @@ def _reference_simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
                 if mid_visits is not None and t < mid_step:
                     mid_visits[w] += 1
             if maxdist is not None:
-                maxdist[w] = max(maxdist[w], net.distance(y))
+                maxdist[w] = max(maxdist[w], distance(net, y))
                 if y == return_home:
                     active[w] = False
             if y in code:
@@ -319,13 +323,13 @@ def test_engine_equals_scalar_reference(case, seed, monkeypatch):
     make, (target, absorber, start), radii, steps = _REFERENCE_CASES[case]
     net = make()
     cfg = WalkConfig(n_walks=13, max_steps=steps, seed=seed)
-    o = net.origin
+    o, s = net._require(net.origin), net._require(start)
     runs = [
-        ((start, cfg), dict(count_visits_to=o, mid_step=steps // 2),
-         lambda: green_estimate(net, start, o, cfg)),
+        ((s, cfg), dict(count_visits_to=o, mid_step=steps // 2),
+         lambda: green_estimate(net, start, net.origin, cfg)),
         ((o, cfg), dict(track_max_distance=True, return_home=o),
-         lambda: escape_probability(net, o, radii, cfg)),
-        ((start, cfg), dict(absorb=(net._pos[target], net._pos[absorber])),
+         lambda: escape_probability(net, radii, cfg)),
+        ((s, cfg), dict(absorb=(net._require(target), net._require(absorber))),
          lambda: hitting_probability(net, target, absorber, start, cfg)),
     ]
     engine = [(randomwalk._simulate(net, *args, **kw), estimate())

@@ -18,6 +18,8 @@ from resnet.randomwalk import WalkConfig, green_estimate
 from resnet.solver import FREE, WIRED, solve_poisson, solve_regularized
 
 from conftest import lognormal_grid_edges
+from reference_pointwise import source
+from reference_windows import distance, total_conductance
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +52,7 @@ def _dense_system(net, region, bc, eps=0.0):
 
 
 def test_unit_path_dipole_free(unit_path):
-    rep = solve_poisson(unit_path, Ball(unit_path, 2), {2: 1.0, 0: -1.0}, FREE)
+    rep = solve_poisson(unit_path, Ball(unit_path, 2), source(unit_path, {2: 1.0, 0: -1.0}), FREE)
     assert rep.gauge == "origin-zero"
     for k in (0, 1, 2):
         assert rep.solution.value(k) == pytest.approx(float(k), abs=1e-10)
@@ -60,14 +62,14 @@ def test_unit_path_dipole_free(unit_path):
 def test_gamblers_ruin_profile_exact():
     n = 9
     net = rn.Network.from_edges(0, [(k, k + 1, 1.0) for k in range(n)])
-    rep = solve_poisson(net, Ball(net, n), {n: 1.0, 0: -1.0}, FREE)
+    rep = solve_poisson(net, Ball(net, n), source(net, {n: 1.0, 0: -1.0}), FREE)
     for k in range(n + 1):
         assert rep.solution.value(k) == pytest.approx(float(k), abs=1e-10)
 
 
 def test_wired_monopole_on_half_line(zplus2):
     region = Ball(zplus2, 30)
-    rep = solve_poisson(zplus2, region, {0: 1.0}, WIRED)
+    rep = solve_poisson(zplus2, region, source(zplus2, {0: 1.0}), WIRED)
     assert rep.gauge == "vanish-at-infinity"
     assert rep.solution.value(0) == pytest.approx(1.0, abs=1e-8)
     for n in (1, 3, 7):
@@ -75,31 +77,31 @@ def test_wired_monopole_on_half_line(zplus2):
 
 
 def test_zero_source_wired(zplus2):
-    rep = solve_poisson(zplus2, Ball(zplus2, 10), {}, WIRED)
+    rep = solve_poisson(zplus2, Ball(zplus2, 10), source(zplus2, {}), WIRED)
     assert all(v == 0.0 for _, v in rep.solution.items())
 
 
 def test_free_rejects_unbalanced_source(unit_path):
     with pytest.raises(IncompatibleSourceError):
-        solve_poisson(unit_path, Ball(unit_path, 2), {1: 1.0}, FREE)
+        solve_poisson(unit_path, Ball(unit_path, 2), source(unit_path, {1: 1.0}), FREE)
 
 
 def test_ball_beyond_the_window_raises(geom2):
     for bc in (FREE, WIRED):
         with pytest.raises(WindowError, match="radius 33"):
-            solve_poisson(geom2, Ball(geom2, 33), {0: 1.0}, bc)
+            solve_poisson(geom2, Ball(geom2, 33), source(geom2, {0: 1.0}), bc)
         with pytest.raises(WindowError, match="radius 33"):
-            solve_regularized(geom2, Ball(geom2, 33), 0.5, {0: 1.0}, bc=bc)
+            solve_regularized(geom2, Ball(geom2, 33), 0.5, source(geom2, {0: 1.0}), bc=bc)
 
 
 def test_ball_systems_are_keyed_by_radius_and_not_searched():
     # A shortest path from the origin to a vertex of B_r stays in B_r, so a
     # ball is connected: its system is assembled with no connectivity search.
     net = build(ModelSpec("geom_z", {"c": 5.0}), radius=8)
-    solve_poisson(net, Ball(net, 3), {2: 1.0, 0: -1.0}, FREE)
-    solve_poisson(net, Ball(net, 3), {0: 1.0}, WIRED)
-    solve_regularized(net, Ball(net, 4), 0.5, {0: 1.0}, bc=WIRED)
-    solve_poisson(net, Ball(net, 3), {0: 1.0}, WIRED)
+    solve_poisson(net, Ball(net, 3), source(net, {2: 1.0, 0: -1.0}), FREE)
+    solve_poisson(net, Ball(net, 3), source(net, {0: 1.0}), WIRED)
+    solve_regularized(net, Ball(net, 4), 0.5, source(net, {0: 1.0}), bc=WIRED)
+    solve_poisson(net, Ball(net, 3), source(net, {0: 1.0}), WIRED)
     assert list(net._systems) == [(3, FREE), (4, WIRED), (3, WIRED)]
     assert not hasattr(solver, "connected_components")
 
@@ -115,9 +117,9 @@ def test_ball_solves_match_the_dense_systems(case):
     net, *xs = _ball_cases()[case]
     o = net.origin
     for r in range(1, net.max_radius):
-        held = [x for x in xs if net.distance(x) <= r]
+        held = [x for x in xs if distance(net, x) <= r]
         for bc, f in [(FREE, {x: 1.0, o: -1.0}) for x in held] + [(WIRED, {o: 1.0})]:
-            rep = solve_poisson(net, Ball(net, r), f, bc)
+            rep = solve_poisson(net, Ball(net, r), source(net, f), bc)
             ids, at, a = _dense_system(net, Ball(net, r), bc)
             b = np.array([f.get(x, 0.0) for x in ids])
             keep = [i for i in range(len(ids)) if bc == WIRED or ids[i] != o]
@@ -148,8 +150,8 @@ def test_block_columns_equal_single_solves_bit_for_bit(case):
         xs = [x for x in region if x != o][:5]
         for bc, sources in ((FREE, [{x: 1.0, o: -1.0} for x in xs]),
                             (WIRED, [{x: 1.0} for x in xs] + [{o: 1.0, xs[-1]: -0.5}])):
-            block = solve_poisson(net, region, sources, bc)
-            singles = [solve_poisson(net, region, f, bc) for f in sources]
+            block = solve_poisson(net, region, source(net, sources), bc)
+            singles = [solve_poisson(net, region, source(net, f), bc) for f in sources]
             assert block.values.shape == (len(block.pos), len(sources))
             for j, single in enumerate(singles):
                 assert np.array_equal(block.values[:, j], single.values)
@@ -159,35 +161,51 @@ def test_block_columns_equal_single_solves_bit_for_bit(case):
 def test_one_failing_column_fails_the_block(geom2):
     region = Ball(geom2, 20)
     sources = [{x: 1.0, 0: -1.0} for x in (1, -1, 2, -2, 3, 5, -7)]
-    residuals = sorted({solve_poisson(geom2, region, f, FREE).residual: f
+    residuals = sorted({solve_poisson(geom2, region, source(geom2, f), FREE).residual: f
                         for f in sources}.items())
     (low, passing), (high, failing) = residuals[0], residuals[-1]
     assert low < high
     tol = (low + high) / 2
-    solve_poisson(geom2, region, [passing, passing], FREE, tol=tol)
+    solve_poisson(geom2, region, source(geom2, [passing, passing]), FREE, tol=tol)
     with pytest.raises(NumericalError, match=f"residual {high:.3e} exceeds"):
-        solve_poisson(geom2, region, failing, FREE, tol=tol)
+        solve_poisson(geom2, region, source(geom2, failing), FREE, tol=tol)
     with pytest.raises(NumericalError, match=f"residual {high:.3e} exceeds"):
-        solve_poisson(geom2, region, [passing, failing, passing], FREE, tol=tol)
+        solve_poisson(geom2, region, source(geom2, [passing, failing, passing]), FREE,
+                      tol=tol)
 
 
 def test_every_block_column_is_checked(unit_path, geom2):
     with pytest.raises(IncompatibleSourceError):
-        solve_poisson(unit_path, Ball(unit_path, 2), [{2: 1.0, 0: -1.0}, {1: 1.0}], FREE)
+        solve_poisson(unit_path, Ball(unit_path, 2),
+                      source(unit_path, [{2: 1.0, 0: -1.0}, {1: 1.0}]), FREE)
     with pytest.raises(DomainError, match="outside the region"):
-        solve_poisson(geom2, Ball(geom2, 3), [{0: 1.0}, {5: 1.0}], WIRED)
+        solve_poisson(geom2, Ball(geom2, 3), source(geom2, [{0: 1.0}, {5: 1.0}]), WIRED)
 
 
 def test_source_must_live_in_region(geom2, diag_grid):
     with pytest.raises(DomainError):
-        solve_poisson(geom2, Ball(geom2, 3), {5: 1.0, 0: -1.0}, FREE)
+        solve_poisson(geom2, Ball(geom2, 3), source(geom2, {5: 1.0, 0: -1.0}), FREE)
+    region = Ball(diag_grid, 2)
     for bc in (FREE, WIRED):
+        with pytest.raises(DomainError, match=r"source vertex \(4, 4\) lies outside"):
+            solve_poisson(diag_grid, region, source(diag_grid, {(4, 4): 1.0, (1, 1): -1.0}), bc)
         with pytest.raises(DomainError, match="outside the region"):
-            solve_poisson(diag_grid, Ball(diag_grid, 2), {(4, 4): 1.0, (1, 1): -1.0}, bc)
-        with pytest.raises(DomainError, match="outside the region"):
-            solve_regularized(diag_grid, Ball(diag_grid, 2), 0.5, {(4, 4): 1.0}, bc=bc)
-        with pytest.raises(DomainError, match="outside the region"):
-            solve_poisson(diag_grid, Ball(diag_grid, 2), {(9, 9): 1.0}, bc)
+            solve_regularized(diag_grid, region, 0.5, source(diag_grid, {(4, 4): 1.0}), bc=bc)
+        # A zero value outside the region is no source there.
+        rep = solve_poisson(diag_grid, region,
+                            source(diag_grid, {(4, 4): 0.0, (2, 1): 1.0, (1, 1): -1.0}), bc)
+        assert rep.residual < 1e-10
+
+
+def test_values_at_a_repeated_position_add_up(diag_grid):
+    # The dipole sweeps of the harmonic probe give each sample its own
+    # column, so a sample listed twice repeats its row.
+    net, region = diag_grid, Ball(diag_grid, 2)
+    x, o = net._require((2, 1)), net._require(net.origin)
+    for bc in (FREE, WIRED):
+        once = solve_poisson(net, region, source(net, {(2, 1): 1.0, (1, 1): -1.0}), bc)
+        twice = solve_poisson(net, region, ([x, o, x], [0.25, -1.0, 0.75]), bc)
+        assert np.array_equal(once.values, twice.values)
 
 
 def test_diag_grid_ball_against_dense_oracle(diag_grid):
@@ -200,18 +218,18 @@ def test_diag_grid_ball_against_dense_oracle(diag_grid):
     keep = [i for i in range(len(xs)) if i != at[o]]
     expected = np.zeros(len(xs))
     expected[keep] = np.linalg.solve(free[np.ix_(keep, keep)], f[keep])
-    rep = solve_poisson(net, region, {x: 1.0, o: -1.0}, FREE)
+    rep = solve_poisson(net, region, source(net, {x: 1.0, o: -1.0}), FREE)
     assert [v for v, _ in rep.solution.items()] == xs
     assert np.allclose([u for _, u in rep.solution.items()], expected, rtol=0, atol=1e-12)
     _, _, wired = _dense_system(net, region, WIRED)
     g = np.zeros(len(xs))
     g[at[x]], g[at[y]] = 1.0, -0.5
-    rep = solve_poisson(net, region, {x: 1.0, y: -0.5}, WIRED)
+    rep = solve_poisson(net, region, source(net, {x: 1.0, y: -0.5}), WIRED)
     assert np.allclose([u for _, u in rep.solution.items()],
                        np.linalg.solve(wired, g), rtol=0, atol=1e-12)
     for bc in (FREE, WIRED):
         _, _, a = _dense_system(net, region, bc, eps=0.3)
-        rep = solve_regularized(net, region, 0.3, {x: 1.0, y: -0.5}, bc=bc)
+        rep = solve_regularized(net, region, 0.3, source(net, {x: 1.0, y: -0.5}), bc=bc)
         assert np.allclose([u for _, u in rep.solution.items()],
                            np.linalg.solve(a, g), rtol=0, atol=1e-12)
 
@@ -260,7 +278,7 @@ def test_factors_equal_the_two_product_scaling_bit_for_bit(case):
             want = _reference_solve(a)(b)
         assert np.array_equal(system.factor.solve(b), want)
         f = dict(zip(xs, rng.standard_normal(len(xs))))
-        rep = solve_regularized(net, region, eps, f, bc=bc)
+        rep = solve_regularized(net, region, eps, source(net, f), bc=bc)
         plus = sp.csc_matrix(a) + eps * sp.identity(len(xs), format="csc")
         assert np.array_equal(rep.values, _reference_solve(plus.toarray())(
             np.array([f[x] for x in xs])))
@@ -269,16 +287,16 @@ def test_factors_equal_the_two_product_scaling_bit_for_bit(case):
 def test_total_conductance_is_the_incident_sum(diag_grid, geom2):
     for net in (diag_grid, geom2):
         for v in net.vertices:
-            assert net.total_conductance(v) == sum(c for _, c in net.incident(v))
+            assert total_conductance(net, v) == sum(c for _, c in net.incident(v))
 
 
 def test_networks_are_freed_after_solves_and_walks():
     net = build(ModelSpec("geom_z", {"c": 2.0}), radius=8)
     ref = weakref.ref(net)
     region = Ball(net, 5)
-    solve_poisson(net, region, {2: 1.0, 0: -1.0}, FREE)
-    solve_poisson(net, region, {0: 1.0}, WIRED)
-    solve_regularized(net, region, 0.5, {0: 1.0}, bc=WIRED)
+    solve_poisson(net, region, source(net, {2: 1.0, 0: -1.0}), FREE)
+    solve_poisson(net, region, source(net, {0: 1.0}), WIRED)
+    solve_regularized(net, region, 0.5, source(net, {0: 1.0}), bc=WIRED)
     green_estimate(net, 0, 0, WalkConfig(n_walks=20, max_steps=20))
     del net, region
     gc.collect()
@@ -289,7 +307,7 @@ def test_system_store_keeps_the_most_recently_used(monkeypatch):
     net = build(ModelSpec("geom_z", {"c": 2.0}), radius=8)
     monkeypatch.setattr(solver, "MAX_SYSTEMS", 2)
     for r in (1, 2, 1, 3):
-        solve_poisson(net, Ball(net, r), {0: 1.0}, WIRED)
+        solve_poisson(net, Ball(net, r), source(net, {0: 1.0}), WIRED)
     assert list(net._systems) == [(1, WIRED), (3, WIRED)]
 
 
@@ -310,19 +328,19 @@ def test_system_store_keeps_the_newest_system_beyond_the_byte_bound(monkeypatch)
     net = build(ModelSpec("geom_z", {"c": 2.0}), radius=8)
     monkeypatch.setattr(solver, "MAX_SYSTEM_BYTES", 1)
     for r in (1, 2, 3):
-        solve_poisson(net, Ball(net, r), {0: 1.0}, WIRED)
+        solve_poisson(net, Ball(net, r), source(net, {0: 1.0}), WIRED)
         assert list(net._systems) == [(r, WIRED)]
 
 
 def test_unknown_bc_rejected(unit_path):
     with pytest.raises(DomainError):
-        solve_poisson(unit_path, Ball(unit_path, 2), {}, "periodic")
+        solve_poisson(unit_path, Ball(unit_path, 2), source(unit_path, {}), "periodic")
 
 
 def test_wired_equals_free_when_complement_empty(unit_path):
     f = {2: 1.0, 0: -1.0}
-    free = solve_poisson(unit_path, Ball(unit_path, 2), f, FREE)
-    wired = solve_poisson(unit_path, Ball(unit_path, 2), f, WIRED)
+    free = solve_poisson(unit_path, Ball(unit_path, 2), source(unit_path, f), FREE)
+    wired = solve_poisson(unit_path, Ball(unit_path, 2), source(unit_path, f), WIRED)
     for k in (0, 1, 2):
         assert wired.solution.value(k) == free.solution.value(k)
 
@@ -332,7 +350,7 @@ def test_regularized_against_dense_oracle(unit_path):
     eps = 1.0
     L = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
     expected = np.linalg.solve(eps * np.eye(3) + L, np.array([0.0, 1.0, 0.0]))
-    rep = solve_regularized(unit_path, Ball(unit_path, 2), eps, {1: 1.0})
+    rep = solve_regularized(unit_path, Ball(unit_path, 2), eps, source(unit_path, {1: 1.0}))
     for k in (0, 1, 2):
         assert rep.solution.value(k) == pytest.approx(expected[k], abs=1e-12)
     assert rep.residual < 1e-10
@@ -340,7 +358,7 @@ def test_regularized_against_dense_oracle(unit_path):
 
 def test_regularized_dominant_diagonal_limit(unit_path):
     eps = 1e6
-    rep = solve_regularized(unit_path, Ball(unit_path, 2), eps, {1: 1.0})
+    rep = solve_regularized(unit_path, Ball(unit_path, 2), eps, source(unit_path, {1: 1.0}))
     worst = max(abs(eps * rep.solution.value(k) - (1.0 if k == 1 else 0.0))
                 for k in (0, 1, 2))
     assert worst < 1e-4
@@ -348,14 +366,14 @@ def test_regularized_dominant_diagonal_limit(unit_path):
 
 def test_regularized_rejects_nonpositive_eps(unit_path):
     with pytest.raises(DomainError):
-        solve_regularized(unit_path, Ball(unit_path, 2), 0.0, {1: 1.0})
+        solve_regularized(unit_path, Ball(unit_path, 2), 0.0, source(unit_path, {1: 1.0}))
 
 
 def test_regularized_energy_schedule_increases_to_monopole_energy(geom2):
     region = Ball(geom2, 30)
     energies = []
     for k in range(0, 31):
-        rep = solve_regularized(geom2, region, 2.0 ** -k, {0: 1.0}, bc=WIRED)
+        rep = solve_regularized(geom2, region, 2.0 ** -k, source(geom2, {0: 1.0}), bc=WIRED)
         energies.append(rn.energy(geom2, rep.solution, window=rep.pos).value)
     assert all(b >= a - 1e-12 for a, b in zip(energies, energies[1:]))
     assert energies[-1] == pytest.approx(0.5, abs=1e-6)
@@ -363,9 +381,9 @@ def test_regularized_energy_schedule_increases_to_monopole_energy(geom2):
 
 def test_residual_reported_below_tolerance(geom2):
     for radius in (10, 20, 30):
-        rep = solve_poisson(geom2, Ball(geom2, radius), {2: 1.0, 0: -1.0}, FREE)
+        rep = solve_poisson(geom2, Ball(geom2, radius), source(geom2, {2: 1.0, 0: -1.0}), FREE)
         assert rep.residual < 1e-10
-        rep = solve_poisson(geom2, Ball(geom2, radius), {0: 1.0}, WIRED)
+        rep = solve_poisson(geom2, Ball(geom2, radius), source(geom2, {0: 1.0}), WIRED)
         assert rep.residual < 1e-10
 
 
@@ -374,7 +392,7 @@ def test_threads_share_one_store(monkeypatch):
     monkeypatch.setattr(solver, "MAX_SYSTEMS", 3)
 
     def trace(_):
-        return [solve_poisson(net, Ball(net, r), {0: 1.0}, WIRED).solution.value(0)
+        return [solve_poisson(net, Ball(net, r), source(net, {0: 1.0}), WIRED).solution.value(0)
                 for r in range(1, 13)]
 
     expected = trace(None)
