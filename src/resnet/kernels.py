@@ -21,8 +21,8 @@ solver's arrays: the origin pin, the stage energies (the edge sum of
 :func:`~resnet.operators.energy`), the harmonic difference h = u_free −
 u_wired and the probe deltas.  Dipole traces sweep the plan stage-major, one
 block solve per stage for all of their sources; the harmonic dimension probe
-of :mod:`resnet.transience` makes one free and one wired sweep over its
-sample vertices and reads every v_x and h_x from them.
+of :mod:`resnet.transience` makes one sweep over its sample vertices, free
+and wired at each stage, and reads every v_x and h_x from it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, GreenUndefinedError, IncompatibleSourceError
 from .network import GAUGE_ORIGIN, GAUGE_RAW, GAUGE_VANISH, Ball, VertexFunction
-from .operators import (edge_energy, inner_edges, prefix_sums, read_values,
+from .operators import (edge_energy, inner_edges, prefix_sums,
                         scaled_laplacian_residual)
 from .serialize import csv_text, vertex_label
 from .solver import FREE, WIRED, solve_poisson, solve_regularized
@@ -174,13 +174,15 @@ class _Trace(NamedTuple):
     converged: bool
 
 
-def _sweep(net, xs, plan, bc):
+def _sweep(net, xs, plan, *bcs):
     """Stage-major solves of Δu = δ_x − δ_o for each source x of ``xs``
-    under the given boundary condition: at each stage one block solve for
-    the sources the stage holds, re-gauged to the origin-zero representative
-    (u − u(o), then exactly 0 at the origin).  Yields the stage's sorted
-    positions, the solutions as columns and the indices in ``xs`` of their
-    sources."""
+    under each boundary condition of ``bcs``: at each stage one block solve
+    per condition for the sources the stage holds, re-gauged to the
+    origin-zero representative (u − u(o), then exactly 0 at the origin).
+    Yields the stage's sorted positions, the solutions as columns, one
+    array per condition, and the indices in ``xs`` of their sources.  One
+    report is rebound from solve to solve, so at most two systems are alive
+    at once."""
     xs, o = np.asarray(xs), net._order[0]
     far = _distances(net, plan, xs)
     for r in plan.radii:
@@ -189,11 +191,13 @@ def _sweep(net, xs, plan, bc):
             continue
         # Column k is δ at xs[held[k]] (row k + 1) less δ_o (row 0).
         values = np.vstack((np.full(len(held), -1.0), np.eye(len(held))))
-        rep = solve_poisson(net, Ball(net, r), (np.r_[o, xs[held]], values), bc)
-        i = np.searchsorted(rep.pos, o)
-        u = rep.values - rep.values[i]
-        u[i] = 0.0
-        yield rep.pos, u, held.tolist()
+        us = []
+        for bc in bcs:
+            rep = solve_poisson(net, Ball(net, r), (np.r_[o, xs[held]], values), bc)
+            i = np.searchsorted(rep.pos, o)
+            us.append(rep.values - rep.values[i])
+            us[-1][i] = 0.0
+        yield rep.pos, us, held.tolist()
 
 
 def _dipole_trace(net, x, plan, bc, tol, *, energies=True):
@@ -205,7 +209,7 @@ def _dipole_trace(net, x, plan, bc, tol, *, energies=True):
     probes = _probe_positions(net, x, plan)
     stages, stage_energies, deltas = [], [], []
     prev = None
-    for pos, u, _ in _sweep(net, [x], plan, bc):
+    for pos, (u,), _ in _sweep(net, [x], plan, bc):
         u = u[:, 0]
         stages.append((pos, u))
         if energies:
@@ -450,18 +454,17 @@ def dirac_expansion_check(net, x, plan):
     The identity holds between energy classes, so representatives may differ
     by a constant; the reported residual is max − min of the pointwise
     difference over the interior of the final stage (0 for a perfect match up
-    to a constant).
+    to a constant).  One free sweep solves for x and its neighbours together;
+    v_o is 0, so the origin is no source.
     """
     i, a = net._require(x), net.arrays
     pairs = net._inside(net._pairs(np.array([i])))
-
-    def kernel_fn(p):
-        if p == net._order[0]:
-            return _zero_on(net, plan.final_radius, GAUGE_ORIGIN)
-        return _dipole_element(net, p, plan, KIND_DIPOLE, FREE, POINTWISE_TOL).approximant
-
-    terms = zip(np.r_[a.ctot[i], -a.cond[pairs]].tolist(), np.r_[i, a.nbr[pairs]].tolist())
-    pos = np.flatnonzero(a.reach <= plan.final_radius)  # int B_r
-    expansion = sum(c * read_values(net, kernel_fn(p), pos)[pos] for c, p in terms)
-    diffs = (pos == i) - expansion
+    ps, cs = np.r_[i, a.nbr[pairs]], np.r_[a.ctot[i], -a.cond[pairs]]
+    kept = ps != net._order[0]
+    for pos, (u,), _ in _sweep(net, ps[kept], plan, FREE):
+        pass  # the last stage holds every source
+    interior = np.flatnonzero(a.reach <= plan.final_radius)
+    v = u[np.searchsorted(pos, interior)]
+    expansion = prefix_sums(cs[kept][:, None] * v.T)[-1]  # term by term, in order
+    diffs = (interior == i) - expansion
     return float(diffs.max() - diffs.min())

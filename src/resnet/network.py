@@ -28,10 +28,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
-from threading import Lock
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -73,10 +71,9 @@ class Network:
     breadth-first search.  ``arrays``, the :class:`NetworkArrays` of the
     window, is the one representation of it that every query, solve and walk
     reads.  The search order is an int array of positions, and the dict
-    from vertex id to position is built on the first :meth:`_require`.  The
-    network also owns the store of its solver systems (bounded
-    in count and bytes, freed with it), guarded by a per-network lock.
-    Instances are safe to share across threads.
+    from vertex id to position is built on the first :meth:`_require`.  A
+    network keeps no solver state: each solve assembles and factors its own
+    system.  Instances are safe to share across threads.
     """
 
     def __init__(self, origin, vertices, order, dist, degree, ids, cond, ring, *,
@@ -94,8 +91,6 @@ class Network:
         self._validate()
         # Ball B_r is the first _cuts[r] vertices of the search order.
         self._cuts = np.cumsum(np.bincount(self.arrays.dist))
-        # Solver systems of this network, least recently used first.
-        self._systems, self._lock = OrderedDict(), Lock()
 
     # -- construction ------------------------------------------------------
 
@@ -146,7 +141,8 @@ class Network:
                    degree, ids, cond, ())
 
     def _validate(self):
-        """Reject duplicate pairs, isolated vertices and one-sided or
+        """Reject duplicate pairs, isolated vertices, a total conductance c(x)
+        that overflows (every vertex of a finite network) and one-sided or
         (bit-exactly) asymmetric edges."""
         a, ids, verts = self.arrays, self._ids, self._vertices
         # A sorted row puts a duplicate right after its twin.
@@ -157,6 +153,13 @@ class Network:
         isolated = np.flatnonzero(a.indptr[1:] == a.indptr[:-1])
         if isolated.size:
             raise DomainError(f"vertex {verts[isolated[0]]!r} is isolated")
+        # Vertices next to the ring are left out: their c(x) counts edges
+        # leaving the window, and a model window may reach the end of the
+        # float range there (a base-3 star at its largest radius).
+        overflow = np.flatnonzero(np.isinf(a.ctot) & (a.reach < np.inf))
+        if overflow.size:
+            raise DomainError(f"total conductance of vertex {verts[overflow[0]]!r} "
+                              "overflows float64")
         # Each pair inside the window has its reverse, with the same value,
         # exactly when the pairs below the diagonal, reversed and sorted, are
         # the edge list.  Only a failure is searched, for the first bad pair.
@@ -324,8 +327,7 @@ class NetworkArrays:
 
 class Ball:
     """B_r as its radius: it iterates the vertices of B_r in search order.
-    The solver keys the systems of balls by radius and reads their positions
-    from :meth:`Network._ball_positions`."""
+    The solver reads its positions from :meth:`Network._ball_positions`."""
 
     __slots__ = ("net", "radius")
 

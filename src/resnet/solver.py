@@ -16,18 +16,15 @@ infinite) network:
 Solves are direct sparse LU factorizations.  A region is a ball B_r,
 passed as its radius (:class:`~resnet.network.Ball`); it holds the origin
 and is connected, since a shortest path from the origin to a vertex of B_r
-stays in B_r.  Each ball's system is assembled from ``Network.arrays`` on
-the sorted positions of ``Network._ball_positions`` straight into
-compressed arrays (the matrix is symmetric, so its compressed rows and
-columns are the same arrays) and factored once.  The network keeps its most
-recently used systems, keyed by ``(radius, bc)``, at most ``MAX_SYSTEMS``
-of them and ``MAX_SYSTEM_BYTES`` in all, and frees them with itself.
-Nothing is cached across networks.  The byte count takes
-``RESERVED_PER_NONZERO`` (512 B) per matrix nonzero for the room splu
-reserves, about what the factors of large line and grid systems take; a
-small factor reserves 1.9-4.4 KB of address space per nonzero (a 500-row
-line, a 10x10 grid; scipy 1.17), so in a session of many small systems it is
-the ``MAX_SYSTEMS`` cap that bounds memory.
+stays in B_r.  Each solve assembles its ball's system from
+``Network.arrays`` on the sorted positions of ``Network._ball_positions``
+straight into compressed arrays (the matrix is symmetric, so its compressed
+rows and columns are the same arrays), factors it and solves; nothing is
+kept between solves.  The kernel loops solve each ball once, stage-major, so
+no factor would be used twice.  A :class:`SolveReport` holds the system it
+was solved on: a loop that rebinds its report frees the previous stage's
+factor only after the next one is built, so the C heap is not trimmed and
+paged in again at every stage.
 
 A source is given by vertex position, as ``(at, values)``: the solver takes
 positions in ``net.vertices``, as its reports give them, and never reads a
@@ -59,25 +56,18 @@ DEFAULT_TOLERANCE = 1e-10
 # Free solves treat |sum f| <= COMPAT_TOL * max(1, sum|f|) as balanced.
 COMPAT_TOL = 1e-9
 
-# Region systems kept per network, and the bytes they may hold together
-# (_System.nbytes).  A factor holds more than its entries: splu reserves
-# room for L and U up front for the factor's lifetime, counted here as half
-# a KiB per matrix nonzero (see the module docstring for small factors).
-MAX_SYSTEMS = 512
-MAX_SYSTEM_BYTES = 64 * 2 ** 20
-RESERVED_PER_NONZERO = 512
-
 
 @dataclass(frozen=True)
 class SolveReport:
     """Solution of one finite-region solve plus its scaled residual.
 
     ``pos`` holds the region's canonical vertex positions in increasing
-    order (read-only: the stored system shares it) and ``values`` the
-    solution at them, one column per source for a block of sources;
-    ``vertices`` is the network's canonical vertex tuple.  ``solution`` is
-    the same function as a :class:`VertexFunction` over the same arrays,
-    built on first access (for a single source).
+    order (read-only: the system shares it) and ``values`` the solution at
+    them, one column per source for a block of sources; ``vertices`` is the
+    network's canonical vertex tuple and ``system`` the system solved, freed
+    with the report.  ``solution`` is the same function as a
+    :class:`VertexFunction` over the same arrays, built on first access (for
+    a single source).
 
     The residual is the max over region rows and columns of |(system·u −
     f)(x)| scaled by max(1, c(x)) and the magnitude of the column's solution,
@@ -92,6 +82,7 @@ class SolveReport:
     gauge: str
     bc: str
     vertices: tuple = field(repr=False, compare=False)
+    system: object = field(repr=False, compare=False)
 
     @cached_property
     def solution(self):
@@ -100,15 +91,13 @@ class SolveReport:
 
 class _System(NamedTuple):
     """One region system: the region's sorted vertex positions, its CSC
-    matrix, the factor a Poisson solve uses (None where none is needed),
-    whether any edge leaves the region, and the bytes of the positions, the
-    matrix and the factor (a double and an int per entry, and its reserve)."""
+    matrix, the factor a solve uses (None where none is needed or asked for)
+    and whether any edge leaves the region."""
 
     pos: np.ndarray
     matrix: sp.csc_matrix
     factor: object
     has_crossing: bool
-    nbytes: int
 
 
 def _compressed(row, col, cond, diag):
@@ -133,9 +122,13 @@ def _origin_index(net, pos):
     return int(np.searchsorted(pos, net._order[0]))
 
 
-def _assemble(net, pos, bc):
-    """The system of the ball at the sorted window positions ``pos``, from
-    ``net.arrays``."""
+def _system(net, ball, bc, *, factored=True):
+    """The system of a :class:`~resnet.network.Ball` from ``net.arrays``, with
+    the factor a Poisson solve uses unless ``factored`` is false: the whole
+    matrix for a wired ball with crossing edges, else the free matrix pinned
+    at the origin.  Without crossing edges the wired matrix is the free one,
+    bit for bit (both diagonals add the same row in the same order)."""
+    pos = net._ball_positions(ball.radius)
     pos.flags.writeable = False
     a, m = net.arrays, len(pos)
     # Every pair of the region's rows, in incident order (so increasing
@@ -149,40 +142,17 @@ def _assemble(net, pos, bc):
     indptr, indices, data = _compressed(row, col, cond, diag)
     matrix = sp.csc_matrix((data, indices, indptr), shape=(m, m))
     has_crossing = not inner.all()
-    factor, o = None, _origin_index(net, pos)
-    if bc == WIRED and has_crossing:
+    factor = None
+    if factored and bc == WIRED and has_crossing:
         factor = _ScaledLU(indptr, indices, data)
-    elif bc == FREE and m > 1:
+    elif factored and m > 1:
         # Pin the gauge: drop the origin's row and column.
+        o = _origin_index(net, pos)
         off = (row != o) & (col != o)
         row, col = row[off], col[off]
         factor = _ScaledLU(*_compressed(row - (row > o), col - (col > o),
                                         cond[off], np.delete(diag, o)))
-    nbytes = pos.nbytes + matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-    if factor is not None:
-        nbytes += 12 * factor.lu.nnz + RESERVED_PER_NONZERO * matrix.nnz
-    return _System(pos, matrix, factor, has_crossing, nbytes)
-
-
-def _system(net, ball, bc):
-    """The system of a :class:`~resnet.network.Ball` from the network's
-    store, assembled and factored on a miss.  The store drops its least
-    recently used systems, never the newest, while it holds more than
-    MAX_SYSTEMS or MAX_SYSTEM_BYTES."""
-    key = (ball.radius, bc)
-    with net._lock:
-        system = net._systems.get(key)
-        if system is not None:
-            net._systems.move_to_end(key)
-            return system
-    system = _assemble(net, net._ball_positions(ball.radius), bc)
-    with net._lock:
-        stored = net._systems
-        stored[key] = system
-        size = sum(s.nbytes for s in stored.values())
-        while len(stored) > 1 and (len(stored) > MAX_SYSTEMS or size > MAX_SYSTEM_BYTES):
-            size -= stored.popitem(last=False)[1].nbytes
-    return system
+    return _System(pos, matrix, factor, has_crossing)
 
 
 class _ScaledLU:
@@ -212,9 +182,12 @@ class _ScaledLU:
         # Symmetric mode with diagonal pivots: a Cholesky-like factorization.
         # Threshold row pivoting is what makes the default path erratic here.
         m = len(indptr) - 1
-        self.lu = spla.splu(sp.csc_matrix((scaled, indices, indptr), shape=(m, m)),
-                            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                            options={"SymmetricMode": True})
+        try:
+            self.lu = spla.splu(sp.csc_matrix((scaled, indices, indptr), shape=(m, m)),
+                                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                options={"SymmetricMode": True})
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise NumericalError(f"factorization failed: {exc}") from None
 
     def solve(self, b):
         """The solution for ``b``, a vector or one column per right-hand side."""
@@ -242,38 +215,21 @@ def _rhs(net, pos, f):
 def _residual(net, pos, matrix, u, b, tol, what, note="", eps=0.0):
     """The largest backward-error style residual of the columns: |system*u −
     f| relative to the local conductance scale c(x) + eps and the column's
-    magnitude.  The first column above ``tol`` raises."""
+    magnitude.  The first column above ``tol``, or NaN, raises."""
     scale = np.maximum(1.0, net.arrays.ctot[pos] + eps)[:, None]
     scale = scale * (1.0 + np.abs(u).max(axis=0))
     residuals = (np.abs(matrix @ u - b) / scale).max(axis=0)
-    over = residuals[residuals > tol]
+    over = residuals[~(residuals <= tol)]  # NaN fails too
     if len(over):
         raise NumericalError(
             f"{what} residual {over[0]:.3e} exceeds tolerance {tol:.1e}{note}")
     return float(residuals.max())
 
 
-def _report(net, pos, u, f, residual, gauge, bc):
-    return SolveReport(pos=pos, values=u if np.ndim(f[1]) == 2 else u[:, 0],
-                       residual=residual, gauge=gauge, bc=bc, vertices=net.vertices)
-
-
-def _free_solve(net, region, f, tol):
-    system = _system(net, region, FREE)
-    b = _rhs(net, system.pos, f)
-    for column in b.T:
-        total = float(column.sum())
-        if abs(total) > COMPAT_TOL * max(1.0, float(np.abs(column).sum())):
-            raise IncompatibleSourceError(
-                f"free boundary solve needs a balanced source, got sum {total:g}")
-    o = _origin_index(net, system.pos)
-    u = np.zeros(b.shape)
-    if system.factor is not None:
-        keep = np.arange(len(b)) != o
-        u[keep] = system.factor.solve(b[keep])
-    residual = _residual(net, system.pos, system.matrix, u, b, tol, "free solve",
-                         f" (region size {len(b)})")
-    return _report(net, system.pos, u, f, residual, GAUGE_ORIGIN, FREE)
+def _report(net, system, u, f, residual, gauge, bc):
+    return SolveReport(pos=system.pos, values=u if np.ndim(f[1]) == 2 else u[:, 0],
+                       residual=residual, gauge=gauge, bc=bc, vertices=net.vertices,
+                       system=system)
 
 
 def solve_poisson(net, region, f, bc, *, tol=DEFAULT_TOLERANCE):
@@ -291,16 +247,26 @@ def solve_poisson(net, region, f, bc, *, tol=DEFAULT_TOLERANCE):
     """
     if bc not in (FREE, WIRED):
         raise DomainError(f"unknown boundary condition {bc!r}")
-    if bc == WIRED:
-        system = _system(net, region, WIRED)
-        if system.has_crossing:
-            b = _rhs(net, system.pos, f)
-            u = system.factor.solve(b)
-            residual = _residual(net, system.pos, system.matrix, u, b, tol, "wired solve")
-            return _report(net, system.pos, u, f, residual, GAUGE_VANISH, WIRED)
-        # The complement is empty, so wiring changes nothing; fall back to the
-        # free system (finite networks admit no unbalanced solution).
-    return _free_solve(net, region, f, tol)
+    system = _system(net, region, bc)
+    b = _rhs(net, system.pos, f)
+    if bc == WIRED and system.has_crossing:
+        u = system.factor.solve(b)
+        residual = _residual(net, system.pos, system.matrix, u, b, tol, "wired solve")
+        return _report(net, system, u, f, residual, GAUGE_VANISH, WIRED)
+    # Free, or wired with an empty complement, where wiring changes nothing
+    # (finite networks admit no unbalanced solution).
+    for column in b.T:
+        total = float(column.sum())
+        if abs(total) > COMPAT_TOL * max(1.0, float(np.abs(column).sum())):
+            raise IncompatibleSourceError(
+                f"free boundary solve needs a balanced source, got sum {total:g}")
+    u = np.zeros(b.shape)
+    if system.factor is not None:
+        keep = np.arange(len(b)) != _origin_index(net, system.pos)
+        u[keep] = system.factor.solve(b[keep])
+    residual = _residual(net, system.pos, system.matrix, u, b, tol, "free solve",
+                         f" (region size {len(b)})")
+    return _report(net, system, u, f, residual, GAUGE_ORIGIN, FREE)
 
 
 def solve_regularized(net, region, eps, f, *, bc=FREE, tol=DEFAULT_TOLERANCE):
@@ -316,11 +282,11 @@ def solve_regularized(net, region, eps, f, *, bc=FREE, tol=DEFAULT_TOLERANCE):
         raise DomainError(f"regularization parameter must be positive, got {eps:g}")
     if bc not in (FREE, WIRED):
         raise DomainError(f"unknown boundary condition {bc!r}")
-    system = _system(net, region, bc)
-    matrix = system.matrix.copy()
+    pos, matrix, _, has_crossing = _system(net, region, bc, factored=False)
     matrix.data[matrix.indices == _columns(matrix.indptr)] += eps
-    b = _rhs(net, system.pos, f)
-    u = _ScaledLU(matrix.indptr, matrix.indices, matrix.data).solve(b)
-    residual = _residual(net, system.pos, matrix, u, b, tol, "regularized solve",
-                         eps=eps)
-    return _report(net, system.pos, u, f, residual, GAUGE_RAW, bc)
+    b = _rhs(net, pos, f)
+    factor = _ScaledLU(matrix.indptr, matrix.indices, matrix.data)
+    u = factor.solve(b)
+    residual = _residual(net, pos, matrix, u, b, tol, "regularized solve", eps=eps)
+    return _report(net, _System(pos, matrix, factor, has_crossing), u, f, residual,
+                   GAUGE_RAW, bc)

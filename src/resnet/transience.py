@@ -246,12 +246,11 @@ def harm_dimension_probe(net, plan=None, samples=None):
     samples = [p for p in samples if p != net._order[0]]
     if not samples:
         raise DomainError("need at least one non-origin sample vertex")
-    # One free and one wired sweep give every v_x and h_x = v_x − f_x, a
-    # column per sample.  The last stage is the final one and holds every
-    # sample, so its energies are E(h_x) and E(v_x) over its ball.
+    # One sweep, free and wired at each stage, gives every v_x and h_x =
+    # v_x − f_x, a column per sample.  The last stage is the final one and
+    # holds every sample, so its energies are E(h_x) and E(v_x) over its ball.
     h_energies = [[] for _ in samples]
-    for (pos, v, held), (_, f, _) in zip(_sweep(net, samples, plan, FREE),
-                                         _sweep(net, samples, plan, WIRED)):
+    for pos, (v, f), held in _sweep(net, samples, plan, FREE, WIRED):
         h = v - f
         for k, e in zip(held, _energy_of(net, pos, h)):
             h_energies[k].append(e)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from resnet import solver
 from resnet.cli import main
 
 
@@ -409,6 +410,35 @@ def test_net_file_errors_keep_their_message(tmp_path, capsys, text, message):
     assert message in err
     # Only a file that does not parse is called malformed.
     assert ("malformed" in err) == message.startswith("malformed")
+
+
+VERBS_ON_0123 = [["resistance", "--x", "0", "--y", "3"], ["kernel", "--x", "3"]]
+
+
+@pytest.mark.parametrize("argv", VERBS_ON_0123)
+def test_an_overflowing_total_conductance_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, argv):
+    # c(1) = 1e308 + 1e308 is inf: SuperLU once called the system singular.
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"origin": 0, "edges": [
+        {"u": 0, "v": 1, "c": 1e308}, {"u": 1, "v": 2, "c": 1e308},
+        {"u": 2, "v": 3, "c": 1.0}]}))
+    monkeypatch.setattr(solver, "_system", None)  # any solve fails loudly
+    assert main(argv + ["--net", str(net)]) == 2
+    assert "total conductance of vertex 1 overflows float64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", VERBS_ON_0123)
+def test_an_exactly_singular_factor_exits_3(tmp_path, capsys, argv):
+    # c(1) = 1 + 1e20 + 1 is 1e20 in float64, so the scaled free system
+    # pinned at 0 holds the block [[1, -1], [-1, 1]] on vertices 1 and 2.
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"origin": 0, "edges": [
+        {"u": 0, "v": 1, "c": 1.0}, {"u": 1, "v": 2, "c": 1e20},
+        {"u": 1, "v": 3, "c": 1.0}]}))
+    assert main(argv + ["--net", str(net)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: factorization failed: Factor is exactly singular" in err
 
 
 @pytest.mark.parametrize("content, where", [

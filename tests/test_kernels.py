@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import resnet as rn
+from resnet import kernels
 from resnet.errors import DomainError, GreenUndefinedError
 from resnet.kernels import (dirac_expansion_check, effective_resistance,
                             energy_kernel, fin_part, green_kernel,
@@ -242,6 +243,21 @@ def test_dirac_expansion_on_single_edge():
 def test_dirac_expansion_on_integers(geom2, geom2_plan):
     assert dirac_expansion_check(geom2, 0, geom2_plan) < 1e-6
     assert dirac_expansion_check(geom2, 2, geom2_plan) < 1e-6
+
+
+def test_dirac_expansion_makes_one_free_solve_per_stage(geom2, geom2_plan, monkeypatch):
+    # x and its neighbours are one block sweep, not one trace each.
+    stages, solve = [], kernels.solve_poisson
+
+    def counted(net, region, f, bc, **kw):
+        stages.append((region.radius, bc))
+        return solve(net, region, f, bc, **kw)
+
+    monkeypatch.setattr(kernels, "solve_poisson", counted)
+    for x in (0, 2):
+        stages.clear()
+        assert dirac_expansion_check(geom2, x, geom2_plan) < 1e-6
+        assert stages == [(r, "free") for r in geom2_plan.radii]
 
 
 def test_kernel_symmetry(geom2, geom2_plan):

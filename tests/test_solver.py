@@ -94,16 +94,24 @@ def test_ball_beyond_the_window_raises(geom2):
             solve_regularized(geom2, Ball(geom2, 33), 0.5, source(geom2, {0: 1.0}), bc=bc)
 
 
-def test_ball_systems_are_keyed_by_radius_and_not_searched():
-    # A shortest path from the origin to a vertex of B_r stays in B_r, so a
-    # ball is connected: its system is assembled with no connectivity search.
+def test_a_ball_solved_twice_keeps_its_bits():
+    # Each solve assembles and factors its ball afresh.  A shortest path from
+    # the origin to a vertex of B_r stays in B_r, so a ball is connected: its
+    # system is assembled with no connectivity search.
     net = build(ModelSpec("geom_z", {"c": 5.0}), radius=8)
-    solve_poisson(net, Ball(net, 3), source(net, {2: 1.0, 0: -1.0}), FREE)
-    solve_poisson(net, Ball(net, 3), source(net, {0: 1.0}), WIRED)
-    solve_regularized(net, Ball(net, 4), 0.5, source(net, {0: 1.0}), bc=WIRED)
-    solve_poisson(net, Ball(net, 3), source(net, {0: 1.0}), WIRED)
-    assert list(net._systems) == [(3, FREE), (4, WIRED), (3, WIRED)]
+
+    def solves():
+        return [solve_poisson(net, Ball(net, 3), source(net, {2: 1.0, 0: -1.0}), FREE),
+                solve_poisson(net, Ball(net, 3), source(net, {0: 1.0}), WIRED),
+                solve_regularized(net, Ball(net, 4), 0.5, source(net, {0: 1.0}), bc=WIRED)]
+
+    for first, again in zip(solves(), solves()):
+        assert first.system is not again.system
+        assert np.array_equal(first.pos, again.pos)
+        assert np.array_equal(first.values, again.values)
+        assert first.residual == again.residual
     assert not hasattr(solver, "connected_components")
+    assert not hasattr(net, "_systems")
 
 
 def _ball_cases():
@@ -303,33 +311,54 @@ def test_networks_are_freed_after_solves_and_walks():
     assert ref() is None
 
 
-def test_system_store_keeps_the_most_recently_used(monkeypatch):
-    net = build(ModelSpec("geom_z", {"c": 2.0}), radius=8)
-    monkeypatch.setattr(solver, "MAX_SYSTEMS", 2)
-    for r in (1, 2, 1, 3):
-        solve_poisson(net, Ball(net, r), source(net, {0: 1.0}), WIRED)
-    assert list(net._systems) == [(1, WIRED), (3, WIRED)]
+class _Factors:
+    """Every ``_ScaledLU`` built while installed, held by weak reference:
+    how many were built and the most alive at once."""
+
+    def __init__(self, monkeypatch):
+        self.alive, self.built, self.peak = weakref.WeakSet(), 0, 0
+        init = solver._ScaledLU.__init__
+
+        def tracked(factor, *args):
+            init(factor, *args)
+            self.alive.add(factor)
+            self.built += 1
+            self.peak = max(self.peak, len(self.alive))
+
+        monkeypatch.setattr(solver._ScaledLU, "__init__", tracked)
 
 
-def test_a_long_wired_trace_keeps_the_store_under_its_byte_bound():
-    # The wired trace of a 600-stage unit line assembles systems the store
-    # counts at about 560 MB, each used once.
+def test_a_long_wired_trace_keeps_at_most_two_factors(monkeypatch):
+    # Each stage's report holds its system until the next stage's is built,
+    # and no more.
     net = build(ModelSpec("unit_line"), radius=601)
     plan = rn.make_exhaustion(net, range(1, 601))
+    factors = _Factors(monkeypatch)
     element = rn.wired_monopole(net, 0, plan)
     assert len(element.stage_energies) == 600
-    stored = net._systems
-    assert sum(s.nbytes for s in stored.values()) <= solver.MAX_SYSTEM_BYTES
-    assert next(reversed(stored)) == (plan.final_radius, WIRED)
-    assert len(stored) < 600 and len(stored) < solver.MAX_SYSTEMS
+    assert factors.built == 600
+    assert factors.peak <= 2
+    assert len(factors.alive) == 0
 
 
-def test_system_store_keeps_the_newest_system_beyond_the_byte_bound(monkeypatch):
+def test_a_regularized_solve_builds_one_factor(monkeypatch):
     net = build(ModelSpec("geom_z", {"c": 2.0}), radius=8)
-    monkeypatch.setattr(solver, "MAX_SYSTEM_BYTES", 1)
-    for r in (1, 2, 3):
-        solve_poisson(net, Ball(net, r), source(net, {0: 1.0}), WIRED)
-        assert list(net._systems) == [(r, WIRED)]
+    factors = _Factors(monkeypatch)
+    for k, bc in enumerate((FREE, WIRED, FREE), start=1):
+        rep = solve_regularized(net, Ball(net, 3), 0.5, source(net, {0: 1.0}), bc=bc)
+        assert factors.built == k
+        assert rep.system.factor in factors.alive
+
+
+def test_a_nan_residual_fails(unit_path):
+    system = solver._system(unit_path, Ball(unit_path, 2), FREE)
+    b = np.zeros((3, 2))
+    u = np.zeros((3, 2))
+    assert solver._residual(unit_path, system.pos, system.matrix, u, b, 1e-10,
+                            "free solve") == 0.0
+    u[1, 1] = np.nan
+    with pytest.raises(NumericalError, match="free solve residual nan exceeds"):
+        solver._residual(unit_path, system.pos, system.matrix, u, b, 1e-10, "free solve")
 
 
 def test_unknown_bc_rejected(unit_path):
@@ -387,9 +416,8 @@ def test_residual_reported_below_tolerance(geom2):
         assert rep.residual < 1e-10
 
 
-def test_threads_share_one_store(monkeypatch):
+def test_threads_share_one_network():
     net = build(ModelSpec("geom_z", {"c": 2.0}), radius=12)
-    monkeypatch.setattr(solver, "MAX_SYSTEMS", 3)
 
     def trace(_):
         return [solve_poisson(net, Ball(net, r), source(net, {0: 1.0}), WIRED).solution.value(0)
@@ -403,4 +431,3 @@ def test_threads_share_one_store(monkeypatch):
             assert list(pool.map(trace, range(12), timeout=60)) == [expected] * 12
     finally:
         sys.setswitchinterval(interval)
-    assert len(net._systems) == 3
