@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Verbs: gen, kernel, monopole, gaussgreen, transience, walk, resistance,
-report.  Results are JSON (verdicts, reports) or CSV (per-stage traces);
-every artifact embeds the fully resolved configuration, including the seed,
-tolerances and exhaustion plan, so runs are auditable and reproducible.
+report.  The parser is built per verb: it names every verb with its help
+and gives only the invoked one its arguments.  Results are JSON (verdicts,
+reports) or CSV (per-stage traces); every artifact embeds the fully
+resolved configuration, including the seed, tolerances and exhaustion plan,
+so runs are auditable and reproducible.
 
 Exit codes: 0 success, 2 precondition or domain errors (bad input, unknown
 model, malformed JSON), 3 a result that did not converge (still written) or
@@ -387,15 +389,58 @@ def _cmd_report(args):
     return EXIT_OK
 
 
-def build_parser():
+# Each verb: its help, its command, whether it takes --plan, and its own
+# arguments as (flag, keywords) pairs.
+_VERBS = {
+    "gen": ("build a network and write its JSON", _cmd_gen, False, ()),
+    "kernel": ("dipole kernel element and its parts", _cmd_kernel, True, (
+        ("--x", dict(required=True, help="base vertex")),
+        ("--kind", dict(choices=(KIND_DIPOLE, KIND_FIN, KIND_HARM), default=KIND_DIPOLE)))),
+    "monopole": ("monopole element via regularized solves", _cmd_monopole, True, (
+        ("--x", dict(help="base vertex (default: the network's origin)")),)),
+    "gaussgreen": ("stagewise Gauss-Green decomposition", _cmd_gaussgreen, True, (
+        ("--u", dict(required=True, help="preset: harm | w_o | logu | v:x=N | file:PATH")),
+        ("--v", dict(required=True, help="same presets as --u")),
+        ("--alt-plan", dict(help="second plan for exhaustion-dependence detection; "
+                                 "--u/--v presets are resolved over a window covering "
+                                 "both plans")))),
+    "transience": ("classify the network's random walk", _cmd_transience, True, (
+        ("--walks", dict(type=int, default=4000)),
+        ("--steps", dict(type=int, default=4000)))),
+    "walk": ("Monte Carlo estimates", _cmd_walk, False, (
+        ("--op", dict(choices=("hitting", "green", "escape"), required=True)),
+        ("--x", dict(help="green: start vertex; hitting: target vertex "
+                          "(default: the network's origin)")),
+        ("--y", dict(help="green: vertex whose visits are counted (default: --x)")),
+        ("--start", dict(help="hitting: start vertex (default: the network's origin)")),
+        ("--absorber", dict(help="hitting: absorbing vertex (default: the network's origin)")),
+        ("--radii", dict(default="2,4,8,16")),
+        ("--walks", dict(type=int, default=100000)),
+        ("--steps", dict(type=int, default=100000)))),
+    "resistance": ("effective resistance between two vertices", _cmd_resistance, True, (
+        ("--x", dict(required=True)),
+        ("--y", dict(required=True)),
+        ("--variant", dict(choices=("free", "wired"), default="free")))),
+    "report": ("combined audit report for a network", _cmd_report, True, (
+        ("--walks", dict(type=int, default=4000)),
+        ("--steps", dict(type=int, default=4000)),
+        ("--sweep", dict(help="grounded-parameter sweep, LO:HI:COUNT over c")))),
+}
+
+
+def build_parser(verb=None):
+    """The parser that names every verb with its help, and gives ``verb``
+    alone its arguments."""
     parser = argparse.ArgumentParser(
         prog="resnet",
         description="Discrete potential theory on weighted graphs: kernels, "
                     "monopoles, Gauss-Green boundary terms and transience.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_common(p, plan=True):
+    for name, (text, fn, plan, own) in _VERBS.items():
+        p = sub.add_parser(name, help=text, add_help=name == verb)
+        if name != verb:
+            continue
         p.add_argument("--net", help="network JSON file (explicit or model form)")
         p.add_argument("--model", help="built-in family (geom-z, geom-zplus, star, "
                                        "unit-line, binary-tree, log-increment-line)")
@@ -413,78 +458,16 @@ def build_parser():
             p.add_argument("--plan", default=None,
                            help="exhaustion plan: balls:A..B, radii:2^k, radii:3^k, "
                                 "or radii:R1,R2,...")
-
-    p = sub.add_parser("gen", help="build a network and write its JSON")
-    add_common(p, plan=False)
-    p.set_defaults(fn=_cmd_gen)
-
-    p = sub.add_parser("kernel", help="dipole kernel element and its parts")
-    add_common(p)
-    p.add_argument("--x", required=True, help="base vertex")
-    p.add_argument("--kind", choices=(KIND_DIPOLE, KIND_FIN, KIND_HARM),
-                   default=KIND_DIPOLE)
-    p.set_defaults(fn=_cmd_kernel)
-
-    p = sub.add_parser("monopole", help="monopole element via regularized solves")
-    add_common(p)
-    p.add_argument("--x", default=None,
-                   help="base vertex (default: the network's origin)")
-    p.set_defaults(fn=_cmd_monopole)
-
-    p = sub.add_parser("gaussgreen", help="stagewise Gauss-Green decomposition")
-    add_common(p)
-    p.add_argument("--u", required=True,
-                   help="preset: harm | w_o | logu | v:x=N | file:PATH")
-    p.add_argument("--v", required=True, help="same presets as --u")
-    p.add_argument("--alt-plan", dest="alt_plan", default=None,
-                   help="second plan for exhaustion-dependence detection; "
-                        "--u/--v presets are resolved over a window covering "
-                        "both plans")
-    p.set_defaults(fn=_cmd_gaussgreen)
-
-    p = sub.add_parser("transience", help="classify the network's random walk")
-    add_common(p)
-    p.add_argument("--walks", type=int, default=4000)
-    p.add_argument("--steps", type=int, default=4000)
-    p.set_defaults(fn=_cmd_transience)
-
-    p = sub.add_parser("walk", help="Monte Carlo estimates")
-    add_common(p, plan=False)
-    p.add_argument("--op", choices=("hitting", "green", "escape"), required=True)
-    p.add_argument("--x", default=None,
-                   help="green: start vertex; hitting: target vertex "
-                        "(default: the network's origin)")
-    p.add_argument("--y", default=None,
-                   help="green: vertex whose visits are counted (default: --x)")
-    p.add_argument("--start", default=None,
-                   help="hitting: start vertex (default: the network's origin)")
-    p.add_argument("--absorber", default=None,
-                   help="hitting: absorbing vertex (default: the network's origin)")
-    p.add_argument("--radii", default="2,4,8,16")
-    p.add_argument("--walks", type=int, default=100000)
-    p.add_argument("--steps", type=int, default=100000)
-    p.set_defaults(fn=_cmd_walk)
-
-    p = sub.add_parser("resistance", help="effective resistance between two vertices")
-    add_common(p)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--variant", choices=("free", "wired"), default="free")
-    p.set_defaults(fn=_cmd_resistance)
-
-    p = sub.add_parser("report", help="combined audit report for a network")
-    add_common(p)
-    p.add_argument("--walks", type=int, default=4000)
-    p.add_argument("--steps", type=int, default=4000)
-    p.add_argument("--sweep", default=None,
-                   help="grounded-parameter sweep, LO:HI:COUNT over c")
-    p.set_defaults(fn=_cmd_report)
+        for flag, options in own:
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb = next((a for a in argv if not a.startswith("-")), None)  # top-level flags take no value
+    args = build_parser(verb).parse_args(argv)
     try:
         return args.fn(args)
     except NumericalError as exc:

@@ -155,7 +155,10 @@ def _stage_sums(net, u, v, plans, *, vertex_part=True):
     top = radii[-1]
     row, nbr = a.rows, a.nbr
     # Boundary vertices of some stage, and the pairs their ∂v sums over.
-    bd = np.flatnonzero(np.isin(a.dist, radii) & (a.reach > a.dist))
+    shell = np.zeros(len(net._cuts), bool)  # the distances of the stages
+    shell[radii[radii < len(shell)]] = True
+    bd = np.flatnonzero(shell[a.dist])
+    bd = bd[a.reach[bd] > a.dist[bd]]
     pairs = net._pairs(bd)
     inward = pairs[(nbr[pairs] >= 0) & (a.dist[nbr[pairs]] <= a.dist[row[pairs]])]
     if vertex_part:
@@ -181,14 +184,17 @@ def _stage_sums(net, u, v, plans, *, vertex_part=True):
         sums = prefix_sums(terms[order[:cuts[-1]]])[cuts]
         return dict(zip(radii.tolist(), sums.tolist()))
 
-    ex, ey = a.edge_x, a.edge_y
-    du = uu[ex] - uu[ey]
-    dv = du if v is u else vv[ex] - vv[ey]
-    energy_at = staged(np.maximum(a.dist[ex], a.dist[ey]), a.edge_c * du * dv)
     lap = pair_sums(net, slice(None), vv)  # exact on the rows of reach <= top
     vertex_at = staged(a.reach, uu * lap)
-    mass = float(prefix_sums(lap[a.reach <= plans[0].final_radius])[-1])
-    return energy_at, vertex_at, boundary_at, mass
+    lap[a.reach > plans[0].final_radius] = 0.0  # adding 0.0 keeps each sum's bits
+    mass = float(prefix_sums(lap)[-1])
+    ex, ey = a.edge_x, a.edge_y
+    key, du = a.dist[ex], uu[ex]
+    np.maximum(key, a.dist[ey], out=key)
+    du -= uu[ey]
+    terms = a.edge_c * du
+    terms *= du if v is u else vv[ex] - vv[ey]  # c_xy du dv, left to right
+    return staged(key, terms), vertex_at, boundary_at, mass
 
 
 def gauss_green(net, u, v, plan, alt_plan=None, *, limit_tol=LIMIT_TOL):

@@ -20,9 +20,9 @@ stage loops pass each ball to the solver as its radius and run on the
 solver's arrays: the origin pin, the stage energies (the edge sum of
 :func:`~resnet.operators.energy`), the harmonic difference h = u_free −
 u_wired and the probe deltas.  Dipole traces sweep the plan stage-major, one
-block solve per stage for all of their sources; the harmonic dimension probe
-of :mod:`resnet.transience` makes one sweep over its sample vertices, free
-and wired at each stage, and reads every v_x and h_x from it.
+block solve per stage for all of their sources, keeping the last stage; a
+harmonic part, and the dimension probe of :mod:`resnet.transience` over its
+sample vertices, each make one sweep, free and wired at each stage.
 """
 
 from __future__ import annotations
@@ -163,15 +163,16 @@ def _energy_of(net, pos, u, v=None):
 
 
 class _Trace(NamedTuple):
-    """A dipole trace on the solver's arrays: per stage, the region's sorted
-    positions and the origin-zero solution there; the stage energies (empty
-    when not asked for), the probe deltas between successive stages and the
-    convergence flag, all Python floats and bools."""
+    """A dipole trace on the solver's arrays: the last stage's sorted
+    positions and the part of its solutions the trace follows; that part's
+    energy at each stage, and per boundary condition the probe deltas between
+    successive stages and the convergence flag, all Python floats and bools."""
 
-    stages: tuple
+    pos: np.ndarray
+    values: np.ndarray
     energies: tuple
     deltas: tuple
-    converged: bool
+    converged: tuple
 
 
 def _sweep(net, xs, plan, *bcs):
@@ -200,38 +201,39 @@ def _sweep(net, xs, plan, *bcs):
         yield rep.pos, us, held.tolist()
 
 
-def _dipole_trace(net, x, plan, bc, tol, *, energies=True):
-    """The stages of :func:`_sweep` for the one source x, with their energies
-    (when asked for), probe deltas and convergence flag; a last ball that
-    covers a finite network gives the exact solution."""
+def _dipole_trace(net, x, plan, tol, bcs, part=lambda us: us[0]):
+    """The stages of :func:`_sweep` for the one source x under each condition
+    of ``bcs``: the energy of ``part`` of each stage's solutions, and each
+    condition's probe deltas and convergence flag; only the last stage is
+    kept.  A last ball that covers a finite network gives the exact
+    solution."""
     if x == net._order[0]:
         raise DomainError("the kernel element at the origin is the zero class")
     probes = _probe_positions(net, x, plan)
-    stages, stage_energies, deltas = [], [], []
-    prev = None
-    for pos, (u,), _ in _sweep(net, [x], plan, bc):
-        u = u[:, 0]
-        stages.append((pos, u))
-        if energies:
-            stage_energies.append(_energy_of(net, pos, u))
+    energies, deltas, prev = [], [[] for _ in bcs], None
+    for pos, us, _ in _sweep(net, [x], plan, *bcs):
+        us = [u[:, 0] for u in us]
+        energies.append(_energy_of(net, pos, part(us)))
         at = np.minimum(np.searchsorted(pos, probes), len(pos) - 1)
-        inside, read = pos[at] == probes, u[at]
+        inside, reads = pos[at] == probes, [u[at] for u in us]
         if prev is not None:
             common, before = prev
-            deltas.append(float(np.max(np.abs(read[common] - before[common]))))
-        prev = inside, read
-    converged = (bool(deltas) and deltas[-1] <= tol) or _covers(net, plan)
-    return _Trace(tuple(stages), tuple(stage_energies), tuple(deltas), converged)
+            for d, read, old in zip(deltas, reads, before):
+                d.append(float(np.max(np.abs(read[common] - old[common]))))
+        prev = inside, reads
+    covers = _covers(net, plan)
+    return _Trace(pos, part(us), tuple(energies), tuple(map(tuple, deltas)),
+                  tuple((bool(d) and d[-1] <= tol) or covers for d in deltas))
 
 
 def _dipole_element(net, x, plan, kind, bc, tol):
-    trace = _dipole_trace(net, x, plan, bc, tol)
+    trace = _dipole_trace(net, x, plan, tol, [bc])
     return KernelElement(base=net.vertices[x], kind=kind,
-                         approximant=VertexFunction(net.vertices, *trace.stages[-1],
+                         approximant=VertexFunction(net.vertices, trace.pos, trace.values,
                                                     GAUGE_ORIGIN),
-                         stage_energies=trace.energies, converged=trace.converged,
+                         stage_energies=trace.energies, converged=trace.converged[0],
                          meta={"plan": plan.descriptor, "bc": bc,
-                               "probe_deltas": trace.deltas})
+                               "probe_deltas": trace.deltas[0]})
 
 
 def energy_kernel(net, x, plan, *, tol=POINTWISE_TOL):
@@ -254,18 +256,14 @@ def fin_part(net, x, plan, *, tol=POINTWISE_TOL):
 
 def harm_part(net, x, plan, *, tol=POINTWISE_TOL):
     """Harmonic component h_x = v_x − f_x, with per-stage energies of the
-    difference (their decay or stabilization feeds the dimension probe)."""
-    i = net._require(x)
-    free = _dipole_trace(net, i, plan, FREE, tol, energies=False)
-    wired = _dipole_trace(net, i, plan, WIRED, tol, energies=False)
-    energies = []
-    for (pos, uf), (_, uw) in zip(free.stages, wired.stages):
-        h = uf - uw
-        energies.append(_energy_of(net, pos, h))
+    difference (their decay or stabilization feeds the dimension probe),
+    from one sweep that solves free and wired at each stage."""
+    trace = _dipole_trace(net, net._require(x), plan, tol, [FREE, WIRED],
+                          lambda us: us[0] - us[1])
     return KernelElement(base=x, kind=KIND_HARM,
-                         approximant=VertexFunction(net.vertices, pos, h, GAUGE_RAW),
-                         stage_energies=tuple(energies),
-                         converged=free.converged and wired.converged,
+                         approximant=VertexFunction(net.vertices, trace.pos, trace.values,
+                                                    GAUGE_RAW),
+                         stage_energies=trace.energies, converged=all(trace.converged),
                          meta={"plan": plan.descriptor})
 
 

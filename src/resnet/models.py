@@ -110,25 +110,25 @@ def _check_window(spec, radius):
         raise ConfigurationError(
             f"a {spec.family} window of radius {radius} has {size} vertices, more "
             f"than {m}; the largest radius that fits is {largest}")
-    # The edges leaving the window carry the largest power, c^(radius + 1).
+    # An edge vertex has the largest c(x): c^radius + c^(radius + 1).
     if spec.family in _GEOMETRIC and not _in_float_range(spec.c, radius + 1):
         raise ConfigurationError(
             f"a {spec.family} window of radius {radius} needs conductance "
-            f"c^{radius + 1} = {spec.c:g}^{radius + 1}, which is not a positive "
-            f"finite float; the largest radius that base allows is "
-            f"{_largest_exponent(spec.c) - 1}")
+            f"c^{radius + 1} = {spec.c:g}^{radius + 1}, and c(x) = c^{radius} + "
+            f"c^{radius + 1} at its edge, and one of them is not a positive finite "
+            f"float; the largest radius that base allows is {_largest_exponent(spec.c) - 1}")
 
 
 def _in_float_range(c, k):
-    """Whether the float c ** k is positive and finite."""
+    """Whether the float c ** k is positive and c ** (k - 1) + c ** k finite."""
     try:
-        return 0.0 < c ** k < math.inf
+        return 0.0 < c ** k and c ** (k - 1) + c ** k < math.inf
     except OverflowError:
         return False
 
 
 def _largest_exponent(c):
-    """The largest k with c ** k a positive finite float, for c != 1: a
+    """The largest k that :func:`_in_float_range` allows, for c != 1: a
     logarithmic estimate, then settled on c ** k itself."""
     bound = sys.float_info.max if c > 1.0 else math.ulp(0.0)
     k = int(math.log(bound) / math.log(c))
@@ -151,19 +151,20 @@ def _line(spec, radius, powers):
     lo = 0 if half else -radius
     n = radius + 1 - lo
     # Row p pairs with p - 1 and p + 1 (-1 past either end) over edges p, p + 1.
-    pairs = np.empty((n, 2), np.int64)
-    pairs[:, 0], pairs[:, 1] = np.arange(-1, n - 1), np.arange(1, n + 1)
+    pairs = np.add.outer(np.arange(-1, n - 1), [0, 2])
     pairs[0, 0] = pairs[-1, 1] = -1
-    size = np.abs(np.arange(lo - 1, radius + 2))
+    size = np.arange(lo - 1, radius + 2)
+    np.abs(size, out=size)
     edge = powers[np.maximum(size[:-1], size[1:])]  # edge p: {lo + p - 1, lo + p}
-    degree = 2 - (np.arange(n) < half)  # the half-line's 0 has one neighbour
+    degree = np.full(n, 2)
+    degree[:half] = 1  # the half-line's 0 has one neighbour
     if half:
         order, ring = np.arange(n), (radius + 1,)
     else:
         # 0, -1, 1, -2, 2, ...: positions from the centre outwards.
         order = radius + np.outer(np.arange(radius + 1), [-1, 1]).ravel()[1:]
         ring = (lo - 1, radius + 1)
-    return (0, tuple(range(lo, radius + 1)), order, size[1:-1], degree,
+    return (0, range(lo, radius + 1), order, size[1:-1], degree,
             pairs.ravel()[half:], np.repeat(edge, 2)[1 + half:-1], ring)
 
 
@@ -312,7 +313,7 @@ def harmonic_energy(spec):
 def _line_function(window, values, gauge, vertices):
     """``values`` on the integer range ``window``, on ``vertices``, the vertex
     tuple of a network of the model whose window is at least as large."""
-    pos = np.arange(window.start, window.stop) - vertices[0]
+    pos = np.arange(window.start - vertices[0], window.stop - vertices[0])
     return VertexFunction(vertices, pos, values, gauge)
 
 

@@ -15,7 +15,7 @@ search over its compressed rows.  The constructor builds the
 :class:`NetworkArrays` every query reads and checks conductance symmetry
 once, on them.  A window is the sorted int64 positions of its vertices in
 :attr:`Network.vertices`, and a function on it the array of its values
-there, on that vertex tuple (:class:`VertexFunction`).  A ball is a radius:
+there, on that vertex sequence (:class:`VertexFunction`).  A ball is a radius:
 B_r is a prefix of the search order, and an exhaustion plan keeps radii.
 
 Vertex ids are integers, or tuples of integers for branched models such as
@@ -70,27 +70,30 @@ class Network:
     :meth:`from_edges` gives an explicit finite network its arrays from one
     breadth-first search.  ``arrays``, the :class:`NetworkArrays` of the
     window, is the one representation of it that every query, solve and walk
-    reads.  The search order is an int array of positions, and the dict
-    from vertex id to position is built on the first :meth:`_require`.  A
-    network keeps no solver state: each solve assembles and factors its own
-    system.  Instances are safe to share across threads.
+    reads.  ``vertices`` is an immutable sequence in canonical order: a
+    ``range`` on the line families, a tuple elsewhere.  The search order is
+    an int array of positions, and the dict from vertex id to position is
+    built on the first :meth:`_require`.  A network keeps no solver state:
+    each solve assembles and factors its own system.  Instances are safe to
+    share across threads.
     """
 
     def __init__(self, origin, vertices, order, dist, degree, ids, cond, ring, *,
                  window_radius=None, model=None):
-        """The window as arrays: ``vertices`` in canonical order; ``order``,
-        the canonical positions in search order (distances nondecreasing);
-        ``dist`` and ``degree``, the distance and row length of each vertex;
-        ``ids`` and ``cond``, the neighbour and conductance of each pair, rows
-        in canonical order and each row in canonical order of its neighbours.
-        A neighbour in the window is its position; ``ring[i]``, the i-th
-        vertex of the tuple ``ring`` just outside the window, is n + i."""
+        """The window as arrays: ``vertices``, a sequence in canonical order;
+        ``order``, the canonical positions in search order (distances
+        nondecreasing); ``dist`` and ``degree``, the distance and row length of
+        each vertex; ``ids`` and ``cond``, the neighbour and conductance of
+        each pair, rows in canonical order and each row in canonical order of
+        its neighbours.  A neighbour in the window is its position; the i-th
+        pair that leaves the window reaches ``ring[i]``, and its id is n + i."""
         self.origin, self.model, self.window_radius = origin, model, window_radius
-        self._vertices, self._order, self._ring, self._ids = vertices, order, ring, ids
+        self._vertices, self._order, self._ring = vertices, order, ring
         self.arrays = NetworkArrays.of(dist, degree, ids, cond)
-        self._validate()
+        self._validate(ids)
         # Ball B_r is the first _cuts[r] vertices of the search order.
-        self._cuts = np.cumsum(np.bincount(self.arrays.dist))
+        counts = np.bincount(self.arrays.dist)
+        self._cuts = np.cumsum(counts, out=counts)
 
     # -- construction ------------------------------------------------------
 
@@ -140,35 +143,33 @@ class Network:
         return cls(origin, verts, search.astype(np.int64), np.array(dist, np.int64),
                    degree, ids, cond, ())
 
-    def _validate(self):
-        """Reject duplicate pairs, isolated vertices, a total conductance c(x)
-        that overflows (every vertex of a finite network) and one-sided or
-        (bit-exactly) asymmetric edges."""
-        a, ids, verts = self.arrays, self._ids, self._vertices
+    def _validate(self, ids):
+        """Reject duplicate pairs (``ids`` tells ring neighbours apart),
+        isolated vertices, a total conductance c(x) that overflows and
+        one-sided or (bit-exactly) asymmetric edges."""
+        a, verts = self.arrays, self._vertices
         # A sorted row puts a duplicate right after its twin.
         dup = np.flatnonzero((ids[1:] == ids[:-1]) & (a.rows[1:] == a.rows[:-1]))
         if dup.size:
-            x, y = verts[a.rows[dup[0]]], self._name(int(ids[dup[0]]))
+            x, y = verts[a.rows[dup[0]]], self._name(int(dup[0]))
             raise DomainError(f"duplicate edge ({x!r}, {y!r})")
         isolated = np.flatnonzero(a.indptr[1:] == a.indptr[:-1])
         if isolated.size:
             raise DomainError(f"vertex {verts[isolated[0]]!r} is isolated")
-        # Vertices next to the ring are left out: their c(x) counts edges
-        # leaving the window, and a model window may reach the end of the
-        # float range there (a base-3 star at its largest radius).
-        overflow = np.flatnonzero(np.isinf(a.ctot) & (a.reach < np.inf))
+        overflow = np.flatnonzero(np.isinf(a.ctot))
         if overflow.size:
             raise DomainError(f"total conductance of vertex {verts[overflow[0]]!r} "
                               "overflows float64")
         # Each pair inside the window has its reverse, with the same value,
-        # exactly when the pairs below the diagonal, reversed and sorted, are
-        # the edge list.  Only a failure is searched, for the first bad pair.
-        n, lower = len(verts), np.flatnonzero((a.nbr < a.rows) & (a.nbr >= 0))
-        back = a.nbr[lower] * n + a.rows[lower]
-        at = np.argsort(back, kind="stable")
-        if np.array_equal(back[at], a.edge_x * n + a.edge_y) and np.array_equal(
-                a.cond[lower][at], a.edge_c):
+        # exactly when the pairs below the diagonal, reversed and sorted (stably
+        # by neighbour: rows come in order), are the edge list.  Only a failure
+        # is searched, for the first bad pair.
+        lower = np.flatnonzero((a.nbr < a.rows) & (a.nbr >= 0))
+        lower = lower[np.argsort(a.nbr[lower], kind="stable")]
+        if all(np.array_equal(col[lower], want) for col, want in (
+                (a.nbr, a.edge_x), (a.rows, a.edge_y), (a.cond, a.edge_c))):
             return
+        n = len(verts)
         x, y, c = (col[a.nbr >= 0] for col in (a.rows, a.nbr, a.cond))
         keys, back = x * n + y, y * n + x
         at = np.minimum(np.searchsorted(keys, back), len(keys) - 1)
@@ -187,7 +188,7 @@ class Network:
 
     @property
     def vertices(self):
-        """Materialized vertices in canonical order."""
+        """Materialized vertices in canonical order, an immutable sequence."""
         return self._vertices
 
     @property
@@ -203,7 +204,7 @@ class Network:
         """The position of window vertex ``x``."""
         p = self._pos.get(x)
         if p is None:
-            if x in self._ring_set:
+            if x in self._ring:
                 raise WindowError(
                     f"vertex {x!r} lies beyond the materialized window "
                     f"(radius {self.window_radius})")
@@ -211,21 +212,22 @@ class Network:
         return p
 
     @cached_property
-    def _ring_set(self):
-        return frozenset(self._ring)
+    def _beyond(self):
+        """The pairs that leave the window, in order."""
+        return np.flatnonzero(self.arrays.nbr < 0)
 
-    def _name(self, i):
-        """The vertex of neighbour id ``i``: a window position, or n + the
-        index of a ring vertex."""
-        n = len(self._vertices)
-        return self._vertices[i] if i < n else self._ring[i - n]
+    def _name(self, pair):
+        """The vertex that pair ``pair`` reaches: a window vertex, or the ring
+        vertex of the pair's rank among those leaving the window."""
+        i = int(self.arrays.nbr[pair])
+        return self._vertices[i] if i >= 0 else self._ring[
+            int(np.searchsorted(self._beyond, pair))]
 
     def incident(self, x):
         """(neighbor, conductance) pairs of ``x`` in canonical order."""
         p = self._require(x)
         lo, hi = self.arrays.indptr[p:p + 2].tolist()
-        return tuple(zip(map(self._name, self._ids[lo:hi].tolist()),
-                         self.arrays.cond[lo:hi].tolist()))
+        return tuple(zip(map(self._name, range(lo, hi)), self.arrays.cond[lo:hi].tolist()))
 
     # -- subsets, balls and boundaries --------------------------------------
 
@@ -255,7 +257,7 @@ class Network:
         first that does not raises WindowError naming it."""
         beyond = pairs[self.arrays.nbr[pairs] < 0]
         if beyond.size:
-            self._require(self._name(int(self._ids[beyond[0]])))
+            self._require(self._name(int(beyond[0])))
         return pairs
 
     def _leaving(self, pos):
@@ -311,13 +313,15 @@ class NetworkArrays:
         """From the distance and degree of each vertex, and the neighbour
         position (>= n beyond the window) and conductance of each pair."""
         n = len(dist)
-        indptr = np.concatenate(([0], np.cumsum(degree)))
+        indptr = np.zeros(n + 1, np.int64)
+        np.cumsum(degree, out=indptr[1:])
         rows = np.repeat(np.arange(n), degree)
         nbr = np.where(ids < n, ids, -1)
         inner = np.flatnonzero(nbr > rows)  # indices: faster to gather than a mask
         ex, ey = rows[inner], nbr[inner]
-        farther, dx, dy = np.zeros(n, bool), dist[ex], dist[ey]
-        farther[ex[dx < dy]] = farther[ey[dy < dx]] = True
+        farther, step = np.zeros(n, bool), dist[ey]
+        step -= dist[ex]
+        farther[ex[step > 0]] = farther[ey[step < 0]] = True
         reach = np.add(dist, farther, dtype=float)  # neighbours' dist differ by <= 1
         reach[rows[nbr < 0]] = np.inf
         return cls(dist=dist, indptr=indptr, rows=rows, nbr=nbr, cond=cond,
@@ -393,7 +397,7 @@ class VertexFunction:
     """Real-valued function on a finite vertex window with an explicit gauge.
 
     ``VertexFunction(vertices, pos, values)`` has ``values[i]`` at vertex
-    ``vertices[pos[i]]``: the vertex tuple of a network, and increasing
+    ``vertices[pos[i]]``: the vertex sequence of a network, and increasing
     positions into it, the window.  An id is found by binary search in
     canonical order.
 
@@ -410,6 +414,7 @@ class VertexFunction:
             raise ConfigurationError(f"unknown gauge {gauge!r}")
         self._vertices, self._pos, self.gauge = vertices, np.asarray(pos, np.int64), gauge
         self._values = np.array(values, float)
+        self._values.flags.writeable = False  # the operators read it in place
 
     def _index(self, x):
         """The index of vertex ``x`` in the arrays, or -1 off the window."""
@@ -425,7 +430,7 @@ class VertexFunction:
         return map(self._vertices.__getitem__, self._pos.tolist())
 
     def _on(self, vertices):
-        """Positions and values of a function on the tuple ``vertices``."""
+        """Positions and values of a function on the sequence ``vertices``."""
         if self._vertices is not vertices:
             raise DomainError("function is not on the network's vertices")
         return self._pos, self._values
@@ -453,7 +458,7 @@ class VertexFunction:
         return list(zip(self._ids(), self._values.tolist()))
 
     def _like(self, at, values, gauge):
-        """``values`` at the window entries ``at``, on the same vertex tuple."""
+        """``values`` at the window entries ``at``, on the same vertex sequence."""
         return VertexFunction(self._vertices, self._pos[at], values, gauge)
 
     def shifted(self, k):

@@ -5,7 +5,7 @@ The Laplacian used throughout has the positive-spectrum sign convention,
 exactly once: E(u, v) = ½ Σ_{x,y} c_xy (u(x) − u(y))(v(x) − v(y)).
 
 A ``window`` argument is the sorted positions of its vertices in
-``net.vertices``, and every function lies on that vertex tuple.  Only
+``net.vertices``, and every function lies on that vertex sequence.  Only
 ``laplacian_apply``, the pointwise reference, takes a vertex id.
 """
 
@@ -39,14 +39,18 @@ def laplacian_apply(net, u, x):
 def prefix_sums(terms):
     """[0, t0, t0 + t1, ...] along the first axis, added one at a time left to
     right: never the builtin ``sum``, which compensates floats from Python 3.12."""
-    return np.cumsum(np.concatenate((np.zeros((1,) + terms.shape[1:]), terms)), axis=0)
+    sums = np.zeros((len(terms) + 1,) + terms.shape[1:])
+    sums[1:] = terms
+    return np.cumsum(sums, axis=0, out=sums)
 
 
 def read_values(net, u, positions):
-    """u at the given vertex positions, scattered into an array over every
-    vertex (0.0 elsewhere); reads through u's window, so a vertex outside it
-    raises WindowError."""
+    """u at the given distinct vertex positions, in an array over every
+    vertex (0.0 elsewhere): u's own, read-only, when u and the read cover
+    every vertex.  A vertex outside u's window raises WindowError."""
     have, values = u._on(net.vertices)
+    if len(positions) == len(have) == len(net.vertices):
+        return values
     at = positions  # u on every vertex has its values by position
     if len(have) < len(net.vertices):
         at = np.full(len(net.vertices), -1)
@@ -95,7 +99,10 @@ def pair_sums(net, keep, vv):
     holds v by vertex position.  The one pair sum behind Δ and ∂."""
     a = net.arrays
     x, y = a.rows[keep], a.nbr[keep]
-    return np.bincount(x, a.cond[keep] * (vv[x] - vv[y]), minlength=len(a.dist))
+    w = vv[x]
+    w -= vv[y]
+    w *= a.cond[keep]  # c (v(x) − v(y)), the same bits as its product
+    return np.bincount(x, w, minlength=len(a.dist))
 
 
 def window_laplacian(net, u, pos):

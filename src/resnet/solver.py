@@ -64,7 +64,7 @@ class SolveReport:
     ``pos`` holds the region's canonical vertex positions in increasing
     order (read-only: the system shares it) and ``values`` the solution at
     them, one column per source for a block of sources; ``vertices`` is the
-    network's canonical vertex tuple and ``system`` the system solved, freed
+    network's canonical vertex sequence and ``system`` the system solved, freed
     with the report.  ``solution`` is the same function as a
     :class:`VertexFunction` over the same arrays, built on first access (for
     a single source).
@@ -215,10 +215,10 @@ def _rhs(net, pos, f):
 def _residual(net, pos, matrix, u, b, tol, what, note="", eps=0.0):
     """The largest backward-error style residual of the columns: |system*u −
     f| relative to the local conductance scale c(x) + eps and the column's
-    magnitude.  The first column above ``tol``, or NaN, raises."""
-    scale = np.maximum(1.0, net.arrays.ctot[pos] + eps)[:, None]
-    scale = scale * (1.0 + np.abs(u).max(axis=0))
-    residuals = (np.abs(matrix @ u - b) / scale).max(axis=0)
+    magnitude, divided by one and then the other, as their product may
+    overflow.  The first column above ``tol``, or NaN, raises."""
+    residuals = np.abs(matrix @ u - b) / np.maximum(1.0, net.arrays.ctot[pos] + eps)[:, None]
+    residuals = (residuals / (1.0 + np.abs(u).max(axis=0))).max(axis=0)
     over = residuals[~(residuals <= tol)]  # NaN fails too
     if len(over):
         raise NumericalError(

@@ -217,7 +217,7 @@ def crossing_edges(net, subset):
     in canonical order of x and then of y."""
     pairs = net._leaving(positions(net, subset))
     return zip(map(net.vertices.__getitem__, net.arrays.rows[pairs].tolist()),
-               map(net._name, net._ids[pairs].tolist()),
+               map(net._name, pairs.tolist()),
                net.arrays.cond[pairs].tolist())
 
 

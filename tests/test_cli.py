@@ -1,6 +1,7 @@
 import json
 import time
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -339,6 +340,24 @@ def test_geometric_window_beyond_float_range_exits_2(capsys):
         assert "the largest radius that base allows is 1022" in capsys.readouterr().err
 
 
+def test_a_star_whose_edge_total_conductance_overflows_exits_2_before_any_solve(
+        capsys, monkeypatch):
+    # At radius 645 an edge vertex of the base-3 star has c(x) = 3^645 + 3^646,
+    # which overflows though each conductance is finite.
+    monkeypatch.setattr(solver, "_system", None)  # any solve fails loudly
+    assert main(["monopole", "--model", "star", "--c", "3", "--radius", "645"]) == 2
+    assert "the largest radius that base allows is 644" in capsys.readouterr().err
+
+
+def test_the_largest_geometric_window_solves_without_overflow(tmp_path):
+    # The edge vertex of geom-zplus at radius 1022 has c(x) = 2^1022 + 2^1023,
+    # whose product with a solution's scale 1 + max|u| overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["monopole", "--model", "geom-zplus", "--c", "2", "--radius", "1022",
+                     "-o", str(tmp_path / "monopole.json")]) == 0
+
+
 def test_gen_refuses_a_huge_window_before_building_it(tmp_path, capsys):
     # The default radius 30 of the binary tree is 2^31 - 1 vertices.
     out = tmp_path / "tree.json"
@@ -479,3 +498,18 @@ def test_kernel_csv_rows_are_the_element_csv(tmp_path):
     lines = out.read_text().splitlines(keepends=True)
     assert "".join(l for l in lines if not l.startswith("#")) == element.to_csv()
     assert "1;2," in element.to_csv()
+
+
+# The arguments each verb requires, on --model unit-line.
+REQUIRED = {"gen": [], "kernel": ["--x", "1"], "monopole": [],
+            "gaussgreen": ["--u", "logu", "--v", "logu"], "transience": [],
+            "walk": ["--op", "escape"], "resistance": ["--x", "0", "--y", "1"],
+            "report": []}
+
+
+@pytest.mark.parametrize("verb", REQUIRED)
+def test_an_unknown_option_exits_2(capsys, verb):
+    with pytest.raises(SystemExit) as done:
+        main([verb, "--model", "unit-line", *REQUIRED[verb], "--bogus"])
+    assert done.value.code == 2
+    assert "error: unrecognized arguments: --bogus" in capsys.readouterr().err

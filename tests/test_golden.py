@@ -85,6 +85,19 @@ GOLDEN = [
 ]
 
 
+# SHA-256 of the help text, at 80 columns, of the top level and of each verb.
+HELP = [
+    ([], "551265cf71aa0d44ac98d7a94bbaf155b8d999f2e4d4dab5e507b4795dc330e4"),
+    (["gen"], "2fe714407082c4a585bfa36e4b1a4b4fa908541c4cffe84dbd36f88b840c3bc6"),
+    (["kernel"], "aefa27c74049827c3e4381beebfa1ac447f1e4aa7e57e7784b693baaac93c426"),
+    (["monopole"], "2c7a1f653b775c098852a5cec48bf31b5a44b2e974d7dee65c9593da03f1ed9d"),
+    (["gaussgreen"], "94dcddf055bc4d7bc39e0cd309351d9566ab3534003a7f48419dbb53025190c9"),
+    (["transience"], "d9599ea73bfbfc2676c0ef5d6754a55480c7bc5c09ede314d067ea216fadc29e"),
+    (["walk"], "2da13a8bd6f784e503422299b093abcad602b3de9cd304c7e353c58b2a8024d8"),
+    (["resistance"], "327a43e2f8f81bc787686ac91291464780c749a9641ebb8699aa6636a666fd38"),
+    (["report"], "7c27cc59f2957764429a4b179716b6f7ec29bf3e9d2dbb549b190fd40652b095"),
+]
+
 def write_grid(path, side=9, seed=3):
     """The seeded lognormal grid as explicit network JSON."""
     edges = [{"u": list(u), "v": list(v), "c": c}
@@ -127,3 +140,12 @@ def test_cli_bytes_hold_without_the_builtin_float_sum(workdir, monkeypatch, caps
                                                       strict_sum, argv, code, digest):
     strict_sum()
     test_cli_bytes_are_pinned(workdir, monkeypatch, capsys, argv, code, digest)
+
+
+@pytest.mark.parametrize("argv, digest", HELP, ids=["resnet"] + [h[0][0] for h in HELP[1:]])
+def test_help_bytes_are_pinned(monkeypatch, capsys, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main(argv + ["--help"])
+    assert done.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest

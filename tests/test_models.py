@@ -197,7 +197,7 @@ def test_window_size_formulas_count_the_built_windows(spec, count):
 @pytest.mark.parametrize("spec, largest", [
     (ModelSpec("geom_zplus"), 1022),
     (ModelSpec("geom_z"), 1022),
-    (ModelSpec("star", {"c": 3.0}), 645),
+    (ModelSpec("star", {"c": 3.0}), 644),
     (ModelSpec("geom_zplus", {"c": 0.5}), 1073),
 ])
 def test_build_refuses_conductances_beyond_float_range(spec, largest):

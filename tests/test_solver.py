@@ -361,6 +361,26 @@ def test_a_nan_residual_fails(unit_path):
         solver._residual(unit_path, system.pos, system.matrix, u, b, 1e-10, "free solve")
 
 
+def test_a_solution_off_at_a_vertex_of_huge_conductance_fails(monkeypatch):
+    # Vertex 1 is the edge of the wired ball B_1, c(1) = 1 + 1.7e308.  Its
+    # product with the solution's scale 1 + max|u| overflows, and a residual
+    # scaled by it reads 0 whatever u(1) is; the row of the origin (c(0) =
+    # 1e6 + 1) sees an error at u(1) only through an edge of conductance 1.
+    net = rn.Network.from_edges(0, [(0, 1, 1.0), (0, 3, 1e6), (1, 2, 1.7e308)])
+    exact = solve_poisson(net, Ball(net, 1), source(net, {0: 1.0}), WIRED)
+    assert exact.residual < 1e-12
+    solve = solver._ScaledLU.solve
+
+    def off_at_vertex_1(self, b):
+        u = solve(self, b)
+        u[1] += 1e-8
+        return u
+
+    monkeypatch.setattr(solver._ScaledLU, "solve", off_at_vertex_1)
+    with pytest.raises(NumericalError, match="wired solve residual"):
+        solve_poisson(net, Ball(net, 1), source(net, {0: 1.0}), WIRED)
+
+
 def test_unknown_bc_rejected(unit_path):
     with pytest.raises(DomainError):
         solve_poisson(unit_path, Ball(unit_path, 2), source(unit_path, {}), "periodic")
