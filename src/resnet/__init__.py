@@ -26,7 +26,7 @@ from .operators import EnergyValue, energy, laplacian_apply
 from .randomwalk import (EscapeTrace, McEstimate, WalkConfig,
                          escape_probability, green_estimate,
                          hitting_probability)
-from .solver import (FREE, WIRED, SolveReport, solve_poisson, solve_regularized)
+from .solver import FREE, WIRED, SolveReport, solve_poisson
 from .transience import (GroundedProjection, TransienceVerdict, classify,
                          grounded_parameter_sweep, grounded_projection_of_one,
                          harm_dimension_probe)

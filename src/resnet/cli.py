@@ -23,9 +23,9 @@ import sys
 from . import __version__
 from .errors import ConfigurationError, NumericalError, ResnetError
 from .gaussgreen import LIMIT_TOL, VERDICT_INCONCLUSIVE, gauss_green
-from .kernels import (ENERGY_CAUCHY_TOL, KIND_DIPOLE, KIND_FIN, KIND_HARM,
-                      POINTWISE_TOL, effective_resistance, energy_kernel,
-                      fin_part, harm_part, monopole, wired_monopole)
+from .kernels import (KIND_DIPOLE, KIND_FIN, KIND_HARM, POINTWISE_TOL,
+                      effective_resistance, energy_kernel, fin_part, harm_part,
+                      monopole, wired_monopole)
 from .models import (ModelSpec, build, harmonic_energy, load_network,
                      log_increment_function, network_to_jsonable,
                      oracle_h_function, oracle_w_o_function, spec_of)
@@ -265,10 +265,9 @@ def _cmd_monopole(args):
     net = _load_net(args)
     plan = _parse_plan(net, args.plan)
     x = _vertex_or_origin(net, args.x)
-    tol = args.tol if args.tol is not None else ENERGY_CAUCHY_TOL
-    element = monopole(net, x, plan, cauchy_tol=tol)
+    element = monopole(net, x, plan)
     payload = element.to_jsonable()
-    payload["config"] = _config_header(args, net, plan, tol=tol)
+    payload["config"] = _config_header(args, net, plan)
     _emit(args, canonical_json(payload) + "\n")
     if element.converged or element.diverged:
         return EXIT_OK
@@ -396,7 +395,7 @@ _VERBS = {
     "kernel": ("dipole kernel element and its parts", _cmd_kernel, True, (
         ("--x", dict(required=True, help="base vertex")),
         ("--kind", dict(choices=(KIND_DIPOLE, KIND_FIN, KIND_HARM), default=KIND_DIPOLE)))),
-    "monopole": ("monopole element via regularized solves", _cmd_monopole, True, (
+    "monopole": ("monopole element via wired solves", _cmd_monopole, True, (
         ("--x", dict(help="base vertex (default: the network's origin)")),)),
     "gaussgreen": ("stagewise Gauss-Green decomposition", _cmd_gaussgreen, True, (
         ("--u", dict(required=True, help="preset: harm | w_o | logu | v:x=N | file:PATH")),

@@ -7,8 +7,8 @@ solves along an exhaustion; its projection to the energy-closure of the
 finitely supported functions comes from wired solves of the same equation,
 and the harmonic part is the difference.  Monopoles (Δw = δ_x) come from
 wired solves: the stage resistances R_r = g_r(x), full energies read as
-source pairings, stop growing exactly on transient networks, and wired,
-regularized solves (ε + Δ)u = δ_x with ε driven to zero then reach w_x.
+source pairings, stop growing exactly on transient networks, and the last
+stage's solve is then the monopole w_x on that ball.
 
 All elements report per-stage energies and an explicit convergence flag; a
 computation that did not settle never pretends otherwise.
@@ -38,7 +38,7 @@ from .network import GAUGE_ORIGIN, GAUGE_RAW, GAUGE_VANISH, Ball, VertexFunction
 from .operators import (edge_energy, inner_edges, prefix_sums,
                         scaled_laplacian_residual)
 from .serialize import csv_text, vertex_label
-from .solver import FREE, WIRED, solve_poisson, solve_regularized
+from .solver import FREE, WIRED, solve_poisson
 
 KIND_DIPOLE = "dipole"
 KIND_FIN = "fin"
@@ -48,8 +48,8 @@ KIND_MONOPOLE = "monopole"
 POINTWISE_TOL = 1e-7
 ENERGY_CAUCHY_TOL = 1e-8
 DIVERGENCE_CAP = 1e12
-# Non-Cauchy energies that keep growing by this factor across the second half
-# of the schedule are classified as divergent (linear-in-radius growth on
+# Non-Cauchy resistances that keep growing by this factor across the second
+# half of the trace are classified as divergent (linear-in-radius growth on
 # recurrent networks never reaches the hard cap at desk-scale windows).
 GROWTH_FACTOR = 1.5
 
@@ -267,11 +267,6 @@ def harm_part(net, x, plan, *, tol=POINTWISE_TOL):
                          meta={"plan": plan.descriptor})
 
 
-def default_eps_schedule(max_k=40):
-    """ε_k = 2^−k for k = 0..max_k."""
-    return tuple(2.0 ** -k for k in range(max_k + 1))
-
-
 def _vanish_gauge(net, rep, ball):
     """The solution of ``rep``, a solve on ``ball``, less its mean over the
     boundary of the ball (the vertices with a neighbour beyond it), added in
@@ -281,16 +276,6 @@ def _vanish_gauge(net, rep, ball):
         return rep.solution
     shift = float(prefix_sums(rep.values[bd])[-1]) / len(bd)
     return VertexFunction(net.vertices, rep.pos, rep.values - shift, GAUGE_VANISH)
-
-
-def _classify_energy_trace(energies):
-    """Divergence evidence: the hard cap, or steady growth at the end of the
-    trace (recurrent energies track the window resistance and would never hit
-    a fixed cap at desk-scale radii).  The early entries are excluded because
-    the regularization ramp makes any trace rise at first."""
-    return bool(energies) and (energies[-1] > DIVERGENCE_CAP or (
-        len(energies) >= 5
-        and energies[-1] > GROWTH_FACTOR * max(energies[-4], 1e-300)))
 
 
 def _wired_trace(net, x, plan):
@@ -328,22 +313,22 @@ def _window_limit(resistances):
     return settled and not growing, growing
 
 
-def monopole(net, x, plan, eps_schedule=None, *, cauchy_tol=ENERGY_CAUCHY_TOL):
-    """Monopole element at x: wired window limit, then the resolvent limit.
+def monopole(net, x, plan):
+    """Monopole element at x: the limit of the wired window solves.
 
-    Stage one reads the wired resistances R_r = g_r(x) along the plan
-    (``meta["wired_stage_energies"]``): decaying increments certify the
-    window limit, steady growth is recurrent evidence.  Stage two drives
-    (ε_k + Δ)u = δ_x on the final window with ε_k from the schedule until
-    successive in-window energies agree to ``cauchy_tol``, then verifies the
-    limit solves the defining equation pointwise.
+    The wired resistances R_r = g_r(x) along the plan
+    (``meta["wired_stage_energies"]``) decide the limit: decaying increments
+    certify that the window has stopped mattering, steady growth is
+    recurrent evidence.  A settled element is the last ball's wired solve of
+    Δu = δ_x, checked pointwise against that equation; its stage energy is
+    the in-window energy E(u, u) over the induced subgraph on the ball, which
+    leaves out the edges to the ghost that R_r counts.
     """
     i = net._require(x)
-    return _monopole(net, i, plan, partial(_wired_trace, net, i, plan),
-                     eps_schedule, cauchy_tol)
+    return _monopole(net, i, plan, partial(_wired_trace, net, i, plan))
 
 
-def _monopole(net, x, plan, trace, eps_schedule=None, cauchy_tol=ENERGY_CAUCHY_TOL):
+def _monopole(net, x, plan, trace):
     """:func:`monopole` on the wired trace that ``trace()`` returns; a plan
     covering a finite network needs none."""
     base = net.vertices[x]
@@ -363,46 +348,30 @@ def _monopole(net, x, plan, trace, eps_schedule=None, cauchy_tol=ENERGY_CAUCHY_T
                              approximant=_vanish_gauge(net, rep, last_stage),
                              stage_energies=resistances, converged=False,
                              diverged=growing, meta=meta)
-
-    energies, converged, source = [], False, ([x], [1.0])
-    for eps in default_eps_schedule() if eps_schedule is None else eps_schedule:
-        if eps == 0.0:
-            rep = solve_poisson(net, last_stage, source, WIRED)
-        else:
-            rep = solve_regularized(net, last_stage, eps, source, bc=WIRED)
-        energies.append(_energy_of(net, rep.pos, rep.values))
-        if energies[-1] > DIVERGENCE_CAP:
-            break
-        if len(energies) >= 2 and abs(energies[-1] - energies[-2]) < cauchy_tol:
-            converged = True
-            break
-    meta["eps_steps"] = len(energies)
-    if converged:
-        # Bounded energies alone are not enough: the limit must actually
-        # solve Δu = δ_x pointwise.
-        interior = rep.pos[net.arrays.reach[rep.pos] <= last_stage.radius]
-        res = scaled_laplacian_residual(net, rep.solution, source, interior)
-        meta["defining_residual"] = res
-        if not res <= 1e-6:  # NaN fails too
-            converged = False
-            meta["reason"] = "regularized limit does not solve the monopole equation"
-    diverged = not converged and ("reason" in meta or _classify_energy_trace(energies))
+    # Bounded energies alone are not enough: the limit must actually solve
+    # Δu = δ_x pointwise.
+    interior = rep.pos[net.arrays.reach[rep.pos] <= last_stage.radius]
+    res = scaled_laplacian_residual(net, rep.solution, ([x], [1.0]), interior)
+    meta["defining_residual"] = res
+    converged = res <= 1e-6  # NaN fails too
+    if not converged:
+        meta["reason"] = "wired limit does not solve the monopole equation"
     return KernelElement(base=base, kind=KIND_MONOPOLE,
                          approximant=_vanish_gauge(net, rep, last_stage),
-                         stage_energies=tuple(energies),
-                         converged=converged and not diverged, diverged=diverged,
-                         meta=meta)
+                         stage_energies=(_energy_of(net, rep.pos, rep.values),),
+                         converged=converged, diverged=not converged, meta=meta)
 
 
 def wired_monopole(net, x, plan):
-    """Direct (ε = 0) wired monopole stages; the staged values are the wired
-    resistances R_r = g_r(x) from x to the collapsed complement."""
+    """The wired monopole stages: the staged values are the wired
+    resistances R_r = g_r(x) from x to the collapsed complement, the full
+    energies of the stage solves, edges to the ghost included."""
     resistances, stage, rep = _wired_trace(net, net._require(x), plan)
     settled, growing = _window_limit(resistances)
     return KernelElement(base=x, kind=KIND_MONOPOLE,
                          approximant=_vanish_gauge(net, rep, stage),
                          stage_energies=resistances, converged=settled,
-                         diverged=growing, meta={"plan": plan.descriptor, "eps": 0.0})
+                         diverged=growing, meta={"plan": plan.descriptor})
 
 
 def green_kernel(net, x, y, plan):

@@ -46,7 +46,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (DomainError, IncompatibleSourceError, NumericalError)
-from .network import GAUGE_ORIGIN, GAUGE_RAW, GAUGE_VANISH, VertexFunction
+from .network import GAUGE_ORIGIN, GAUGE_VANISH, VertexFunction
 
 FREE = "free"
 WIRED = "wired"
@@ -91,7 +91,7 @@ class SolveReport:
 
 class _System(NamedTuple):
     """One region system: the region's sorted vertex positions, its CSC
-    matrix, the factor a solve uses (None where none is needed or asked for)
+    matrix, the factor a solve uses (None for a one-vertex free system)
     and whether any edge leaves the region."""
 
     pos: np.ndarray
@@ -112,22 +112,17 @@ def _compressed(row, col, cond, diag):
             np.insert(-cond, at, diag))
 
 
-def _columns(indptr):
-    """The column of each entry of compressed columns with pointers ``indptr``."""
-    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-
-
 def _origin_index(net, pos):
     """The index of the origin, first in the search order, in a ball's ``pos``."""
     return int(np.searchsorted(pos, net._order[0]))
 
 
-def _system(net, ball, bc, *, factored=True):
+def _system(net, ball, bc):
     """The system of a :class:`~resnet.network.Ball` from ``net.arrays``, with
-    the factor a Poisson solve uses unless ``factored`` is false: the whole
-    matrix for a wired ball with crossing edges, else the free matrix pinned
-    at the origin.  Without crossing edges the wired matrix is the free one,
-    bit for bit (both diagonals add the same row in the same order)."""
+    the factor a Poisson solve uses: the whole matrix for a wired ball with
+    crossing edges, else the free matrix pinned at the origin.  Without
+    crossing edges the wired matrix is the free one, bit for bit (both
+    diagonals add the same row in the same order)."""
     pos = net._ball_positions(ball.radius)
     pos.flags.writeable = False
     a, m = net.arrays, len(pos)
@@ -143,9 +138,9 @@ def _system(net, ball, bc, *, factored=True):
     matrix = sp.csc_matrix((data, indices, indptr), shape=(m, m))
     has_crossing = not inner.all()
     factor = None
-    if factored and bc == WIRED and has_crossing:
+    if bc == WIRED and has_crossing:
         factor = _ScaledLU(indptr, indices, data)
-    elif factored and m > 1:
+    elif m > 1:
         # Pin the gauge: drop the origin's row and column.
         o = _origin_index(net, pos)
         off = (row != o) & (col != o)
@@ -173,7 +168,7 @@ class _ScaledLU:
     """
 
     def __init__(self, indptr, indices, data):
-        cols = _columns(indptr)
+        cols = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
         diag = data[indices == cols]
         diag[diag <= 0.0] = 1.0
         self.scale = 1.0 / np.sqrt(diag)
@@ -212,12 +207,12 @@ def _rhs(net, pos, f):
     return b
 
 
-def _residual(net, pos, matrix, u, b, tol, what, note="", eps=0.0):
+def _residual(net, pos, matrix, u, b, tol, what, note=""):
     """The largest backward-error style residual of the columns: |system*u −
-    f| relative to the local conductance scale c(x) + eps and the column's
+    f| relative to the local conductance scale c(x) and the column's
     magnitude, divided by one and then the other, as their product may
     overflow.  The first column above ``tol``, or NaN, raises."""
-    residuals = np.abs(matrix @ u - b) / np.maximum(1.0, net.arrays.ctot[pos] + eps)[:, None]
+    residuals = np.abs(matrix @ u - b) / np.maximum(1.0, net.arrays.ctot[pos])[:, None]
     residuals = (residuals / (1.0 + np.abs(u).max(axis=0))).max(axis=0)
     over = residuals[~(residuals <= tol)]  # NaN fails too
     if len(over):
@@ -267,26 +262,3 @@ def solve_poisson(net, region, f, bc, *, tol=DEFAULT_TOLERANCE):
     residual = _residual(net, system.pos, system.matrix, u, b, tol, "free solve",
                          f" (region size {len(b)})")
     return _report(net, system, u, f, residual, GAUGE_ORIGIN, FREE)
-
-
-def solve_regularized(net, region, eps, f, *, bc=FREE, tol=DEFAULT_TOLERANCE):
-    """Solve (ε + Δ)u = f on the region; strictly positive definite for ε > 0.
-
-    The default matches the induced subgraph (free); monopole and Green
-    computations pass ``bc='wired'`` so the regularized solutions stay inside
-    the energy-limits of finitely supported functions.  ``f`` is a source
-    as :func:`solve_poisson` takes it.
-    """
-    eps = float(eps)
-    if eps <= 0.0:
-        raise DomainError(f"regularization parameter must be positive, got {eps:g}")
-    if bc not in (FREE, WIRED):
-        raise DomainError(f"unknown boundary condition {bc!r}")
-    pos, matrix, _, has_crossing = _system(net, region, bc, factored=False)
-    matrix.data[matrix.indices == _columns(matrix.indptr)] += eps
-    b = _rhs(net, pos, f)
-    factor = _ScaledLU(matrix.indptr, matrix.indices, matrix.data)
-    u = factor.solve(b)
-    residual = _residual(net, pos, matrix, u, b, tol, "regularized solve", eps=eps)
-    return _report(net, _System(pos, matrix, factor, has_crossing), u, f, residual,
-                   GAUGE_RAW, bc)

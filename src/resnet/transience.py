@@ -3,8 +3,8 @@
 Three independent lines of evidence:
 
 (a) the monopole: the wired stage resistances R_r = g_r(o) stop growing
-    exactly when a finite-energy monopole exists, and wired regularized
-    solves of (ε + Δ)w = δ_o then reach it;
+    exactly when a finite-energy monopole exists, and the last stage's
+    wired solve of Δw = δ_o, checked pointwise, is then that monopole;
 (b) Monte Carlo: the expected visits to the origin stop growing with the
     horizon (Green finiteness) and the escape probability stays positive;
 (c) the grounded projection of the constant function 1: its value u_o at the

@@ -221,6 +221,20 @@ def crossing_edges(net, subset):
                net.arrays.cond[pairs].tolist())
 
 
+def cutset_sums(net):
+    """Nash-Williams sums NW_r = Σ_{k <= r} 1/C_k for r = 0..window radius,
+    where C_k is the total conductance from the sphere S_k to S_{k+1}, edges
+    to the ring included: one bincount over the pairs of ``net.arrays`` that
+    step outward, with no solve.  The cutsets are disjoint and each separates
+    the origin from the complement of B_r, so NW_r bounds the wired
+    resistance R_r from below, with equality when every sphere is at one
+    potential (the lines, the geometric families, the star and the tree)."""
+    a = net.arrays
+    d = a.dist[a.rows]
+    out = (a.nbr < 0) | (a.dist[a.nbr] > d)
+    return np.cumsum(1.0 / np.bincount(d[out], a.cond[out]))
+
+
 def geom_edge(c, a, b):
     """Conductance of the integer edge {a, b} = c^max(|a|, |b|)."""
     return c ** max(abs(a), abs(b))

@@ -63,14 +63,14 @@ GOLDEN = [
      "1e3dc4aa01df84d2b12d188824ae6167ad1f1c9d9a4145a0d92094bbd75b8697"),
     ("monopole-star", ["monopole", "--model", "star", "--radius", "12",
                        "--plan", "balls:1..10"], 0,
-     "f884fc5a2d0b3414fff56fea8d8cd8ddb2fb614b80b9db3eb903981ee940e346"),
+     "3c09d4464ec7f548e04fb7d60f6e8e75fedb8c556d05eabdc07af993920bede7"),
     ("resistance-wired", ["resistance", "--model", "geom-z", "--c", "2",
                           "--radius", "40", "--plan", "balls:1..38", "--x", "0",
                           "--y", "3", "--variant", "wired"], 0,
      "37e1a012b54160262973e598c4ece8d85871e55eb67b34b0af700d65817e7854"),
     ("transience-tree", ["transience", "--model", "binary-tree", "--radius", "8",
                          "--walks", "500", "--steps", "500"], 0,
-     "1739157839f09057dba97e7e287e30d26e8f63fbb6090d40e68e39c75f6758a6"),
+     "21fa9e84bdd28628fc920f5bebf566d3dd045b2ea96345a2157f28ba7ce6327c"),
     ("walk-escape", ["walk", "--model", "unit-line", "--radius", "30", "--op", "escape",
                      "--radii", "2,4,8", "--walks", "2000", "--steps", "2000",
                      "--seed", "5"], 0,
@@ -87,7 +87,7 @@ GOLDEN = [
 
 # SHA-256 of the help text, at 80 columns, of the top level and of each verb.
 HELP = [
-    ([], "551265cf71aa0d44ac98d7a94bbaf155b8d999f2e4d4dab5e507b4795dc330e4"),
+    ([], "8b2ba0128e848ffd17756c8d4a51977c070d2c92ecd11cac590f275e4cf1b9b8"),
     (["gen"], "2fe714407082c4a585bfa36e4b1a4b4fa908541c4cffe84dbd36f88b840c3bc6"),
     (["kernel"], "aefa27c74049827c3e4381beebfa1ac447f1e4aa7e57e7784b693baaac93c426"),
     (["monopole"], "2c7a1f653b775c098852a5cec48bf31b5a44b2e974d7dee65c9593da03f1ed9d"),

@@ -7,13 +7,14 @@ from resnet.errors import DomainError, GreenUndefinedError
 from resnet.kernels import (dirac_expansion_check, effective_resistance,
                             energy_kernel, fin_part, green_kernel,
                             harm_part, monopole, wired_monopole)
-from resnet.models import ModelSpec, build, oracle_w_o_function
+from resnet.models import ModelSpec, build, oracle_w_o, oracle_w_o_function
 from resnet.operators import energy, laplacian_apply
 
-from conftest import make_random_net, random_function
+from conftest import lognormal_grid_edges, make_random_net, random_function
 from reference_pointwise import (function_on, harmonicity_residual, indicator,
                                  kernel_symmetry_residual, reproducing_residual)
-from reference_windows import final_ball, interior_of, positions, total_conductance
+from reference_windows import (cutset_sums, final_ball, interior_of, positions,
+                               total_conductance)
 
 
 def test_unit_path_kernel(unit_path, unit_path_plan):
@@ -138,9 +139,68 @@ def test_monopole_diverges_on_unit_line():
 
 def test_monopole_energies_bounded_and_increasing(geom2, geom2_plan):
     w = monopole(geom2, 0, geom2_plan)
-    tail = w.stage_energies[-5:]
+    wired = w.meta["wired_stage_energies"]
+    tail = wired[-5:]
     assert all(b >= a - 1e-12 for a, b in zip(tail, tail[1:]))
-    assert max(w.stage_energies) < 1.0
+    assert max(wired) < 1.0
+    # The in-window energy leaves out the edges to the ghost.
+    assert len(w.stage_energies) == 1 and w.energy <= wired[-1]
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("geom_z", {"c": 2.0}), ModelSpec("geom_z", {"c": 3.0}),
+    ModelSpec("geom_zplus", {"c": 3.0}), ModelSpec("star", {"c": 2.0, "arms": 5}),
+], ids=["geom-z-2", "geom-z-3", "geom-zplus-3", "star-5-2"])
+def test_monopole_energy_is_the_closed_form(spec):
+    # E(w_o) = <w_o, Δw_o> = w_o(0); on the star each arm carries 1/5 of the
+    # unit flow through the resistances 2^-d, so w_o(0) = (1/5) Σ 2^-d = 1/5.
+    # At R = 60 the share of the energy beyond the window, of order c^-R, is
+    # below 1e-15, so what is left is rounding.
+    closed_form = 1.0 / 5 if spec.family == "star" else oracle_w_o(spec, 0)
+    net = build(spec, radius=60)
+    w = monopole(net, net.origin, rn.make_exhaustion(net, range(1, 61)))
+    assert w.converged
+    assert abs(w.energy - closed_form) <= 1e-12
+
+
+@pytest.mark.parametrize("residual", [1e-3, float("nan")])
+def test_a_settled_monopole_that_fails_its_equation_diverges(geom2, geom2_plan,
+                                                              monkeypatch, residual):
+    monkeypatch.setattr(kernels, "scaled_laplacian_residual", lambda *args: residual)
+    w = monopole(geom2, 0, geom2_plan)
+    assert not w.converged and w.diverged
+    assert w.meta["reason"] == "wired limit does not solve the monopole equation"
+
+
+@pytest.mark.parametrize("spec, radius", [
+    (ModelSpec("unit_line"), 500),
+    (ModelSpec("log_increment_line"), 729),
+    (ModelSpec("geom_z", {"c": 2.0}), 40),
+    (ModelSpec("geom_zplus", {"c": 3.0}), 40),
+    (ModelSpec("star", {"c": 2.0, "arms": 5}), 40),
+    (ModelSpec("binary_tree"), 10),
+], ids=lambda p: getattr(p, "family", p))
+def test_wired_resistances_are_the_cutset_sums(spec, radius):
+    # On these families every sphere is at one potential, so R_r = NW_r.  The
+    # Jacobi-scaled wired matrix of B_r has condition O(r^2) on the lines, so
+    # the solve's relative error is bounded by about r^2 * eps (2.8e-11 for
+    # the unit line at r = 500); measured: 7e-13 there, 8e-14 on the
+    # log-increment line, at most 6e-16 on the geometric families and the tree.
+    net = build(spec, radius=radius)
+    plan = rn.make_exhaustion(net, range(1, radius + 1))
+    got = np.array(wired_monopole(net, net.origin, plan).stage_energies)
+    want = cutset_sums(net)[list(plan.radii)]
+    assert np.all(np.abs(got - want) <= radius ** 2 * np.finfo(float).eps * want)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_wired_resistances_obey_nash_williams_on_lognormal_grids(seed):
+    # A grid's spheres are not at one potential: the bound is strict.
+    net = rn.Network.from_edges((0, 0), lognormal_grid_edges(25, seed))
+    plan = rn.make_exhaustion(net, range(1, 24))
+    got = np.array(wired_monopole(net, (0, 0), plan).stage_energies)
+    want = cutset_sums(net)[list(plan.radii)]
+    assert np.all(want < got)
 
 
 def test_green_kernel_on_half_line(zplus2, zplus2_plan):

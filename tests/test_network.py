@@ -377,8 +377,7 @@ def test_id_entries_refuse_unknown_and_ring_ids_before_solving(monkeypatch, entr
     def refused(*args, **kwargs):
         raise AssertionError("solved or walked before the ids were checked")
 
-    for module, name in ((kernels, "solve_poisson"), (kernels, "solve_regularized"),
-                         (randomwalk, "_simulate")):
+    for module, name in ((kernels, "solve_poisson"), (randomwalk, "_simulate")):
         monkeypatch.setattr(module, name, refused)
     x = 99 if bad == "unknown" else 7  # 7 lies on the ring just outside radius 6
     call, role = ID_ENTRIES[entry]

@@ -15,7 +15,7 @@ from resnet.errors import (DomainError, IncompatibleSourceError, NumericalError,
 from resnet.models import ModelSpec, build
 from resnet.network import Ball, vsorted
 from resnet.randomwalk import WalkConfig, green_estimate
-from resnet.solver import FREE, WIRED, solve_poisson, solve_regularized
+from resnet.solver import FREE, WIRED, solve_poisson
 
 from conftest import lognormal_grid_edges
 from reference_pointwise import source
@@ -37,11 +37,11 @@ def diag_grid():
     return rn.Network.from_edges((1, 1), edges)
 
 
-def _dense_system(net, region, bc, eps=0.0):
+def _dense_system(net, region, bc):
     """The region system assembled entry by entry from ``incident``."""
     xs = vsorted(region)
     at = {x: i for i, x in enumerate(xs)}
-    a = eps * np.eye(len(xs))
+    a = np.zeros((len(xs), len(xs)))
     for x in xs:
         for y, c in net.incident(x):
             if y in at:
@@ -90,8 +90,6 @@ def test_ball_beyond_the_window_raises(geom2):
     for bc in (FREE, WIRED):
         with pytest.raises(WindowError, match="radius 33"):
             solve_poisson(geom2, Ball(geom2, 33), source(geom2, {0: 1.0}), bc)
-        with pytest.raises(WindowError, match="radius 33"):
-            solve_regularized(geom2, Ball(geom2, 33), 0.5, source(geom2, {0: 1.0}), bc=bc)
 
 
 def test_a_ball_solved_twice_keeps_its_bits():
@@ -102,8 +100,7 @@ def test_a_ball_solved_twice_keeps_its_bits():
 
     def solves():
         return [solve_poisson(net, Ball(net, 3), source(net, {2: 1.0, 0: -1.0}), FREE),
-                solve_poisson(net, Ball(net, 3), source(net, {0: 1.0}), WIRED),
-                solve_regularized(net, Ball(net, 4), 0.5, source(net, {0: 1.0}), bc=WIRED)]
+                solve_poisson(net, Ball(net, 3), source(net, {0: 1.0}), WIRED)]
 
     for first, again in zip(solves(), solves()):
         assert first.system is not again.system
@@ -197,8 +194,6 @@ def test_source_must_live_in_region(geom2, diag_grid):
     for bc in (FREE, WIRED):
         with pytest.raises(DomainError, match=r"source vertex \(4, 4\) lies outside"):
             solve_poisson(diag_grid, region, source(diag_grid, {(4, 4): 1.0, (1, 1): -1.0}), bc)
-        with pytest.raises(DomainError, match="outside the region"):
-            solve_regularized(diag_grid, region, 0.5, source(diag_grid, {(4, 4): 1.0}), bc=bc)
         # A zero value outside the region is no source there.
         rep = solve_poisson(diag_grid, region,
                             source(diag_grid, {(4, 4): 0.0, (2, 1): 1.0, (1, 1): -1.0}), bc)
@@ -235,11 +230,6 @@ def test_diag_grid_ball_against_dense_oracle(diag_grid):
     rep = solve_poisson(net, region, source(net, {x: 1.0, y: -0.5}), WIRED)
     assert np.allclose([u for _, u in rep.solution.items()],
                        np.linalg.solve(wired, g), rtol=0, atol=1e-12)
-    for bc in (FREE, WIRED):
-        _, _, a = _dense_system(net, region, bc, eps=0.3)
-        rep = solve_regularized(net, region, 0.3, source(net, {x: 1.0, y: -0.5}), bc=bc)
-        assert np.allclose([u for _, u in rep.solution.items()],
-                           np.linalg.solve(a, g), rtol=0, atol=1e-12)
 
 
 def _reference_solve(a):
@@ -271,7 +261,7 @@ def _pinning_cases():
 def test_factors_equal_the_two_product_scaling_bit_for_bit(case):
     net, region = _pinning_cases()[case]
     rng = np.random.default_rng(case)
-    xs, eps = vsorted(region), 0.375
+    xs = vsorted(region)
     for bc in (FREE, WIRED):
         _, _, a = _dense_system(net, region, bc)
         system = solver._system(net, region, bc)
@@ -285,11 +275,6 @@ def test_factors_equal_the_two_product_scaling_bit_for_bit(case):
             b = rng.standard_normal(len(xs))
             want = _reference_solve(a)(b)
         assert np.array_equal(system.factor.solve(b), want)
-        f = dict(zip(xs, rng.standard_normal(len(xs))))
-        rep = solve_regularized(net, region, eps, source(net, f), bc=bc)
-        plus = sp.csc_matrix(a) + eps * sp.identity(len(xs), format="csc")
-        assert np.array_equal(rep.values, _reference_solve(plus.toarray())(
-            np.array([f[x] for x in xs])))
 
 
 def test_total_conductance_is_the_incident_sum(diag_grid, geom2):
@@ -304,7 +289,6 @@ def test_networks_are_freed_after_solves_and_walks():
     region = Ball(net, 5)
     solve_poisson(net, region, source(net, {2: 1.0, 0: -1.0}), FREE)
     solve_poisson(net, region, source(net, {0: 1.0}), WIRED)
-    solve_regularized(net, region, 0.5, source(net, {0: 1.0}), bc=WIRED)
     green_estimate(net, 0, 0, WalkConfig(n_walks=20, max_steps=20))
     del net, region
     gc.collect()
@@ -341,13 +325,14 @@ def test_a_long_wired_trace_keeps_at_most_two_factors(monkeypatch):
     assert len(factors.alive) == 0
 
 
-def test_a_regularized_solve_builds_one_factor(monkeypatch):
-    net = build(ModelSpec("geom_z", {"c": 2.0}), radius=8)
+def test_a_settled_monopole_factors_each_trace_stage_once(monkeypatch):
+    # The settled limit is the trace's last solve: no ball is factored twice.
+    net = build(ModelSpec("geom_z", {"c": 2.0}), radius=40)
+    plan = rn.make_exhaustion(net, range(1, 39))
     factors = _Factors(monkeypatch)
-    for k, bc in enumerate((FREE, WIRED, FREE), start=1):
-        rep = solve_regularized(net, Ball(net, 3), 0.5, source(net, {0: 1.0}), bc=bc)
-        assert factors.built == k
-        assert rep.system.factor in factors.alive
+    element = rn.monopole(net, 0, plan)
+    assert element.converged
+    assert factors.built == len(element.meta["wired_stage_energies"]) == 38
 
 
 def test_a_nan_residual_fails(unit_path):
@@ -392,40 +377,6 @@ def test_wired_equals_free_when_complement_empty(unit_path):
     wired = solve_poisson(unit_path, Ball(unit_path, 2), source(unit_path, f), WIRED)
     for k in (0, 1, 2):
         assert wired.solution.value(k) == free.solution.value(k)
-
-
-def test_regularized_against_dense_oracle(unit_path):
-    # independent route: dense solve of the explicitly assembled 3x3 system
-    eps = 1.0
-    L = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-    expected = np.linalg.solve(eps * np.eye(3) + L, np.array([0.0, 1.0, 0.0]))
-    rep = solve_regularized(unit_path, Ball(unit_path, 2), eps, source(unit_path, {1: 1.0}))
-    for k in (0, 1, 2):
-        assert rep.solution.value(k) == pytest.approx(expected[k], abs=1e-12)
-    assert rep.residual < 1e-10
-
-
-def test_regularized_dominant_diagonal_limit(unit_path):
-    eps = 1e6
-    rep = solve_regularized(unit_path, Ball(unit_path, 2), eps, source(unit_path, {1: 1.0}))
-    worst = max(abs(eps * rep.solution.value(k) - (1.0 if k == 1 else 0.0))
-                for k in (0, 1, 2))
-    assert worst < 1e-4
-
-
-def test_regularized_rejects_nonpositive_eps(unit_path):
-    with pytest.raises(DomainError):
-        solve_regularized(unit_path, Ball(unit_path, 2), 0.0, source(unit_path, {1: 1.0}))
-
-
-def test_regularized_energy_schedule_increases_to_monopole_energy(geom2):
-    region = Ball(geom2, 30)
-    energies = []
-    for k in range(0, 31):
-        rep = solve_regularized(geom2, region, 2.0 ** -k, source(geom2, {0: 1.0}), bc=WIRED)
-        energies.append(rn.energy(geom2, rep.solution, window=rep.pos).value)
-    assert all(b >= a - 1e-12 for a, b in zip(energies, energies[1:]))
-    assert energies[-1] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_residual_reported_below_tolerance(geom2):
