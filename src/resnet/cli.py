@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Verbs: gen, kernel, monopole, gaussgreen, transience, walk, resistance,
-report.  The parser is built per verb: it names every verb with its help
-and gives only the invoked one its arguments.  Results are JSON (verdicts,
-reports) or CSV (per-stage traces); every artifact embeds the fully
-resolved configuration, including the seed, tolerances and exhaustion plan,
-so runs are auditable and reproducible.
+report.  The parser is built per verb from ``_VERBS``: it names every verb
+with its help and gives only the invoked one its arguments, which are the
+options that verb reads.  Results are JSON (verdicts, reports) or CSV
+(per-stage traces); every artifact embeds the configuration the verb read:
+its seed, tolerance (resolved), walks, steps, plan and network.
 
 Exit codes: 0 success, 2 precondition or domain errors (bad input, unknown
 model, malformed JSON), 3 a result that did not converge (still written) or
@@ -117,10 +117,10 @@ def _parse_plan(net, text):
 
 
 def _load_net(args):
-    radius = getattr(args, "radius", None)
+    radius = args.radius
     if radius is not None and radius < 1:
         raise ConfigurationError(f"--radius must be at least 1, got {radius}")
-    if getattr(args, "net", None):
+    if args.net:
         try:
             with open(args.net, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -133,7 +133,7 @@ def _load_net(args):
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigurationError(
                 f"malformed network JSON in {args.net}: {exc}") from exc
-    if getattr(args, "model", None):
+    if args.model:
         family = args.model.replace("-", "_")
         params = {k: getattr(args, k) for k in ("c", "arms") if getattr(args, k) is not None}
         return build(ModelSpec(family, params), radius=radius)
@@ -211,18 +211,20 @@ def _function_file(net, path):
     return VertexFunction(net.vertices, pos, [values[p] for p in pos])
 
 
-def _config_header(args, net, plan=None, tol=None):
-    header = {"version": __version__, "seed": args.seed,
-              "tol": tol if tol is not None else args.tol}
+def _config_header(args, net, plan=None, **extras):
+    """The version and what shaped the artifact, of what the verb takes."""
+    header = {k: getattr(args, k) for k in ("seed", "tol", "walks", "steps")
+              if hasattr(args, k)}
+    header["version"] = __version__
     if plan is not None:
         header["plan"] = plan.descriptor
-    if getattr(args, "model", None):
+    if args.model:
         header["model"] = args.model
-    if getattr(args, "net", None):
+    if args.net:
         header["net"] = args.net
     if net.model is not None:
         header["resolved_model"] = net.model
-    return header
+    return dict(header, **extras)
 
 
 def _emit(args, text):
@@ -247,9 +249,8 @@ def _cmd_kernel(args):
     plan = _parse_plan(net, args.plan)
     x = _parse_vertex(args.x)
     op = {KIND_DIPOLE: energy_kernel, KIND_FIN: fin_part, KIND_HARM: harm_part}[args.kind]
-    tol = args.tol if args.tol is not None else POINTWISE_TOL
-    element = op(net, x, plan, tol=tol)
-    header = _config_header(args, net, plan, tol=tol)
+    element = op(net, x, plan, tol=args.tol)
+    header = _config_header(args, net, plan)
     if args.format == "csv":
         meta = dict(header, kind=element.kind, base=vertex_label(x),
                     converged=element.converged)
@@ -281,10 +282,8 @@ def _cmd_gaussgreen(args):
     preset_plan = _covering_plan(net, plan, alt_plan)
     u = _resolve_function(net, preset_plan, args.u)
     v = u if args.v == args.u else _resolve_function(net, preset_plan, args.v)
-    tol = args.tol if args.tol is not None else LIMIT_TOL
-    report = gauss_green(net, u, v, plan, alt_plan, limit_tol=tol)
-    header = _config_header(args, net, plan, tol=tol)
-    header["u"], header["v"] = args.u, args.v
+    report = gauss_green(net, u, v, plan, alt_plan, limit_tol=args.tol)
+    header = _config_header(args, net, plan, u=args.u, v=args.v)
     if args.format == "csv":
         rows = [(s.radius, s.size, s.energy, s.vertex_sum, s.boundary_sum, s.residual)
                 for s in report.stages]
@@ -328,8 +327,6 @@ def _cmd_walk(args):
         radii = _radii(args.radii.split(","), f"--radii {args.radii!r}")
     net = _load_net(args)
     cfg = WalkConfig(n_walks=args.walks, max_steps=args.steps, seed=args.seed)
-    header = {"version": __version__, "seed": args.seed, "walks": args.walks,
-              "steps": args.steps, "op": args.op}
     if args.op == "hitting":
         est = hitting_probability(net, _vertex_or_origin(net, args.x),
                                   _vertex_or_origin(net, args.absorber),
@@ -349,7 +346,7 @@ def _cmd_walk(args):
         payload = {"points": [list(p) for p in trace.points],
                    "capped": trace.capped, "exited": trace.exited,
                    "n_walks": trace.n_walks, "seed": trace.seed}
-    payload["config"] = header
+    payload["config"] = _config_header(args, net, op=args.op)
     _emit(args, canonical_json(payload) + "\n")
     return EXIT_OK
 
@@ -388,25 +385,42 @@ def _cmd_report(args):
     return EXIT_OK
 
 
-# Each verb: its help, its command, whether it takes --plan, and its own
-# arguments as (flag, keywords) pairs.
+# Options that several verbs read, listed in the rows of those that read them:
+# each row gives --tol its default, and --seed defaults to RESNET_SEED.
+_PLAN = ("--plan", dict(help="exhaustion plan: balls:A..B, radii:2^k, radii:3^k, "
+                             "or radii:R1,R2,..."))
+_FORMAT = ("--format", dict(choices=("json", "csv"), default="json"))
+_SEED = ("--seed", dict(type=int, help="RNG seed (default: RESNET_SEED env or 0)"))
+_TOL = dict(type=float, help="convergence tolerance (default %(default)g)")
+_WALKS = (("--walks", dict(type=int, default=4000)), ("--steps", dict(type=int, default=4000)))
+# The options of every verb, then each verb: its help, its command, and the
+# rest of its options as (flag, keywords) pairs.
+_NETWORK = (
+    ("--net", dict(help="network JSON file (explicit or model form)")),
+    ("--model", dict(help="built-in family (geom-z, geom-zplus, star, "
+                          "unit-line, binary-tree, log-increment-line)")),
+    ("--c", dict(type=float, help="conductance base")),
+    ("--arms", dict(type=int, help="star arm count")),
+    ("--radius", dict(type=int, help="window radius")))
 _VERBS = {
-    "gen": ("build a network and write its JSON", _cmd_gen, False, ()),
-    "kernel": ("dipole kernel element and its parts", _cmd_kernel, True, (
+    "gen": ("build a network and write its JSON", _cmd_gen, ()),
+    "kernel": ("dipole kernel element and its parts", _cmd_kernel, (
+        _PLAN, ("--tol", dict(_TOL, default=POINTWISE_TOL)), _FORMAT,
         ("--x", dict(required=True, help="base vertex")),
         ("--kind", dict(choices=(KIND_DIPOLE, KIND_FIN, KIND_HARM), default=KIND_DIPOLE)))),
-    "monopole": ("monopole element via wired solves", _cmd_monopole, True, (
-        ("--x", dict(help="base vertex (default: the network's origin)")),)),
-    "gaussgreen": ("stagewise Gauss-Green decomposition", _cmd_gaussgreen, True, (
+    "monopole": ("monopole element via wired solves", _cmd_monopole, (
+        _PLAN, ("--x", dict(help="base vertex (default: the network's origin)")))),
+    "gaussgreen": ("stagewise Gauss-Green decomposition", _cmd_gaussgreen, (
+        _PLAN, ("--tol", dict(_TOL, default=LIMIT_TOL)), _FORMAT,
         ("--u", dict(required=True, help="preset: harm | w_o | logu | v:x=N | file:PATH")),
         ("--v", dict(required=True, help="same presets as --u")),
         ("--alt-plan", dict(help="second plan for exhaustion-dependence detection; "
                                  "--u/--v presets are resolved over a window covering "
                                  "both plans")))),
-    "transience": ("classify the network's random walk", _cmd_transience, True, (
-        ("--walks", dict(type=int, default=4000)),
-        ("--steps", dict(type=int, default=4000)))),
-    "walk": ("Monte Carlo estimates", _cmd_walk, False, (
+    "transience": ("classify the network's random walk", _cmd_transience, (
+        _PLAN, _SEED, *_WALKS)),
+    "walk": ("Monte Carlo estimates", _cmd_walk, (
+        _SEED,
         ("--op", dict(choices=("hitting", "green", "escape"), required=True)),
         ("--x", dict(help="green: start vertex; hitting: target vertex "
                           "(default: the network's origin)")),
@@ -416,13 +430,13 @@ _VERBS = {
         ("--radii", dict(default="2,4,8,16")),
         ("--walks", dict(type=int, default=100000)),
         ("--steps", dict(type=int, default=100000)))),
-    "resistance": ("effective resistance between two vertices", _cmd_resistance, True, (
+    "resistance": ("effective resistance between two vertices", _cmd_resistance, (
+        _PLAN,
         ("--x", dict(required=True)),
         ("--y", dict(required=True)),
         ("--variant", dict(choices=("free", "wired"), default="free")))),
-    "report": ("combined audit report for a network", _cmd_report, True, (
-        ("--walks", dict(type=int, default=4000)),
-        ("--steps", dict(type=int, default=4000)),
+    "report": ("combined audit report for a network", _cmd_report, (
+        _PLAN, _SEED, *_WALKS,
         ("--sweep", dict(help="grounded-parameter sweep, LO:HI:COUNT over c")))),
 }
 
@@ -436,29 +450,15 @@ def build_parser(verb=None):
                     "monopoles, Gauss-Green boundary terms and transience.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
-    for name, (text, fn, plan, own) in _VERBS.items():
+    for name, (text, fn, own) in _VERBS.items():
         p = sub.add_parser(name, help=text, add_help=name == verb)
         if name != verb:
             continue
-        p.add_argument("--net", help="network JSON file (explicit or model form)")
-        p.add_argument("--model", help="built-in family (geom-z, geom-zplus, star, "
-                                       "unit-line, binary-tree, log-increment-line)")
-        p.add_argument("--c", type=float, default=None, help="conductance base")
-        p.add_argument("--arms", type=int, default=None, help="star arm count")
-        p.add_argument("--radius", type=int, default=None, help="window radius")
-        p.add_argument("--seed", type=int,
-                       default=int(os.environ.get("RESNET_SEED", "0")),
-                       help="RNG seed (default: RESNET_SEED env or 0)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="convergence tolerance (per-verb default when omitted)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("-o", "--output", default="-", help="output path (default stdout)")
-        if plan:
-            p.add_argument("--plan", default=None,
-                           help="exhaustion plan: balls:A..B, radii:2^k, radii:3^k, "
-                                "or radii:R1,R2,...")
-        for flag, options in own:
+        for flag, options in _NETWORK + own:
+            if flag == "--seed":  # read as the parser is built
+                options = dict(options, default=int(os.environ.get("RESNET_SEED", "0")))
             p.add_argument(flag, **options)
+        p.add_argument("-o", "--output", default="-", help="output path (default stdout)")
         p.set_defaults(fn=fn)
     return parser
 

@@ -58,7 +58,7 @@ def test_gaussgreen_harmonic_boundary_csv(tmp_path):
     last_boundary = float(lines[-1].split(",")[boundary_idx])
     assert last_boundary == pytest.approx(1.0, abs=1e-6)
     meta = [l for l in out.read_text().splitlines() if l.startswith("#")]
-    assert any("seed" in l for l in meta)
+    assert not any("seed" in l for l in meta)  # gaussgreen reads no seed
     assert any("plan: balls:1..25" in l for l in meta)
 
 

@@ -28,74 +28,74 @@ GOLDEN = [
     ("gen-grid", ["gen", "--net", GRID], 0,
      "5c1dad0720162dd2ffa589636e3c9eda095b69ee58038860231e0116345ed31c"),
     ("report-grid", ["report", "--net", GRID, "--walks", "200", "--steps", "200"], 0,
-     "3af6f781965b15842c264267394ecdac89c8f783f27c66075739766bbecae523"),
+     "303701cc40b4e2a5d7f97c51351bb4deba690f4b7e3e57c8696d38104767ec49"),
     ("report-grid25", ["report", "--net", GRID25, "--walks", "200", "--steps", "200"], 0,
-     "49978562bfae93321eb8764a3c0e5dfdc6450488aeeec712cb20a73c3e61dc4f"),
+     "85fea7d1bcc38a675ed36bffae352b2069f16224406694d3921bd701a5c5a916"),
     ("gaussgreen-log-2k-3k", ["gaussgreen", "--model", "log-increment-line",
                               "--radius", "243", "--u", "logu", "--v", "logu",
                               "--plan", "radii:2^k", "--alt-plan", "radii:3^k"], 0,
-     "ca6b8db8cc52b413343256b3f1d7eff4646a4de48528ec86f2363eaae6772eaf"),
+     "1e8bb4288bdd664bfc3cd16f28b1e67ae2f8ae0f7aa4b03a115d364ef9e52616"),
     ("gaussgreen-log-3k-2k", ["gaussgreen", "--model", "log-increment-line",
                               "--radius", "243", "--u", "logu", "--v", "logu",
                               "--plan", "radii:3^k", "--alt-plan", "radii:2^k"], 0,
-     "fe44aec9f3c18083b4ad06b3d46245716a95f9789b0127578736982de98e161f"),
+     "bba5f9b9f87f88cf9a9e10f319ee513215f33a009bb0f9a72b6bee5594db82e5"),
     ("gaussgreen-log-59049-3k-2k", ["gaussgreen", "--model", "log-increment-line",
                                     "--radius", "59049", "--u", "logu", "--v", "logu",
                                     "--plan", "radii:3^k", "--alt-plan", "radii:2^k"], 0,
-     "a62327d7dbe438c4124a17ed5b18dbea7fa2ea0e9acd2f2439fd60f81dd767e1"),
+     "d3d7197b78e31043067d3e1e0ba9bbee323a04a8c4ff4868352570ca3a7ea4ad"),
     ("gaussgreen-log-59049-2k-3k", ["gaussgreen", "--model", "log-increment-line",
                                     "--radius", "59049", "--u", "logu", "--v", "logu",
                                     "--plan", "radii:2^k", "--alt-plan", "radii:3^k"], 0,
-     "c7a441b63217fd4c494b9b68053bb7c2e80194001fdbf4a55e9411ccf1a44322"),
+     "93aa018e4aad4f6f5c4a4c8f2c91835c05f70a2d68f7a606d105c5fd50cbc75e"),
     ("gaussgreen-log-59049-3k-2k-csv", ["gaussgreen", "--model", "log-increment-line",
                                         "--radius", "59049", "--u", "logu", "--v", "logu",
                                         "--plan", "radii:3^k", "--alt-plan", "radii:2^k",
                                         "--format", "csv"], 0,
-     "5f3b8f7bf4afce9882c6bc1f109a86219826320c9561ec2215a4630d7c751e5b"),
+     "a4966ebd422c17bacd886ab7c0bc6e424eb6f761dc8664957db4b7e3057ab0c4"),
     ("gaussgreen-log-59049-2k-3k-csv", ["gaussgreen", "--model", "log-increment-line",
                                         "--radius", "59049", "--u", "logu", "--v", "logu",
                                         "--plan", "radii:2^k", "--alt-plan", "radii:3^k",
                                         "--format", "csv"], 0,
-     "27ffce782460b7e5d0dc34e00acfaeee663478596df980c8338028b702899b53"),
+     "a993d8a49e4ea5b21470289749cfd983c205e6b9a71d1ff7d838fff57df0e744"),
     ("kernel-harm-csv", ["kernel", "--model", "geom-z", "--c", "2", "--radius", "40",
                          "--plan", "balls:1..38", "--x", "1", "--kind", "harm",
                          "--format", "csv"], 0,
-     "1e3dc4aa01df84d2b12d188824ae6167ad1f1c9d9a4145a0d92094bbd75b8697"),
+     "89f02222c71f0d04c7e1430e9fd2e7860da70b1abcddfc47105752b438c3041b"),
     ("monopole-star", ["monopole", "--model", "star", "--radius", "12",
                        "--plan", "balls:1..10"], 0,
-     "3c09d4464ec7f548e04fb7d60f6e8e75fedb8c556d05eabdc07af993920bede7"),
+     "27830ae8ff70c0a6826c7907fc9e262b5f75af84b9c5d311b2ce061968ba5a49"),
     ("resistance-wired", ["resistance", "--model", "geom-z", "--c", "2",
                           "--radius", "40", "--plan", "balls:1..38", "--x", "0",
                           "--y", "3", "--variant", "wired"], 0,
-     "37e1a012b54160262973e598c4ece8d85871e55eb67b34b0af700d65817e7854"),
+     "0a06a49b342618e7f2bd0e51bd8b59c7e2aed5e4eff20bee066dfcc470ed3e34"),
     ("transience-tree", ["transience", "--model", "binary-tree", "--radius", "8",
                          "--walks", "500", "--steps", "500"], 0,
-     "21fa9e84bdd28628fc920f5bebf566d3dd045b2ea96345a2157f28ba7ce6327c"),
+     "4f099103e8c5bf6c6b72107e79d8f12c3c17d40a873d1637873f487031b5874d"),
     ("walk-escape", ["walk", "--model", "unit-line", "--radius", "30", "--op", "escape",
                      "--radii", "2,4,8", "--walks", "2000", "--steps", "2000",
                      "--seed", "5"], 0,
-     "54d96eeb9c0dd1c2d6daa49dbc872e5fd69bc70a4de44cbea77d9581e21500b5"),
+     "e1ce09e68090485c3234876ecd081d3d827307de3fdaec41e18a91259f1abbaa"),
     ("walk-green-star", ["walk", "--model", "star", "--radius", "10", "--op", "green",
                          "--walks", "500", "--steps", "500", "--seed", "2"], 0,
-     "9ce47d7a8de79a7fd9a703a128c5554ea03972ba4e66142316ed74aa516fc7d3"),
+     "ee2108962e036c6a4f9e18425d4353a2d937708dca5d5f8ffdf63803ac325687"),
     ("gaussgreen-star-file", ["gaussgreen", "--model", "star", "--radius", "4",
                               "--plan", "balls:1..3", "--u", f"file:{STAR_U}",
                               "--v", f"file:{STAR_V}"], 3,
-     "1ed4c0cde0557de814c25486c0ecdf9115ca9e4222aab684c1ad8a0aaf1a13c8"),
+     "a21ee2868524361dcfd9eda5cc8d075e971db1c0a0d9e0f3200b11f4da25eb15"),
 ]
 
 
 # SHA-256 of the help text, at 80 columns, of the top level and of each verb.
 HELP = [
     ([], "8b2ba0128e848ffd17756c8d4a51977c070d2c92ecd11cac590f275e4cf1b9b8"),
-    (["gen"], "2fe714407082c4a585bfa36e4b1a4b4fa908541c4cffe84dbd36f88b840c3bc6"),
-    (["kernel"], "aefa27c74049827c3e4381beebfa1ac447f1e4aa7e57e7784b693baaac93c426"),
-    (["monopole"], "2c7a1f653b775c098852a5cec48bf31b5a44b2e974d7dee65c9593da03f1ed9d"),
-    (["gaussgreen"], "94dcddf055bc4d7bc39e0cd309351d9566ab3534003a7f48419dbb53025190c9"),
-    (["transience"], "d9599ea73bfbfc2676c0ef5d6754a55480c7bc5c09ede314d067ea216fadc29e"),
-    (["walk"], "2da13a8bd6f784e503422299b093abcad602b3de9cd304c7e353c58b2a8024d8"),
-    (["resistance"], "327a43e2f8f81bc787686ac91291464780c749a9641ebb8699aa6636a666fd38"),
-    (["report"], "7c27cc59f2957764429a4b179716b6f7ec29bf3e9d2dbb549b190fd40652b095"),
+    (["gen"], "b3cba7e6024f645e6e1f5101b00478358d627a80ba93014691d9bbd168c2f6c3"),
+    (["kernel"], "33974e86e97eb50307e570a7a1c817f093e61af9146ba7394d33094658b94431"),
+    (["monopole"], "41c0754692e8bf8a0d637ad9a2ea728ce80bd39ad0d1265cac2aa59a50f8fc98"),
+    (["gaussgreen"], "20499a4c855f404c11ed61ff86eafe5c17330f4c0de95ecc6852010540471921"),
+    (["transience"], "12f6cec88664893a9e5c952e0725032239ea5f0130d8bb39eb8a323fa8618c43"),
+    (["walk"], "f2bec72eacffdbcb4bbc26496ad7188cf039b0385a9fe66768da86c1c8fedb84"),
+    (["resistance"], "aaa5d14a6b88529354872708a1607a287fc3610c2f19108a0b73fdd1cec88555"),
+    (["report"], "10734503d5657a554d6787262951dd6f8659c48bdf8d045e99b4a0fef5ed4723"),
 ]
 
 def write_grid(path, side=9, seed=3):
