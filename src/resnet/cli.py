@@ -4,8 +4,10 @@ Verbs: gen, kernel, monopole, gaussgreen, transience, walk, resistance,
 report.  The parser is built per verb from ``_VERBS``: it names every verb
 with its help and gives only the invoked one its arguments, which are the
 options that verb reads.  Results are JSON (verdicts, reports) or CSV
-(per-stage traces); every artifact embeds the configuration the verb read:
-its seed, tolerance (resolved), walks, steps, plan and network.
+(per-stage traces); every artifact's config block records the version,
+each of the seed, tolerance (at the verb's default when omitted), walks and
+steps that the verb takes, the plan, the network options and the resolved
+model, and the verb's own extras (gaussgreen's --u/--v, walk's --op).
 
 Exit codes: 0 success, 2 precondition or domain errors (bad input, unknown
 model, malformed JSON), 3 a result that did not converge (still written) or
@@ -120,6 +122,10 @@ def _load_net(args):
     radius = args.radius
     if radius is not None and radius < 1:
         raise ConfigurationError(f"--radius must be at least 1, got {radius}")
+    params = {k: getattr(args, k) for k in ("c", "arms") if getattr(args, k) is not None}
+    if args.net and args.model or params and not args.model:
+        raise ConfigurationError("--net and --model exclude each other, and --c and "
+                                 "--arms set a --model family's parameters")
     if args.net:
         try:
             with open(args.net, "r", encoding="utf-8") as fh:
@@ -135,7 +141,6 @@ def _load_net(args):
                 f"malformed network JSON in {args.net}: {exc}") from exc
     if args.model:
         family = args.model.replace("-", "_")
-        params = {k: getattr(args, k) for k in ("c", "arms") if getattr(args, k) is not None}
         return build(ModelSpec(family, params), radius=radius)
     raise ConfigurationError("specify either --net FILE or --model NAME")
 
@@ -212,7 +217,8 @@ def _function_file(net, path):
 
 
 def _config_header(args, net, plan=None, **extras):
-    """The version and what shaped the artifact, of what the verb takes."""
+    """The config block: the version, then each of seed, tol, walks and steps
+    that the verb takes, the plan, the network options and model, and ``extras``."""
     header = {k: getattr(args, k) for k in ("seed", "tol", "walks", "steps")
               if hasattr(args, k)}
     header["version"] = __version__
@@ -316,36 +322,43 @@ def _cmd_transience(args):
     return EXIT_OK if verdict.verdict != "inconclusive" else EXIT_NUMERIC
 
 
+# The options each walk --op reads besides the network and the walks, and
+# what it reads them for.
+_WALK_OPS = {
+    "hitting": (("x", "start", "absorber"), "hitting walks from --start until --x or --absorber"),
+    "green": (("x", "y"), "green walks from --x and counts the visits to --y"),
+    "escape": (("radii",), "escape walks start at the network's origin"),
+}
+
+
 def _cmd_walk(args):
+    reads, why = _WALK_OPS[args.op]
+    given = [f"--{name}" for name in ("x", "y", "start", "absorber", "radii")
+             if name not in reads and getattr(args, name) is not None]
+    if given:
+        raise ConfigurationError(
+            f"walk --op {args.op} does not take {', '.join(given)}: {why}")
     if args.op == "escape":
-        given = [f"--{name}" for name in ("x", "y", "start", "absorber")
-                 if getattr(args, name) is not None]
-        if given:
-            raise ConfigurationError(
-                f"walk --op escape does not take {', '.join(given)}: escape walks "
-                "start at the network's origin")
-        radii = _radii(args.radii.split(","), f"--radii {args.radii!r}")
+        text = "2,4,8,16" if args.radii is None else args.radii
+        radii = _radii(text.split(","), f"--radii {text!r}")
     net = _load_net(args)
     cfg = WalkConfig(n_walks=args.walks, max_steps=args.steps, seed=args.seed)
-    if args.op == "hitting":
-        est = hitting_probability(net, _vertex_or_origin(net, args.x),
-                                  _vertex_or_origin(net, args.absorber),
-                                  _vertex_or_origin(net, args.start), cfg)
-        payload = {"estimate": est.value, "stderr": est.stderr,
-                   "flags": list(est.flags), "n_walks": est.n_walks,
-                   "seed": est.seed}
-    elif args.op == "green":
-        x = _vertex_or_origin(net, args.x)
-        y = x if args.y is None else _parse_vertex(args.y)
-        est = green_estimate(net, x, y, cfg)
-        payload = {"estimate": est.value, "stderr": est.stderr,
-                   "flags": list(est.flags), "n_walks": est.n_walks,
-                   "seed": est.seed, "meta": est.meta}
-    else:
+    if args.op == "escape":
         trace = escape_probability(net, radii, cfg)
         payload = {"points": [list(p) for p in trace.points],
                    "capped": trace.capped, "exited": trace.exited,
                    "n_walks": trace.n_walks, "seed": trace.seed}
+    else:
+        x = _vertex_or_origin(net, args.x)
+        if args.op == "hitting":
+            est = hitting_probability(net, x, _vertex_or_origin(net, args.absorber),
+                                      _vertex_or_origin(net, args.start), cfg)
+        else:
+            est = green_estimate(net, x, x if args.y is None else _parse_vertex(args.y), cfg)
+        payload = {"estimate": est.value, "stderr": est.stderr, "flags": list(est.flags),
+                   "n_walks": est.n_walks, "seed": est.seed}
+        if args.op == "green":
+            payload["meta"] = est.meta
     payload["config"] = _config_header(args, net, op=args.op)
     _emit(args, canonical_json(payload) + "\n")
     return EXIT_OK
@@ -427,7 +440,7 @@ _VERBS = {
         ("--y", dict(help="green: vertex whose visits are counted (default: --x)")),
         ("--start", dict(help="hitting: start vertex (default: the network's origin)")),
         ("--absorber", dict(help="hitting: absorbing vertex (default: the network's origin)")),
-        ("--radii", dict(default="2,4,8,16")),
+        ("--radii", dict(help="escape: ball radii R1,R2,... (default: 2,4,8,16)")),
         ("--walks", dict(type=int, default=100000)),
         ("--steps", dict(type=int, default=100000)))),
     "resistance": ("effective resistance between two vertices", _cmd_resistance, (
@@ -472,10 +485,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"resnet: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ResnetError as exc:
-        print(f"resnet: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except FileNotFoundError as exc:
+    except (ResnetError, FileNotFoundError) as exc:
         print(f"resnet: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -48,6 +48,8 @@ FAMILIES = ("geom_z", "geom_zplus", "star", "unit_line", "binary_tree",
             "log_increment_line")
 
 _GEOMETRIC = ("geom_z", "geom_zplus", "star")
+# The parameters each family reads; every family reads its window radius.
+_PARAMS = {"geom_z": ("c",), "geom_zplus": ("c",), "star": ("c", "arms")}
 
 # Windows with more vertices than this are refused before they are built.
 MAX_WINDOW_VERTICES = 2 ** 20
@@ -58,7 +60,8 @@ class ModelSpec:
     """A built-in family plus its parameters.
 
     Parameters: ``c`` (conductance base, geometric families), ``arms``
-    (star arm count), ``radius`` (default window radius).
+    (star arm count), ``radius`` (default window radius); a parameter the
+    family does not read is refused.
     """
 
     family: str
@@ -68,6 +71,12 @@ class ModelSpec:
         if self.family not in FAMILIES:
             raise UnsupportedModelError(
                 f"unknown model family {self.family!r}; choose from {FAMILIES}")
+        reads = ("radius", *_PARAMS.get(self.family, ()))
+        unread = sorted(set(self.params) - set(reads))
+        if unread:
+            raise ConfigurationError(
+                f"model {self.family} does not read {', '.join(map(repr, unread))}; "
+                f"its parameters are {', '.join(reads)}")
         if self.family in _GEOMETRIC:
             c = float(self.params.get("c", 2.0))
             if c <= 0.0:

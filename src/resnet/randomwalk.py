@@ -299,12 +299,16 @@ def escape_probability(net, radii, cfg):
 
     The ball is measured from the origin, so the walks start there.  One
     batch serves every radius: each walk records the largest distance it
-    reaches before first returning home.  Radii must stay strictly inside the
-    materialized window so the edge kill cannot be mistaken for a return.
+    reaches before first returning home.  Radii are nonnegative (the ball of
+    radius 0 is the origin, which every walk leaves, so P = 1) and stay
+    strictly inside the materialized window so the edge kill cannot be
+    mistaken for a return.
     """
     radii = tuple(int(r) for r in radii)
     if not radii:
         raise DomainError("need at least one radius")
+    if min(radii) < 0:
+        raise DomainError(f"escape radii must be nonnegative, got {min(radii)}")
     if not net.is_finite and max(radii) >= net.window_radius:
         raise DomainError(
             f"escape radii must stay below the window radius {net.window_radius}")

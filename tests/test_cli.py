@@ -313,6 +313,8 @@ def test_walk_escape_rejects_the_vertex_flags(tmp_path, capsys, flag):
     (["monopole", "--plan", "radii:"], "plan 'radii:': invalid literal"),
     (["walk", "--op", "escape", "--radii", "2,x", "--walks", "10", "--steps", "10"],
      "--radii '2,x': invalid literal"),
+    (["walk", "--op", "escape", "--radii", "0,-3", "--walks", "10", "--steps", "10"],
+     "escape radii must be nonnegative, got -3"),
 ])
 def test_malformed_radii_exit_2(tmp_path, capsys, argv, message):
     out = tmp_path / "out.json"
@@ -507,9 +509,100 @@ REQUIRED = {"gen": [], "kernel": ["--x", "1"], "monopole": [],
             "report": []}
 
 
-@pytest.mark.parametrize("verb", REQUIRED)
-def test_an_unknown_option_exits_2(capsys, verb):
+# The shared options each verb reads; each verb refuses the others.
+SHARED = {"--plan": "balls:1..2", "--tol": "0.5", "--format": "csv", "--seed": "3"}
+TAKES = {"gen": (), "kernel": ("--plan", "--tol", "--format"), "monopole": ("--plan",),
+         "gaussgreen": ("--plan", "--tol", "--format"), "transience": ("--plan", "--seed"),
+         "walk": ("--seed",), "resistance": ("--plan",), "report": ("--plan", "--seed")}
+UNREAD = [(verb, [flag, SHARED[flag]]) for verb in REQUIRED
+          for flag in SHARED if flag not in TAKES[verb]]
+
+
+@pytest.mark.parametrize("verb, option",
+                         [(verb, ["--bogus"]) for verb in REQUIRED] + UNREAD,
+                         ids=list(REQUIRED) + [f"{verb}{flag}" for verb, (flag, _) in UNREAD])
+def test_an_unknown_option_exits_2(capsys, verb, option):
     with pytest.raises(SystemExit) as done:
-        main([verb, "--model", "unit-line", *REQUIRED[verb], "--bogus"])
+        main([verb, "--model", "unit-line", *REQUIRED[verb], *option])
     assert done.value.code == 2
-    assert "error: unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert f"error: unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+def test_each_verb_takes_the_shared_options_it_reads(capsys):
+    for verb, flags in TAKES.items():
+        with pytest.raises(SystemExit):
+            main([verb, "--help"])
+        page = capsys.readouterr().out
+        assert [flag for flag in SHARED if f"  {flag} " in page] == list(flags)
+
+
+# Each verb's arguments on a small network, and the keys of its config block.
+CONFIG = {
+    "kernel": (["--model", "unit-line", "--radius", "8", "--x", "1"],
+               {"tol", "plan"}),
+    "monopole": (["--model", "unit-line", "--radius", "8"], {"plan"}),
+    "gaussgreen": (["--model", "log-increment-line", "--radius", "16", "--u", "logu",
+                    "--v", "logu", "--plan", "radii:2^k"], {"tol", "plan", "u", "v"}),
+    "transience": (["--model", "unit-line", "--radius", "8", "--walks", "20",
+                    "--steps", "20"], {"seed", "walks", "steps", "plan"}),
+    "walk": (["--model", "unit-line", "--radius", "20", "--op", "escape", "--walks", "20",
+              "--steps", "20"], {"seed", "walks", "steps", "op"}),
+    "resistance": (["--model", "unit-line", "--radius", "8", "--x", "0", "--y", "1"],
+                   {"plan"}),
+    "report": (["--model", "unit-line", "--radius", "8", "--walks", "20", "--steps", "20"],
+               {"seed", "walks", "steps", "plan"}),
+}
+
+
+@pytest.mark.parametrize("verb", CONFIG)
+def test_the_config_block_records_what_the_verb_read(tmp_path, verb):
+    argv, keys = CONFIG[verb]
+    out = tmp_path / "out.json"
+    assert main([verb, *argv, "-o", str(out)]) in (0, 3)
+    config = json.loads(out.read_text())["config"]
+    assert set(config) == {"version", "model", "resolved_model"} | keys
+
+
+NETWORK_OPTIONS = "--net and --model exclude each other, and --c and --arms set a --model"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--net", "g.json", "--model", "star", "--c", "9", "--arms", "4"], NETWORK_OPTIONS),
+    (["--net", "g.json", "--model", "geom-z"], NETWORK_OPTIONS),
+    (["--net", "g.json", "--c", "2"], NETWORK_OPTIONS),
+    (["--arms", "3"], NETWORK_OPTIONS),
+    (["--model", "unit-line", "--c", "0", "--arms", "9"],
+     "model unit_line does not read 'arms', 'c'"),
+])
+def test_the_network_options_read_one_network(tmp_path, capsys, monkeypatch, argv,
+                                              message):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--model", "geom-z", "--radius", "5", "-o", "g.json"]) == 0
+    assert main(["gen", *argv, "-o", "out.json"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("argv, given", [
+    (["--op", "green", "--radii", "9,10", "--start", "3", "--absorber", "4"],
+     "walk --op green does not take --start, --absorber, --radii"),
+    (["--op", "hitting", "--y", "7"], "walk --op hitting does not take --y"),
+    (["--op", "hitting", "--x", "3", "--radii", "2"], "walk --op hitting does not take --radii"),
+])
+def test_walk_refuses_the_options_its_op_does_not_read(tmp_path, capsys, argv, given):
+    out = tmp_path / "w.json"
+    assert main(["walk", "--model", "unit-line", "--radius", "20", *argv,
+                 "--walks", "10", "--steps", "10", "-o", str(out)]) == 2
+    assert given in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_walk_escape_radii_default(tmp_path):
+    args = ["walk", "--model", "unit-line", "--radius", "30", "--op", "escape",
+            "--walks", "50", "--steps", "50"]
+    implicit, explicit = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(args + ["-o", str(implicit)]) == 0
+    assert main(args + ["--radii", "2,4,8,16", "-o", str(explicit)]) == 0
+    assert implicit.read_bytes() == explicit.read_bytes()
+    points = json.loads(implicit.read_text())["points"]
+    assert [r for r, _, _ in points] == [2, 4, 8, 16]

@@ -93,7 +93,7 @@ HELP = [
     (["monopole"], "41c0754692e8bf8a0d637ad9a2ea728ce80bd39ad0d1265cac2aa59a50f8fc98"),
     (["gaussgreen"], "20499a4c855f404c11ed61ff86eafe5c17330f4c0de95ecc6852010540471921"),
     (["transience"], "12f6cec88664893a9e5c952e0725032239ea5f0130d8bb39eb8a323fa8618c43"),
-    (["walk"], "f2bec72eacffdbcb4bbc26496ad7188cf039b0385a9fe66768da86c1c8fedb84"),
+    (["walk"], "f7b00d73974960d70e1360e9c211c2aa2a8820ddbc4c7e8adf6f46734b381037"),
     (["resistance"], "aaa5d14a6b88529354872708a1607a287fc3610c2f19108a0b73fdd1cec88555"),
     (["report"], "10734503d5657a554d6787262951dd6f8659c48bdf8d045e99b4a0fef5ed4723"),
 ]

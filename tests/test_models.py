@@ -53,6 +53,30 @@ def test_family_validation():
         ModelSpec("star", {"arms": 0})
 
 
+@pytest.mark.parametrize("family, params, unread", [
+    ("unit_line", {"c": 0, "arms": 9}, "'arms', 'c'"),
+    ("binary_tree", {"c": 2.0}, "'c'"),
+    ("log_increment_line", {"arms": 2, "radius": 9}, "'arms'"),
+    ("geom_z", {"c": 2.0, "arms": 3}, "'arms'"),
+    ("geom_zplus", {"arms": 3}, "'arms'"),
+    ("star", {"c": 2.0, "arms": 3, "legs": 4}, "'legs'"),
+])
+def test_a_parameter_the_family_does_not_read_is_refused(family, params, unread):
+    message = f"model {family} does not read {unread}"
+    with pytest.raises(ConfigurationError, match=message):
+        ModelSpec(family, params)
+    with pytest.raises(ConfigurationError, match=message):  # the JSON model form
+        load_network({"model": family, "params": params, "radius": 4})
+
+
+@pytest.mark.parametrize("family, params", [
+    ("geom_z", {"c": 3.0, "radius": 5}), ("geom_zplus", {"c": 0.5}),
+    ("star", {"c": 2.0, "arms": 4, "radius": 3}), ("unit_line", {"radius": 7}),
+    ("binary_tree", {}), ("log_increment_line", {"radius": 9})])
+def test_the_parameters_a_family_reads_are_taken(family, params):
+    assert ModelSpec(family, params).params == params
+
+
 @pytest.mark.parametrize("family", ["geom_z", "geom_zplus"])
 @pytest.mark.parametrize("c", [1.5, 2.0, 3.0])
 def test_oracles_satisfy_their_defining_equations(family, c):

@@ -147,6 +147,14 @@ def test_escape_radii_must_fit_window(geom2):
         escape_probability(geom2, (40,), cfg)
 
 
+def test_escape_radii_must_be_nonnegative(geom2):
+    cfg = WalkConfig(n_walks=50, max_steps=50, seed=0)
+    with pytest.raises(DomainError, match="nonnegative, got -3"):
+        escape_probability(geom2, (0, -3), cfg)
+    # B_0 = {o}: every walk leaves the origin at its first step.
+    assert escape_probability(geom2, (0, 2), cfg).points[0][:2] == (0, 1.0)
+
+
 def test_walk_config_validation():
     with pytest.raises(DomainError):
         WalkConfig(n_walks=0)

@@ -76,7 +76,9 @@ def test_build_matches_the_reference_search_on_the_log_increment_line():
        arms=st.integers(min_value=1, max_value=6),
        radius=st.integers(min_value=0, max_value=9))
 def test_build_matches_the_reference_search_on_small_windows(family, c, arms, radius):
-    spec = ModelSpec(family, {"c": c, "arms": arms})
+    # Each family is given only the parameters it reads.
+    params = {"geom_z": {"c": c}, "geom_zplus": {"c": c}, "star": {"c": c, "arms": arms}}
+    spec = ModelSpec(family, params.get(family, {}))
     assert_same_window(build(spec, radius), reference_window(spec, radius),
                        range(radius + 1))
 
