@@ -468,8 +468,8 @@ def build_parser(verb=None):
         if name != verb:
             continue
         for flag, options in _NETWORK + own:
-            if flag == "--seed":  # read as the parser is built
-                options = dict(options, default=int(os.environ.get("RESNET_SEED", "0")))
+            if flag == "--seed":  # a string default goes through type=int too
+                options = dict(options, default=os.environ.get("RESNET_SEED", "0"))
             p.add_argument(flag, **options)
         p.add_argument("-o", "--output", default="-", help="output path (default stdout)")
         p.set_defaults(fn=fn)

@@ -96,10 +96,12 @@ class BoundarySumTrace:
     exhaustion_dependent: bool | None = None
 
 
-def _limit_estimate(values, tol=LIMIT_TOL, window=3):
-    if len(values) < window:
+def _limit_estimate(values, tol):
+    """The mean of the last three values, and True, when they agree within
+    ``tol``; else ``(None, False)``."""
+    if len(values) < 3:
         return None, False
-    tail = values[-window:]
+    tail = values[-3:]
     if max(tail) - min(tail) <= tol:
         return float(prefix_sums(np.array(tail))[-1]) / len(tail), True
     return None, False

@@ -11,9 +11,12 @@ largest, which is the same stream.  A walk compares its raw 64-bit draw with
 integer thresholds of its cumulative probabilities, which picks the same
 neighbour as comparing the double.
 
-Walks that step beyond the materialized window are terminated and counted as
-exits; estimators report that fraction so truncation never passes silently.
-The estimators read their vertex ids once, as positions (an id outside the
+One engine serves every estimator.  A walk ends on a stop set of positions
+or beyond the materialized window, and the engine reports where each walk
+ended (exits are counted, so truncation never passes silently).  A fold of
+per-position weights with one ufunc reduces each path to one integer: a
+visit count with ``np.add``, a maximum distance with ``np.maximum``.  The
+estimators read their vertex ids once, as positions (an id outside the
 window is a DomainError naming its role); the engine sees only positions.
 """
 
@@ -112,60 +115,49 @@ def _require_vertices(net, **roles):
             raise DomainError(f"{role} vertex {v!r} is not materialized") from None
 
 
-def _simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
-              track_max_distance=False, return_home=None, mid_step=None):
-    """Vectorized batch of walks from ``start``.
+def _simulate(net, start, cfg, *, stop=(), fold=None):
+    """Vectorized batch of walks from ``start``; returns ``(last, score, half)``.
 
-    Vertices come as window positions; ``absorb`` holds those of the
-    absorbing vertices.  Returns a dict with per-walk outcome arrays:
-    ``absorbed_at`` (index into ``absorb``, -1 if none), ``exited`` (left the
-    window), ``capped`` (still walking at the horizon), plus optional visit
-    counts, max pre-return distance and visit counts up to step
-    ``mid_step``.  Absorption applies from step 1, never at time 0.
+    Vertices come as window positions.  A walk ends when it steps onto a
+    position in ``stop`` (from step 1, never at time 0) or beyond the window.
+    ``last[w]`` is where walk w ended: a ``stop`` position, ``n`` (the number
+    of window vertices) beyond the window, or -1 if it was still walking at
+    the horizon.  ``fold = (weight, ufunc)`` reduces each path to one int64:
+    it starts at ``weight[start]`` and applies ``ufunc(score, weight[v])`` at
+    every position v the walk steps onto, with ``weight[n]`` for the step
+    beyond the window.  ``half`` is the fold after ``cfg.max_steps // 2``
+    steps; without a fold ``score`` and ``half`` are None.
 
     Only active walks move.  They are kept as an ascending array of walk
-    indices, with their positions, visit counts and maximum distances aligned
-    to it; a walk leaves it when it exits, is absorbed or returns home.  At
-    step t one Philox bit generator is reset to key (seed, t) and the block of
-    the smallest active walk, and draws up to the largest: walk w gets the
-    w-th double of the stream ``Generator(Philox(key=(t << 64) | seed))``, so
-    the result does not depend on which walks are still active.  Each walk
-    then finds its neighbour by binary search over its row of thresholds,
+    indices, with their positions and folds aligned to it.  At step t one
+    Philox bit generator is reset to key (seed, t) and the block of the
+    smallest active walk, and draws up to the largest: walk w gets the w-th
+    double of the stream ``Generator(Philox(key=(t << 64) | seed))``, so the
+    result does not depend on which walks are still active.  Each walk then
+    finds its neighbour by binary search over its row of thresholds,
     comparing the raw draw, never the double.  The halt test runs only when
-    a walk can stop: with absorbers, a home vertex or a window ring.
+    a walk can stop: with a stop set or a window ring.
     """
     nbr, thr, width = _walk_space(net)
     n_verts = len(net.vertices)
-    # Per vertex, with slot n_verts for every vertex beyond the window:
-    # whether stepping onto it ends the walk, and its absorber index.
+    # Per vertex, with slot n_verts for every vertex beyond the window: whether
+    # stepping onto it ends the walk.  Padding points at slot n_verts too, but
+    # no walk steps onto padding: only the stop set and the ring end one.
     halt = np.zeros(n_verts + 1, dtype=bool)
-    halt[n_verts] = True
-    code = None
-    if absorb:
-        code = np.full(n_verts + 1, -1, dtype=np.int64)
-        code[list(absorb)] = np.arange(len(absorb))
-        halt |= code >= 0
-    if return_home is not None:
-        halt[return_home] = True
-    # Padding points at slot n_verts too, but no walk steps onto padding:
-    # only absorbers, the home vertex and the ring can stop one.
-    can_stop = bool(absorb) or return_home is not None or bool((net.arrays.nbr < 0).any())
+    halt[[n_verts, *stop]] = True
+    can_stop = bool(stop) or bool((net.arrays.nbr < 0).any())
 
-    n = cfg.n_walks
+    n, mid = cfg.n_walks, cfg.max_steps // 2
     walks = np.arange(n)
     cur = np.full(n, start, dtype=np.int64)
-    absorbed_at = np.full(n, -1, dtype=np.int64)
-    exited = np.zeros(n, dtype=bool)
-    visits = mid_visits = maxdist = None
-    if count_visits_to is not None:
-        visits = np.full(n, int(start == count_visits_to), dtype=np.int64)
-        vis = visits.copy()
-    if track_max_distance:
-        dist = np.append(net.arrays.dist, 0)
-        maxdist = np.zeros(n, dtype=np.int64)
-        far = maxdist.copy()
+    last = np.full(n, -1, dtype=np.int64)
+    score = acc = half = None
+    if fold is not None:
+        weight, ufunc = fold
+        score = np.full(n, weight[start], dtype=np.int64)
+        acc = score.copy()
     # Binary search probes: the half-widths, each against a shifted view.
-    probes = [(half, thr[half - 1:]) for half in
+    probes = [(h, thr[h - 1:]) for h in
               (width >> k for k in range(1, width.bit_length()))]
     bits = np.random.Philox(0)
     counter, key = [0, 0, 0, 0], [int(cfg.seed) & _MASK64, 0]
@@ -175,9 +167,9 @@ def _simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
              "has_uint32": 0, "uinteger": 0}
 
     for t in range(cfg.max_steps):
-        if t == mid_step and visits is not None:
-            mid_visits = visits.copy()
-            mid_visits[walks] = vis
+        if t == mid and acc is not None:
+            half = score.copy()
+            half[walks] = acc
         if not len(walks):
             break
         first = int(walks[0]) & ~3
@@ -187,44 +179,27 @@ def _simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
         if len(raw) != len(walks):
             raw = raw.take(walks - first)
         pick = cur * width
-        for half, shifted in probes:
-            pick += (raw > shifted.take(pick)) * half
+        for h, shifted in probes:
+            pick += (raw > shifted.take(pick)) * h
         cur = nbr.take(pick)
-        if visits is not None:
-            vis += cur == count_visits_to
-        if maxdist is not None:
-            np.maximum(far, dist.take(cur), out=far)
+        if acc is not None:
+            ufunc(acc, weight.take(cur), out=acc)
         if not can_stop:
             continue
-        stop = halt.take(cur)
-        gone = np.flatnonzero(stop)
+        ended = halt.take(cur)
+        gone = np.flatnonzero(ended)
         if len(gone):
-            w, last, keep = walks[gone], cur[gone], ~stop
-            exited[w] = last == n_verts
-            if code is not None:
-                absorbed_at[w] = code.take(last)
-            if visits is not None:
-                visits[w], vis = vis[gone], vis[keep]
-            if maxdist is not None:
-                maxdist[w], far = far[gone], far[keep]
+            w, keep = walks[gone], ~ended
+            last[w] = cur[gone]
+            if acc is not None:
+                score[w], acc = acc[gone], acc[keep]
             walks, cur = walks[keep], cur[keep]
 
-    capped = np.zeros(n, dtype=bool)
-    capped[walks] = True
-    if visits is not None:
-        visits[walks] = vis
-        if mid_step is not None and mid_visits is None:
-            mid_visits = visits.copy()
-    if maxdist is not None:
-        maxdist[walks] = far
-    return {
-        "absorbed_at": absorbed_at,
-        "exited": exited,
-        "capped": capped,
-        "visits": visits,
-        "mid_visits": mid_visits,
-        "max_distance": maxdist,
-    }
+    if acc is not None:
+        score[walks] = acc
+        if half is None:  # every walk ended before the half horizon
+            half = score.copy()
+    return last, score, half
 
 
 def hitting_probability(net, target, absorber, start, cfg):
@@ -242,9 +217,9 @@ def hitting_probability(net, target, absorber, start, cfg):
     if s == a:
         return McEstimate(value=0.0, stderr=0.0, n_walks=cfg.n_walks,
                           seed=cfg.seed)
-    out = _simulate(net, s, cfg, absorb=(t, a))
-    decided = out["absorbed_at"] >= 0
-    n_dec = int(decided.sum())
+    last = _simulate(net, s, cfg, stop=(t, a))[0]
+    hits = int((last == t).sum())
+    n_dec = hits + int((last == a).sum())
     lost = cfg.n_walks - n_dec
     flags = []
     if lost > 0.01 * cfg.n_walks:
@@ -253,8 +228,8 @@ def hitting_probability(net, target, absorber, start, cfg):
         return McEstimate(value=float("nan"), stderr=float("inf"),
                           n_walks=cfg.n_walks, seed=cfg.seed,
                           flags=("biased", "no-decisions"))
-    p = float((out["absorbed_at"][decided] == 0).mean())
-    stderr = float(np.sqrt(max(p * (1.0 - p), 1e-300) / n_dec))
+    p = hits / n_dec
+    stderr = float(np.sqrt(p * (1.0 - p) / n_dec))
     return McEstimate(value=p, stderr=stderr, n_walks=cfg.n_walks, seed=cfg.seed,
                       flags=tuple(flags), meta={"decided": n_dec, "lost": lost})
 
@@ -267,19 +242,21 @@ def green_estimate(net, x, y, cfg):
     Carlo signature of recurrence.
     """
     s, t = _require_vertices(net, start=x, target=y)
-    out = _simulate(net, s, cfg, count_visits_to=t, mid_step=cfg.max_steps // 2)
-    visits = out["visits"].astype(np.float64)
+    weight = np.zeros(len(net.vertices) + 1, dtype=np.int64)
+    weight[t] = 1
+    last, visits, half = _simulate(net, s, cfg, fold=(weight, np.add))
+    visits = visits.astype(np.float64)
     value = float(visits.mean())
     stderr = float(visits.std(ddof=1) / np.sqrt(cfg.n_walks)) if cfg.n_walks > 1 else 0.0
-    mid = float(out["mid_visits"].mean())
+    mid = float(half.mean())
     flags = []
     if mid > 0 and value > 1.15 * mid:
         flags.append("diverging")
-    exited = int(out["exited"].sum())
     return McEstimate(value=value, stderr=stderr, n_walks=cfg.n_walks,
                       seed=cfg.seed, flags=tuple(flags),
-                      meta={"half_horizon_mean": mid, "exited": exited,
-                            "capped": int(out["capped"].sum())})
+                      meta={"half_horizon_mean": mid,
+                            "exited": int((last == len(net.vertices)).sum()),
+                            "capped": int((last < 0).sum())})
 
 
 @dataclass(frozen=True)
@@ -313,13 +290,14 @@ def escape_probability(net, radii, cfg):
         raise DomainError(
             f"escape radii must stay below the window radius {net.window_radius}")
     o = net._order[0]
-    out = _simulate(net, o, cfg, track_max_distance=True, return_home=o)
-    maxdist = out["max_distance"]
+    # Slot n, beyond the window, weighs 0 so an exit never raises the maximum.
+    dist = np.append(net.arrays.dist, 0)
+    last, maxdist, _ = _simulate(net, o, cfg, stop=(o,), fold=(dist, np.maximum))
     points = []
     for r in radii:
         p = float((maxdist > r).mean())
-        stderr = float(np.sqrt(max(p * (1.0 - p), 1e-300) / cfg.n_walks))
+        stderr = float(np.sqrt(p * (1.0 - p) / cfg.n_walks))
         points.append((r, p, stderr))
-    return EscapeTrace(points=tuple(points), capped=int(out["capped"].sum()),
-                       exited=int(out["exited"].sum()),
+    return EscapeTrace(points=tuple(points), capped=int((last < 0).sum()),
+                       exited=int((last == len(dist) - 1).sum()),
                        n_walks=cfg.n_walks, seed=cfg.seed)

@@ -215,9 +215,9 @@ def classify(net, plan=None, walk_cfg=None):
     return TransienceVerdict(verdict=verdict, criteria=criteria, evidence=evidence)
 
 
-def _default_probe_vertices(net, count=4):
-    """The positions of vertices adjacent to the origin, one per outgoing
-    direction.
+def _default_probe_vertices(net):
+    """The positions of up to four vertices adjacent to the origin, one per
+    outgoing direction.
 
     Distance-1 samples keep the harmonic-mass gate sharp: the leakage energy
     of the dipole at x on a recurrent net scales with the distance of x, so
@@ -227,7 +227,7 @@ def _default_probe_vertices(net, count=4):
     picks = np.flatnonzero(dist == 1)
     if len(picks) < 2:
         picks = np.concatenate((picks, np.flatnonzero(dist == 2)))
-    return picks[:max(count, 3)]
+    return picks[:4]
 
 
 def harm_dimension_probe(net, plan=None, samples=None):

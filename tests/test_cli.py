@@ -168,6 +168,19 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["config"]["seed"] == 777
 
 
+def test_bad_seed_env_exits_2_unless_seed_given(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RESNET_SEED", "abc")
+    out = tmp_path / "w.json"
+    argv = ["walk", "--model", "unit-line", "--radius", "10", "--op", "escape",
+            "--radii", "2", "--walks", "10", "--steps", "10", "-o", str(out)]
+    assert main(argv + ["--seed", "3"]) == 0
+    assert json.loads(out.read_text())["config"]["seed"] == 3
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+
+
 def test_walk_hitting_verb(tmp_path):
     net = tmp_path / "path.json"
     net.write_text(json.dumps({

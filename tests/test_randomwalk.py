@@ -10,7 +10,7 @@ from resnet.randomwalk import (WalkConfig, escape_probability, green_estimate,
                                hitting_probability)
 from conftest import make_random_net
 from reference_pointwise import step, transition_probabilities
-from reference_windows import distance, has_vertex, total_conductance
+from reference_windows import has_vertex, total_conductance
 
 
 def test_transition_probabilities_sum_to_one(geom2, zplus2):
@@ -65,6 +65,9 @@ def test_hitting_probability_degenerate_starts(unit_path):
     cfg = WalkConfig(n_walks=10, max_steps=10, seed=0)
     assert hitting_probability(unit_path, 2, 0, 2, cfg).value == 1.0
     assert hitting_probability(unit_path, 2, 0, 0, cfg).value == 0.0
+    # From 0 every walk steps onto 1: a certain outcome has no standard error.
+    est = hitting_probability(unit_path, 1, 2, 0, cfg)
+    assert (est.value, est.stderr) == (1.0, 0.0)
     with pytest.raises(DomainError):
         hitting_probability(unit_path, 1, 1, 0, cfg)
 
@@ -151,8 +154,9 @@ def test_escape_radii_must_be_nonnegative(geom2):
     cfg = WalkConfig(n_walks=50, max_steps=50, seed=0)
     with pytest.raises(DomainError, match="nonnegative, got -3"):
         escape_probability(geom2, (0, -3), cfg)
-    # B_0 = {o}: every walk leaves the origin at its first step.
-    assert escape_probability(geom2, (0, 2), cfg).points[0][:2] == (0, 1.0)
+    # B_0 = {o}: every walk leaves the origin at its first step, so P = 1
+    # with no standard error.
+    assert escape_probability(geom2, (0, 2), cfg).points[0] == (0, 1.0, 0.0)
 
 
 def test_walk_config_validation():
@@ -244,52 +248,31 @@ def _reference_step(net, x, u):
     return pairs[-1][0]
 
 
-def _reference_simulate(net, start, cfg, *, absorb=(), count_visits_to=None,
-                        track_max_distance=False, return_home=None,
-                        mid_step=None):
+def _reference_simulate(net, start, cfg, *, stop=(), fold=None):
     """One walk at a time, with the outputs of ``randomwalk._simulate``; it
     takes window positions and walks on vertex ids."""
-    ids = net.vertices
-    start = ids[start]
-    count_visits_to = None if count_visits_to is None else ids[count_visits_to]
-    return_home = None if return_home is None else ids[return_home]
-    n = cfg.n_walks
-    pos, active = [start] * n, [True] * n
-    absorbed_at = np.full(n, -1, dtype=np.int64)
-    exited = np.zeros(n, dtype=bool)
-    code = {net.vertices[p]: i for i, p in enumerate(absorb)}
-    visits = mid_visits = maxdist = None
-    if count_visits_to is not None:
-        visits = np.full(n, int(start == count_visits_to), dtype=np.int64)
-        if mid_step is not None:
-            mid_visits = visits.copy()
-    if track_max_distance:
-        maxdist = np.zeros(n, dtype=np.int64)
+    ids, n_verts, n = net.vertices, len(net.vertices), cfg.n_walks
+    pos, last = [ids[start]] * n, np.full(n, -1, dtype=np.int64)
+    score = half = None
+    if fold is not None:
+        weight, ufunc = fold
+        score = np.full(n, weight[start], dtype=np.int64)
+        half = score.copy()
     for t in range(cfg.max_steps):
-        if not any(active):
-            break
         row = _reference_row(cfg.seed, t, n)
         for w in range(n):
-            if not active[w]:
+            if last[w] >= 0:
                 continue
             y = _reference_step(net, pos[w], row[w])
-            if not has_vertex(net, y):
-                exited[w], active[w] = True, False
-                continue
+            p = ids.index(y) if has_vertex(net, y) else n_verts
+            if score is not None:
+                score[w] = ufunc(score[w], weight[p])
+                if t < cfg.max_steps // 2:
+                    half[w] = score[w]
             pos[w] = y
-            if visits is not None and y == count_visits_to:
-                visits[w] += 1
-                if mid_visits is not None and t < mid_step:
-                    mid_visits[w] += 1
-            if maxdist is not None:
-                maxdist[w] = max(maxdist[w], distance(net, y))
-                if y == return_home:
-                    active[w] = False
-            if y in code:
-                absorbed_at[w], active[w] = code[y], False
-    return {"absorbed_at": absorbed_at, "exited": exited,
-            "capped": np.array(active), "visits": visits,
-            "mid_visits": mid_visits, "max_distance": maxdist}
+            if p == n_verts or p in stop:
+                last[w] = p
+    return last, score, half
 
 
 def _tuple_grid(k):
@@ -332,12 +315,14 @@ def test_engine_equals_scalar_reference(case, seed, monkeypatch):
     net = make()
     cfg = WalkConfig(n_walks=13, max_steps=steps, seed=seed)
     o, s = net._require(net.origin), net._require(start)
+    weight = np.zeros(len(net.vertices) + 1, dtype=np.int64)
+    weight[s] = 1  # the fold starts at 1: visits count time 0
     runs = [
-        ((s, cfg), dict(count_visits_to=o, mid_step=steps // 2),
-         lambda: green_estimate(net, start, net.origin, cfg)),
-        ((o, cfg), dict(track_max_distance=True, return_home=o),
+        ((s, cfg), dict(fold=(weight, np.add)),
+         lambda: green_estimate(net, start, start, cfg)),
+        ((o, cfg), dict(stop=[o], fold=(np.append(net.arrays.dist, 0), np.maximum)),
          lambda: escape_probability(net, radii, cfg)),
-        ((s, cfg), dict(absorb=(net._require(target), net._require(absorber))),
+        ((s, cfg), dict(stop=(net._require(target), net._require(absorber))),
          lambda: hitting_probability(net, target, absorber, start, cfg)),
     ]
     engine = [(randomwalk._simulate(net, *args, **kw), estimate())
@@ -345,11 +330,10 @@ def test_engine_equals_scalar_reference(case, seed, monkeypatch):
     monkeypatch.setattr(randomwalk, "_simulate", _reference_simulate)
     for (args, kw, estimate), (out, result) in zip(runs, engine):
         expected = _reference_simulate(net, *args, **kw)
-        assert out.keys() == expected.keys()
-        for name, want in expected.items():
+        for name, got, want in zip(("last", "score", "half"), out, expected):
             if want is None:
-                assert out[name] is None, name
+                assert got is None, name
             else:
-                assert out[name].dtype == want.dtype, name
-                assert np.array_equal(out[name], want), name
+                assert got.dtype == want.dtype, name
+                assert np.array_equal(got, want), name
         assert result == estimate()
