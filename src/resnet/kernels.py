@@ -15,19 +15,17 @@ computation that did not settle never pretends otherwise.
 
 Each public function reads its vertex ids once, as positions in
 ``net.vertices`` (``Network._require``, which refuses an unknown or ring id
-before any solve); the private helpers take a vertex x as its position.  The
-stage loops pass each ball to the solver as its radius and run on the
-solver's arrays: the origin pin, the stage energies (the edge sum of
-:func:`~resnet.operators.energy`), the harmonic difference h = u_free −
-u_wired and the probe deltas.  Dipole traces sweep the plan stage-major, one
-block solve per stage for all of their sources, keeping the last stage; a
-harmonic part, and the dimension probe of :mod:`resnet.transience` over its
-sample vertices, each make one sweep, free and wired at each stage.
+before any solve); the private helpers take a vertex x as its position.
+Every stage loop is one sweep of the plan (:func:`_sweep`), free and wired
+together where both are read, for all of its sources: the stages before the
+last come off one natural-order window factor per boundary condition, their
+energies from the Gauss-Green sphere term, unless its envelope is over
+budget; the last stage, which gives the approximants, is a block solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -38,7 +36,7 @@ from .network import GAUGE_ORIGIN, GAUGE_RAW, GAUGE_VANISH, Ball, VertexFunction
 from .operators import (edge_energy, inner_edges, prefix_sums,
                         scaled_laplacian_residual)
 from .serialize import csv_text, vertex_label
-from .solver import FREE, WIRED, solve_poisson
+from .solver import FREE, WIRED, _fits, _Leading, solve_poisson
 
 KIND_DIPOLE = "dipole"
 KIND_FIN = "fin"
@@ -134,12 +132,6 @@ def _distances(net, plan, needed):
     return far
 
 
-def _usable_stages(net, plan, needed):
-    """The plan's balls that hold the ``needed`` vertices."""
-    far = _distances(net, plan, needed).max()
-    return [Ball(net, r) for r in plan.radii if far <= r]
-
-
 def _covers(net, plan):
     """Whether the plan's last ball is the whole of a finite network."""
     return net.is_finite and net._cut(plan.final_radius) == len(net.vertices)
@@ -162,78 +154,124 @@ def _energy_of(net, pos, u, v=None):
     return edge_energy(net, inner_edges(net, pos), uu, vv)
 
 
-class _Trace(NamedTuple):
-    """A dipole trace on the solver's arrays: the last stage's sorted
-    positions and the part of its solutions the trace follows; that part's
-    energy at each stage, and per boundary condition the probe deltas between
-    successive stages and the convergence flag, all Python floats and bools."""
-
-    pos: np.ndarray
-    values: np.ndarray
-    energies: tuple
-    deltas: tuple
-    converged: tuple
+def _origin_zero(net, pos, u):
+    """u − u(o), exactly 0 at the origin: the origin-zero representative of
+    values at the sorted positions ``pos``, or of each column of a block."""
+    i = np.searchsorted(pos, net._order[0])
+    u = u - u[i]
+    u[i] = 0.0
+    return u
 
 
-def _sweep(net, xs, plan, *bcs):
-    """Stage-major solves of Δu = δ_x − δ_o for each source x of ``xs``
-    under each boundary condition of ``bcs``: at each stage one block solve
-    per condition for the sources the stage holds, re-gauged to the
-    origin-zero representative (u − u(o), then exactly 0 at the origin).
-    Yields the stage's sorted positions, the solutions as columns, one
-    array per condition, and the indices in ``xs`` of their sources.  One
-    report is rebound from solve to solve, so at most two systems are alive
-    at once."""
-    xs, o = np.asarray(xs), net._order[0]
-    far = _distances(net, plan, xs)
-    for r in plan.radii:
-        held = np.flatnonzero(far <= r)
-        if not held.size:
+def _dipoles(net, xs):
+    """The sources δ_x − δ_o, a column per x of ``xs``, as ``(at, values)``."""
+    return np.r_[net._order[0], xs], np.vstack((np.full(len(xs), -1.0), np.eye(len(xs))))
+
+
+class _Stage(NamedTuple):
+    """A stage of :func:`_sweep`: the columns ``held``, per condition their
+    pairings bᵀu and reads (NaN off the ball), energies, and solve reports."""
+
+    radius: int
+    held: list
+    pairings: list
+    reads: list
+    energies: list
+    reports: list
+
+
+def _sweep(net, source, plan, bcs, reads=(), energies=False):
+    """The plan's stages of Δu = Σ_k values[k] δ_at[k], ``source = (at,
+    values)``, a column per source held from the first ball that holds its
+    support, under each condition of ``bcs``; with ``energies``, the energy
+    over the ball of u, or for both conditions of v − f̃ = u_free − u_wired.
+
+    The stages before the last whose balls have edges leaving them are read
+    off one window factor per condition (:class:`~resnet.solver._Leading`)
+    when :func:`~resnet.solver._fits` admits it, their energies from the
+    Gauss-Green sphere term, κ_s the conductance from s ∈ S_r out of B_r:
+    E(v) = bᵀv, E(f̃) = bᵀf̃ − Σ κ_s f̃(s)² and E(v − f̃) = Σ κ_s (v − f̃)(s)
+    f̃(s).  Any other stage is one block solve per condition, its energies
+    edge sums of the origin-zero solutions."""
+    at, values = np.asarray(source[0], np.int64), np.asarray(source[1], float)
+    block, values = values.ndim == 2, values.reshape(len(at), -1)
+    first = np.where(values != 0.0, _distances(net, plan, at)[:, None], -1).max(axis=0)
+    radii = [r for r in plan.radii if r >= first.min()]
+    n = len(net.vertices) if net.is_finite else -1  # no ball covers a window
+    factored = [r for r in radii[:-1] if r and net._cut(r) != n]
+    staged = dict(_factored(net, at, values, first, factored, bcs, reads))
+    for r in radii:
+        held = np.flatnonzero(first <= r)
+        yield staged.pop(r, None) or _solved(net, at, values[:, held], block, r, held, bcs,
+                                             reads, energies)
+
+
+def _solved(net, at, cols, block, r, held, bcs, reads, energies):
+    """A stage of :func:`_sweep` from a block solve (1-d: single) per condition."""
+    rows = (cols != 0.0).any(axis=1)
+    at, cols = at[rows], cols[rows]
+    reports = [replace(solve_poisson(net, Ball(net, r), (at, cols if block else cols[:, 0]),
+                                     bc), system=None) for bc in bcs]  # no factor outlives it
+    pos = reports[0].pos
+    us = [rep.values.reshape(len(pos), -1) for rep in reports]
+    i = np.minimum(np.searchsorted(pos, reads), len(pos) - 1)
+    zs = [_origin_zero(net, pos, u) for u in us]
+    e = _energy_of(net, pos, zs[0] - zs[-1] if len(zs) > 1 else zs[0]) if energies else None
+    return _Stage(r, held.tolist(),
+                  [np.add.reduce(cols * u[np.searchsorted(pos, at)], axis=0) for u in us],
+                  [np.where((pos[i] == reads)[:, None], u[i], np.nan) for u in us], e, reports)
+
+
+def _factored(net, at, values, first, radii, bcs, reads):
+    """(radius, stage) of :func:`_sweep` for ``radii`` off one window factor
+    per condition, if the guard admits it, but stages that a free sphere
+    block would cost digits on."""
+    cuts = [net._cut(r) for r in radii]
+    if not radii or not _fits(net, cuts[-1], sum(cuts)):
+        return
+    reads = np.asarray(reads, np.int64)
+    per_bc = [_Leading(net, cuts[-1], bc).stages(radii, at, values, reads) for bc in bcs]
+    for r, stage in zip(radii, zip(*per_bc)):
+        if None in stage:
             continue
-        # Column k is δ at xs[held[k]] (row k + 1) less δ_o (row 0).
-        values = np.vstack((np.full(len(held), -1.0), np.eye(len(held))))
-        us = []
-        for bc in bcs:
-            rep = solve_poisson(net, Ball(net, r), (np.r_[o, xs[held]], values), bc)
-            i = np.searchsorted(rep.pos, o)
-            us.append(rep.values - rep.values[i])
-            us[-1][i] = 0.0
-        yield rep.pos, us, held.tolist()
+        held = np.flatnonzero(first <= r)
+        (p, _, u, k), f = stage[0], stage[-1][2]
+        e = (k * (u - f) * f).sum(axis=0) if len(bcs) > 1 else (
+            p - (k * f * f).sum(axis=0) if bcs[0] == WIRED else p)
+        e = np.maximum(e[held], 0.0)  # an energy, whose sphere form may round below 0
+        yield r, _Stage(r, held.tolist(), [s[0][held] for s in stage],
+                        [s[1][:, held] for s in stage], e.tolist(), None)
 
 
-def _dipole_trace(net, x, plan, tol, bcs, part=lambda us: us[0]):
-    """The stages of :func:`_sweep` for the one source x under each condition
-    of ``bcs``: the energy of ``part`` of each stage's solutions, and each
-    condition's probe deltas and convergence flag; only the last stage is
-    kept.  A last ball that covers a finite network gives the exact
-    solution."""
-    if x == net._order[0]:
+def _dipole_element(net, x, plan, tol, kind, bcs):
+    """The element of Δu = δ_x − δ_o from :func:`_sweep` under ``bcs``: the
+    solution, or the free less the wired one, and its stage energies; it
+    converges when each condition's last probe delta is within ``tol``, or
+    its last ball covers a finite network."""
+    o = net._order[0]
+    if x == o:
         raise DomainError("the kernel element at the origin is the zero class")
     probes = _probe_positions(net, x, plan)
+    k = np.searchsorted(probes, o)
     energies, deltas, prev = [], [[] for _ in bcs], None
-    for pos, us, _ in _sweep(net, [x], plan, *bcs):
-        us = [u[:, 0] for u in us]
-        energies.append(_energy_of(net, pos, part(us)))
-        at = np.minimum(np.searchsorted(pos, probes), len(pos) - 1)
-        inside, reads = pos[at] == probes, [u[at] for u in us]
+    for stage in _sweep(net, _dipoles(net, [x]), plan, bcs, probes, energies=True):
+        energies.append(stage.energies[0])
+        reads = [read[:, 0] - read[k, 0] for read in stage.reads]
         if prev is not None:
-            common, before = prev
-            for d, read, old in zip(deltas, reads, before):
+            common = ~np.isnan(prev[0])
+            for d, read, old in zip(deltas, reads, prev):
                 d.append(float(np.max(np.abs(read[common] - old[common]))))
-        prev = inside, reads
-    covers = _covers(net, plan)
-    return _Trace(pos, part(us), tuple(energies), tuple(map(tuple, deltas)),
-                  tuple((bool(d) and d[-1] <= tol) or covers for d in deltas))
-
-
-def _dipole_element(net, x, plan, kind, bc, tol):
-    trace = _dipole_trace(net, x, plan, tol, [bc])
-    return KernelElement(base=net.vertices[x], kind=kind,
-                         approximant=VertexFunction(net.vertices, trace.pos, trace.values,
-                                                    GAUGE_ORIGIN),
-                         stage_energies=trace.energies, converged=trace.converged[0],
-                         meta={"plan": plan.descriptor, "bc": bc,
-                               "probe_deltas": trace.deltas[0]})
+        prev = reads
+    pos = stage.reports[0].pos
+    us = [_origin_zero(net, pos, rep.values[:, 0]) for rep in stage.reports]
+    meta = {"plan": plan.descriptor}
+    if len(bcs) == 1:
+        meta.update(bc=bcs[0], probe_deltas=tuple(deltas[0]))
+    return KernelElement(
+        base=net.vertices[x], kind=kind, stage_energies=tuple(energies), meta=meta,
+        approximant=VertexFunction(net.vertices, pos, us[0] - us[1] if len(us) > 1 else us[0],
+                                   GAUGE_RAW if len(us) > 1 else GAUGE_ORIGIN),
+        converged=all((bool(d) and d[-1] <= tol) or _covers(net, plan) for d in deltas))
 
 
 def energy_kernel(net, x, plan, *, tol=POINTWISE_TOL):
@@ -245,53 +283,46 @@ def energy_kernel(net, x, plan, *, tol=POINTWISE_TOL):
     probe set to ``tol``; a plan too short to settle yields
     ``converged=False``, never a silent answer.
     """
-    return _dipole_element(net, net._require(x), plan, KIND_DIPOLE, FREE, tol)
+    return _dipole_element(net, net._require(x), plan, tol, KIND_DIPOLE, [FREE])
 
 
 def fin_part(net, x, plan, *, tol=POINTWISE_TOL):
     """Projection of the dipole kernel element onto the closure of the
     finitely supported functions, from wired solves of the same equation."""
-    return _dipole_element(net, net._require(x), plan, KIND_FIN, WIRED, tol)
+    return _dipole_element(net, net._require(x), plan, tol, KIND_FIN, [WIRED])
 
 
 def harm_part(net, x, plan, *, tol=POINTWISE_TOL):
     """Harmonic component h_x = v_x − f_x, with per-stage energies of the
     difference (their decay or stabilization feeds the dimension probe),
     from one sweep that solves free and wired at each stage."""
-    trace = _dipole_trace(net, net._require(x), plan, tol, [FREE, WIRED],
-                          lambda us: us[0] - us[1])
-    return KernelElement(base=x, kind=KIND_HARM,
-                         approximant=VertexFunction(net.vertices, trace.pos, trace.values,
-                                                    GAUGE_RAW),
-                         stage_energies=trace.energies, converged=all(trace.converged),
-                         meta={"plan": plan.descriptor})
+    return _dipole_element(net, net._require(x), plan, tol, KIND_HARM, [FREE, WIRED])
 
 
-def _vanish_gauge(net, rep, ball):
-    """The solution of ``rep``, a solve on ``ball``, less its mean over the
-    boundary of the ball (the vertices with a neighbour beyond it), added in
-    canonical order."""
-    bd = np.flatnonzero(net.arrays.reach[rep.pos] > ball.radius)
-    if not bd.size:
-        return rep.solution
-    shift = float(prefix_sums(rep.values[bd])[-1]) / len(bd)
-    return VertexFunction(net.vertices, rep.pos, rep.values - shift, GAUGE_VANISH)
+def _vanish_gauge(net, pos, g, radius):
+    """The wired solution ``g`` at the sorted positions ``pos`` of B_radius,
+    less its mean over the ball's boundary (the vertices with a neighbour
+    beyond it), added in canonical order."""
+    bd = np.flatnonzero(net.arrays.reach[pos] > radius)
+    shift = float(prefix_sums(g[bd])[-1]) / len(bd) if bd.size else 0.0
+    return VertexFunction(net.vertices, pos, g - shift if bd.size else g, GAUGE_VANISH)
 
 
 def _wired_trace(net, x, plan):
-    """One wired solve of Δg = δ_x per stage that contains x: the resistances
-    R_r = g_r(x) as Python floats, the last stage and its solve report.  With
-    the ghost at 0, E(g, g) = ⟨g, Δg⟩ = g(x): R_r is the unit monopole's full
-    energy, edges to the ghost included, and increases to R(x→∞).  The trace
-    ends at the first R_r past ``DIVERGENCE_CAP``; a stage covering a whole
-    finite network raises IncompatibleSourceError."""
+    """The wired resistances R_r = g_r(x) of Δg = δ_x at each stage that
+    contains x, as Python floats, then the last stage's radius, its sorted
+    positions and g there, from its own solve.  With the ghost at 0, E(g, g)
+    = ⟨g, Δg⟩ = g(x): R_r is the full energy, and increases to R(x→∞).  The
+    trace ends at the first R_r past ``DIVERGENCE_CAP``; a stage covering a
+    whole finite network raises IncompatibleSourceError."""
     resistances = []
-    for stage in _usable_stages(net, plan, [x]):
-        rep = solve_poisson(net, stage, ([x], [1.0]), WIRED)
-        resistances.append(float(rep.values[np.searchsorted(rep.pos, x)]))
+    for stage in _sweep(net, ([x], [1.0]), plan, [WIRED]):
+        resistances.append(float(stage.pairings[0][0]))
         if resistances[-1] > DIVERGENCE_CAP:
             break
-    return tuple(resistances), stage, rep
+    rep = (stage.reports or [solve_poisson(net, Ball(net, stage.radius), ([x], [1.0]),
+                                           WIRED)])[0]
+    return tuple(resistances), stage.radius, rep.pos, rep.values
 
 
 def _window_limit(resistances):
@@ -340,25 +371,26 @@ def _monopole(net, x, plan, trace):
                              diverged=True,
                              meta={"plan": plan.descriptor,
                                    "reason": "finite network admits no monopole"})
-    resistances, last_stage, rep = trace()
+    resistances, radius, pos, g = trace()
     settled, growing = _window_limit(resistances)
     meta = {"plan": plan.descriptor, "wired_stage_energies": resistances}
     if not settled:
         return KernelElement(base=base, kind=KIND_MONOPOLE,
-                             approximant=_vanish_gauge(net, rep, last_stage),
+                             approximant=_vanish_gauge(net, pos, g, radius),
                              stage_energies=resistances, converged=False,
                              diverged=growing, meta=meta)
     # Bounded energies alone are not enough: the limit must actually solve
     # Δu = δ_x pointwise.
-    interior = rep.pos[net.arrays.reach[rep.pos] <= last_stage.radius]
-    res = scaled_laplacian_residual(net, rep.solution, ([x], [1.0]), interior)
+    interior = pos[net.arrays.reach[pos] <= radius]
+    res = scaled_laplacian_residual(net, VertexFunction(net.vertices, pos, g, GAUGE_VANISH),
+                                    ([x], [1.0]), interior)
     meta["defining_residual"] = res
     converged = res <= 1e-6  # NaN fails too
     if not converged:
         meta["reason"] = "wired limit does not solve the monopole equation"
     return KernelElement(base=base, kind=KIND_MONOPOLE,
-                         approximant=_vanish_gauge(net, rep, last_stage),
-                         stage_energies=(_energy_of(net, rep.pos, rep.values),),
+                         approximant=_vanish_gauge(net, pos, g, radius),
+                         stage_energies=(_energy_of(net, pos, g),),
                          converged=converged, diverged=not converged, meta=meta)
 
 
@@ -366,10 +398,10 @@ def wired_monopole(net, x, plan):
     """The wired monopole stages: the staged values are the wired
     resistances R_r = g_r(x) from x to the collapsed complement, the full
     energies of the stage solves, edges to the ghost included."""
-    resistances, stage, rep = _wired_trace(net, net._require(x), plan)
+    resistances, radius, pos, g = _wired_trace(net, net._require(x), plan)
     settled, growing = _window_limit(resistances)
     return KernelElement(base=x, kind=KIND_MONOPOLE,
-                         approximant=_vanish_gauge(net, rep, stage),
+                         approximant=_vanish_gauge(net, pos, g, radius),
                          stage_energies=resistances, converged=settled,
                          diverged=growing, meta={"plan": plan.descriptor})
 
@@ -404,11 +436,8 @@ def effective_resistance(net, x, y, plan, variant=FREE):
     if variant not in (FREE, WIRED):
         raise DomainError(f"unknown variant {variant!r}")
     ends = [net._require(x), net._require(y)]
-    values = []
-    for stage in _usable_stages(net, plan, ends):
-        rep = solve_poisson(net, stage, (ends, [1.0, -1.0]), variant)
-        ux, uy = rep.values[np.searchsorted(rep.pos, ends)]
-        values.append(float(ux - uy))
+    values = [float(stage.pairings[0][0]) for stage in
+              _sweep(net, (ends, [1.0, -1.0]), plan, [variant])]
     converged = _covers(net, plan) or (  # a covering last ball is exact
         len(values) >= 2 and abs(values[-1] - values[-2]) <= 1e-9 * max(1.0, values[-1]))
     return ResistanceValue(value=values[-1], variant=variant,
@@ -421,17 +450,17 @@ def dirac_expansion_check(net, x, plan):
     The identity holds between energy classes, so representatives may differ
     by a constant; the reported residual is max − min of the pointwise
     difference over the interior of the final stage (0 for a perfect match up
-    to a constant).  One free sweep solves for x and its neighbours together;
-    v_o is 0, so the origin is no source.
+    to a constant).  One free block solve on the final ball gives x and its
+    neighbours together; v_o is 0, so the origin is no source.
     """
     i, a = net._require(x), net.arrays
     pairs = net._inside(net._pairs(np.array([i])))
     ps, cs = np.r_[i, a.nbr[pairs]], np.r_[a.ctot[i], -a.cond[pairs]]
     kept = ps != net._order[0]
-    for pos, (u,), _ in _sweep(net, ps[kept], plan, FREE):
-        pass  # the last stage holds every source
+    _distances(net, plan, ps)  # the final ball must hold every source
+    rep = solve_poisson(net, Ball(net, plan.final_radius), _dipoles(net, ps[kept]), FREE)
     interior = np.flatnonzero(a.reach <= plan.final_radius)
-    v = u[np.searchsorted(pos, interior)]
+    v = rep.values[np.searchsorted(rep.pos, interior)]
     expansion = prefix_sums(cs[kept][:, None] * v.T)[-1]  # term by term, in order
     diffs = (interior == i) - expansion
     return float(diffs.max() - diffs.min())

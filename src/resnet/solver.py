@@ -33,6 +33,10 @@ column per source, solved by one call of the factor and checked by one
 residual product; each column is the same bits as its single solve (SuperLU
 solves the columns of a block one by one) and is held to the same residual
 bound.
+
+A stage sweep factors its window once per boundary condition instead, when
+:func:`_fits` admits it: in search order each ball is a leading block of the
+window's matrix, so one natural-order factor serves them all (:class:`_Leading`).
 """
 
 from __future__ import annotations
@@ -55,6 +59,14 @@ DEFAULT_TOLERANCE = 1e-10
 
 # Free solves treat |sum f| <= COMPAT_TOL * max(1, sum|f|) as balanced.
 COMPAT_TOL = 1e-9
+
+# A window factor may have fewer than _FACTOR_BUDGET strictly lower entries
+# (about 12 MB for L and U), and at most _FILL_PER_ROW per row that the
+# per-stage factors would take; a free sphere block's inverse must be at
+# most 1 / _SPHERE_FLOOR in Frobenius norm (see _Leading.stages).
+_FACTOR_BUDGET = 500_000
+_FILL_PER_ROW = 8
+_SPHERE_FLOOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -112,6 +124,21 @@ def _compressed(row, col, cond, diag):
             np.insert(-cond, at, diag))
 
 
+def _inner_pairs(net, order):
+    """Each position's row for the rows ``order``, then the row, column and
+    conductance of the pairs among them by (row, column), and whether any
+    pair leaves them."""
+    a, m = net.arrays, len(order)
+    rank = np.full(len(a.dist) + 1, -1)  # the last entry: the ring
+    rank[order] = np.arange(m)
+    pair = net._pairs(order)
+    row = np.repeat(np.arange(m), a.indptr[order + 1] - a.indptr[order])
+    col = rank[a.nbr[pair]]
+    inner = np.flatnonzero(col >= 0)
+    inner = inner[np.argsort(row[inner] * m + col[inner], kind="stable")]
+    return rank, row[inner], col[inner], a.cond[pair[inner]], len(inner) < len(pair)
+
+
 def _origin_index(net, pos):
     """The index of the origin, first in the search order, in a ball's ``pos``."""
     return int(np.searchsorted(pos, net._order[0]))
@@ -125,18 +152,11 @@ def _system(net, ball, bc):
     diagonals add the same row in the same order)."""
     pos = net._ball_positions(ball.radius)
     pos.flags.writeable = False
-    a, m = net.arrays, len(pos)
-    # Every pair of the region's rows, in incident order (so increasing
-    # columns in each row), and the place in the region of its other end.
-    pair = net._pairs(pos)
-    row = np.repeat(np.arange(m), a.indptr[pos + 1] - a.indptr[pos])
-    col = np.searchsorted(pos, a.nbr[pair])
-    inner = pos[np.minimum(col, m - 1)] == a.nbr[pair]
-    row, col, cond = row[inner], col[inner], a.cond[pair[inner]]
-    diag = a.ctot[pos] if bc == WIRED else np.bincount(row, cond, minlength=m)
+    m = len(pos)
+    _, row, col, cond, has_crossing = _inner_pairs(net, pos)
+    diag = net.arrays.ctot[pos] if bc == WIRED else np.bincount(row, cond, minlength=m)
     indptr, indices, data = _compressed(row, col, cond, diag)
     matrix = sp.csc_matrix((data, indices, indptr), shape=(m, m))
-    has_crossing = not inner.all()
     factor = None
     if bc == WIRED and has_crossing:
         factor = _ScaledLU(indptr, indices, data)
@@ -164,10 +184,10 @@ class _ScaledLU:
     The system comes as compressed arrays ``(indptr, indices, data)`` with
     one diagonal entry in each column.  Each scaled entry is the product that
     ``diags(s) @ A @ diags(s)`` forms, so the factor is bit-identical to the
-    factor of that sparse product.
+    factor of that sparse product.  ``order`` is SuperLU's column order.
     """
 
-    def __init__(self, indptr, indices, data):
+    def __init__(self, indptr, indices, data, order="MMD_AT_PLUS_A"):
         cols = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
         diag = data[indices == cols]
         diag[diag <= 0.0] = 1.0
@@ -179,7 +199,7 @@ class _ScaledLU:
         m = len(indptr) - 1
         try:
             self.lu = spla.splu(sp.csc_matrix((scaled, indices, indptr), shape=(m, m)),
-                                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                permc_spec=order, diag_pivot_thresh=0.0,
                                 options={"SymmetricMode": True})
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise NumericalError(f"factorization failed: {exc}") from None
@@ -213,12 +233,111 @@ def _residual(net, pos, matrix, u, b, tol, what, note=""):
     magnitude, divided by one and then the other, as their product may
     overflow.  The first column above ``tol``, or NaN, raises."""
     residuals = np.abs(matrix @ u - b) / np.maximum(1.0, net.arrays.ctot[pos])[:, None]
+    return _bounded(residuals, u, tol, what, note)
+
+
+def _bounded(residuals, u, tol, what, note=""):
+    """:func:`_residual` from the rows' residuals, already scaled."""
     residuals = (residuals / (1.0 + np.abs(u).max(axis=0))).max(axis=0)
     over = residuals[~(residuals <= tol)]  # NaN fails too
     if len(over):
         raise NumericalError(
             f"{what} residual {over[0]:.3e} exceeds tolerance {tol:.1e}{note}")
     return float(residuals.max())
+
+
+def _envelope(net, m):
+    """Σ_i (i − the least rank of a neighbour at or before i) over the first m
+    vertices of the search order: the strictly lower entries of their wired
+    natural-order factor, as each prefix of the order is connected."""
+    _, row, col, _, _ = _inner_pairs(net, net._order[:m])
+    first = np.arange(m)
+    np.minimum.at(first, row, col)
+    return int((np.arange(m) - first).sum())
+
+
+def _fits(net, m, rows):
+    """Whether to factor the first m vertices once, not ``rows`` rows by stage."""
+    fill = _envelope(net, m)
+    return fill < _FACTOR_BUDGET and fill <= _FILL_PER_ROW * rows
+
+
+class _Leading:
+    """The natural-order factor of the wired matrix (diagonal c(x)) on the
+    first m vertices of the search order, for ``FREE`` less the origin's row
+    and column: each ball B_r, r ≥ 1, is a leading block, S_r its last rows."""
+
+    def __init__(self, net, m, bc):
+        self.net, self.pinned = net, int(bc == FREE)
+        self.order = order = net._order[self.pinned:m]
+        self.rank, row, col, cond, _ = _inner_pairs(net, order)
+        indptr, indices, data = _compressed(row, col, cond, net.arrays.ctot[order])
+        self.matrix = sp.csc_matrix((data, indices, indptr), shape=(len(order),) * 2)
+        self.factor = _ScaledLU(indptr, indices, data, order="NATURAL")
+        if (self.factor.lu.perm_r != np.arange(len(order))).any():
+            raise NumericalError("window factor pivoted off its diagonal")
+
+    def _rows(self, at, values):
+        """Σ values[k] δ_at[k] in factor order, a column each (rows it has)."""
+        i = self.rank[at]
+        b = np.zeros((len(self.order), values.shape[1]))
+        np.add.at(b, i[i >= 0], values[i >= 0])
+        return b
+
+    def stages(self, radii, at, values, reads, tol=DEFAULT_TOLERANCE):
+        """Per ball B_r, r in ``radii``, the solutions u of Δu = b, a column
+        per source ``(at, values)``: the pairings bᵀu, u at ``reads`` (NaN
+        off the ball), u on S_r in search order and κ, the conductances out
+        of B_r, there.  With A = L D Lᵀ (Jacobi scaled) and y = L⁻¹b split at
+        S_r into (y_P, y_T), M = L_TT D_T L_TTᵀ − diag(κ) (κ = 0 wired) is
+        u's system on S_r, u_T = M⁻¹ L_TT y_T, and u pairs with f, z = L⁻¹f,
+        as Σ_P z y / d + (L_TT z_T)ᵀ u_T.  M carries about |S_r| eps of
+        rounding: a free ball whose M⁻¹ has a Frobenius norm above
+        1 / ``_SPHERE_FLOOR`` gives None.  Full and sphere solves are held to
+        ``tol``."""
+        net, lu, scale = self.net, self.factor.lu, self.factor.scale[:, None]
+        b, lower, d = self._rows(at, values), lu.L, lu.U.diagonal()
+        _residual(net, self.order, self.matrix, self.factor.solve(b), b, tol, "window solve")
+        y = spla.spsolve_triangular(lower, scale * np.hstack((b, self._rows(
+            reads, np.eye(len(reads))))), lower=True, unit_diagonal=True, overwrite_A=True)
+        y, z = y[:, :b.shape[1]], y[:, b.shape[1]:]
+        yd = y / d[:, None]
+        pair = np.cumsum(y * yd, axis=0)
+        cross = np.cumsum(z[:, :, None] * yd[:, None, :], axis=0)
+        cut = np.array([net._cut(r) for r in radii]) - self.pinned
+        start = np.array([net._cut(r - 1) for r in radii]) - self.pinned
+        a = net.arrays  # κ: each vertex's conductance to farther ones
+        far = (a.nbr < 0) | (a.dist[a.nbr] > a.dist[a.rows])
+        kappa = np.bincount(a.rows, np.where(far, a.cond, 0.0))[self.order]
+        shrink = kappa * self.factor.scale ** 2 * self.pinned
+        rank, origin = self.rank[reads], (reads == net._order[0]) & bool(self.pinned)
+        out = []
+        for lo, hi in zip(start.tolist(), cut.tolist()):
+            lt = self._block(lower, lo, hi)
+            g = lt @ y[lo:hi]
+            m_t = (lt * d[lo:hi]) @ lt.T - np.diag(shrink[lo:hi])
+            inv = np.linalg.inv(m_t)  # 1 / its Frobenius norm: below M's least eigenvalue
+            if self.pinned and not (inv * inv).sum() <= _SPHERE_FLOOR ** -2:  # NaN too
+                out.append(None)
+                continue
+            u_t = inv @ g
+            _bounded(np.abs(m_t @ u_t - g), u_t, tol, "sphere solve")
+            got = (cross[lo - 1] if lo else 0.0) + (lt @ z[lo:hi]).T @ u_t
+            got[(rank < 0) | (rank >= hi)] = np.nan
+            got[origin] = 0.0
+            out.append(((pair[lo - 1] if lo else 0.0) + (g * u_t).sum(axis=0), got,
+                        scale[lo:hi] * u_t, kappa[lo:hi, None]))
+        return out
+
+    @staticmethod
+    def _block(lower, lo, hi):
+        """The dense block of ``lower`` (CSC) on the rows and columns [lo, hi)."""
+        ptr = lower.indptr[lo:hi + 1]
+        rows = lower.indices[ptr[0]:ptr[-1]]
+        cols, keep = np.repeat(np.arange(hi - lo), np.diff(ptr)), rows < hi
+        block = np.zeros((hi - lo, hi - lo))
+        block[rows[keep] - lo, cols[keep]] = lower.data[ptr[0]:ptr[-1]][keep]
+        return block
 
 
 def _report(net, system, u, f, residual, gauge, bc):

@@ -29,8 +29,8 @@ from functools import cache, partial
 import numpy as np
 
 from .errors import DomainError, ResnetError
-from .kernels import (DIVERGENCE_CAP, _covers, _energy_of, _monopole, _sweep,
-                      _wired_trace, _zero_on)
+from .kernels import (DIVERGENCE_CAP, _covers, _dipoles, _energy_of, _monopole,
+                      _origin_zero, _sweep, _wired_trace, _zero_on)
 from .network import VertexFunction, doubling_exhaustion
 from .operators import prefix_sums
 from .randomwalk import WalkConfig, green_estimate
@@ -111,7 +111,7 @@ def _grounded_projection(net, plan, trace):
         zero = _zero_on(net, plan.final_radius)
         return GroundedProjection(u=zero, u_o=0.0, energy=0.0, converged=True,
                                   trace=(), meta={"finite": True})
-    resistances, stage, g = trace()
+    resistances, radius, pos, g = trace()
     betas = [1.0 / (1.0 + r) for r in resistances]
     entries = tuple(zip(plan.radii, resistances, betas))
     growing = (resistances[-1] > DIVERGENCE_CAP
@@ -129,18 +129,18 @@ def _grounded_projection(net, plan, trace):
     converged = tight or decaying
     if converged and not growing:
         beta = betas[-1]
-        values = 1.0 - beta * g.values
-        u = VertexFunction(net.vertices, g.pos, values)
-        pairs = net._leaving(g.pos)  # the edges to the ghost, in row order
-        gaps = values[np.searchsorted(g.pos, net.arrays.rows[pairs])] - 1.0
+        values = 1.0 - beta * g
+        u = VertexFunction(net.vertices, pos, values)
+        pairs = net._leaving(pos)  # the edges to the ghost, in row order
+        gaps = values[np.searchsorted(pos, net.arrays.rows[pairs])] - 1.0
         # Python's d ** 2 (C pow), not numpy's d * d: they differ in the last bit.
         ghost = [c * d ** 2 for c, d in zip(net.arrays.cond[pairs].tolist(), gaps.tolist())]
-        e = _energy_of(net, g.pos, values) + float(prefix_sums(np.array(ghost))[-1])
+        e = _energy_of(net, pos, values) + float(prefix_sums(np.array(ghost))[-1])
         return GroundedProjection(u=u, u_o=beta, energy=e, converged=True,
                                   trace=entries)
     # Diverging wired resistance: the projection limit is the zero function.
     u_o = 0.0 if growing else betas[-1]
-    return GroundedProjection(u=_zero_on(net, stage.radius), u_o=u_o,
+    return GroundedProjection(u=_zero_on(net, radius), u_o=u_o,
                               energy=0.0, converged=False, trace=entries,
                               meta={"diverging_resistance": growing,
                                     "last_beta": betas[-1]})
@@ -246,14 +246,15 @@ def harm_dimension_probe(net, plan=None, samples=None):
     samples = [p for p in samples if p != net._order[0]]
     if not samples:
         raise DomainError("need at least one non-origin sample vertex")
-    # One sweep, free and wired at each stage, gives every v_x and h_x =
-    # v_x − f_x, a column per sample.  The last stage is the final one and
-    # holds every sample, so its energies are E(h_x) and E(v_x) over its ball.
+    # One sweep, free and wired, gives E(h_x) of h_x = v_x − f_x at each
+    # stage; the last, solved whole, gives E(v_x) and the Gram matrix.
     h_energies = [[] for _ in samples]
-    for pos, (v, f), held in _sweep(net, samples, plan, FREE, WIRED):
-        h = v - f
-        for k, e in zip(held, _energy_of(net, pos, h)):
+    for stage in _sweep(net, _dipoles(net, samples), plan, (FREE, WIRED), energies=True):
+        for k, e in zip(stage.held, stage.energies):
             h_energies[k].append(e)
+    pos = stage.reports[0].pos
+    v, f = (_origin_zero(net, pos, rep.values) for rep in stage.reports)
+    h = v - f
     kept, detail = [], {}
     for k, (x, e_v) in enumerate(zip(samples, _energy_of(net, pos, v))):
         e_h, e_v = h_energies[k][-1], max(e_v, 1e-300)

@@ -28,9 +28,9 @@ GOLDEN = [
     ("gen-grid", ["gen", "--net", GRID], 0,
      "5c1dad0720162dd2ffa589636e3c9eda095b69ee58038860231e0116345ed31c"),
     ("report-grid", ["report", "--net", GRID, "--walks", "200", "--steps", "200"], 0,
-     "303701cc40b4e2a5d7f97c51351bb4deba690f4b7e3e57c8696d38104767ec49"),
+     "80905b5fd8a0a7e453a6aa0995d91c0299cf5badb997f1c5dff27d9fe6239fc1"),
     ("report-grid25", ["report", "--net", GRID25, "--walks", "200", "--steps", "200"], 0,
-     "85fea7d1bcc38a675ed36bffae352b2069f16224406694d3921bd701a5c5a916"),
+     "4a09d9ab27e3a8de421bb0bac53bdc158b49631d11c522a62f00cdd2050feb20"),
     ("gaussgreen-log-2k-3k", ["gaussgreen", "--model", "log-increment-line",
                               "--radius", "243", "--u", "logu", "--v", "logu",
                               "--plan", "radii:2^k", "--alt-plan", "radii:3^k"], 0,
@@ -63,11 +63,11 @@ GOLDEN = [
      "89f02222c71f0d04c7e1430e9fd2e7860da70b1abcddfc47105752b438c3041b"),
     ("monopole-star", ["monopole", "--model", "star", "--radius", "12",
                        "--plan", "balls:1..10"], 0,
-     "27830ae8ff70c0a6826c7907fc9e262b5f75af84b9c5d311b2ce061968ba5a49"),
+     "d530db8034aa17c80cff3ef46abf89b5482d1808c3eeeeccde60b1ddb0109fb1"),
     ("resistance-wired", ["resistance", "--model", "geom-z", "--c", "2",
                           "--radius", "40", "--plan", "balls:1..38", "--x", "0",
                           "--y", "3", "--variant", "wired"], 0,
-     "0a06a49b342618e7f2bd0e51bd8b59c7e2aed5e4eff20bee066dfcc470ed3e34"),
+     "2cf01a01d65baf7b71a986e799165dd75891be2a7c21bcc912870256f2135ae8"),
     ("transience-tree", ["transience", "--model", "binary-tree", "--radius", "8",
                          "--walks", "500", "--steps", "500"], 0,
      "4f099103e8c5bf6c6b72107e79d8f12c3c17d40a873d1637873f487031b5874d"),

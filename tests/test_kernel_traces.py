@@ -4,14 +4,16 @@ they replace.
 Each reference below is built the slow way: ``solve_poisson(...).solution``
 as a ``VertexFunction``, ``pinned_at`` the origin, read vertex by vertex,
 ``energy`` over the stage and ``VertexFunction`` subtraction.  The traces
-must give the same bits, not merely close values.
+must give the same bits, not merely close values, so every test here runs
+the sweeps on their per-stage solves (a factor budget of 0); the window
+factor is pinned against those in ``test_stage_factor.py``.
 """
 
 import numpy as np
 import pytest
 
 import resnet as rn
-from resnet import kernels, transience
+from resnet import kernels, solver, transience
 from resnet.kernels import (effective_resistance, energy_kernel, fin_part,
                             harm_part, monopole, wired_monopole)
 from resnet.models import ModelSpec, build
@@ -54,6 +56,11 @@ def _case(name):
 
 
 CASES = ("star", "geom-z", "grid")
+
+
+@pytest.fixture(autouse=True)
+def per_stage_solves(monkeypatch):
+    monkeypatch.setattr(solver, "_FACTOR_BUDGET", 0)
 
 
 @pytest.fixture(scope="module", params=CASES)

@@ -305,8 +305,9 @@ def test_dirac_expansion_on_integers(geom2, geom2_plan):
     assert dirac_expansion_check(geom2, 2, geom2_plan) < 1e-6
 
 
-def test_dirac_expansion_makes_one_free_solve_per_stage(geom2, geom2_plan, monkeypatch):
-    # x and its neighbours are one block sweep, not one trace each.
+def test_dirac_expansion_solves_only_the_final_ball(geom2, geom2_plan, monkeypatch):
+    # x and its neighbours are one block solve on the last ball, the only
+    # stage the expansion reads.
     stages, solve = [], kernels.solve_poisson
 
     def counted(net, region, f, bc, **kw):
@@ -317,7 +318,7 @@ def test_dirac_expansion_makes_one_free_solve_per_stage(geom2, geom2_plan, monke
     for x in (0, 2):
         stages.clear()
         assert dirac_expansion_check(geom2, x, geom2_plan) < 1e-6
-        assert stages == [(r, "free") for r in geom2_plan.radii]
+        assert stages == [(geom2_plan.final_radius, "free")]
 
 
 def test_kernel_symmetry(geom2, geom2_plan):

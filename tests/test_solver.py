@@ -303,8 +303,8 @@ class _Factors:
         self.alive, self.built, self.peak = weakref.WeakSet(), 0, 0
         init = solver._ScaledLU.__init__
 
-        def tracked(factor, *args):
-            init(factor, *args)
+        def tracked(factor, *args, **kwargs):
+            init(factor, *args, **kwargs)
             self.alive.add(factor)
             self.built += 1
             self.peak = max(self.peak, len(self.alive))
@@ -313,8 +313,9 @@ class _Factors:
 
 
 def test_a_long_wired_trace_keeps_at_most_two_factors(monkeypatch):
-    # Each stage's report holds its system until the next stage's is built,
-    # and no more.
+    # Solved stage by stage, each stage's report holds its system until the
+    # next stage's is built, and no more.
+    monkeypatch.setattr(solver, "_FACTOR_BUDGET", 0)
     net = build(ModelSpec("unit_line"), radius=601)
     plan = rn.make_exhaustion(net, range(1, 601))
     factors = _Factors(monkeypatch)
@@ -325,14 +326,37 @@ def test_a_long_wired_trace_keeps_at_most_two_factors(monkeypatch):
     assert len(factors.alive) == 0
 
 
-def test_a_settled_monopole_factors_each_trace_stage_once(monkeypatch):
-    # The settled limit is the trace's last solve: no ball is factored twice.
+def test_a_long_wired_trace_factors_its_window_once(monkeypatch):
+    # One natural-order factor gives the first 599 stages and is freed before
+    # the last stage's own solve.
+    net = build(ModelSpec("unit_line"), radius=601)
+    plan = rn.make_exhaustion(net, range(1, 601))
+    factors = _Factors(monkeypatch)
+    element = rn.wired_monopole(net, 0, plan)
+    assert len(element.stage_energies) == 600
+    assert factors.built == 2
+    assert factors.peak == 1
+    assert len(factors.alive) == 0
+
+
+def _settled_monopole_factors(monkeypatch):
     net = build(ModelSpec("geom_z", {"c": 2.0}), radius=40)
     plan = rn.make_exhaustion(net, range(1, 39))
     factors = _Factors(monkeypatch)
     element = rn.monopole(net, 0, plan)
     assert element.converged
-    assert factors.built == len(element.meta["wired_stage_energies"]) == 38
+    assert len(element.meta["wired_stage_energies"]) == 38
+    return factors.built
+
+
+def test_a_settled_monopole_factors_each_trace_stage_once(monkeypatch):
+    # The settled limit is the trace's last solve: no ball is factored twice.
+    monkeypatch.setattr(solver, "_FACTOR_BUDGET", 0)
+    assert _settled_monopole_factors(monkeypatch) == 38
+
+
+def test_a_settled_monopole_factors_its_window_and_last_ball(monkeypatch):
+    assert _settled_monopole_factors(monkeypatch) == 2
 
 
 def test_a_nan_residual_fails(unit_path):
