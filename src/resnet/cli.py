@@ -312,9 +312,9 @@ def _cmd_gaussgreen(args):
 
 
 def _cmd_transience(args):
+    cfg = WalkConfig(n_walks=args.walks, max_steps=args.steps, seed=args.seed)
     net = _load_net(args)
     plan = _parse_plan(net, args.plan)
-    cfg = WalkConfig(n_walks=args.walks, max_steps=args.steps, seed=args.seed)
     verdict = classify(net, plan, cfg)
     payload = verdict.to_jsonable()
     payload["config"] = _config_header(args, net, plan)
@@ -341,8 +341,8 @@ def _cmd_walk(args):
     if args.op == "escape":
         text = "2,4,8,16" if args.radii is None else args.radii
         radii = _radii(text.split(","), f"--radii {text!r}")
-    net = _load_net(args)
     cfg = WalkConfig(n_walks=args.walks, max_steps=args.steps, seed=args.seed)
+    net = _load_net(args)
     if args.op == "escape":
         trace = escape_probability(net, radii, cfg)
         payload = {"points": [list(p) for p in trace.points],
@@ -378,9 +378,9 @@ def _cmd_resistance(args):
 
 def _cmd_report(args):
     cs = _parse_sweep(args.sweep) if args.sweep else None
+    cfg = WalkConfig(n_walks=args.walks, max_steps=args.steps, seed=args.seed)
     net = _load_net(args)
     plan = _parse_plan(net, args.plan)
-    cfg = WalkConfig(n_walks=args.walks, max_steps=args.steps, seed=args.seed)
     verdict = classify(net, plan, cfg)
     rank, harm_detail = harm_dimension_probe(net, plan)
     payload = {

@@ -5,11 +5,13 @@ runs are deterministic: the uniform used by walk w at global step t is the
 w-th double of the counter-based Philox stream keyed by (seed, t), the
 stream of ``Generator(Philox(key=(t << 64) | seed)).random``, so results are
 bit-identical regardless of batching and trivially parallelizable.  A batch
-uses one Philox bit generator whose state is reset at every step, and only
-active walks draw: from the block of the smallest active walk to the
-largest, which is the same stream.  A walk compares its raw 64-bit draw with
-integer thresholds of its cumulative probabilities, which picks the same
-neighbour as comparing the double.
+uses one Philox bit generator, and only active walks draw: they are split
+into spans where consecutive walks are more than ``_SPAN_GAP`` indices
+apart, and at every step the state is reset to each span's first block and
+draws to its last walk, which is the same stream.  A walk holds the offset
+of its row in flat neighbour and threshold tables and compares its raw
+64-bit draw with integer thresholds of its cumulative probabilities, which
+picks the same neighbour as comparing the double.
 
 One engine serves every estimator.  A walk ends on a stop set of positions
 or beyond the materialized window, and the engine reports where each walk
@@ -29,6 +31,10 @@ import numpy as np
 from .errors import DomainError, NumericalError, ResnetError
 
 _MASK64 = (1 << 64) - 1
+# Active walks more than this many indices apart draw in separate spans.  A
+# span costs a state reset and a call, about as much as a couple of hundred
+# draws, so narrower gaps of ended walks are drawn through.
+_SPAN_GAP = 128
 
 
 @dataclass(frozen=True)
@@ -40,10 +46,16 @@ class WalkConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_walks", "max_steps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} must be an int, got {value!r}")
         if self.n_walks < 1:
             raise DomainError("need at least one walk")
         if self.max_steps < 1:
             raise DomainError("need a positive step cap")
+        if not 0 <= self.seed <= _MASK64:
+            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -80,11 +92,13 @@ def _thresholds(cum):
 
 def _walk_space(net):
     """Flat neighbour and threshold rows for vectorized stepping, built from
-    ``net.arrays`` on each call; returns ``(nbr, thr, width)``.
+    ``net.arrays`` on each call; returns ``(nbr, thr, shift)``.
 
-    Row i spans ``i * width:(i + 1) * width``, with ``width`` the largest
-    degree rounded up to a power of two.  Neighbour index n marks a neighbour
-    beyond the window, so stepping onto it ends the walk.  Each row's
+    Row i spans ``i << shift:(i + 1) << shift``: its width ``1 << shift`` is
+    the largest degree rounded up to a power of two, and ``i << shift`` is the
+    row's offset.  ``nbr`` holds the offsets of the neighbours' rows, so a
+    walk steps from offset to offset; position n marks a neighbour beyond the
+    window, so stepping onto its offset ends the walk.  Each row's
     probabilities c_xy / c(x) accumulate left to right to ``cum``; the last
     one is raised to 1 + 1e-12 and the padding is 2.0, so ``cum <= u`` holds
     on a prefix of every row for any u in [0, 1).  ``thr`` holds
@@ -93,16 +107,37 @@ def _walk_space(net):
     """
     a, n = net.arrays, len(net.vertices)
     deg = np.diff(a.indptr)
-    width = 1 << (int(deg.max()) - 1).bit_length()
+    shift = (int(deg.max()) - 1).bit_length()
     slot = np.arange(len(a.rows)) - a.indptr[a.rows]
-    nbr = np.full((n, width), n, dtype=np.int64)
-    nbr[a.rows, slot] = np.where(a.nbr >= 0, a.nbr, n)
+    nbr = np.full((n, 1 << shift), n << shift, dtype=np.int64)
+    nbr[a.rows, slot] = np.where(a.nbr >= 0, a.nbr, n) << shift
     prob = np.zeros(nbr.shape)
     prob[a.rows, slot] = a.cond / a.ctot[a.rows]
     cum = np.full(nbr.shape, 2.0)
     cum[a.rows, slot] = np.cumsum(prob, axis=1)[a.rows, slot]
     cum[np.arange(n), deg - 1] = 1.0 + 1e-12
-    return nbr.ravel(), _thresholds(cum.ravel()), width
+    return nbr.ravel(), _thresholds(cum.ravel()), shift
+
+
+def _draw_spans(walks):
+    """The draw spans of the ascending walk indices ``walks``; returns
+    ``(spans, gather)``.
+
+    A span starts at the Philox block (four draws) of its first walk and
+    ends at its last; a new span starts where consecutive walks are more than
+    ``_SPAN_GAP`` apart.  ``spans`` lists ``(block, count)`` pairs, and
+    ``gather`` takes each walk's draw out of the spans' draws laid end to
+    end, or is None when the spans draw for no other index.
+    """
+    cut = np.flatnonzero(np.diff(walks) > _SPAN_GAP) + 1
+    lo = walks[np.r_[0, cut]] & ~3
+    count = walks[np.r_[cut - 1, len(walks) - 1]] + 1 - lo
+    spans = list(zip((lo >> 2).tolist(), count.tolist()))
+    if count.sum() == len(walks):
+        return spans, None
+    # Per span, where its draws start end to end, less the index they start at.
+    start = np.cumsum(count) - count - lo
+    return spans, walks + np.repeat(start, np.diff(np.r_[0, cut, len(walks)]))
 
 
 def _require_vertices(net, **roles):
@@ -129,38 +164,45 @@ def _simulate(net, start, cfg, *, stop=(), fold=None):
     steps; without a fold ``score`` and ``half`` are None.
 
     Only active walks move.  They are kept as an ascending array of walk
-    indices, with their positions and folds aligned to it.  At step t one
-    Philox bit generator is reset to key (seed, t) and the block of the
-    smallest active walk, and draws up to the largest: walk w gets the w-th
-    double of the stream ``Generator(Philox(key=(t << 64) | seed))``, so the
-    result does not depend on which walks are still active.  Each walk then
-    finds its neighbour by binary search over its row of thresholds,
-    comparing the raw draw, never the double.  The halt test runs only when
-    a walk can stop: with a stop set or a window ring.
+    indices, with their row offsets (see :func:`_walk_space`) and folds
+    aligned to it; the fold weights and the halt flags are laid out by
+    offset, so no step multiplies.  Walk w gets the w-th double of the stream
+    ``Generator(Philox(key=(t << 64) | seed))`` at step t, so the result does
+    not depend on which walks are still active.  The active walks draw in
+    spans (:func:`_draw_spans`, recomputed only when walks end): per span,
+    one Philox bit generator is reset to key (seed, t) and the span's first
+    block and draws to its last walk.  Each walk then finds its neighbour by
+    binary search over its row of thresholds, comparing the raw draw, never
+    the double, into one preallocated bool buffer.  The halt test runs only
+    when a walk can stop: with a stop set or a window ring.
     """
-    nbr, thr, width = _walk_space(net)
+    nbr, thr, shift = _walk_space(net)
     n_verts = len(net.vertices)
-    # Per vertex, with slot n_verts for every vertex beyond the window: whether
-    # stepping onto it ends the walk.  Padding points at slot n_verts too, but
-    # no walk steps onto padding: only the stop set and the ring end one.
+    # Per row offset, with the row of position n_verts for every vertex beyond
+    # the window: whether stepping onto it ends the walk.  Padding points at
+    # that row too, but no walk steps onto padding: only the stop set and the
+    # ring end one.
     halt = np.zeros(n_verts + 1, dtype=bool)
     halt[[n_verts, *stop]] = True
+    halt = halt.repeat(1 << shift)
     can_stop = bool(stop) or bool((net.arrays.nbr < 0).any())
 
     n, mid = cfg.n_walks, cfg.max_steps // 2
     walks = np.arange(n)
-    cur = np.full(n, start, dtype=np.int64)
+    cur = np.full(n, start << shift, dtype=np.int64)
     last = np.full(n, -1, dtype=np.int64)
     score = acc = half = None
     if fold is not None:
-        weight, ufunc = fold
-        score = np.full(n, weight[start], dtype=np.int64)
+        by_position, ufunc = fold
+        score = np.full(n, by_position[start], dtype=np.int64)
         acc = score.copy()
+        weight = by_position.repeat(1 << shift)  # by row offset, as halt
     # Binary search probes: the half-widths, each against a shifted view.
-    probes = [(h, thr[h - 1:]) for h in
-              (width >> k for k in range(1, width.bit_length()))]
+    probes = [(h, thr[h - 1:]) for h in (1 << k for k in reversed(range(shift)))]
+    passed = np.empty(n, dtype=bool)
+    spans, gather = [(0, n)], None  # every walk is active
     bits = np.random.Philox(0)
-    counter, key = [0, 0, 0, 0], [int(cfg.seed) & _MASK64, 0]
+    counter, key = [0, 0, 0, 0], [int(cfg.seed), 0]
     state = {"bit_generator": "Philox",
              "state": {"counter": counter, "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4,
@@ -170,18 +212,19 @@ def _simulate(net, start, cfg, *, stop=(), fold=None):
         if t == mid and acc is not None:
             half = score.copy()
             half[walks] = acc
-        if not len(walks):
-            break
-        first = int(walks[0]) & ~3
-        counter[0], key[1] = first >> 2, t & _MASK64
-        bits.state = state
-        raw = bits.random_raw(int(walks[-1]) + 1 - first)
-        if len(raw) != len(walks):
-            raw = raw.take(walks - first)
-        pick = cur * width
+        key[1] = t & _MASK64
+        draws = []
+        for block, count in spans:
+            counter[0] = block
+            bits.state = state
+            draws.append(bits.random_raw(count))
+        raw = draws[0] if len(draws) == 1 else np.concatenate(draws)
+        if gather is not None:
+            raw = raw.take(gather)
         for h, shifted in probes:
-            pick += (raw > shifted.take(pick)) * h
-        cur = nbr.take(pick)
+            np.greater(raw, shifted.take(cur), out=passed)
+            cur += passed if h == 1 else passed * h
+        cur = nbr.take(cur)
         if acc is not None:
             ufunc(acc, weight.take(cur), out=acc)
         if not can_stop:
@@ -190,10 +233,14 @@ def _simulate(net, start, cfg, *, stop=(), fold=None):
         gone = np.flatnonzero(ended)
         if len(gone):
             w, keep = walks[gone], ~ended
-            last[w] = cur[gone]
+            last[w] = cur[gone] >> shift
             if acc is not None:
                 score[w], acc = acc[gone], acc[keep]
             walks, cur = walks[keep], cur[keep]
+            if not len(walks):
+                break
+            spans, gather = _draw_spans(walks)
+            passed = passed[:len(walks)]
 
     if acc is not None:
         score[walks] = acc

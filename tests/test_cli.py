@@ -183,6 +183,16 @@ def test_bad_seed_env_exits_2_unless_seed_given(tmp_path, monkeypatch, capsys):
     assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 64 + 3)])
+def test_a_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
+    out = tmp_path / "w.json"
+    argv = ["walk", "--model", "unit-line", "--radius", "10", "--op", "green",
+            "--walks", "50", "--steps", "20", "--seed", seed, "-o", str(out)]
+    assert main(argv) == 2
+    assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_walk_hitting_verb(tmp_path):
     net = tmp_path / "path.json"
     net.write_text(json.dumps({

@@ -166,6 +166,31 @@ def test_walk_config_validation():
         WalkConfig(max_steps=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 3])
+def test_a_seed_outside_64_bits_is_refused(seed):
+    # The stream is keyed by the seed modulo 2**64: these used to walk as
+    # 2**64 - 1, 0 and 3 while recording another seed.
+    with pytest.raises(DomainError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        WalkConfig(n_walks=50, max_steps=20, seed=seed)
+
+
+def test_seeds_at_the_ends_of_the_range_walk():
+    net = build(ModelSpec("unit_line"), radius=10)
+    values = {green_estimate(net, 0, 0, WalkConfig(n_walks=50, max_steps=20,
+                                                   seed=seed)).value
+              for seed in (0, 3, 2 ** 64 - 1)}
+    assert len(values) == 3
+
+
+@pytest.mark.parametrize("field", ["n_walks", "max_steps", "seed"])
+@pytest.mark.parametrize("value", [2.5, True, 3.0, "3"])
+def test_walk_counts_and_seed_must_be_ints(field, value):
+    # Refused before any walk space is built, not by numpy inside the walk.
+    with pytest.raises(DomainError, match=f"{field} must be an int"):
+        WalkConfig(**{field: value})
+    assert getattr(WalkConfig(**{field: np.int64(3)}), field) == 3
+
+
 def test_walks_reject_vertices_outside_the_network(unit_path):
     cfg = WalkConfig(n_walks=10, max_steps=10, seed=0)
     # start == target would short-cut to 1.0 if the vertices went unchecked
@@ -291,29 +316,37 @@ def _complete(k):
                                      for i in range(k) for j in range(i + 1, k)])
 
 
-# (network, hitting target, absorber and start, escape radii, step cap)
+# (network, hitting target, absorber and start, escape radii, step cap, walks)
 _REFERENCE_CASES = {
     "star-exits": (lambda: build(ModelSpec("star", {"c": 2.0, "arms": 3}),
                                  radius=4),
-                   ((1, 2), (0, 0), (2, 1)), (1, 2, 3), 80),
+                   ((1, 2), (0, 0), (2, 1)), (1, 2, 3), 80, 13),
     "unit-line-caps": (lambda: build(ModelSpec("unit_line"), radius=12),
-                       (4, -3, 1), (2, 8), 40),
+                       (4, -3, 1), (2, 8), 40, 13),
     "tuple-grid-absorbs": (lambda: _tuple_grid(5),
-                           ((4, 4), (0, 0), (2, 1)), (2, 5), 60),
-    "complete-12": (lambda: _complete(12), (5, 0, 11), (1,), 30),
+                           ((4, 4), (0, 0), (2, 1)), (2, 5), 60, 13),
+    "complete-12": (lambda: _complete(12), (5, 0, 11), (1,), 30, 13),
     # Finite, rows padded to width 4 and a long horizon: the Green walk can
     # never stop, so the engine skips its halt test.
     "tuple-grid-green": (lambda: _tuple_grid(4), ((3, 3), (0, 0), (3, 0)),
-                         (1, 3), 200),
+                         (1, 3), 200, 13),
+    # Rows of width 1: every step is a table lookup with no probe.
+    "one-edge": (lambda: rn.Network.from_edges(0, [(0, 1, 2.5)]),
+                 (1, 0, 0), (0, 1), 30, 13),
+    # Enough walks that, as they end, the survivors draw in several spans.
+    "unit-line-spans": (lambda: build(ModelSpec("unit_line"), radius=8),
+                        (3, -3, 1), (2, 6), 120, 400),
 }
+# The cases whose walks must draw in more than one span at some step.
+_SPLIT_CASES = {"unit-line-spans"}
 
 
 @pytest.mark.parametrize("seed", [3, 2 ** 63 + 5])
 @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
 def test_engine_equals_scalar_reference(case, seed, monkeypatch):
-    make, (target, absorber, start), radii, steps = _REFERENCE_CASES[case]
+    make, (target, absorber, start), radii, steps, walks = _REFERENCE_CASES[case]
     net = make()
-    cfg = WalkConfig(n_walks=13, max_steps=steps, seed=seed)
+    cfg = WalkConfig(n_walks=walks, max_steps=steps, seed=seed)
     o, s = net._require(net.origin), net._require(start)
     weight = np.zeros(len(net.vertices) + 1, dtype=np.int64)
     weight[s] = 1  # the fold starts at 1: visits count time 0
@@ -325,8 +358,17 @@ def test_engine_equals_scalar_reference(case, seed, monkeypatch):
         ((s, cfg), dict(stop=(net._require(target), net._require(absorber))),
          lambda: hitting_probability(net, target, absorber, start, cfg)),
     ]
+    spans, draw_spans = [], randomwalk._draw_spans
+
+    def counted(walks):
+        out = draw_spans(walks)
+        spans.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(randomwalk, "_draw_spans", counted)
     engine = [(randomwalk._simulate(net, *args, **kw), estimate())
               for args, kw, estimate in runs]
+    assert (max(spans, default=1) > 1) == (case in _SPLIT_CASES)
     monkeypatch.setattr(randomwalk, "_simulate", _reference_simulate)
     for (args, kw, estimate), (out, result) in zip(runs, engine):
         expected = _reference_simulate(net, *args, **kw)
@@ -337,3 +379,40 @@ def test_engine_equals_scalar_reference(case, seed, monkeypatch):
                 assert got.dtype == want.dtype, name
                 assert np.array_equal(got, want), name
         assert result == estimate()
+
+
+def _span_draws(active, gap):
+    """Draws in one step for the ascending active walks, when a span starts
+    at the Philox block of its first walk and a new one where consecutive
+    walks are more than ``gap`` apart."""
+    cut = np.flatnonzero(np.diff(active) > gap) + 1
+    first, last = active[np.r_[0, cut]], active[np.r_[cut - 1, len(active) - 1]]
+    return int((last + 1 - (first & ~3)).sum())
+
+
+def test_draws_stay_within_the_spans_of_active_walks(monkeypatch):
+    drawn = []
+
+    class Philox(np.random.Philox):  # the state setter checks this name
+        def random_raw(self, size=None, output=True):
+            drawn.append(size)
+            return super().random_raw(size, output)
+
+    monkeypatch.setattr(np.random, "Philox", Philox)
+    net = build(ModelSpec("unit_line"), radius=100)
+    o = net._require(net.origin)
+    ones = np.ones(len(net.vertices) + 1, dtype=np.int64)
+    cfg = WalkConfig(n_walks=2000, max_steps=10000, seed=4)
+    # Escape walks thin out as they return home; the fold counts each
+    # walk's steps, plus one for time 0.
+    steps = randomwalk._simulate(net, o, cfg, stop=(o,), fold=(ones, np.add))[1] - 1
+    # A walk of T steps draws at steps 0..T-1, so between consecutive step
+    # counts the active walks stay the same.
+    allowed = full = 0
+    ends = np.unique(steps)
+    for begin, end in zip(np.r_[0, ends[:-1]], ends):
+        active = np.flatnonzero(steps >= end)
+        allowed += int(end - begin) * _span_draws(active, randomwalk._SPAN_GAP)
+        full += int(end - begin) * _span_draws(active, cfg.n_walks)
+    assert int(steps.sum()) <= sum(drawn) <= allowed
+    assert allowed < full / 2  # one span from the first to the last walk
