@@ -34,6 +34,7 @@ from .operators import (common_window, energy, pair_sums, prefix_sums,
 LIMIT_TOL = 1e-6          # last-3-stage agreement declares a limit
 EXHAUSTION_TOL = 1e-3     # two plans differing more than this are dependent
 STAGE_IDENTITY_TOL = 1e-9
+HARMONIC_TOL = 1e-6       # scaled residual below which u counts as harmonic
 
 VERDICT_IDENTITY = "identity-holds"
 VERDICT_BOUNDARY = "boundary-nonvanishing"
@@ -272,14 +273,15 @@ def boundary_sum(net, u, v, plan, alt_plan=None, *, limit_tol=LIMIT_TOL):
                             alt_limit=alt_limit, exhaustion_dependent=dependent)
 
 
-def harmonic_boundary_representation(net, u, x, plan, *, harmonic_tol=1e-6):
+def harmonic_boundary_representation(net, u, x, plan):
     """Reconstruct u(x) for harmonic u as Σ_bd u ∂h_x + u(o).
 
     h_x is the harmonic part of the dipole kernel element at x.  Raises
-    DomainError when u is not harmonic on the window interior.
+    DomainError when u is not harmonic, to ``HARMONIC_TOL``, on the window
+    interior.
     """
     res = scaled_laplacian_residual(net, u, ((), ()), net._interior(common_window(net, u)))
-    if not res <= harmonic_tol:  # a NaN residual is no evidence of harmonicity
+    if not res <= HARMONIC_TOL:  # a NaN residual is no evidence of harmonicity
         raise DomainError(f"function is not harmonic (scaled residual {res:.2e})")
     if x == net.origin:
         return u.value(net.origin)

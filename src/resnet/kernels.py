@@ -25,8 +25,7 @@ budget; the last stage, which gives the approximants, is a block solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -210,8 +209,8 @@ def _solved(net, at, cols, block, r, held, bcs, reads, energies):
     """A stage of :func:`_sweep` from a block solve (1-d: single) per condition."""
     rows = (cols != 0.0).any(axis=1)
     at, cols = at[rows], cols[rows]
-    reports = [replace(solve_poisson(net, Ball(net, r), (at, cols if block else cols[:, 0]),
-                                     bc), system=None) for bc in bcs]  # no factor outlives it
+    reports = [solve_poisson(net, Ball(net, r), (at, cols if block else cols[:, 0]), bc)
+               for bc in bcs]
     pos = reports[0].pos
     us = [rep.values.reshape(len(pos), -1) for rep in reports]
     i = np.minimum(np.searchsorted(pos, reads), len(pos) - 1)
@@ -311,10 +310,12 @@ def _vanish_gauge(net, pos, g, radius):
 def _wired_trace(net, x, plan):
     """The wired resistances R_r = g_r(x) of Δg = δ_x at each stage that
     contains x, as Python floats, then the last stage's radius, its sorted
-    positions and g there, from its own solve.  With the ghost at 0, E(g, g)
+    positions and g there, from its own solve; None, with no solve, when the
+    plan's last ball covers a finite network.  With the ghost at 0, E(g, g)
     = ⟨g, Δg⟩ = g(x): R_r is the full energy, and increases to R(x→∞).  The
-    trace ends at the first R_r past ``DIVERGENCE_CAP``; a stage covering a
-    whole finite network raises IncompatibleSourceError."""
+    trace ends at the first R_r past ``DIVERGENCE_CAP``."""
+    if _covers(net, plan):
+        return None
     resistances = []
     for stage in _sweep(net, ([x], [1.0]), plan, [WIRED]):
         resistances.append(float(stage.pairings[0][0]))
@@ -356,14 +357,14 @@ def monopole(net, x, plan):
     leaves out the edges to the ghost that R_r counts.
     """
     i = net._require(x)
-    return _monopole(net, i, plan, partial(_wired_trace, net, i, plan))
+    return _monopole(net, i, plan, _wired_trace(net, i, plan))
 
 
 def _monopole(net, x, plan, trace):
-    """:func:`monopole` on the wired trace that ``trace()`` returns; a plan
-    covering a finite network needs none."""
+    """:func:`monopole` on the value of :func:`_wired_trace` at x, raising
+    nothing; None, for a plan covering a finite network, gives the zero element."""
     base = net.vertices[x]
-    if _covers(net, plan):
+    if trace is None:
         # Full finite network: no ghost, no monopole.  Pure recurrence.
         return KernelElement(base=base, kind=KIND_MONOPOLE,
                              approximant=_zero_on(net, plan.final_radius),
@@ -371,7 +372,7 @@ def _monopole(net, x, plan, trace):
                              diverged=True,
                              meta={"plan": plan.descriptor,
                                    "reason": "finite network admits no monopole"})
-    resistances, radius, pos, g = trace()
+    resistances, radius, pos, g = trace
     settled, growing = _window_limit(resistances)
     meta = {"plan": plan.descriptor, "wired_stage_energies": resistances}
     if not settled:
@@ -397,8 +398,12 @@ def _monopole(net, x, plan, trace):
 def wired_monopole(net, x, plan):
     """The wired monopole stages: the staged values are the wired
     resistances R_r = g_r(x) from x to the collapsed complement, the full
-    energies of the stage solves, edges to the ghost included."""
-    resistances, radius, pos, g = _wired_trace(net, net._require(x), plan)
+    energies of the stage solves, edges to the ghost included; a plan covering
+    a finite network raises IncompatibleSourceError, solving nothing."""
+    trace = _wired_trace(net, net._require(x), plan)
+    if trace is None:
+        raise IncompatibleSourceError("a finite network covered by the plan has no monopole")
+    resistances, radius, pos, g = trace
     settled, growing = _window_limit(resistances)
     return KernelElement(base=x, kind=KIND_MONOPOLE,
                          approximant=_vanish_gauge(net, pos, g, radius),

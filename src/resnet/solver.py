@@ -21,10 +21,8 @@ stays in B_r.  Each solve assembles its ball's system from
 straight into compressed arrays (the matrix is symmetric, so its compressed
 rows and columns are the same arrays), factors it and solves; nothing is
 kept between solves.  The kernel loops solve each ball once, stage-major, so
-no factor would be used twice.  A :class:`SolveReport` holds the system it
-was solved on: a loop that rebinds its report frees the previous stage's
-factor only after the next one is built, so the C heap is not trimmed and
-paged in again at every stage.
+no factor would be used twice.  A :class:`SolveReport` holds the solution,
+not the system: each solve's factor is freed when the solve returns.
 
 A source is given by vertex position, as ``(at, values)``: the solver takes
 positions in ``net.vertices``, as its reports give them, and never reads a
@@ -76,8 +74,8 @@ class SolveReport:
     ``pos`` holds the region's canonical vertex positions in increasing
     order (read-only: the system shares it) and ``values`` the solution at
     them, one column per source for a block of sources; ``vertices`` is the
-    network's canonical vertex sequence and ``system`` the system solved, freed
-    with the report.  ``solution`` is the same function as a
+    network's canonical vertex sequence; the report holds no factor, which
+    is freed when the solve returns.  ``solution`` is the same function as a
     :class:`VertexFunction` over the same arrays, built on first access (for
     a single source).
 
@@ -94,7 +92,6 @@ class SolveReport:
     gauge: str
     bc: str
     vertices: tuple = field(repr=False, compare=False)
-    system: object = field(repr=False, compare=False)
 
     @cached_property
     def solution(self):
@@ -342,8 +339,7 @@ class _Leading:
 
 def _report(net, system, u, f, residual, gauge, bc):
     return SolveReport(pos=system.pos, values=u if np.ndim(f[1]) == 2 else u[:, 0],
-                       residual=residual, gauge=gauge, bc=bc, vertices=net.vertices,
-                       system=system)
+                       residual=residual, gauge=gauge, bc=bc, vertices=net.vertices)
 
 
 def solve_poisson(net, region, f, bc, *, tol=DEFAULT_TOLERANCE):

@@ -17,20 +17,21 @@ origin forces β = 1/(1 + g(o)), and the projection satisfies the parabola
 relation u_o = E(u) + u_o², so (u_o, E(u)) lives on a parabola with peak
 (1/2, 1/4).
 
-Criteria (a) and (c) read one wired trace: one solve of Δg = δ_o per stage.
-When the plan covers a finite network, neither needs it.
+Criteria (a) and (c) read one wired trace, taken before any criterion runs:
+one solve of Δg = δ_o per stage, none when the plan covers a finite network.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cache, partial
 
 import numpy as np
 
-from .errors import DomainError, ResnetError
-from .kernels import (DIVERGENCE_CAP, _covers, _dipoles, _energy_of, _monopole,
-                      _origin_zero, _sweep, _wired_trace, _zero_on)
+from .errors import DomainError
+from .kernels import (DIVERGENCE_CAP, _dipoles, _energy_of, _monopole, _origin_zero,
+                      _sweep, _wired_trace, _zero_on)
+from .models import ModelSpec, build
 from .network import VertexFunction, doubling_exhaustion
 from .operators import prefix_sums
 from .randomwalk import WalkConfig, green_estimate
@@ -100,18 +101,18 @@ def grounded_projection_of_one(net, plan=None):
     that keep growing certify 1 ∈ closure(span δ_x) and the projection is 0.
     """
     plan = _default_plan(net, plan)
-    return _grounded_projection(net, plan, partial(_wired_trace, net, net._order[0], plan))
+    return _grounded_projection(net, plan, _wired_trace(net, net._order[0], plan))
 
 
 def _grounded_projection(net, plan, trace):
-    """:func:`grounded_projection_of_one` on the origin's wired trace that
-    ``trace()`` returns; a plan covering a finite network needs none."""
-    if _covers(net, plan):
+    """:func:`grounded_projection_of_one` on the value of :func:`_wired_trace`
+    at the origin; None, for a plan covering a finite network, gives P⊥1 = 0."""
+    if trace is None:
         # Finite network: 1 is itself finitely supported, so P⊥1 = 0.
         zero = _zero_on(net, plan.final_radius)
         return GroundedProjection(u=zero, u_o=0.0, energy=0.0, converged=True,
                                   trace=(), meta={"finite": True})
-    resistances, radius, pos, g = trace()
+    resistances, radius, pos, g = trace
     betas = [1.0 / (1.0 + r) for r in resistances]
     entries = tuple(zip(plan.radii, resistances, betas))
     growing = (resistances[-1] > DIVERGENCE_CAP
@@ -147,10 +148,7 @@ def _grounded_projection(net, plan, trace):
 
 
 def _criterion_monopole(net, plan, trace):
-    try:
-        element = _monopole(net, net._order[0], plan, trace)
-    except ResnetError as exc:
-        return INCONCLUSIVE, {"error": str(exc)}
+    element = _monopole(net, net._order[0], plan, trace)
     evidence = {"stage_energies": list(element.stage_energies),
                 "converged": element.converged, "diverged": element.diverged}
     if element.converged:
@@ -198,9 +196,9 @@ def classify(net, plan=None, walk_cfg=None):
     plan = _default_plan(net, plan)
     if walk_cfg is None:
         walk_cfg = WalkConfig(n_walks=4000, max_steps=4000, seed=0)
-    # One wired trace of the origin for the monopole and grounded criteria; a
-    # trace that raised is not cached, so it raises again for the second.
-    trace = cache(partial(_wired_trace, net, net._order[0], plan))
+    # One wired trace of the origin for the monopole and grounded criteria,
+    # before any criterion runs: a trace that fails raises before the walk.
+    trace = _wired_trace(net, net._order[0], plan)
     criteria, evidence = {}, {}
     criteria["monopole"], evidence["monopole"] = _criterion_monopole(net, plan, trace)
     criteria["monte_carlo"], evidence["monte_carlo"] = _criterion_monte_carlo(net, walk_cfg)
@@ -273,30 +271,23 @@ def harm_dimension_probe(net, plan=None, samples=None):
     return rank, detail
 
 
-def grounded_parameter_sweep(cs, *, radius=None, family="geom_z"):
-    """u_o and E(P⊥1) across conductance bases; resolves where the grounded
-    energy peaks.  Returns per-c records and the argmax entry.
+def grounded_parameter_sweep(cs):
+    """u_o and E(P⊥1) on geom-z across conductance bases; resolves where the
+    grounded energy peaks.  Returns per-c records and the argmax entry.
 
-    Without an explicit radius each base gets a window deep enough that the
-    geometric truncation r^radius sits below 1e-9 (capped at 200, floor 20).
+    Each base gets a window deep enough that the geometric truncation
+    r^radius sits below 1e-9 (capped at 200, floor 20); no window covers a
+    finite network, so each projection runs its wired trace.
     """
-    import math
-
-    from .models import ModelSpec, build
-
     records = []
     for c in cs:
         c = float(c)
-        if radius is None:
-            r_geom = min(1.0 / c, 0.999)
-            depth = int(-9.0 * math.log(10.0) / math.log(r_geom)) + 2
-            use_radius = max(20, min(200, depth))
-        else:
-            use_radius = radius
-        spec = ModelSpec(family, {"c": c})
-        net = build(spec, radius=use_radius)
+        r_geom = min(1.0 / c, 0.999)
+        depth = int(-9.0 * math.log(10.0) / math.log(r_geom)) + 2
+        radius = max(20, min(200, depth))
+        net = build(ModelSpec("geom_z", {"c": c}), radius=radius)
         proj = grounded_projection_of_one(net, doubling_exhaustion(net))
-        records.append({"c": c, "radius": use_radius, "u_o": proj.u_o,
+        records.append({"c": c, "radius": radius, "u_o": proj.u_o,
                         "energy": proj.energy, "converged": proj.converged,
                         "parabola_residual": proj.parabola_residual})
     best = max(records, key=lambda rec: rec["energy"])

@@ -9,12 +9,16 @@ the sweeps on their per-stage solves (a factor budget of 0); the window
 factor is pinned against those in ``test_stage_factor.py``.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 import resnet as rn
 from resnet import kernels, solver, transience
-from resnet.kernels import (effective_resistance, energy_kernel, fin_part,
+from resnet.cli import main
+from resnet.errors import GreenUndefinedError, IncompatibleSourceError, NumericalError
+from resnet.kernels import (effective_resistance, energy_kernel, fin_part, green_kernel,
                             harm_part, monopole, wired_monopole)
 from resnet.models import ModelSpec, build
 from resnet.network import Ball, vsorted
@@ -275,6 +279,66 @@ def test_classify_makes_one_wired_monopole_trace(monkeypatch):
     resistances = tuple(r for _, r, _ in projection.trace)
     assert len(resistances) == len(plan.stages)
     assert element.meta["wired_stage_energies"] == resistances
+
+
+def test_a_failing_trace_fails_classify_once_before_any_walk(monkeypatch, tmp_path):
+    # Every residual check fails: the origin's wired trace raises, once, and
+    # no criterion runs after it, the Monte Carlo walk included.
+    counts = {"_wired_trace": 0, "green_estimate": 0}
+
+    def counted(name):
+        call = getattr(transience, name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(transience, name, counting)
+
+    def failing(*args, **kwargs):
+        raise NumericalError("residual check forced to fail")
+
+    counted("_wired_trace")
+    counted("green_estimate")
+    monkeypatch.setattr(solver, "_bounded", failing)
+    net = build(ModelSpec("geom_z", {"c": 2.0}), radius=20)
+    with pytest.raises(NumericalError, match="forced"):
+        transience.classify(net, rn.make_exhaustion(net, range(1, 19)),
+                            rn.WalkConfig(n_walks=50, max_steps=50, seed=0))
+    assert counts == {"_wired_trace": 1, "green_estimate": 0}
+    out = tmp_path / "verdict.json"
+    assert main(["transience", "--model", "geom-z", "--c", "2", "--radius", "20",
+                 "--walks", "50", "--steps", "50", "-o", str(out)]) == 3
+    assert counts == {"_wired_trace": 2, "green_estimate": 0}
+    assert not out.exists()
+
+
+def test_a_covering_plan_refuses_the_wired_monopole_before_any_factor(monkeypatch, tmp_path):
+    # A finite network has no ghost to ground Δw = δ_o at: the wired
+    # monopole, the Green kernel and the gaussgreen w_o preset are refused
+    # before any stage is factored.
+    factored = []
+    splu = solver.spla.splu
+
+    def counting(*args, **kwargs):
+        factored.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", counting)
+    net = diagonal_grid(2)
+    plan = rn.make_exhaustion(net, [1, 2, 3, 4])
+    with pytest.raises(IncompatibleSourceError):
+        wired_monopole(net, net.origin, plan)
+    with pytest.raises(GreenUndefinedError, match="finite network"):
+        green_kernel(net, net.origin, (1, 1), plan)
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"origin": 0, "edges": [
+        {"u": 0, "v": 1, "c": 1.0}, {"u": 1, "v": 2, "c": 2.0}, {"u": 2, "v": 3, "c": 1.0}]}))
+    out = tmp_path / "gaussgreen.json"
+    assert main(["gaussgreen", "--net", str(path), "--u", "w_o", "--v", "w_o",
+                 "--plan", "balls:1..3", "-o", str(out)]) == 2
+    assert factored == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("radii", [range(1, 25), range(1, 8)], ids=["covering", "inner"])

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,23 @@ def test_wired_resistances_obey_nash_williams_on_lognormal_grids(seed):
     got = np.array(wired_monopole(net, (0, 0), plan).stage_energies)
     want = cutset_sums(net)[list(plan.radii)]
     assert np.all(want < got)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_raising_conductances_raises_no_stage_resistance(seed):
+    # Rayleigh monotonicity: raising a conductance never raises the wired
+    # resistance R_r from the origin to beyond B_r, nor the free resistance
+    # E(v) within B_r between x and the origin.
+    edges = lognormal_grid_edges(25, seed)
+    raised = set(random.Random(seed).sample(range(len(edges)), 5))
+    stronger = [(u, v, 4.0 * c if k in raised else c) for k, (u, v, c) in enumerate(edges)]
+    nets = [rn.Network.from_edges((0, 0), e) for e in (edges, stronger)]
+    plans = [rn.make_exhaustion(net, range(1, 11)) for net in nets]
+    for stages in (lambda net, plan: wired_monopole(net, (0, 0), plan).stage_energies,
+                   lambda net, plan: energy_kernel(net, (1, 0), plan).stage_energies):
+        before, after = (np.array(stages(net, plan)) for net, plan in zip(nets, plans))
+        assert len(before) == len(after) == 10
+        assert np.all(after <= before * (1 + 8 * np.finfo(float).eps))
 
 
 def test_green_kernel_on_half_line(zplus2, zplus2_plan):

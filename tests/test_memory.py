@@ -40,8 +40,8 @@ def _peak_mib(*argv, code=0):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
 def test_a_long_wired_trace_holds_no_stage_factors(tmp_path):
-    # Each stage's factor is freed once the next stage's is built; a store
-    # of them grew this run by about 55 MiB.
+    # Each stage's factor is freed when its solve returns; a store of them
+    # grew this run by about 55 MiB.
     base = _peak_mib()
     run = _peak_mib("transience", "--model", "unit-line", "--radius", "600",
                     "-o", str(tmp_path / "verdict.json"))

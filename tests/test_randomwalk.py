@@ -134,6 +134,11 @@ def test_escape_probability_unit_line_decays():
     probs = [p for _, p, _ in trace.points]
     assert probs[-1] < 0.25 * probs[0]
     assert probs[-1] < 0.02
+    # The escape identity P_o[leave B_r before returning] = 1/(c(o) R_r): on
+    # the unit line c(o) = 2 and R_r = (r + 1)/2, two unit paths in parallel.
+    for r, p, _ in trace.points:
+        e = 1.0 / (r + 1)
+        assert abs(p - e) <= 3 * np.sqrt(e * (1 - e) / cfg.n_walks), (r, p)
 
 
 def test_escape_probability_complete_graph():
