@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, WindowError
 from .kernels import harm_part
-from .network import VertexFunction
+from .network import VertexFunction, _stable_order
 from .operators import (common_window, energy, pair_sums, prefix_sums,
                         read_values, scaled_laplacian_residual, window_laplacian)
 
@@ -144,8 +144,8 @@ def _stage_sums(net, u, v, plans, *, vertex_part=True):
     Δv, ∂v and the boundary sums add their terms left to right in the
     order of the stagewise definition (canonical vertex order, neighbours in
     ``incident`` order), and so do the prefix sums wherever canonical order
-    is distance order; elsewhere those agree with it to rounding.  The cost
-    is O(n + m) for the whole call.
+    is distance order; elsewhere those agree with it to rounding, and only
+    there is a key sorted.  The cost is O(n + m) for the whole call.
 
     Returns ``(energy_at, vertex_at, boundary_at, mass)``: the three stage
     sums as dicts keyed by radius, and Σ Δv over the interior of the first
@@ -165,7 +165,7 @@ def _stage_sums(net, u, v, plans, *, vertex_part=True):
     pairs = net._pairs(bd)
     inward = pairs[(nbr[pairs] >= 0) & (a.dist[nbr[pairs]] <= a.dist[row[pairs]])]
     if vertex_part:
-        ball = np.flatnonzero(a.dist <= top)
+        ball = net._order[:net._cut(top)]  # B_top, a view of the search order
         uu = read_values(net, u, ball)
         vv = uu if v is u else read_values(net, v, ball)
     else:
@@ -173,7 +173,7 @@ def _stage_sums(net, u, v, plans, *, vertex_part=True):
         vv = read_values(net, v, np.union1d(bd, nbr[inward]))
 
     # Σ_{bd B_r} u ∂v for every radius r, each summed in canonical order.
-    bd = bd[np.argsort(a.dist[bd], kind="stable")]
+    bd = bd[_stable_order(a.dist[bd])]
     bd_terms = uu[bd] * pair_sums(net, inward, vv)[bd]
     cuts = np.searchsorted(a.dist[bd], radii, side="left").tolist() + [len(bd)]
     boundary_at = {r: float(prefix_sums(bd_terms[lo:hi])[-1])
@@ -182,15 +182,16 @@ def _stage_sums(net, u, v, plans, *, vertex_part=True):
         return None, None, boundary_at, None
 
     def staged(key, terms):  # for every radius r, the terms keyed <= r in stable key order
-        order = np.argsort(key, kind="stable")
+        order = _stable_order(key)
         cuts = np.searchsorted(key[order], radii, side="right")
-        sums = prefix_sums(terms[order[:cuts[-1]]])[cuts]
+        sums = prefix_sums(terms[order][:cuts[-1]])[cuts]
         return dict(zip(radii.tolist(), sums.tolist()))
 
     lap = pair_sums(net, slice(None), vv)  # exact on the rows of reach <= top
     vertex_at = staged(a.reach, uu * lap)
     lap[a.reach > plans[0].final_radius] = 0.0  # adding 0.0 keeps each sum's bits
     mass = float(prefix_sums(lap)[-1])
+    del lap
     ex, ey = a.edge_x, a.edge_y
     key, du = a.dist[ex], uu[ex]
     np.maximum(key, a.dist[ey], out=key)
@@ -332,7 +333,7 @@ def ell2_converse_check(net, u, v, window=None, *, tail_tol=1e-6):
     du, dv = window_laplacian(net, u, window), window_laplacian(net, v, window)
     uu, vv = read_values(net, u, window)[window], read_values(net, v, window)[window]
     dist = net.arrays.dist[window]
-    outer = dist > dist.max() // 2
+    outer = dist > dist.max(initial=0) // 2  # an empty window has no tail
     tail = float(prefix_sums((uu * uu + vv * vv + du * du + dv * dv)[outer])[-1])
     if tail > tail_tol:
         raise PreconditionError(

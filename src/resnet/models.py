@@ -168,7 +168,7 @@ def _line(spec, radius, powers):
     degree = np.full(n, 2)
     degree[:half] = 1  # the half-line's 0 has one neighbour
     if half:
-        order, ring = np.arange(n), (radius + 1,)
+        order, ring = size[1:-1], (radius + 1,)  # 0..R: the distances too
     else:
         # 0, -1, 1, -2, 2, ...: positions from the centre outwards.
         order = radius + np.outer(np.arange(radius + 1), [-1, 1]).ravel()[1:]
@@ -231,9 +231,9 @@ def build(spec, radius=None):
     if spec.family == "binary_tree":
         window = _binary_tree(radius)
     else:
-        # c ** k as Python floats: the bits of the conductances c^k.
+        # c ** k as Python floats: the bits of the conductances c^k (or 1.0).
         powers = (np.array([spec.c ** k for k in range(radius + 2)])
-                  if spec.family in _GEOMETRIC else np.ones(radius + 2))
+                  if spec.family in _GEOMETRIC else np.broadcast_to(1.0, radius + 2))
         window = (_star if spec.family == "star" else _line)(spec, radius, powers)
     origin, vertices, order, dist, degree, ids, cond, ring = window
     beyond = ids < 0
@@ -320,10 +320,10 @@ def harmonic_energy(spec):
 
 
 def _line_function(window, values, gauge, vertices):
-    """``values`` on the integer range ``window``, on ``vertices``, the vertex
-    tuple of a network of the model whose window is at least as large."""
+    """``values``, taken over, on the integer range ``window``, on ``vertices``,
+    the vertex tuple of a network of the model whose window is at least as large."""
     pos = np.arange(window.start - vertices[0], window.stop - vertices[0])
-    return VertexFunction(vertices, pos, values, gauge)
+    return VertexFunction._of(vertices, pos, values, gauge)
 
 
 def oracle_v_function(spec, n, radius, vertices):
@@ -365,12 +365,12 @@ def log_increment_function(radius, vertices):
     """
     if radius < 2:
         raise ConfigurationError("log-increment window needs radius >= 2")
-    inc = 1.0 / np.arange(1, radius + 1)
+    u = np.arange(radius + 1, dtype=float)  # u(n) - u(n - 1), summed in place
+    np.divide(1.0, u[1:], out=u[1:])
     k = np.arange(1, int(radius).bit_length())
-    inc[(1 << k) - 1] = 1.0 / k
-    inc[0] = 1.0
-    return _line_function(range(radius + 1), np.concatenate(([0.0], np.cumsum(inc))),
-                          GAUGE_ORIGIN, vertices)
+    u[1 << k] = 1.0 / k
+    u[1] = 1.0
+    return _line_function(range(radius + 1), np.cumsum(u, out=u), GAUGE_ORIGIN, vertices)
 
 
 def oracle_residuals(spec, radius=30):

@@ -61,6 +61,11 @@ def vsorted(vertices):
     return vertices
 
 
+def _stable_order(key):
+    """The stable argsort of ``key``, or ``slice(None)`` if it is sorted."""
+    return slice(None) if (key[1:] >= key[:-1]).all() else np.argsort(key, kind="stable")
+
+
 class Network:
     """Immutable weighted graph with a distinguished origin.
 
@@ -86,11 +91,16 @@ class Network:
         each vertex; ``ids`` and ``cond``, the neighbour and conductance of
         each pair, rows in canonical order and each row in canonical order of
         its neighbours.  A neighbour in the window is its position; the i-th
-        pair that leaves the window reaches ``ring[i]``, and its id is n + i."""
+        pair that leaves the window reaches ``ring[i]``, and its id is n + i.
+        The network owns these arrays: ``ids`` becomes ``arrays.nbr`` in place."""
         self.origin, self.model, self.window_radius = origin, model, window_radius
         self._vertices, self._order, self._ring = vertices, order, ring
-        self.arrays = NetworkArrays.of(dist, degree, ids, cond)
-        self._validate(ids)
+        rows = np.repeat(np.arange(len(vertices)), degree)
+        # A sorted row puts a duplicate right after its twin; ring ids still differ.
+        twin = np.flatnonzero((ids[1:] == ids[:-1]) & (rows[1:] == rows[:-1]))
+        ids[ids >= len(vertices)] = -1
+        self.arrays = NetworkArrays.of(dist, degree, rows, ids, cond)
+        self._validate(twin)
         # Ball B_r is the first _cuts[r] vertices of the search order.
         counts = np.bincount(self.arrays.dist)
         self._cuts = np.cumsum(counts, out=counts)
@@ -143,15 +153,13 @@ class Network:
         return cls(origin, verts, search.astype(np.int64), np.array(dist, np.int64),
                    degree, ids, cond, ())
 
-    def _validate(self, ids):
-        """Reject duplicate pairs (``ids`` tells ring neighbours apart),
+    def _validate(self, twin):
+        """Reject duplicate pairs (each pair in ``twin`` repeats the next one),
         isolated vertices, a total conductance c(x) that overflows and
         one-sided or (bit-exactly) asymmetric edges."""
         a, verts = self.arrays, self._vertices
-        # A sorted row puts a duplicate right after its twin.
-        dup = np.flatnonzero((ids[1:] == ids[:-1]) & (a.rows[1:] == a.rows[:-1]))
-        if dup.size:
-            x, y = verts[a.rows[dup[0]]], self._name(int(dup[0]))
+        if twin.size:
+            x, y = verts[a.rows[twin[0]]], self._name(int(twin[0]))
             raise DomainError(f"duplicate edge ({x!r}, {y!r})")
         isolated = np.flatnonzero(a.indptr[1:] == a.indptr[:-1])
         if isolated.size:
@@ -165,7 +173,7 @@ class Network:
         # by neighbour: rows come in order), are the edge list.  Only a failure
         # is searched, for the first bad pair.
         lower = np.flatnonzero((a.nbr < a.rows) & (a.nbr >= 0))
-        lower = lower[np.argsort(a.nbr[lower], kind="stable")]
+        lower = lower[_stable_order(a.nbr[lower])]
         if all(np.array_equal(col[lower], want) for col, want in (
                 (a.nbr, a.edge_x), (a.rows, a.edge_y), (a.cond, a.edge_c))):
             return
@@ -287,7 +295,7 @@ class NetworkArrays:
 
     ``nbr``/``cond`` hold every vertex's incident pairs in :meth:`incident`
     order, row i spanning ``indptr[i]:indptr[i + 1]``, and ``rows`` the row of
-    each entry; a neighbour beyond the window has index -1.
+    each entry (``nbr`` is the constructor's ``ids``, -1 beyond the window).
     ``edge_x``/``edge_y``/``edge_c`` list each edge inside the window once,
     from its end of smaller position, ordered by that end and then in
     ``incident`` order.  ``reach[i]`` is the largest distance over vertex i
@@ -309,14 +317,12 @@ class NetworkArrays:
     ctot: np.ndarray
 
     @classmethod
-    def of(cls, dist, degree, ids, cond):
-        """From the distance and degree of each vertex, and the neighbour
-        position (>= n beyond the window) and conductance of each pair."""
+    def of(cls, dist, degree, rows, nbr, cond):
+        """From the distance and degree of each vertex, and the row, neighbour
+        position (-1 beyond the window) and conductance of each pair, uncopied."""
         n = len(dist)
         indptr = np.zeros(n + 1, np.int64)
         np.cumsum(degree, out=indptr[1:])
-        rows = np.repeat(np.arange(n), degree)
-        nbr = np.where(ids < n, ids, -1)
         inner = np.flatnonzero(nbr > rows)  # indices: faster to gather than a mask
         ex, ey = rows[inner], nbr[inner]
         farther, step = np.zeros(n, bool), dist[ey]
@@ -404,7 +410,8 @@ class VertexFunction:
     The gauge records which representative of an energy equivalence class the
     values carry: ``origin-zero`` (value 0 at the origin), ``vanish-at-infinity``
     (values tending to 0 at the window edge) or ``raw``.  Reading a vertex
-    outside the window raises :class:`WindowError`.
+    outside the window raises :class:`WindowError`.  The constructor copies
+    ``values``; the package's own builders hand theirs over uncopied (:meth:`_of`).
     """
 
     __slots__ = ("_vertices", "_pos", "_values", "gauge")
@@ -415,6 +422,14 @@ class VertexFunction:
         self._vertices, self._pos, self.gauge = vertices, np.asarray(pos, np.int64), gauge
         self._values = np.array(values, float)
         self._values.flags.writeable = False  # the operators read it in place
+
+    @classmethod
+    def _of(cls, vertices, pos, values, gauge=GAUGE_RAW):
+        """The function of ``values``, taken over uncopied if a float array."""
+        f = cls(vertices, pos, (), gauge)
+        f._values = values = np.asarray(values, float)
+        values.flags.writeable = False
+        return f
 
     def _index(self, x):
         """The index of vertex ``x`` in the arrays, or -1 off the window."""
@@ -458,8 +473,9 @@ class VertexFunction:
         return list(zip(self._ids(), self._values.tolist()))
 
     def _like(self, at, values, gauge):
-        """``values`` at the window entries ``at``, on the same vertex sequence."""
-        return VertexFunction(self._vertices, self._pos[at], values, gauge)
+        """``values``, made for it, at the window entries ``at``, on the same
+        vertex sequence."""
+        return VertexFunction._of(self._vertices, self._pos[at], values, gauge)
 
     def shifted(self, k):
         """The representative u + k (same class, raw gauge)."""

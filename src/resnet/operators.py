@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_BLOCK = 8192  # pairs per gather: 64 KiB reuses freed memory, not fresh pages
+
 
 @dataclass(frozen=True)
 class EnergyValue:
@@ -100,7 +102,8 @@ def pair_sums(net, keep, vv):
     a = net.arrays
     x, y = a.rows[keep], a.nbr[keep]
     w = vv[x]
-    w -= vv[y]
+    for lo in range(0, len(w), _BLOCK):  # v(y) a block at a time
+        w[lo:lo + _BLOCK] -= vv[y[lo:lo + _BLOCK]]
     w *= a.cond[keep]  # c (v(x) − v(y)), the same bits as its product
     return np.bincount(x, w, minlength=len(a.dist))
 

@@ -3,6 +3,7 @@ package's identities and window-level operators with.  No command or
 acceptance criterion calls them, so they live with the tests."""
 
 import numpy as np
+from scipy.sparse import coo_matrix
 
 from resnet.errors import DomainError
 from resnet.network import GAUGE_RAW, VertexFunction
@@ -131,3 +132,27 @@ def step(net, x, rng):
         if u < acc:
             return y
     return pairs[-1][0]
+
+
+def expected_visits(edges, origin, horizons):
+    """{N: Σ_{k<=N} P^k(origin, origin)} for each horizon N: the expected visits
+    to the origin at times 0..N of the walk from it, P(x, y) = c_xy / c(x).
+    From the (u, v, conductance) triples alone: the distribution of the walk
+    is carried forward by sparse products with P transposed."""
+    verts = sorted({w for u, v, _ in edges for w in (u, v)})
+    index = {x: i for i, x in enumerate(verts)}
+    ends = [index[u] for u, _, _ in edges], [index[v] for _, v, _ in edges]
+    c = np.array([float(c) for _, _, c in edges] * 2)
+    # Symmetric: c_xy at (x, y) and (y, x), parallel edges added.
+    cond = coo_matrix((c, (ends[0] + ends[1], ends[1] + ends[0])),
+                      shape=(len(verts), len(verts))).tocsr()
+    p_transposed = cond.multiply(1.0 / np.asarray(cond.sum(axis=0)).ravel()).tocsr()
+    o = index[origin]
+    p, total, out = np.zeros(len(verts)), 0.0, {}
+    p[o] = 1.0
+    for k in range(max(horizons) + 1):
+        total += float(p[o])
+        if k in horizons:
+            out[k] = total
+        p = p_transposed @ p
+    return out

@@ -263,6 +263,32 @@ def _assert_matches_stagewise(net, u, v, plan, alt_plan):
     return report
 
 
+@pytest.fixture
+def stable_sorts(monkeypatch):
+    """The lengths of the keys that ``np.argsort`` sorts stably, as it is called."""
+    lengths, argsort = [], np.argsort
+
+    def counted(key, *args, **kwargs):
+        if kwargs.get("kind") == "stable":
+            lengths.append(len(key))
+        return argsort(key, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    return lengths
+
+
+def test_keys_already_in_distance_order_are_not_sorted(stable_sorts):
+    # On the half-line canonical order is distance order, so every key the
+    # window and the stage sums order by is nondecreasing: nothing is sorted,
+    # and the sums still match the stagewise ones.
+    net = build(ModelSpec("log_increment_line"), radius=3 ** 6)
+    u = log_increment_function(3 ** 6, net.vertices)
+    plan = rn.make_exhaustion(net, [3 ** k for k in range(1, 7)])  # covers the window
+    _assert_matches_stagewise(net, u, u, plan,
+                              rn.make_exhaustion(net, [2 ** k for k in range(1, 10)]))
+    assert stable_sorts == []
+
+
 def test_stage_sums_match_stagewise_on_binary_tree(rng):
     net = build(ModelSpec("binary_tree"), radius=8)
     u, v = random_function(rng, net), random_function(rng, net)
@@ -277,16 +303,20 @@ def test_stage_sums_match_stagewise_on_star(rng):
                               rn.make_exhaustion(net, [3, 9]))
 
 
-def test_stage_sums_match_stagewise_on_geom_z_with_alt_plan(geom2, geom2_plan):
+def test_stage_sums_match_stagewise_on_geom_z_with_alt_plan(geom2, geom2_plan, stable_sorts):
     u = oracle_w_o_function(ModelSpec("geom_z", {"c": 2.0}), 32, geom2.vertices)
     v = energy_kernel(geom2, 2, geom2_plan).approximant
     alt = rn.make_exhaustion(geom2, [2, 4, 8, 16, 30])
+    stable_sorts.clear()
     report = _assert_matches_stagewise(
         geom2, u, v, rn.make_exhaustion(geom2, range(1, 29)), alt)
     assert report.meta["alt_descriptor"] == alt.descriptor
+    # Canonical order -R..R is not distance order: the vertex key and the
+    # edge key are sorted.
+    assert {len(geom2.vertices), len(geom2.arrays.edge_x)} <= set(stable_sorts)
 
 
-def test_stage_sums_match_stagewise_on_explicit_grid(rng):
+def test_stage_sums_match_stagewise_on_explicit_grid(rng, stable_sorts):
     # A grid with diagonals around the origin (1, 1): canonical order of the
     # tuple ids is not distance order, and some neighbours are equidistant.
     edges = [((i, j), (i + di, j + dj), float(rng.uniform(0.5, 5.0)))
@@ -294,6 +324,9 @@ def test_stage_sums_match_stagewise_on_explicit_grid(rng):
              for di, dj in ((1, 0), (0, 1), (1, 1))
              if i + di < 4 and j + dj < 4]
     net = rn.Network.from_edges((1, 1), edges)
+    # The symmetry check orders the pairs below the diagonal by neighbour,
+    # which a grid's rows do not.
+    assert stable_sorts == [len(net.arrays.edge_x)]
     u, v = random_function(rng, net), random_function(rng, net)
     radius = net.max_radius
     report = _assert_matches_stagewise(

@@ -8,8 +8,8 @@ from resnet.errors import DomainError, NumericalError
 from resnet.models import ModelSpec, build
 from resnet.randomwalk import (WalkConfig, escape_probability, green_estimate,
                                hitting_probability)
-from conftest import make_random_net
-from reference_pointwise import step, transition_probabilities
+from conftest import lognormal_grid_edges, make_random_net
+from reference_pointwise import expected_visits, step, transition_probabilities
 from reference_windows import has_vertex, total_conductance
 
 
@@ -109,6 +109,20 @@ def test_green_estimate_detects_recurrence():
     cfg = WalkConfig(n_walks=2000, max_steps=4000, seed=3)
     est = green_estimate(net, 0, 0, cfg)
     assert "diverging" in est.flags
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_green_estimate_meets_the_finite_horizon_identity(seed):
+    # E[visits to o at times 0..N] = Σ_{k<=N} P^k(o, o), on the report-grid
+    # benchmark's grid and walk settings, against the exact sum from the edge
+    # list (measured z = -0.36 and 1.13).  The diverging flag agrees with the
+    # exact growth from N = 2000 to 4000 (ratios 1.53 and 1.55).
+    edges = lognormal_grid_edges(25, seed)
+    est = green_estimate(rn.Network.from_edges((0, 0), edges), (0, 0), (0, 0),
+                         WalkConfig(1000, 4000, seed))
+    exact = expected_visits(edges, (0, 0), (2000, 4000))
+    assert abs(est.value - exact[4000]) <= 3 * est.stderr
+    assert ("diverging" in est.flags) == (exact[4000] / exact[2000] > 1.15)
 
 
 def test_green_estimate_unreachable_target(zplus2):

@@ -94,3 +94,15 @@ def test_sums_and_differences_agree(data):
                   lambda: energy(net, stranger)):
             with pytest.raises(DomainError, match="not on the network's vertices"):
                 h()
+
+
+def test_the_constructor_copies_the_values_it_is_given():
+    # The package's builders hand their own arrays over uncopied; a caller's
+    # array stays the caller's: writable, and not read by the function.
+    net = path_network([0, 1, 2, 3])
+    arr = np.array([0.5, -1.0, 2.0])
+    f = VertexFunction(net.vertices, [0, 2, 3], arr)
+    assert arr.flags.writeable
+    assert not np.shares_memory(arr, f._values)
+    arr[:] = 7.0
+    assert [f.value(x) for x in (0, 2, 3)] == [0.5, -1.0, 2.0]

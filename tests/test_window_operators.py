@@ -144,6 +144,17 @@ def test_ell2_converse_matches_pointwise(net, uv):
         ell2_converse_check(net, u, v)
 
 
+def test_ell2_converse_on_an_empty_interior_is_zero():
+    # u on the last vertex of the window alone: its interior is empty, and
+    # every window check gives 0 there, as the per-vertex references do.
+    net = build(ModelSpec("unit_line"), radius=10)
+    u = function_on(net, {10: 1.0})
+    assert interior_of(net, u.window) == frozenset()
+    assert ell2_converse_check(net, u, u) == ref_ell2(net, u, u) == 0.0
+    assert balanced_check(net, u) == 0.0
+    assert two_sum_identity_check(net, u) == (0.0, 0.0)
+
+
 def test_helpers_add_floats_without_the_builtin_sum(net, uv, strict_sum):
     # The vanish gauge of the monopole and the grounded projection's
     # crossing edges add floats too.
