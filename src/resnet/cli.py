@@ -3,11 +3,12 @@
 Verbs: gen, kernel, monopole, gaussgreen, transience, walk, resistance,
 report.  The parser is built per verb from ``_VERBS``: it names every verb
 with its help and gives only the invoked one its arguments, which are the
-options that verb reads.  Results are JSON (verdicts, reports) or CSV
-(per-stage traces); every artifact's config block records the version,
-each of the seed, tolerance (at the verb's default when omitted), walks and
-steps that the verb takes, the plan, the network options and the resolved
-model, and the verb's own extras (gaussgreen's --u/--v, walk's --op).
+options that verb reads.  Verbs compute their artifacts, JSON (verdicts,
+reports) or CSV (per-stage traces); ``_write`` records and writes them with
+a config block: the version, each of the seed, tolerance (at the verb's
+default when omitted), walks and steps that the verb takes, the plan, the
+network options and resolved model, and the verb's own extras (gaussgreen's
+--u/--v, walk's --op).
 
 Exit codes: 0 success, 2 precondition or domain errors (bad input, unknown
 model, malformed JSON), 3 a result that did not converge (still written) or
@@ -21,6 +22,7 @@ import ast
 import math
 import os
 import sys
+from dataclasses import asdict, astuple
 
 from . import __version__
 from .errors import ConfigurationError, NumericalError, ResnetError
@@ -216,21 +218,38 @@ def _function_file(net, path):
     return VertexFunction(net.vertices, pos, [values[p] for p in pos])
 
 
-def _config_header(args, net, plan=None, **extras):
-    """The config block: the version, then each of seed, tol, walks and steps
-    that the verb takes, the plan, the network options and model, and ``extras``."""
-    header = {k: getattr(args, k) for k in ("seed", "tol", "walks", "steps")
-              if hasattr(args, k)}
-    header["version"] = __version__
+def _network(args):
+    """The network of the options, and the plan --plan names over it."""
+    net = _load_net(args)
+    return net, _parse_plan(net, args.plan)
+
+
+def _walks(args):
+    """The walks of --walks, --steps and --seed, checked before any network loads."""
+    return WalkConfig(n_walks=args.walks, max_steps=args.steps, seed=args.seed)
+
+
+def _write(args, net, plan, artifact, ok=True, **extras):
+    """Write ``artifact`` with its config block and return the exit code, 3
+    unless ``ok``: a payload dict as JSON, the block under ``config``, or
+    ``(columns, rows, meta)`` as CSV, the block merged into the header."""
+    config = {k: getattr(args, k) for k in ("seed", "tol", "walks", "steps") if hasattr(args, k)}
+    config["version"] = __version__
     if plan is not None:
-        header["plan"] = plan.descriptor
+        config["plan"] = plan.descriptor
     if args.model:
-        header["model"] = args.model
+        config["model"] = args.model
     if args.net:
-        header["net"] = args.net
+        config["net"] = args.net
     if net.model is not None:
-        header["resolved_model"] = net.model
-    return dict(header, **extras)
+        config["resolved_model"] = net.model
+    config.update(extras)
+    if isinstance(artifact, dict):
+        _emit(args, canonical_json(dict(artifact, config=config)) + "\n")
+    else:
+        columns, rows, meta = artifact
+        _emit(args, csv_text(columns, rows, dict(config, **meta)))
+    return EXIT_OK if ok else EXIT_NUMERIC
 
 
 def _emit(args, text):
@@ -251,75 +270,50 @@ def _cmd_gen(args):
 
 
 def _cmd_kernel(args):
-    net = _load_net(args)
-    plan = _parse_plan(net, args.plan)
+    net, plan = _network(args)
     x = _parse_vertex(args.x)
     op = {KIND_DIPOLE: energy_kernel, KIND_FIN: fin_part, KIND_HARM: harm_part}[args.kind]
     element = op(net, x, plan, tol=args.tol)
-    header = _config_header(args, net, plan)
-    if args.format == "csv":
-        meta = dict(header, kind=element.kind, base=vertex_label(x),
-                    converged=element.converged)
-        _emit(args, csv_text(("vertex", "value"), element.csv_rows(), meta))
-    else:
-        payload = element.to_jsonable()
-        payload["config"] = header
-        _emit(args, canonical_json(payload) + "\n")
-    return EXIT_OK if element.converged else EXIT_NUMERIC
+    artifact = element.to_jsonable() if args.format == "json" else (
+        ("vertex", "value"), element.csv_rows(),
+        dict(kind=element.kind, base=vertex_label(x), converged=element.converged))
+    return _write(args, net, plan, artifact, element.converged)
 
 
 def _cmd_monopole(args):
-    net = _load_net(args)
-    plan = _parse_plan(net, args.plan)
-    x = _vertex_or_origin(net, args.x)
-    element = monopole(net, x, plan)
-    payload = element.to_jsonable()
-    payload["config"] = _config_header(args, net, plan)
-    _emit(args, canonical_json(payload) + "\n")
-    if element.converged or element.diverged:
-        return EXIT_OK
-    return EXIT_NUMERIC
+    net, plan = _network(args)
+    element = monopole(net, _vertex_or_origin(net, args.x), plan)
+    return _write(args, net, plan, element.to_jsonable(), element.converged or element.diverged)
 
 
 def _cmd_gaussgreen(args):
-    net = _load_net(args)
-    plan = _parse_plan(net, args.plan)
+    net, plan = _network(args)
     alt_plan = _parse_plan(net, args.alt_plan) if args.alt_plan else None
     preset_plan = _covering_plan(net, plan, alt_plan)
     u = _resolve_function(net, preset_plan, args.u)
     v = u if args.v == args.u else _resolve_function(net, preset_plan, args.v)
     report = gauss_green(net, u, v, plan, alt_plan, limit_tol=args.tol)
-    header = _config_header(args, net, plan, u=args.u, v=args.v)
     if args.format == "csv":
-        rows = [(s.radius, s.size, s.energy, s.vertex_sum, s.boundary_sum, s.residual)
-                for s in report.stages]
-        meta = dict(header, verdict=report.verdict)
+        meta = {"verdict": report.verdict}
         if report.boundary_limit is not None:
             meta["boundary_limit"] = fmt_float(report.boundary_limit)
         if alt_plan is not None:
             meta["alt_descriptor"] = alt_plan.descriptor
             if report.meta["alt_boundary_limit"] is not None:
-                meta["alt_boundary_limit"] = fmt_float(
-                    report.meta["alt_boundary_limit"])
-        _emit(args, csv_text(
-            ("radius", "stage_size", "energy", "vertex_sum", "boundary_sum",
-             "residual"), rows, meta))
+                meta["alt_boundary_limit"] = fmt_float(report.meta["alt_boundary_limit"])
+        artifact = (("radius", "stage_size", "energy", "vertex_sum", "boundary_sum",
+                     "residual"), [astuple(s) for s in report.stages], meta)
     else:
-        payload = report.to_jsonable()
-        payload["config"] = header
-        _emit(args, canonical_json(payload) + "\n")
-    return EXIT_OK if report.verdict != VERDICT_INCONCLUSIVE else EXIT_NUMERIC
+        artifact = report.to_jsonable()
+    return _write(args, net, plan, artifact, report.verdict != VERDICT_INCONCLUSIVE,
+                  u=args.u, v=args.v)
 
 
 def _cmd_transience(args):
-    cfg = WalkConfig(n_walks=args.walks, max_steps=args.steps, seed=args.seed)
-    net = _load_net(args)
-    plan = _parse_plan(net, args.plan)
+    cfg = _walks(args)
+    net, plan = _network(args)
     verdict = classify(net, plan, cfg)
-    payload = verdict.to_jsonable()
-    payload["config"] = _config_header(args, net, plan)
-    _emit(args, canonical_json(payload) + "\n")
-    return EXIT_OK if verdict.verdict != "inconclusive" else EXIT_NUMERIC
+    return _write(args, net, plan, verdict.to_jsonable(), verdict.verdict != "inconclusive")
 
 
 # The options each walk --op reads besides the network and the walks, and
@@ -341,13 +335,10 @@ def _cmd_walk(args):
     if args.op == "escape":
         text = "2,4,8,16" if args.radii is None else args.radii
         radii = _radii(text.split(","), f"--radii {text!r}")
-    cfg = WalkConfig(n_walks=args.walks, max_steps=args.steps, seed=args.seed)
+    cfg = _walks(args)
     net = _load_net(args)
     if args.op == "escape":
-        trace = escape_probability(net, radii, cfg)
-        payload = {"points": [list(p) for p in trace.points],
-                   "capped": trace.capped, "exited": trace.exited,
-                   "n_walks": trace.n_walks, "seed": trace.seed}
+        payload = asdict(escape_probability(net, radii, cfg))
     else:
         x = _vertex_or_origin(net, args.x)
         if args.op == "hitting":
@@ -359,43 +350,32 @@ def _cmd_walk(args):
                    "n_walks": est.n_walks, "seed": est.seed}
         if args.op == "green":
             payload["meta"] = est.meta
-    payload["config"] = _config_header(args, net, op=args.op)
-    _emit(args, canonical_json(payload) + "\n")
-    return EXIT_OK
+    return _write(args, net, None, payload, op=args.op)
 
 
 def _cmd_resistance(args):
-    net = _load_net(args)
-    plan = _parse_plan(net, args.plan)
+    net, plan = _network(args)
     value = effective_resistance(net, _parse_vertex(args.x), _parse_vertex(args.y),
                                  plan, variant=args.variant)
-    payload = {"resistance": value.value, "variant": value.variant,
-               "converged": value.converged, "stages": list(value.stages),
-               "config": _config_header(args, net, plan)}
-    _emit(args, canonical_json(payload) + "\n")
-    return EXIT_OK if value.converged else EXIT_NUMERIC
+    payload = asdict(value)
+    payload["resistance"] = payload.pop("value")
+    return _write(args, net, plan, payload, value.converged)
 
 
 def _cmd_report(args):
     cs = _parse_sweep(args.sweep) if args.sweep else None
-    cfg = WalkConfig(n_walks=args.walks, max_steps=args.steps, seed=args.seed)
-    net = _load_net(args)
-    plan = _parse_plan(net, args.plan)
+    cfg = _walks(args)
+    net, plan = _network(args)
     verdict = classify(net, plan, cfg)
     rank, harm_detail = harm_dimension_probe(net, plan)
-    payload = {
-        "transience": verdict.to_jsonable(),
-        "harmonic_dimension": rank,
-        "harmonic_detail": harm_detail,
-        "config": _config_header(args, net, plan),
-    }
+    payload = {"transience": verdict.to_jsonable(), "harmonic_dimension": rank,
+               "harmonic_detail": harm_detail}
     spec = spec_of(net)
     if spec is not None and spec.family == "geom_z":
         payload["harmonic_oracle_energy"] = harmonic_energy(spec)
     if cs is not None:
         payload["grounded_sweep"] = grounded_parameter_sweep(cs)
-    _emit(args, canonical_json(payload) + "\n")
-    return EXIT_OK
+    return _write(args, net, plan, payload)
 
 
 # Options that several verbs read, listed in the rows of those that read them:

@@ -20,7 +20,8 @@ Every stage loop is one sweep of the plan (:func:`_sweep`), free and wired
 together where both are read, for all of its sources: the stages before the
 last come off one natural-order window factor per boundary condition, their
 energies from the Gauss-Green sphere term, unless its envelope is over
-budget; the last stage, which gives the approximants, is a block solve.
+budget; the last stage, which gives the approximants, is a block solve, one
+for both conditions when its ball covers a finite network.
 """
 
 from __future__ import annotations
@@ -190,8 +191,9 @@ def _sweep(net, source, plan, bcs, reads=(), energies=False):
     when :func:`~resnet.solver._fits` admits it, their energies from the
     Gauss-Green sphere term, κ_s the conductance from s ∈ S_r out of B_r:
     E(v) = bᵀv, E(f̃) = bᵀf̃ − Σ κ_s f̃(s)² and E(v − f̃) = Σ κ_s (v − f̃)(s)
-    f̃(s).  Any other stage is one block solve per condition, its energies
-    edge sums of the origin-zero solutions."""
+    f̃(s).  Any other stage is one block solve per condition (one for both
+    on a ball that covers a finite network), its energies edge sums of the
+    origin-zero solutions."""
     at, values = np.asarray(source[0], np.int64), np.asarray(source[1], float)
     block, values = values.ndim == 2, values.reshape(len(at), -1)
     first = np.where(values != 0.0, _distances(net, plan, at)[:, None], -1).max(axis=0)
@@ -206,11 +208,16 @@ def _sweep(net, source, plan, bcs, reads=(), energies=False):
 
 
 def _solved(net, at, cols, block, r, held, bcs, reads, energies):
-    """A stage of :func:`_sweep` from a block solve (1-d: single) per condition."""
+    """A stage of :func:`_sweep` from a block solve (1-d: single) per condition,
+    or one for all when the ball covers a finite network: no edge leaves it,
+    so its wired system is the free one (see :func:`~resnet.solver._system`)."""
     rows = (cols != 0.0).any(axis=1)
     at, cols = at[rows], cols[rows]
-    reports = [solve_poisson(net, Ball(net, r), (at, cols if block else cols[:, 0]), bc)
-               for bc in bcs]
+    f = (at, cols if block else cols[:, 0])
+    if net.is_finite and net._cut(r) == len(net.vertices):
+        reports = [solve_poisson(net, Ball(net, r), f, bcs[0])] * len(bcs)
+    else:
+        reports = [solve_poisson(net, Ball(net, r), f, bc) for bc in bcs]
     pos = reports[0].pos
     us = [rep.values.reshape(len(pos), -1) for rep in reports]
     i = np.minimum(np.searchsorted(pos, reads), len(pos) - 1)

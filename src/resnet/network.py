@@ -376,7 +376,11 @@ class ExhaustionPlan:
 
 def make_exhaustion(net, radii, descriptor=None):
     """Build the exhaustion by balls of the given strictly increasing radii."""
-    radii = tuple(int(r) for r in radii)
+    radii = tuple(radii)
+    for r in radii:
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+            raise ConfigurationError(f"radii must be ints, got {r!r}")
+    radii = tuple(map(int, radii))
     if not radii:
         raise ConfigurationError("empty radius schedule")
     if any(r <= 0 for r in radii):

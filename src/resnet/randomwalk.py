@@ -328,7 +328,11 @@ def escape_probability(net, radii, cfg):
     strictly inside the materialized window so the edge kill cannot be
     mistaken for a return.
     """
-    radii = tuple(int(r) for r in radii)
+    radii = tuple(radii)
+    for r in radii:
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+            raise DomainError(f"escape radii must be ints, got {r!r}")
+    radii = tuple(map(int, radii))
     if not radii:
         raise DomainError("need at least one radius")
     if min(radii) < 0:

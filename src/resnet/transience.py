@@ -279,9 +279,11 @@ def grounded_parameter_sweep(cs):
     r^radius sits below 1e-9 (capped at 200, floor 20); no window covers a
     finite network, so each projection runs its wired trace.
     """
+    cs = [float(c) for c in cs]
+    if not cs:
+        raise DomainError("the grounded-parameter sweep is empty: give at least one base c")
     records = []
     for c in cs:
-        c = float(c)
         r_geom = min(1.0 / c, 0.999)
         depth = int(-9.0 * math.log(10.0) / math.log(r_geom)) + 2
         radius = max(20, min(200, depth))

@@ -156,3 +156,23 @@ def expected_visits(edges, origin, horizons):
             out[k] = total
         p = p_transposed @ p
     return out
+
+
+def wired_green(edges, ball, y):
+    """{x: g(x)} for the wired Δg = δ_y on the vertex set ``ball``, with Δg(x)
+    = Σ_z c_xz (g(x) − g(z)) over the (u, v, conductance) triples and g = 0
+    off the ball: one dense solve.  g(y) is the resistance from y to the
+    complement of the ball, and c(y) g(x) the expected number of visits to
+    y, time 0 included, of the walk from x before it leaves the ball."""
+    verts = list(ball)
+    index = {x: i for i, x in enumerate(verts)}
+    lap = np.zeros((len(verts), len(verts)))
+    for u, v, c in edges:
+        for a, b in ((u, v), (v, u)):
+            if a in index:
+                lap[index[a], index[a]] += c
+                if b in index:
+                    lap[index[a], index[b]] -= c
+    delta = np.zeros(len(verts))
+    delta[index[y]] = 1.0
+    return dict(zip(verts, np.linalg.solve(lap, delta).tolist()))

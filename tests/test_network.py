@@ -3,6 +3,7 @@ import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -87,6 +88,11 @@ def test_exhaustion_log_model_plans():
 def test_exhaustion_rejects_non_increasing(geom2):
     with pytest.raises(ConfigurationError):
         rn.make_exhaustion(geom2, (3, 2, 5))
+    # A radius that is not an integer is refused, not truncated.
+    for radii in ((1.5, 2.7, 3.9), (True, 2), (1, 2.0)):
+        with pytest.raises(ConfigurationError, match="radii must be ints"):
+            rn.make_exhaustion(geom2, radii)
+    assert rn.make_exhaustion(geom2, (np.int64(1), 2)).radii == (1, 2)
 
 
 def test_exhaustion_contains_origin(geom2):

@@ -228,13 +228,13 @@ def test_the_depth_10_binary_tree_keeps_its_per_stage_solves(monkeypatch):
 
 
 def test_report_grid_probe_factors_once_per_condition(monkeypatch):
-    # The report-grid network and plan: two window factors, then the last
-    # stage's free and wired solves (the wired one, with no edge leaving the
-    # covering ball, is the free system again).
+    # The report-grid network and plan: two window factors, then one solve of
+    # the last stage for both conditions (with no edge leaving the covering
+    # ball, its wired system is the free one, so one factor serves both).
     net, plan, _, _ = _grid()
     calls = _splu_orders(monkeypatch)
     transience.harm_dimension_probe(net, plan)
-    assert calls == ["NATURAL", "NATURAL", "MMD_AT_PLUS_A", "MMD_AT_PLUS_A"]
+    assert calls == ["NATURAL", "NATURAL", "MMD_AT_PLUS_A"]
 
 
 @pytest.mark.parametrize("radii", [range(1, 59), None], ids=["balls", "doubling"])

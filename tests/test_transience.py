@@ -129,6 +129,15 @@ def test_one_splitting_energy_positive_iff_transient(verdicts, geom2, zplus2):
     assert grounded_projection_of_one(line).energy == 0.0
 
 
+def test_an_empty_grounded_parameter_sweep_is_refused(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a network was built for an empty sweep")
+
+    monkeypatch.setattr(rn.transience, "build", no_build)
+    with pytest.raises(rn.DomainError, match="sweep is empty"):
+        grounded_parameter_sweep([])
+
+
 def test_grounded_parameter_sweep_self_consistency():
     cs = [1.1 + 0.1 * i for i in range(30)]
     sweep = grounded_parameter_sweep(cs)
