@@ -220,6 +220,8 @@ def _function_file(net, path):
 
 def _network(args):
     """The network of the options, and the plan --plan names over it."""
+    if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:  # NaN fails too
+        raise ConfigurationError(f"--tol must be finite and nonnegative, got {args.tol!r}")
     net = _load_net(args)
     return net, _parse_plan(net, args.plan)
 
@@ -275,7 +277,7 @@ def _cmd_kernel(args):
     op = {KIND_DIPOLE: energy_kernel, KIND_FIN: fin_part, KIND_HARM: harm_part}[args.kind]
     element = op(net, x, plan, tol=args.tol)
     artifact = element.to_jsonable() if args.format == "json" else (
-        ("vertex", "value"), element.csv_rows(),
+        ("vertex", "value"), [(vertex_label(y), u) for y, u in element.approximant.items()],
         dict(kind=element.kind, base=vertex_label(x), converged=element.converged))
     return _write(args, net, plan, artifact, element.converged)
 

@@ -33,7 +33,6 @@ from .operators import (common_window, energy, pair_sums, prefix_sums,
 
 LIMIT_TOL = 1e-6          # last-3-stage agreement declares a limit
 EXHAUSTION_TOL = 1e-3     # two plans differing more than this are dependent
-STAGE_IDENTITY_TOL = 1e-9
 HARMONIC_TOL = 1e-6       # scaled residual below which u counts as harmonic
 
 VERDICT_IDENTITY = "identity-holds"

@@ -35,7 +35,6 @@ from .errors import DomainError, GreenUndefinedError, IncompatibleSourceError
 from .network import GAUGE_ORIGIN, GAUGE_RAW, GAUGE_VANISH, Ball, VertexFunction
 from .operators import (edge_energy, inner_edges, prefix_sums,
                         scaled_laplacian_residual)
-from .serialize import csv_text, vertex_label
 from .solver import FREE, WIRED, _fits, _Leading, solve_poisson
 
 KIND_DIPOLE = "dipole"
@@ -89,13 +88,6 @@ class KernelElement:
                        for x, val in self.approximant.items()],
         }
 
-    def csv_rows(self):
-        """(vertex label, value) rows of the approximant, in canonical order."""
-        return [(vertex_label(x), val) for x, val in self.approximant.items()]
-
-    def to_csv(self):
-        return csv_text(("vertex", "value"), self.csv_rows())
-
 
 @dataclass(frozen=True)
 class ResistanceValue:
@@ -130,11 +122,6 @@ def _distances(net, plan, needed):
     if far.max() > plan.final_radius:
         raise DomainError("no exhaustion stage contains the required vertices")
     return far
-
-
-def _covers(net, plan):
-    """Whether the plan's last ball is the whole of a finite network."""
-    return net.is_finite and net._cut(plan.final_radius) == len(net.vertices)
 
 
 def _zero_on(net, radius, gauge=GAUGE_RAW):
@@ -182,9 +169,10 @@ class _Stage(NamedTuple):
 
 def _sweep(net, source, plan, bcs, reads=(), energies=False):
     """The plan's stages of Δu = Σ_k values[k] δ_at[k], ``source = (at,
-    values)``, a column per source held from the first ball that holds its
-    support, under each condition of ``bcs``; with ``energies``, the energy
-    over the ball of u, or for both conditions of v − f̃ = u_free − u_wired.
+    values)`` with ``values`` a block, a column per source held from the
+    first ball that holds its support, under each condition of ``bcs``; with
+    ``energies``, the energy over the ball of u, or for both conditions of
+    v − f̃ = u_free − u_wired.
 
     The stages before the last whose balls have edges leaving them are read
     off one window factor per condition (:class:`~resnet.solver._Leading`)
@@ -195,31 +183,27 @@ def _sweep(net, source, plan, bcs, reads=(), energies=False):
     on a ball that covers a finite network), its energies edge sums of the
     origin-zero solutions."""
     at, values = np.asarray(source[0], np.int64), np.asarray(source[1], float)
-    block, values = values.ndim == 2, values.reshape(len(at), -1)
     first = np.where(values != 0.0, _distances(net, plan, at)[:, None], -1).max(axis=0)
     radii = [r for r in plan.radii if r >= first.min()]
-    n = len(net.vertices) if net.is_finite else -1  # no ball covers a window
-    factored = [r for r in radii[:-1] if r and net._cut(r) != n]
+    factored = [r for r in radii[:-1] if r and not net._covers(r)]
     staged = dict(_factored(net, at, values, first, factored, bcs, reads))
     for r in radii:
         held = np.flatnonzero(first <= r)
-        yield staged.pop(r, None) or _solved(net, at, values[:, held], block, r, held, bcs,
+        yield staged.pop(r, None) or _solved(net, at, values[:, held], r, held, bcs,
                                              reads, energies)
 
 
-def _solved(net, at, cols, block, r, held, bcs, reads, energies):
-    """A stage of :func:`_sweep` from a block solve (1-d: single) per condition,
-    or one for all when the ball covers a finite network: no edge leaves it,
-    so its wired system is the free one (see :func:`~resnet.solver._system`)."""
+def _solved(net, at, cols, r, held, bcs, reads, energies):
+    """A stage of :func:`_sweep` from a block solve per condition, or one for
+    all when the ball covers a finite network: no edge leaves it, so its
+    wired system is the free one (see :func:`~resnet.solver._system`)."""
     rows = (cols != 0.0).any(axis=1)
     at, cols = at[rows], cols[rows]
-    f = (at, cols if block else cols[:, 0])
-    if net.is_finite and net._cut(r) == len(net.vertices):
-        reports = [solve_poisson(net, Ball(net, r), f, bcs[0])] * len(bcs)
+    if net._covers(r):
+        reports = [solve_poisson(net, Ball(net, r), (at, cols), bcs[0])] * len(bcs)
     else:
-        reports = [solve_poisson(net, Ball(net, r), f, bc) for bc in bcs]
-    pos = reports[0].pos
-    us = [rep.values.reshape(len(pos), -1) for rep in reports]
+        reports = [solve_poisson(net, Ball(net, r), (at, cols), bc) for bc in bcs]
+    pos, us = reports[0].pos, [rep.values for rep in reports]
     i = np.minimum(np.searchsorted(pos, reads), len(pos) - 1)
     zs = [_origin_zero(net, pos, u) for u in us]
     e = _energy_of(net, pos, zs[0] - zs[-1] if len(zs) > 1 else zs[0]) if energies else None
@@ -277,7 +261,8 @@ def _dipole_element(net, x, plan, tol, kind, bcs):
         base=net.vertices[x], kind=kind, stage_energies=tuple(energies), meta=meta,
         approximant=VertexFunction(net.vertices, pos, us[0] - us[1] if len(us) > 1 else us[0],
                                    GAUGE_RAW if len(us) > 1 else GAUGE_ORIGIN),
-        converged=all((bool(d) and d[-1] <= tol) or _covers(net, plan) for d in deltas))
+        converged=all((bool(d) and d[-1] <= tol) or net._covers(plan.final_radius)
+                      for d in deltas))
 
 
 def energy_kernel(net, x, plan, *, tol=POINTWISE_TOL):
@@ -321,16 +306,16 @@ def _wired_trace(net, x, plan):
     plan's last ball covers a finite network.  With the ghost at 0, E(g, g)
     = ⟨g, Δg⟩ = g(x): R_r is the full energy, and increases to R(x→∞).  The
     trace ends at the first R_r past ``DIVERGENCE_CAP``."""
-    if _covers(net, plan):
+    if net._covers(plan.final_radius):
         return None
     resistances = []
-    for stage in _sweep(net, ([x], [1.0]), plan, [WIRED]):
+    for stage in _sweep(net, ([x], [[1.0]]), plan, [WIRED]):
         resistances.append(float(stage.pairings[0][0]))
         if resistances[-1] > DIVERGENCE_CAP:
             break
-    rep = (stage.reports or [solve_poisson(net, Ball(net, stage.radius), ([x], [1.0]),
+    rep = (stage.reports or [solve_poisson(net, Ball(net, stage.radius), ([x], [[1.0]]),
                                            WIRED)])[0]
-    return tuple(resistances), stage.radius, rep.pos, rep.values
+    return tuple(resistances), stage.radius, rep.pos, rep.values[:, 0]
 
 
 def _window_limit(resistances):
@@ -449,8 +434,8 @@ def effective_resistance(net, x, y, plan, variant=FREE):
         raise DomainError(f"unknown variant {variant!r}")
     ends = [net._require(x), net._require(y)]
     values = [float(stage.pairings[0][0]) for stage in
-              _sweep(net, (ends, [1.0, -1.0]), plan, [variant])]
-    converged = _covers(net, plan) or (  # a covering last ball is exact
+              _sweep(net, (ends, [[1.0], [-1.0]]), plan, [variant])]
+    converged = net._covers(plan.final_radius) or (  # a covering last ball is exact
         len(values) >= 2 and abs(values[-1] - values[-2]) <= 1e-9 * max(1.0, values[-1]))
     return ResistanceValue(value=values[-1], variant=variant,
                            converged=converged, stages=tuple(values))

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UnsupportedModelError
-from .network import GAUGE_ORIGIN, GAUGE_VANISH, Network, VertexFunction
+from .network import GAUGE_ORIGIN, GAUGE_VANISH, Network, VertexFunction, _ints
 
 FAMILIES = ("geom_z", "geom_zplus", "star", "unit_line", "binary_tree",
             "log_increment_line")
@@ -61,7 +61,8 @@ class ModelSpec:
 
     Parameters: ``c`` (conductance base, geometric families), ``arms``
     (star arm count), ``radius`` (default window radius); a parameter the
-    family does not read is refused.
+    family does not read is refused, and so are a base c that is not finite
+    and positive and an arm count or radius that is not an int.
     """
 
     family: str
@@ -77,14 +78,14 @@ class ModelSpec:
             raise ConfigurationError(
                 f"model {self.family} does not read {', '.join(map(repr, unread))}; "
                 f"its parameters are {', '.join(reads)}")
-        if self.family in _GEOMETRIC:
-            c = float(self.params.get("c", 2.0))
-            if c <= 0.0:
-                raise ConfigurationError("conductance base c must be positive")
-        if self.family == "star":
-            arms = int(self.params.get("arms", 3))
-            if arms < 1:
-                raise ConfigurationError("a star needs at least one arm")
+        for name in ("arms", "radius"):
+            if name in self.params:
+                _ints([self.params[name]], ConfigurationError, f"{name} must be an int")
+        if self.family in _GEOMETRIC and not 0.0 < self.c < math.inf:  # NaN fails too
+            raise ConfigurationError(
+                f"conductance base c must be finite and positive, got {self.c!r}")
+        if self.family == "star" and self.arms < 1:
+            raise ConfigurationError("a star needs at least one arm")
 
     @property
     def c(self):
@@ -225,8 +226,10 @@ def build(spec, radius=None):
     """Materialize the window of the given radius of a model family, in
     closed form; windows above MAX_WINDOW_VERTICES vertices raise
     ConfigurationError before anything is allocated."""
-    if radius is None:
-        radius = spec.radius
+    radius = spec.radius if radius is None else _ints(
+        [radius], ConfigurationError, "a window radius must be an int")[0]
+    if radius < 0:
+        raise ConfigurationError(f"a window radius must be nonnegative, got {radius}")
     _check_window(spec, radius)
     if spec.family == "binary_tree":
         window = _binary_tree(radius)
@@ -425,10 +428,12 @@ def network_to_jsonable(net):
             "edges": edges}
 
 
-def network_from_jsonable(obj, radius=None):
-    """Load a network from either JSON form (explicit edges, or model spec);
-    ``radius`` overrides a model's window radius, and is refused with
-    explicit edges, which have no window to resize."""
+def load_network(text_or_obj, radius=None):
+    """Load a network from either JSON form (explicit edges, or model spec),
+    given as text or as its parsed object; ``radius`` overrides a model's
+    window radius, and is refused with explicit edges, which have no window
+    to resize."""
+    obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
     if "model" in obj:
         spec = ModelSpec(obj["model"], dict(obj.get("params", {})))
         return build(spec, radius=radius if radius is not None else obj.get("radius"))
@@ -447,8 +452,3 @@ def network_from_jsonable(obj, radius=None):
     if declared and declared != set(net.vertices):
         raise ConfigurationError("declared vertex list disagrees with the edges")
     return net
-
-
-def load_network(text_or_obj, radius=None):
-    obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
-    return network_from_jsonable(obj, radius=radius)

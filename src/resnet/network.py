@@ -61,6 +61,16 @@ def vsorted(vertices):
     return vertices
 
 
+def _ints(values, error, what):
+    """``values`` as a tuple of ints; ``error`` naming ``what`` at the first
+    that is a bool or neither an int nor a numpy integer."""
+    values = tuple(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise error(f"{what}, got {v!r}")
+    return tuple(map(int, values))
+
+
 def _stable_order(key):
     """The stable argsort of ``key``, or ``slice(None)`` if it is sorted."""
     return slice(None) if (key[1:] >= key[:-1]).all() else np.argsort(key, kind="stable")
@@ -249,6 +259,11 @@ class Network:
                 f"(radius {self.window_radius})")
         return int(self._cuts[min(radius, len(self._cuts) - 1)])
 
+    def _covers(self, radius):
+        """Whether B_r is the whole of a finite network, so that no edge
+        leaves it: its wired and free problems are one."""
+        return self.is_finite and self._cut(radius) == len(self._vertices)
+
     def _ball_positions(self, radius):
         """The sorted canonical positions of B_r."""
         return np.sort(self._order[:self._cut(radius)])
@@ -376,11 +391,7 @@ class ExhaustionPlan:
 
 def make_exhaustion(net, radii, descriptor=None):
     """Build the exhaustion by balls of the given strictly increasing radii."""
-    radii = tuple(radii)
-    for r in radii:
-        if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
-            raise ConfigurationError(f"radii must be ints, got {r!r}")
-    radii = tuple(map(int, radii))
+    radii = _ints(radii, ConfigurationError, "radii must be ints")
     if not radii:
         raise ConfigurationError("empty radius schedule")
     if any(r <= 0 for r in radii):

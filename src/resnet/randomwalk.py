@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalError, ResnetError
+from .network import _ints
 
 _MASK64 = (1 << 64) - 1
 # Active walks more than this many indices apart draw in separate spans.  A
@@ -47,9 +48,7 @@ class WalkConfig:
 
     def __post_init__(self):
         for name in ("n_walks", "max_steps", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DomainError(f"{name} must be an int, got {value!r}")
+            _ints([getattr(self, name)], DomainError, f"{name} must be an int")
         if self.n_walks < 1:
             raise DomainError("need at least one walk")
         if self.max_steps < 1:
@@ -328,11 +327,7 @@ def escape_probability(net, radii, cfg):
     strictly inside the materialized window so the edge kill cannot be
     mistaken for a return.
     """
-    radii = tuple(radii)
-    for r in radii:
-        if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
-            raise DomainError(f"escape radii must be ints, got {r!r}")
-    radii = tuple(map(int, radii))
+    radii = _ints(radii, DomainError, "escape radii must be ints")
     if not radii:
         raise DomainError("need at least one radius")
     if min(radii) < 0:

@@ -59,10 +59,10 @@ def vertex_label(v):
     return ";".join(str(t) for t in v) if isinstance(v, tuple) else str(v)
 
 
-def csv_text(columns, rows, header_meta=None):
+def csv_text(columns, rows, header_meta):
     """CSV with '# key: value' comment header lines, floats at 17 digits."""
     lines = []
-    for key in sorted(header_meta or {}):
+    for key in sorted(header_meta):
         lines.append(f"# {key}: {header_meta[key]}")
     lines.append(",".join(columns))
     for row in rows:

@@ -90,7 +90,6 @@ class SolveReport:
     values: np.ndarray
     residual: float
     gauge: str
-    bc: str
     vertices: tuple = field(repr=False, compare=False)
 
     @cached_property
@@ -100,13 +99,11 @@ class SolveReport:
 
 class _System(NamedTuple):
     """One region system: the region's sorted vertex positions, its CSC
-    matrix, the factor a solve uses (None for a one-vertex free system)
-    and whether any edge leaves the region."""
+    matrix and the factor a solve uses (None for a one-vertex free system)."""
 
     pos: np.ndarray
     matrix: sp.csc_matrix
     factor: object
-    has_crossing: bool
 
 
 def _compressed(row, col, cond, diag):
@@ -123,8 +120,7 @@ def _compressed(row, col, cond, diag):
 
 def _inner_pairs(net, order):
     """Each position's row for the rows ``order``, then the row, column and
-    conductance of the pairs among them by (row, column), and whether any
-    pair leaves them."""
+    conductance of the pairs among them by (row, column)."""
     a, m = net.arrays, len(order)
     rank = np.full(len(a.dist) + 1, -1)  # the last entry: the ring
     rank[order] = np.arange(m)
@@ -133,7 +129,7 @@ def _inner_pairs(net, order):
     col = rank[a.nbr[pair]]
     inner = np.flatnonzero(col >= 0)
     inner = inner[np.argsort(row[inner] * m + col[inner], kind="stable")]
-    return rank, row[inner], col[inner], a.cond[pair[inner]], len(inner) < len(pair)
+    return rank, row[inner], col[inner], a.cond[pair[inner]]
 
 
 def _origin_index(net, pos):
@@ -143,19 +139,19 @@ def _origin_index(net, pos):
 
 def _system(net, ball, bc):
     """The system of a :class:`~resnet.network.Ball` from ``net.arrays``, with
-    the factor a Poisson solve uses: the whole matrix for a wired ball with
-    crossing edges, else the free matrix pinned at the origin.  Without
-    crossing edges the wired matrix is the free one, bit for bit (both
-    diagonals add the same row in the same order)."""
+    the factor a Poisson solve uses: the whole matrix for a wired ball that
+    does not cover a finite network, else the free matrix pinned at the
+    origin.  On a covering ball no edge leaves, and the wired matrix is the
+    free one, bit for bit (both diagonals add the same row in the same order)."""
     pos = net._ball_positions(ball.radius)
     pos.flags.writeable = False
     m = len(pos)
-    _, row, col, cond, has_crossing = _inner_pairs(net, pos)
+    _, row, col, cond = _inner_pairs(net, pos)
     diag = net.arrays.ctot[pos] if bc == WIRED else np.bincount(row, cond, minlength=m)
     indptr, indices, data = _compressed(row, col, cond, diag)
     matrix = sp.csc_matrix((data, indices, indptr), shape=(m, m))
     factor = None
-    if bc == WIRED and has_crossing:
+    if bc == WIRED and not net._covers(ball.radius):
         factor = _ScaledLU(indptr, indices, data)
     elif m > 1:
         # Pin the gauge: drop the origin's row and column.
@@ -164,7 +160,7 @@ def _system(net, ball, bc):
         row, col = row[off], col[off]
         factor = _ScaledLU(*_compressed(row - (row > o), col - (col > o),
                                         cond[off], np.delete(diag, o)))
-    return _System(pos, matrix, factor, has_crossing)
+    return _System(pos, matrix, factor)
 
 
 class _ScaledLU:
@@ -247,7 +243,7 @@ def _envelope(net, m):
     """Σ_i (i − the least rank of a neighbour at or before i) over the first m
     vertices of the search order: the strictly lower entries of their wired
     natural-order factor, as each prefix of the order is connected."""
-    _, row, col, _, _ = _inner_pairs(net, net._order[:m])
+    _, row, col, _ = _inner_pairs(net, net._order[:m])
     first = np.arange(m)
     np.minimum.at(first, row, col)
     return int((np.arange(m) - first).sum())
@@ -267,7 +263,7 @@ class _Leading:
     def __init__(self, net, m, bc):
         self.net, self.pinned = net, int(bc == FREE)
         self.order = order = net._order[self.pinned:m]
-        self.rank, row, col, cond, _ = _inner_pairs(net, order)
+        self.rank, row, col, cond = _inner_pairs(net, order)
         indptr, indices, data = _compressed(row, col, cond, net.arrays.ctot[order])
         self.matrix = sp.csc_matrix((data, indices, indptr), shape=(len(order),) * 2)
         self.factor = _ScaledLU(indptr, indices, data, order="NATURAL")
@@ -337,9 +333,9 @@ class _Leading:
         return block
 
 
-def _report(net, system, u, f, residual, gauge, bc):
+def _report(net, system, u, f, residual, gauge):
     return SolveReport(pos=system.pos, values=u if np.ndim(f[1]) == 2 else u[:, 0],
-                       residual=residual, gauge=gauge, bc=bc, vertices=net.vertices)
+                       residual=residual, gauge=gauge, vertices=net.vertices)
 
 
 def solve_poisson(net, region, f, bc, *, tol=DEFAULT_TOLERANCE):
@@ -359,12 +355,12 @@ def solve_poisson(net, region, f, bc, *, tol=DEFAULT_TOLERANCE):
         raise DomainError(f"unknown boundary condition {bc!r}")
     system = _system(net, region, bc)
     b = _rhs(net, system.pos, f)
-    if bc == WIRED and system.has_crossing:
+    if bc == WIRED and not net._covers(region.radius):
         u = system.factor.solve(b)
         residual = _residual(net, system.pos, system.matrix, u, b, tol, "wired solve")
-        return _report(net, system, u, f, residual, GAUGE_VANISH, WIRED)
-    # Free, or wired with an empty complement, where wiring changes nothing
-    # (finite networks admit no unbalanced solution).
+        return _report(net, system, u, f, residual, GAUGE_VANISH)
+    # Free, or wired on a ball covering a finite network, where wiring changes
+    # nothing (finite networks admit no unbalanced solution).
     for column in b.T:
         total = float(column.sum())
         if abs(total) > COMPAT_TOL * max(1.0, float(np.abs(column).sum())):
@@ -376,4 +372,4 @@ def solve_poisson(net, region, f, bc, *, tol=DEFAULT_TOLERANCE):
         u[keep] = system.factor.solve(b[keep])
     residual = _residual(net, system.pos, system.matrix, u, b, tol, "free solve",
                          f" (region size {len(b)})")
-    return _report(net, system, u, f, residual, GAUGE_ORIGIN, FREE)
+    return _report(net, system, u, f, residual, GAUGE_ORIGIN)

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .kernels import (DIVERGENCE_CAP, _dipoles, _energy_of, _monopole, _origin_zero,
-                      _sweep, _wired_trace, _zero_on)
+from .kernels import (DIVERGENCE_CAP, GROWTH_FACTOR, _dipoles, _energy_of, _monopole,
+                      _origin_zero, _sweep, _wired_trace, _zero_on)
 from .models import ModelSpec, build
 from .network import VertexFunction, doubling_exhaustion
 from .operators import prefix_sums
@@ -117,7 +117,7 @@ def _grounded_projection(net, plan, trace):
     entries = tuple(zip(plan.radii, resistances, betas))
     growing = (resistances[-1] > DIVERGENCE_CAP
                or (len(resistances) >= 3
-                   and resistances[-1] > 1.5 * resistances[len(resistances) // 2]))
+                   and resistances[-1] > GROWTH_FACTOR * resistances[len(resistances) // 2]))
     # Stage resistances of a transient network are Cauchy; accept either a
     # tight tail or geometrically decaying increments (trees approach their
     # limit like 2^-radius, far slower than tolerance-level agreement).

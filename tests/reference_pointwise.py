@@ -176,3 +176,25 @@ def wired_green(edges, ball, y):
     delta = np.zeros(len(verts))
     delta[index[y]] = 1.0
     return dict(zip(verts, np.linalg.solve(lap, delta).tolist()))
+
+
+def harmonic_measure(edges, start, target, absorber):
+    """P_start[the walk hits ``target`` before ``absorber``] on the finite
+    connected network of the (u, v, conductance) triples: h(start) for the h
+    with Δh = 0 off {target, absorber}, h(target) = 1 and h(absorber) = 0,
+    from one dense solve of the Laplacian's rows off those two vertices."""
+    verts = sorted({w for u, v, _ in edges for w in (u, v)})
+    index = {x: i for i, x in enumerate(verts)}
+    lap = np.zeros((len(verts), len(verts)))
+    for u, v, c in edges:
+        i, j = index[u], index[v]
+        lap[i, i] += c
+        lap[j, j] += c
+        lap[i, j] -= c
+        lap[j, i] -= c
+    t = index[target]
+    free = [i for i in range(len(verts)) if i not in (t, index[absorber])]
+    h = np.zeros(len(verts))
+    h[t] = 1.0
+    h[free] = np.linalg.solve(lap[np.ix_(free, free)], -lap[free, t])
+    return float(h[index[start]])

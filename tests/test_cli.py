@@ -340,11 +340,52 @@ def test_walk_escape_rejects_the_vertex_flags(tmp_path, capsys, flag):
      "--radii '2,x': invalid literal"),
     (["walk", "--op", "escape", "--radii", "0,-3", "--walks", "10", "--steps", "10"],
      "escape radii must be nonnegative, got -3"),
+    (["monopole", "--plan", "balls:3"], "expected balls:A..B, got 'balls:3'"),
+    (["monopole", "--plan", "grid:1"], "unknown plan descriptor 'grid:1'"),
 ])
 def test_malformed_radii_exit_2(tmp_path, capsys, argv, message):
     out = tmp_path / "out.json"
     assert main([*argv, "--model", "unit-line", "--radius", "10", "-o", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["monopole", "--model", "unit-line", "--radius", "1", "--plan", "radii:2^k"],
+     "window too small for plan 'radii:2^k'"),
+    (["monopole", "--plan", "balls:1..2"], "specify either --net FILE or --model NAME"),
+    (["gaussgreen", "--model", "unit-line", "--radius", "8", "--u", "harm", "--v", "harm"],
+     "'harm' preset needs a geom-z model network"),
+    (["gaussgreen", "--model", "geom-z", "--radius", "8", "--u", "logu", "--v", "logu"],
+     "'logu' preset needs the log-increment-line model"),
+    (["gaussgreen", "--model", "unit-line", "--radius", "8", "--u", "bogus", "--v", "bogus"],
+     "unknown function preset 'bogus'"),
+    (["kernel", "--model", "unit-line", "--radius", "8", "--x", "1.5"],
+     "vertex ids are ints or int tuples, got '1.5'"),
+    (["kernel", "--model", "unit-line", "--radius", "8", "--x", "(1,"],
+     "cannot parse vertex id '(1,'"),
+    (["gen", "--model", "geom-z", "--c", "nan", "--radius", "5"],
+     "conductance base c must be finite and positive, got nan"),
+])
+def test_refused_inputs_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    assert main([*argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, argv", [
+    ("kernel", ["--x", "2"]),
+    ("gaussgreen", ["--u", "logu", "--v", "logu"])])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_a_tolerance_not_finite_and_nonnegative_exits_2_before_loading(
+        tmp_path, capsys, monkeypatch, verb, argv, tol):
+    monkeypatch.setattr(resnet.cli, "_load_net", lambda args: pytest.fail("network loaded"))
+    out = tmp_path / "out.json"
+    assert main([verb, "--model", "log-increment-line", "--radius", "9", *argv,
+                 "--tol", tol, "-o", str(out)]) == 2
+    assert f"--tol must be finite and nonnegative, got {float(tol)!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -515,6 +556,7 @@ def test_kernel_csv_rows_are_the_element_csv(tmp_path):
     from resnet.kernels import energy_kernel
     from resnet.models import ModelSpec, build
     from resnet.network import make_exhaustion
+    from resnet.serialize import csv_text, vertex_label
 
     out = tmp_path / "v.csv"
     code = main(["kernel", "--model", "star", "--radius", "6", "--plan", "balls:1..5",
@@ -522,9 +564,12 @@ def test_kernel_csv_rows_are_the_element_csv(tmp_path):
     assert code in (0, 3)
     net = build(ModelSpec("star"), radius=6)
     element = energy_kernel(net, (1, 2), make_exhaustion(net, range(1, 6)))
+    want = csv_text(("vertex", "value"),
+                    [(vertex_label(y), u) for y, u in element.approximant.items()], {})
     lines = out.read_text().splitlines(keepends=True)
-    assert "".join(l for l in lines if not l.startswith("#")) == element.to_csv()
-    assert "1;2," in element.to_csv()
+    assert "".join(l for l in lines if not l.startswith("#")) == want
+    assert want.startswith("vertex,value\n") and "\n1;2," in want
+    assert len(want.splitlines()) == len(element.approximant) + 1
 
 
 # The arguments each verb requires, on --model unit-line.

@@ -264,7 +264,7 @@ def test_classify_makes_one_wired_monopole_trace(monkeypatch):
     calls = []
 
     def counting(net, region, f, bc, **kwargs):
-        if bc == WIRED and source_maps(net, f) == {net.origin: 1.0}:
+        if bc == WIRED and source_maps(net, f) in ({net.origin: 1.0}, [{net.origin: 1.0}]):
             calls.append(frozenset(region))
         return solve_poisson(net, region, f, bc, **kwargs)
 

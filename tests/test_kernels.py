@@ -28,6 +28,8 @@ def test_unit_path_kernel(unit_path, unit_path_plan):
 def test_kernel_at_origin_rejected(unit_path, unit_path_plan):
     with pytest.raises(DomainError):
         energy_kernel(unit_path, 0, unit_path_plan)
+    with pytest.raises(DomainError, match="no exhaustion stage contains"):
+        energy_kernel(unit_path, 2, rn.make_exhaustion(unit_path, [1]))
 
 
 def test_geometric_kernel_values(geom2, geom2_plan, geom2_spec):
@@ -300,6 +302,8 @@ def test_effective_resistance_monotonicity(geom2, geom2_plan):
 def test_effective_resistance_needs_distinct_vertices(unit_path, unit_path_plan):
     with pytest.raises(DomainError):
         effective_resistance(unit_path, 1, 1, unit_path_plan)
+    with pytest.raises(DomainError, match="unknown variant 'bogus'"):
+        effective_resistance(unit_path, 1, 2, unit_path_plan, variant="bogus")
 
 
 def test_effective_resistance_variants_agree_on_finite_net(triangle):
@@ -368,6 +372,3 @@ def test_element_serialization_round_trip(geom2, geom2_plan):
     values = dict((tuple(x) if isinstance(x, list) else x, val)
                   for x, val in payload["values"])
     assert values[1] == v2.approximant.value(1)
-    csv_text = v2.to_csv()
-    assert csv_text.splitlines()[0] == "vertex,value"
-    assert len(csv_text.splitlines()) == len(v2.approximant) + 1

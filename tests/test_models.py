@@ -44,13 +44,30 @@ def test_binary_tree_shape():
     assert set(neighbors(net, (1, 1))) == {(0, 0), (2, 2), (3, 2)}
 
 
-def test_family_validation():
+def test_family_validation(monkeypatch):
     with pytest.raises(UnsupportedModelError):
         ModelSpec("moebius_strip")
     with pytest.raises(ConfigurationError):
         ModelSpec("geom_z", {"c": -1.0})
     with pytest.raises(ConfigurationError):
         ModelSpec("star", {"arms": 0})
+    # A base that is not finite and positive, and an arm count or radius that
+    # is not an int, are refused, not truncated, before any window is built.
+    monkeypatch.setattr(rn.models, "_line", lambda *args: pytest.fail("window built"))
+    monkeypatch.setattr(rn.models, "_star", lambda *args: pytest.fail("window built"))
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigurationError, match="c must be finite and positive"):
+            ModelSpec("geom_z", {"c": c})
+    for params in ({"arms": 2.5}, {"arms": True}, {"radius": 3.7}, {"radius": True}):
+        with pytest.raises(ConfigurationError, match="must be an int"):
+            ModelSpec("star", params)
+        with pytest.raises(ConfigurationError, match="must be an int"):  # the JSON model form
+            load_network({"model": "star", "params": params, "radius": 3})
+    for radius in (3.7, True, -1):
+        with pytest.raises(ConfigurationError, match="a window radius must be"):
+            build(ModelSpec("unit_line"), radius)
+        with pytest.raises(ConfigurationError, match="a window radius must be"):
+            load_network({"model": "unit_line", "radius": radius})
 
 
 @pytest.mark.parametrize("family, params, unread", [

@@ -88,6 +88,9 @@ def test_exhaustion_log_model_plans():
 def test_exhaustion_rejects_non_increasing(geom2):
     with pytest.raises(ConfigurationError):
         rn.make_exhaustion(geom2, (3, 2, 5))
+    for radii, message in (((), "empty radius schedule"), ((0, 1), "radii must be positive")):
+        with pytest.raises(ConfigurationError, match=message):
+            rn.make_exhaustion(geom2, radii)
     # A radius that is not an integer is refused, not truncated.
     for radii in ((1.5, 2.7, 3.9), (True, 2), (1, 2.0)):
         with pytest.raises(ConfigurationError, match="radii must be ints"):

@@ -9,8 +9,8 @@ from resnet.models import ModelSpec, build
 from resnet.randomwalk import (WalkConfig, escape_probability, green_estimate,
                                hitting_probability)
 from conftest import lognormal_grid_edges, make_random_net
-from reference_pointwise import (expected_visits, step, transition_probabilities,
-                                 wired_green)
+from reference_pointwise import (expected_visits, harmonic_measure, step,
+                                 transition_probabilities, wired_green)
 from reference_windows import explore_edges, has_vertex, total_conductance
 
 
@@ -189,6 +189,22 @@ def test_green_estimate_meets_the_visits_before_exit_identity():
         assert abs(est.value - exact) <= 3 * est.stderr, (x, y, est.value, exact)
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+def test_hitting_probability_meets_the_harmonic_measure_on_a_grid(seed):
+    # P_s[hit t before a] = h(s), h harmonic off {t, a} with h(t) = 1 and
+    # h(a) = 0, on the report-grid benchmark's grid, a non-tree (measured
+    # z = +0.50, +2.22 on seed 1 and -0.45, -1.11 on seed 7).  |z| <= 3.5 over
+    # the 4 comparisons fails an exact engine about 0.2% of the time; the
+    # seeds are fixed.
+    edges = lognormal_grid_edges(25, seed)
+    net = rn.Network.from_edges((0, 0), edges)
+    for start, target, absorber in (((0, 0), (3, 0), (-3, 0)), ((1, 1), (0, 4), (4, 0))):
+        est = hitting_probability(net, target, absorber, start, WalkConfig(4000, 20000, seed))
+        assert est.meta["lost"] == 0
+        exact = harmonic_measure(edges, start, target, absorber)
+        assert abs(est.value - exact) <= 3.5 * est.stderr, (start, est.value, exact)
+
+
 def test_escape_probability_complete_graph():
     k4 = rn.Network.from_edges(0, [(i, j, 1.0) for i in range(4)
                                    for j in range(i + 1, 4)])
@@ -207,6 +223,8 @@ def test_escape_radii_must_be_nonnegative(geom2):
     cfg = WalkConfig(n_walks=50, max_steps=50, seed=0)
     with pytest.raises(DomainError, match="nonnegative, got -3"):
         escape_probability(geom2, (0, -3), cfg)
+    with pytest.raises(DomainError, match="need at least one radius"):
+        escape_probability(geom2, (), cfg)
     # A radius that is not an integer is refused, not truncated.
     for radii in ((1.9, 2.2), (True,), (2, "3")):
         with pytest.raises(DomainError, match="escape radii must be ints"):

@@ -7,6 +7,7 @@ from resnet.transience import (classify, grounded_parameter_sweep,
                                grounded_projection_of_one,
                                harm_dimension_probe)
 
+from conftest import lognormal_grid_edges
 from reference_windows import interior_of
 
 
@@ -114,6 +115,23 @@ def test_harm_dimension_on_star():
     plan = rn.make_exhaustion(star, range(1, 24))
     rank, _ = harm_dimension_probe(star, plan)
     assert rank == 2
+
+
+def test_harm_dimension_probe_needs_a_non_origin_sample(zplus2, zplus2_plan):
+    with pytest.raises(rn.DomainError, match="need at least one non-origin sample"):
+        harm_dimension_probe(zplus2, zplus2_plan, samples=[zplus2.origin])
+
+
+def test_contradicting_criteria_give_no_transient_verdict():
+    # On the seed-3 grid the monopole rule calls the log-growing wired trace
+    # settled and votes transient, while the walk's visits keep growing: the
+    # verdict is what the aggregation rule makes of the votes, and never
+    # transient, because a finite network is recurrent.
+    net = rn.Network.from_edges((0, 0), lognormal_grid_edges(25, 3))
+    verdict = classify(net, rn.make_exhaustion(net, range(1, 8)), WalkConfig(1000, 4000, 3))
+    votes = set(verdict.criteria.values()) - {"inconclusive"}
+    assert verdict.verdict == (votes.pop() if len(votes) == 1 else "inconclusive")
+    assert verdict.verdict != "transient"
 
 
 def test_harmonics_imply_transience(verdicts, geom2, geom2_plan):
