@@ -45,10 +45,6 @@ KIND_MONOPOLE = "monopole"
 POINTWISE_TOL = 1e-7
 ENERGY_CAUCHY_TOL = 1e-8
 DIVERGENCE_CAP = 1e12
-# Non-Cauchy resistances that keep growing by this factor across the second
-# half of the trace are classified as divergent (linear-in-radius growth on
-# recurrent networks never reaches the hard cap at desk-scale windows).
-GROWTH_FACTOR = 1.5
 
 _PROBE_SEED = 0x5EED
 
@@ -300,50 +296,76 @@ def _vanish_gauge(net, pos, g, radius):
 
 
 def _wired_trace(net, x, plan):
-    """The wired resistances R_r = g_r(x) of Δg = δ_x at each stage that
-    contains x, as Python floats, then the last stage's radius, its sorted
-    positions and g there, from its own solve; None, with no solve, when the
-    plan's last ball covers a finite network.  With the ghost at 0, E(g, g)
-    = ⟨g, Δg⟩ = g(x): R_r is the full energy, and increases to R(x→∞).  The
-    trace ends at the first R_r past ``DIVERGENCE_CAP``."""
+    """The radii of the stages that contain x and the wired resistances R_r =
+    g_r(x) of Δg = δ_x there, as Python tuples, then the last stage's radius,
+    its sorted positions and g there, from its own solve; None, with no solve,
+    when the plan's last ball covers a finite network.  With the ghost at 0,
+    E(g, g) = ⟨g, Δg⟩ = g(x): R_r is the full energy, and increases to
+    R(x→∞).  The trace ends at the first R_r past ``DIVERGENCE_CAP``."""
     if net._covers(plan.final_radius):
         return None
-    resistances = []
+    radii, resistances = [], []
     for stage in _sweep(net, ([x], [[1.0]]), plan, [WIRED]):
+        radii.append(stage.radius)
         resistances.append(float(stage.pairings[0][0]))
         if resistances[-1] > DIVERGENCE_CAP:
             break
     rep = (stage.reports or [solve_poisson(net, Ball(net, stage.radius), ([x], [[1.0]]),
                                            WIRED)])[0]
-    return tuple(resistances), stage.radius, rep.pos, rep.values[:, 0]
+    return tuple(radii), tuple(resistances), stage.radius, rep.pos, rep.values[:, 0]
 
 
-def _window_limit(resistances):
-    """The converged and diverged flags of a wired trace: decaying increments
-    mean the window has stopped mattering, steady growth is the recurrent
-    signature."""
-    deltas = [abs(b - a) for a, b in zip(resistances, resistances[1:])]
-    growing = (resistances[-1] > DIVERGENCE_CAP
-               or (len(resistances) >= 4
-                   and resistances[-1] > GROWTH_FACTOR * resistances[len(resistances) // 2]
-                   and deltas[-1] >= deltas[0]))
-    # Increments must be on a decaying trend (compared scale-free against the
-    # middle of the trace) or already at tolerance level.
-    settled = (len(deltas) >= 3
-               and deltas[-1] <= max(0.5 * deltas[(len(deltas) - 1) // 2],
-                                     1e-12 * max(1.0, resistances[-1])))
-    settled = settled or (len(deltas) >= 1 and
-                          deltas[-1] <= ENERGY_CAUCHY_TOL * max(1.0, resistances[-1]))
-    return settled and not growing, growing
+def _tail_fit(a, b, y):
+    """(λ, RMS residual) of the best fit of ``y`` by log ∫_a^b e^{−λt} dt over
+    the intervals [a, b] plus a free constant: λ on a grid over [−5, 5],
+    refined three times around its best point."""
+    h, grid, step = b - a, np.arange(-100, 101) * 0.05, 0.05
+    for _ in range(4):
+        lam = grid[:, None]
+        m = np.where(lam != 0.0, np.abs(lam), 1.0)  # e^{−λt} factored out at its larger end
+        e = y - np.where(lam != 0.0, np.log(-np.expm1(-m * h)) - np.log(m)
+                         - lam * np.where(lam > 0.0, a, b), np.log(h))
+        rms = np.sqrt(((e - e.mean(axis=1, keepdims=True)) ** 2).mean(axis=1))
+        best, step = grid[np.argmin(rms)], step / 10
+        grid = best + step * np.arange(-10, 11)
+    return best, rms.min()
+
+
+def _trace_limit(radii, resistances):
+    """The settled and growing flags of a wired trace at ``radii``, the one
+    limit rule of the monopole and grounded criteria: past ``DIVERGENCE_CAP``
+    it grows, and a last increment within ``ENERGY_CAUCHY_TOL`` has settled.
+    Else the logs of the last max(4, ⌈n/2⌉) increments, all positive, are
+    fitted as ∫e^{−λr}dr and ∫r^{−s−1}dr over their [r_k, r_{k+1}]: with no
+    fit within 0.03 neither flag is set; a tenfold better exponential fit
+    settles at λ > 0 and grows otherwise, and the power fit settles at s > 0.5
+    and grows at s < −0.5, so log growth (s = 0, as on Z²) never settles."""
+    last = resistances[-1]
+    if last > DIVERGENCE_CAP:
+        return False, True
+    d = np.diff(resistances)
+    if len(d) and abs(d[-1]) <= ENERGY_CAUCHY_TOL * max(1.0, last):
+        return True, False
+    m = max(4, -(-len(d) // 2))
+    if len(d) < m or (d[-m:] <= 0.0).any():
+        return False, False
+    y, r = np.log(d[-m:]), np.asarray(radii[-m - 1:], float)
+    (lam, e_exp), (s, e_pow) = (_tail_fit(t[:-1], t[1:], y) for t in (r, np.log(r)))
+    if min(e_exp, e_pow) > 0.03:
+        return False, False
+    if 10 * e_exp < e_pow:
+        return bool(lam > 0.0), bool(lam <= 0.0)
+    return bool(s > 0.5), bool(s < -0.5)
 
 
 def monopole(net, x, plan):
     """Monopole element at x: the limit of the wired window solves.
 
     The wired resistances R_r = g_r(x) along the plan
-    (``meta["wired_stage_energies"]``) decide the limit: decaying increments
-    certify that the window has stopped mattering, steady growth is
-    recurrent evidence.  A settled element is the last ball's wired solve of
+    (``meta["wired_stage_energies"]``) decide the limit by the grounded
+    criterion's rule, :func:`_trace_limit`: a geometric or fast power tail has
+    settled, linear or power growth is recurrent evidence, and log growth
+    decides nothing.  A settled element is the last ball's wired solve of
     Δu = δ_x, checked pointwise against that equation; its stage energy is
     the in-window energy E(u, u) over the induced subgraph on the ball, which
     leaves out the edges to the ghost that R_r counts.
@@ -364,8 +386,8 @@ def _monopole(net, x, plan, trace):
                              diverged=True,
                              meta={"plan": plan.descriptor,
                                    "reason": "finite network admits no monopole"})
-    resistances, radius, pos, g = trace
-    settled, growing = _window_limit(resistances)
+    radii, resistances, radius, pos, g = trace
+    settled, growing = _trace_limit(radii, resistances)
     meta = {"plan": plan.descriptor, "wired_stage_energies": resistances}
     if not settled:
         return KernelElement(base=base, kind=KIND_MONOPOLE,
@@ -390,13 +412,14 @@ def _monopole(net, x, plan, trace):
 def wired_monopole(net, x, plan):
     """The wired monopole stages: the staged values are the wired
     resistances R_r = g_r(x) from x to the collapsed complement, the full
-    energies of the stage solves, edges to the ghost included; a plan covering
-    a finite network raises IncompatibleSourceError, solving nothing."""
+    energies of the stage solves, edges to the ghost included, read by
+    :func:`_trace_limit`; a plan covering a finite network raises
+    IncompatibleSourceError, solving nothing."""
     trace = _wired_trace(net, net._require(x), plan)
     if trace is None:
         raise IncompatibleSourceError("a finite network covered by the plan has no monopole")
-    resistances, radius, pos, g = trace
-    settled, growing = _window_limit(resistances)
+    radii, resistances, radius, pos, g = trace
+    settled, growing = _trace_limit(radii, resistances)
     return KernelElement(base=x, kind=KIND_MONOPOLE,
                          approximant=_vanish_gauge(net, pos, g, radius),
                          stage_energies=resistances, converged=settled,

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -61,8 +62,8 @@ class ModelSpec:
 
     Parameters: ``c`` (conductance base, geometric families), ``arms``
     (star arm count), ``radius`` (default window radius); a parameter the
-    family does not read is refused, and so are a base c that is not finite
-    and positive and an arm count or radius that is not an int.
+    family does not read is refused, and so are a base c that is not a finite
+    positive real and an arm count or radius that is not an int.
     """
 
     family: str
@@ -81,9 +82,10 @@ class ModelSpec:
         for name in ("arms", "radius"):
             if name in self.params:
                 _ints([self.params[name]], ConfigurationError, f"{name} must be an int")
-        if self.family in _GEOMETRIC and not 0.0 < self.c < math.inf:  # NaN fails too
-            raise ConfigurationError(
-                f"conductance base c must be finite and positive, got {self.c!r}")
+        c = self.params.get("c", 2.0)  # not read through float(): True or "2" is no base
+        if self.family in _GEOMETRIC and (isinstance(c, bool) or not isinstance(
+                c, numbers.Real) or not 0.0 < c < math.inf):  # NaN fails too
+            raise ConfigurationError(f"conductance base c must be finite and positive, got {c!r}")
         if self.family == "star" and self.arms < 1:
             raise ConfigurationError("a star needs at least one arm")
 
@@ -241,7 +243,9 @@ def build(spec, radius=None):
     origin, vertices, order, dist, degree, ids, cond, ring = window
     beyond = ids < 0
     ids[beyond] = len(vertices) + np.arange(np.count_nonzero(beyond))
-    model = {"model": spec.family, "params": dict(spec.params), "radius": int(radius)}
+    model = {"model": spec.family, "params": {k: v.item() if isinstance(v, np.generic) else v
+                                              for k, v in spec.params.items()},
+             "radius": int(radius)}  # numpy scalars recorded as Python ones, for JSON
     model["params"].pop("radius", None)
     return Network(origin, vertices, order, dist, degree, ids, cond, ring,
                    window_radius=radius, model=model)

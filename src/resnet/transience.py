@@ -19,6 +19,8 @@ relation u_o = E(u) + u_o², so (u_o, E(u)) lives on a parabola with peak
 
 Criteria (a) and (c) read one wired trace, taken before any criterion runs:
 one solve of Δg = δ_o per stage, none when the plan covers a finite network.
+One rule, :func:`~resnet.kernels._trace_limit`, fits its tail for both, so
+they never vote apart on it; a trace that grows like log r settles nothing.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .kernels import (DIVERGENCE_CAP, GROWTH_FACTOR, _dipoles, _energy_of, _monopole,
-                      _origin_zero, _sweep, _wired_trace, _zero_on)
+from .kernels import (_dipoles, _energy_of, _monopole, _origin_zero, _sweep, _trace_limit,
+                      _wired_trace, _zero_on)
 from .models import ModelSpec, build
 from .network import VertexFunction, doubling_exhaustion
 from .operators import prefix_sums
@@ -42,7 +44,6 @@ RECURRENT = "recurrent"
 INCONCLUSIVE = "inconclusive"
 
 RECURRENCE_U_O_THRESHOLD = 1e-4
-FIXED_POINT_TOL = 1e-8
 HARM_MASS_THRESHOLD = 1e-4
 GRAM_RANK_THRESHOLD = 1e-5
 
@@ -97,8 +98,9 @@ def grounded_projection_of_one(net, plan=None):
     Each stage solves Δg = δ_o with the complement grounded; the stage
     projection is u = 1 − β g, where β = 1/(1 + g(o)) solves β = 1 − β g(o)
     in closed form, and g(o) is the stage's wired resistance.
-    Stabilizing stage resistances give the transient projection; resistances
-    that keep growing certify 1 ∈ closure(span δ_x) and the projection is 0.
+    Resistances that :func:`~resnet.kernels._trace_limit` calls settled give
+    the transient projection; growing ones certify 1 ∈ closure(span δ_x) and
+    the projection is 0.
     """
     plan = _default_plan(net, plan)
     return _grounded_projection(net, plan, _wired_trace(net, net._order[0], plan))
@@ -112,23 +114,11 @@ def _grounded_projection(net, plan, trace):
         zero = _zero_on(net, plan.final_radius)
         return GroundedProjection(u=zero, u_o=0.0, energy=0.0, converged=True,
                                   trace=(), meta={"finite": True})
-    resistances, radius, pos, g = trace
+    radii, resistances, radius, pos, g = trace
     betas = [1.0 / (1.0 + r) for r in resistances]
-    entries = tuple(zip(plan.radii, resistances, betas))
-    growing = (resistances[-1] > DIVERGENCE_CAP
-               or (len(resistances) >= 3
-                   and resistances[-1] > GROWTH_FACTOR * resistances[len(resistances) // 2]))
-    # Stage resistances of a transient network are Cauchy; accept either a
-    # tight tail or geometrically decaying increments (trees approach their
-    # limit like 2^-radius, far slower than tolerance-level agreement).
-    deltas = [abs(b - a) for a, b in zip(resistances, resistances[1:])]
-    tight = (len(betas) >= 2
-             and abs(betas[-1] - betas[-2]) <= FIXED_POINT_TOL * (1.0 + betas[-1]))
-    decaying = (len(deltas) >= 2
-                and deltas[-1] <= max(0.6 * deltas[-2],
-                                      1e-12 * max(1.0, resistances[-1])))
-    converged = tight or decaying
-    if converged and not growing:
+    entries = tuple(zip(radii, resistances, betas))
+    converged, growing = _trace_limit(radii, resistances)
+    if converged:
         beta = betas[-1]
         values = 1.0 - beta * g
         u = VertexFunction(net.vertices, pos, values)

@@ -9,7 +9,7 @@ pure function of the vertex id each.  The per-vertex queries by id
 ``Network._require`` and ``Network.incident``."""
 
 from functools import partial
-from itertools import chain, count, islice
+from itertools import chain, count, islice, product
 from operator import itemgetter
 
 import numpy as np
@@ -233,6 +233,22 @@ def cutset_sums(net):
     d = a.dist[a.rows]
     out = (a.nbr < 0) | (a.dist[a.nbr] > d)
     return np.cumsum(1.0 / np.bincount(d[out], a.cond[out]))
+
+
+def lattice(dim, radius):
+    """The L¹ ball of the given radius in Z^dim with unit conductances, by
+    ``Network.from_edges``; vertices are dim-tuples, the origin all zeros.
+    The ball's graph distance is the L¹ norm, so a wired stage of radius
+    below ``radius`` sees the same edges as in the whole lattice."""
+    pts = [p for p in product(range(-radius, radius + 1), repeat=dim)
+           if sum(map(abs, p)) <= radius]
+    inside, edges = set(pts), []
+    for p in pts:
+        for k in range(dim):
+            q = p[:k] + (p[k] + 1,) + p[k + 1:]
+            if q in inside:
+                edges.append((p, q, 1.0))
+    return Network.from_edges((0,) * dim, edges)
 
 
 def geom_edge(c, a, b):

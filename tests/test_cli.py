@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tokenize
 import tracemalloc
@@ -488,6 +491,10 @@ def test_radius_with_explicit_edges_is_refused(tmp_path, capsys):
      "non-finite conductance on edge (0, 1)"),
     ('{"origin": 0, "edges": [{"u": 0, "v": 1, "c": NaN}, {"u": 1, "v": 2, "c": 1}]}',
      "non-finite conductance on edge (0, 1)"),
+    ('{"model": "geom_z", "params": {"c": true}, "radius": 3}',
+     "conductance base c must be finite and positive, got True"),
+    ('{"model": "geom_z", "params": {"c": "2"}, "radius": 3}',
+     "conductance base c must be finite and positive, got '2'"),
 ])
 def test_net_file_errors_keep_their_message(tmp_path, capsys, text, message):
     net = tmp_path / "net.json"
@@ -686,3 +693,12 @@ def test_the_command_line_module_stays_below_4096_parser_tokens():
         tokens = [t for t in tokenize.tokenize(source.readline)
                   if t.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)]
     assert len(tokens) < 4096
+
+
+def test_the_module_runs_as_a_program():
+    src = os.path.dirname(os.path.dirname(resnet.cli.__file__))
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    done = subprocess.run([sys.executable, "-m", "resnet.cli", "--version"],
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout.strip()) == (0, resnet.__version__)

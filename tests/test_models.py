@@ -1,16 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 
 import resnet as rn
 from resnet.errors import (ConfigurationError, DomainError,
                            UnsupportedModelError)
 from resnet.models import (MAX_WINDOW_VERTICES, ModelSpec, build,
-                           harmonic_energy, load_network,
+                           harmonic_energy, load_network, network_to_jsonable,
                            log_increment_function, oracle_h,
                            oracle_h_function, oracle_residuals, oracle_v,
                            oracle_v_function, oracle_w_o, oracle_w_o_function)
 from resnet.operators import energy
+from resnet.serialize import canonical_json
 
 from reference_windows import conductance, neighbors
 
@@ -55,9 +57,12 @@ def test_family_validation(monkeypatch):
     # is not an int, are refused, not truncated, before any window is built.
     monkeypatch.setattr(rn.models, "_line", lambda *args: pytest.fail("window built"))
     monkeypatch.setattr(rn.models, "_star", lambda *args: pytest.fail("window built"))
-    for c in (math.nan, math.inf, -math.inf):
+    # float() would read True as 1.0 and "2" as 2.0, and the record keep "2".
+    for c in (math.nan, math.inf, -math.inf, True, np.True_, "2", None, 1j):
         with pytest.raises(ConfigurationError, match="c must be finite and positive"):
             ModelSpec("geom_z", {"c": c})
+        with pytest.raises(ConfigurationError, match="c must be finite and positive"):
+            load_network({"model": "geom_z", "params": {"c": c}, "radius": 3})
     for params in ({"arms": 2.5}, {"arms": True}, {"radius": 3.7}, {"radius": True}):
         with pytest.raises(ConfigurationError, match="must be an int"):
             ModelSpec("star", params)
@@ -68,6 +73,16 @@ def test_family_validation(monkeypatch):
             build(ModelSpec("unit_line"), radius)
         with pytest.raises(ConfigurationError, match="a window radius must be"):
             load_network({"model": "unit_line", "radius": radius})
+
+
+def test_numpy_parameters_are_recorded_as_python_numbers():
+    def text(params):
+        return canonical_json(network_to_jsonable(build(ModelSpec("star", params), 3)))
+
+    assert text({"arms": np.int64(2)}) == text({"arms": 2})
+    assert ModelSpec("geom_z", {"c": np.float32(1.5)}).c == 1.5
+    assert text({"arms": 2, "c": np.float32(1.5)}) == text({"arms": 2, "c": 1.5})
+    assert type(build(ModelSpec("star", {"arms": np.int64(2)}), 3).model["params"]["arms"]) is int
 
 
 @pytest.mark.parametrize("family, params, unread", [

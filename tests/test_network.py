@@ -12,7 +12,7 @@ from resnet import kernels, randomwalk
 from resnet.errors import ConfigurationError, DomainError, WindowError
 from resnet.models import ModelSpec, build, load_network, network_to_jsonable
 from resnet.network import vertex_key
-from resnet.serialize import canonical_json
+from resnet.serialize import canonical_json, fmt_float
 
 from conftest import make_random_net
 from reference_pointwise import function_on
@@ -228,6 +228,14 @@ def test_ball_beyond_window_raises():
     assert len(ball(net, 5)) == len(net.vertices)
     with pytest.raises(WindowError):
         ball(net, 6)
+    with pytest.raises(DomainError, match="radius must be nonnegative"):
+        net._cut(-1)
+
+
+def test_non_finite_floats_have_canonical_spellings():
+    assert [fmt_float(x) for x in (float("nan"), float("inf"), -float("inf"), 0.1)] == [
+        "NaN", "Infinity", "-Infinity", "0.10000000000000001"]
+    assert canonical_json([float("nan")]) == "[NaN]"
 
 
 def test_max_radius():

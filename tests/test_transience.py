@@ -123,10 +123,11 @@ def test_harm_dimension_probe_needs_a_non_origin_sample(zplus2, zplus2_plan):
 
 
 def test_contradicting_criteria_give_no_transient_verdict():
-    # On the seed-3 grid the monopole rule calls the log-growing wired trace
-    # settled and votes transient, while the walk's visits keep growing: the
-    # verdict is what the aggregation rule makes of the votes, and never
-    # transient, because a finite network is recurrent.
+    # On the seed-3 grid the wired trace grows like log r, which the limit
+    # rule leaves undecided: the monopole and grounded votes are
+    # inconclusive, and the walk's visits keep growing.  The verdict is what
+    # the aggregation rule makes of the votes, and never transient, because
+    # a finite network is recurrent.
     net = rn.Network.from_edges((0, 0), lognormal_grid_edges(25, 3))
     verdict = classify(net, rn.make_exhaustion(net, range(1, 8)), WalkConfig(1000, 4000, 3))
     votes = set(verdict.criteria.values()) - {"inconclusive"}

@@ -96,6 +96,11 @@ def test_sums_and_differences_agree(data):
                 h()
 
 
+def test_repr_names_the_window_size_and_gauge():
+    f = VertexFunction(path_network([0, 1, 2, 3]).vertices, [0, 2, 3], [0.5, -1.0, 2.0])
+    assert repr(f) == "VertexFunction(|window|=3, gauge='raw')"
+
+
 def test_the_constructor_copies_the_values_it_is_given():
     # The package's builders hand their own arrays over uncopied; a caller's
     # array stays the caller's: writable, and not read by the function.
