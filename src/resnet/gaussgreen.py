@@ -27,9 +27,9 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, WindowError
 from .kernels import harm_part
-from .network import VertexFunction, _stable_order
-from .operators import (common_window, energy, pair_sums, prefix_sums,
-                        read_values, scaled_laplacian_residual, window_laplacian)
+from .network import _BLOCK, VertexFunction, _stable_order
+from .operators import (common_window, energy, pair_sums, prefix_sums, read_values,
+                        scaled_laplacian_residual, window_laplacian)
 
 LIMIT_TOL = 1e-6          # last-3-stage agreement declares a limit
 EXHAUSTION_TOL = 1e-3     # two plans differing more than this are dependent
@@ -105,6 +105,13 @@ def _limit_estimate(values, tol):
     if max(tail) - min(tail) <= tol:
         return float(prefix_sums(np.array(tail))[-1]) / len(tail), True
     return None, False
+
+
+def _running_sums(terms):
+    """The running sums of ``terms``, in their place: added left to right
+    from 0.0, the bits of ``prefix_sums(terms)[1:]``."""
+    terms[:1] += 0.0
+    return np.cumsum(terms, out=terms)
 
 
 def _compare_plans(boundary_at, plan, alt_plan, tol):
@@ -183,20 +190,28 @@ def _stage_sums(net, u, v, plans, *, vertex_part=True):
     def staged(key, terms):  # for every radius r, the terms keyed <= r in stable key order
         order = _stable_order(key)
         cuts = np.searchsorted(key[order], radii, side="right")
-        sums = prefix_sums(terms[order][:cuts[-1]])[cuts]
-        return dict(zip(radii.tolist(), sums.tolist()))
+        sums = _running_sums(terms[order][:cuts[-1]])  # terms is ours to overwrite
+        return {r: float(sums[c - 1]) if c else 0.0
+                for r, c in zip(radii.tolist(), cuts.tolist())}
 
     lap = pair_sums(net, slice(None), vv)  # exact on the rows of reach <= top
     vertex_at = staged(a.reach, uu * lap)
     lap[a.reach > plans[0].final_radius] = 0.0  # adding 0.0 keeps each sum's bits
-    mass = float(prefix_sums(lap)[-1])
+    mass = float(_running_sums(lap)[-1])
+    # The edges are found before lap is freed: lying above it, they keep its
+    # memory from going back to the system, so key and terms reuse it rather
+    # than fault in fresh pages.
+    edges = a.edges()
     del lap
-    ex, ey = a.edge_x, a.edge_y
-    key, du = a.dist[ex], uu[ex]
-    np.maximum(key, a.dist[ey], out=key)
-    du -= uu[ey]
-    terms = a.edge_c * du
-    terms *= du if v is u else vv[ex] - vv[ey]  # c_xy du dv, left to right
+    key, terms = np.empty(len(edges), np.int64), np.empty(len(edges))
+    for lo in range(0, len(edges), _BLOCK):  # the differences a block at a time
+        at = edges[lo:lo + _BLOCK]
+        x, y = row[at], nbr[at]
+        np.maximum(a.dist[x], a.dist[y], out=key[lo:lo + _BLOCK])
+        du = uu[x] - uu[y]
+        t = np.multiply(a.cond[at], du, out=terms[lo:lo + _BLOCK])
+        t *= du if v is u else vv[x] - vv[y]  # c_xy du dv, left to right
+    del edges
     return staged(key, terms), vertex_at, boundary_at, mass
 
 

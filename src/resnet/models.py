@@ -163,7 +163,9 @@ def _line(spec, radius, powers):
     lo = 0 if half else -radius
     n = radius + 1 - lo
     # Row p pairs with p - 1 and p + 1 (-1 past either end) over edges p, p + 1.
-    pairs = np.add.outer(np.arange(-1, n - 1), [0, 2])
+    pairs = np.empty((n, 2), np.int64)
+    pairs[:, 0] = np.arange(-1, n - 1)
+    pairs[:, 1] = np.arange(1, n + 1)
     pairs[0, 0] = pairs[-1, 1] = -1
     size = np.arange(lo - 1, radius + 2)
     np.abs(size, out=size)
@@ -424,9 +426,9 @@ def network_to_jsonable(net):
         return {"model": net.model["model"],
                 "params": dict(net.model.get("params", {})),
                 "radius": int(net.model["radius"])}
-    a, verts = net.arrays, net.vertices
+    a, verts, at = net.arrays, net.vertices, net.arrays.edges()
     edges = [{"u": _vertex_to_json(verts[x]), "v": _vertex_to_json(verts[y]), "c": c}
-             for x, y, c in zip(a.edge_x.tolist(), a.edge_y.tolist(), a.edge_c.tolist())]
+             for x, y, c in zip(a.rows[at].tolist(), a.nbr[at].tolist(), a.cond[at].tolist())]
     return {"origin": _vertex_to_json(net.origin),
             "vertices": [_vertex_to_json(v) for v in net.vertices],
             "edges": edges}

@@ -42,6 +42,8 @@ GAUGE_VANISH = "vanish-at-infinity"
 GAUGE_RAW = "raw"
 GAUGES = (GAUGE_ORIGIN, GAUGE_VANISH, GAUGE_RAW)
 
+_BLOCK = 8192  # pairs per gather: 64 KiB reuses freed memory, not fresh pages
+
 
 def vertex_key(v):
     """Total order on vertex ids: all ints first, then int tuples."""
@@ -109,8 +111,8 @@ class Network:
         # A sorted row puts a duplicate right after its twin; ring ids still differ.
         twin = np.flatnonzero((ids[1:] == ids[:-1]) & (rows[1:] == rows[:-1]))
         ids[ids >= len(vertices)] = -1
-        self.arrays = NetworkArrays.of(dist, degree, rows, ids, cond)
-        self._validate(twin)
+        self.arrays, symmetric = NetworkArrays.of(dist, degree, rows, ids, cond)
+        self._validate(twin, symmetric)
         # Ball B_r is the first _cuts[r] vertices of the search order.
         counts = np.bincount(self.arrays.dist)
         self._cuts = np.cumsum(counts, out=counts)
@@ -163,10 +165,11 @@ class Network:
         return cls(origin, verts, search.astype(np.int64), np.array(dist, np.int64),
                    degree, ids, cond, ())
 
-    def _validate(self, twin):
+    def _validate(self, twin, symmetric):
         """Reject duplicate pairs (each pair in ``twin`` repeats the next one),
-        isolated vertices, a total conductance c(x) that overflows and
-        one-sided or (bit-exactly) asymmetric edges."""
+        isolated vertices, a total conductance c(x) that overflows and, unless
+        the arrays found the pairs ``symmetric``, one-sided or (bit-exactly)
+        asymmetric edges."""
         a, verts = self.arrays, self._vertices
         if twin.size:
             x, y = verts[a.rows[twin[0]]], self._name(int(twin[0]))
@@ -178,15 +181,9 @@ class Network:
         if overflow.size:
             raise DomainError(f"total conductance of vertex {verts[overflow[0]]!r} "
                               "overflows float64")
-        # Each pair inside the window has its reverse, with the same value,
-        # exactly when the pairs below the diagonal, reversed and sorted (stably
-        # by neighbour: rows come in order), are the edge list.  Only a failure
-        # is searched, for the first bad pair.
-        lower = np.flatnonzero((a.nbr < a.rows) & (a.nbr >= 0))
-        lower = lower[_stable_order(a.nbr[lower])]
-        if all(np.array_equal(col[lower], want) for col, want in (
-                (a.nbr, a.edge_x), (a.rows, a.edge_y), (a.cond, a.edge_c))):
+        if symmetric:
             return
+        # Only a failure is searched, for the first bad pair.
         n = len(verts)
         x, y, c = (col[a.nbr >= 0] for col in (a.rows, a.nbr, a.cond))
         keys, back = x * n + y, y * n + x
@@ -311,13 +308,12 @@ class NetworkArrays:
     ``nbr``/``cond`` hold every vertex's incident pairs in :meth:`incident`
     order, row i spanning ``indptr[i]:indptr[i + 1]``, and ``rows`` the row of
     each entry (``nbr`` is the constructor's ``ids``, -1 beyond the window).
-    ``edge_x``/``edge_y``/``edge_c`` list each edge inside the window once,
-    from its end of smaller position, ordered by that end and then in
-    ``incident`` order.  ``reach[i]`` is the largest distance over vertex i
-    and its neighbours (inf next to a neighbour beyond the window), so vertex
-    i is interior to the ball B_r exactly when ``reach[i] <= r``, and on its
-    boundary when ``dist[i] == r < reach[i]``.  ``ctot[i]`` is c(x) of vertex
-    i, its row of conductances added left to right.
+    They are the window's only edge list: :meth:`edges` names the pair of
+    each edge inside the window.  ``reach[i]`` is the largest distance over
+    vertex i and its neighbours (inf next to a neighbour beyond the window),
+    so vertex i is interior to the ball B_r exactly when ``reach[i] <= r``,
+    and on its boundary when ``dist[i] == r < reach[i]``.  ``ctot[i]`` is c(x)
+    of vertex i, its row of conductances added left to right.
     """
 
     dist: np.ndarray
@@ -325,29 +321,47 @@ class NetworkArrays:
     rows: np.ndarray
     nbr: np.ndarray
     cond: np.ndarray
-    edge_x: np.ndarray
-    edge_y: np.ndarray
-    edge_c: np.ndarray
     reach: np.ndarray
     ctot: np.ndarray
 
     @classmethod
     def of(cls, dist, degree, rows, nbr, cond):
         """From the distance and degree of each vertex, and the row, neighbour
-        position (-1 beyond the window) and conductance of each pair, uncopied."""
+        position (-1 beyond the window) and conductance of each pair, uncopied:
+        the arrays, and whether each pair inside the window has its reverse
+        with the same conductance, bit for bit."""
         n = len(dist)
         indptr = np.zeros(n + 1, np.int64)
         np.cumsum(degree, out=indptr[1:])
-        inner = np.flatnonzero(nbr > rows)  # indices: faster to gather than a mask
-        ex, ey = rows[inner], nbr[inner]
-        farther, step = np.zeros(n, bool), dist[ey]
-        step -= dist[ex]
-        farther[ex[step > 0]] = farther[ey[step < 0]] = True
-        reach = np.add(dist, farther, dtype=float)  # neighbours' dist differ by <= 1
-        reach[rows[nbr < 0]] = np.inf
-        return cls(dist=dist, indptr=indptr, rows=rows, nbr=nbr, cond=cond,
-                   edge_x=ex, edge_y=ey, edge_c=cond[inner], reach=reach,
-                   ctot=np.bincount(rows, cond, minlength=n))
+        arrays = cls(dist=dist, indptr=indptr, rows=rows, nbr=nbr, cond=cond,
+                     reach=dist.astype(float),
+                     ctot=np.bincount(rows, cond, minlength=n))
+        # The pairs are symmetric exactly when the pairs below the diagonal,
+        # reversed and sorted (stably by neighbour: rows come in order), are
+        # the edges.  Both ends of each edge are found once, a block at a
+        # time, for this and for reach.
+        edges = arrays.edges()
+        lower = np.flatnonzero((nbr < rows) & (nbr >= 0))
+        lower = lower[_stable_order(nbr[lower])]
+        symmetric = len(lower) == len(edges)
+        farther = np.zeros(n, bool)
+        for lo in range(0, len(edges), _BLOCK):
+            at, back = edges[lo:lo + _BLOCK], lower[lo:lo + _BLOCK]
+            ex, ey = rows[at], nbr[at]
+            step = dist[ey] - dist[ex]
+            farther[ex[step > 0]] = farther[ey[step < 0]] = True
+            symmetric = symmetric and (np.array_equal(nbr[back], ex)
+                                       and np.array_equal(rows[back], ey)
+                                       and np.array_equal(cond[back], cond[at]))
+        arrays.reach[farther] += 1.0  # neighbours' dist differ by <= 1
+        arrays.reach[rows[nbr < 0]] = np.inf
+        return arrays, symmetric
+
+    def edges(self):
+        """The pairs that are edges inside the window, those with ``nbr >
+        rows``: each edge once, from its end of smaller position, ordered by
+        that end and then in :meth:`Network.incident` order."""
+        return np.flatnonzero(self.nbr > self.rows)  # indices: faster to gather than a mask
 
 
 class Ball:

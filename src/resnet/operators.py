@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_BLOCK = 8192  # pairs per gather: 64 KiB reuses freed memory, not fresh pages
+from .network import _BLOCK, _stable_order
 
 
 @dataclass(frozen=True)
@@ -74,21 +74,22 @@ def common_window(net, u, v=None):
 
 
 def inner_edges(net, pos):
-    """Mask over the edge list of ``net.arrays``: the edges with both ends at
-    the window positions ``pos``."""
+    """The edges of ``net.arrays`` (:meth:`~resnet.network.NetworkArrays.edges`)
+    with both ends at the window positions ``pos``, as increasing pairs."""
+    a = net.arrays
     inside = np.zeros(len(net.vertices), bool)
     inside[pos] = True
-    return inside[net.arrays.edge_x] & inside[net.arrays.edge_y]
+    edges = a.edges()
+    return edges[inside[a.rows[edges]] & inside[a.nbr[edges]]]
 
 
-def edge_energy(net, keep, uu, vv):
-    """Σ c_xy (u(x) − u(y))(v(x) − v(y)) over the edges that the mask ``keep``
-    selects, added left to right in the order of the edge list of
-    ``net.arrays``; ``uu`` and ``vv`` hold u and v by vertex position, or
-    one function per column, with one sum per column (a list).  The one
-    summation behind :func:`energy` and the kernel traces."""
+def edge_energy(net, edges, uu, vv):
+    """Σ c_xy (u(x) − u(y))(v(x) − v(y)) over the edge pairs ``edges``, added
+    left to right in their order; ``uu`` and ``vv`` hold u and v by vertex
+    position, or one function per column, with one sum per column (a list).
+    The one summation behind :func:`energy` and the kernel traces."""
     a = net.arrays
-    ex, ey, ec = a.edge_x[keep], a.edge_y[keep], a.edge_c[keep]
+    ex, ey, ec = a.rows[edges], a.nbr[edges], a.cond[edges]
     if uu.ndim == 2:
         ec = ec[:, None]
     return prefix_sums(ec * (uu[ex] - uu[ey]) * (vv[ex] - vv[ey]))[-1].tolist()
@@ -96,16 +97,27 @@ def edge_energy(net, keep, uu, vv):
 
 def pair_sums(net, keep, vv):
     """Σ c_xy (v(x) − v(y)) at every vertex x over the pairs of ``net.arrays``
-    that ``keep`` (a mask, increasing indices or a slice) selects, added left
-    to right in ``incident`` order as :func:`laplacian_apply` adds them; ``vv``
-    holds v by vertex position.  The one pair sum behind Δ and ∂."""
+    that ``keep`` (increasing pair indices, or ``slice(None)`` for every pair)
+    selects, added left to right in ``incident`` order as
+    :func:`laplacian_apply` adds them; ``vv`` holds v by vertex position.  The
+    one pair sum behind Δ and ∂."""
     a = net.arrays
-    x, y = a.rows[keep], a.nbr[keep]
-    w = vv[x]
-    for lo in range(0, len(w), _BLOCK):  # v(y) a block at a time
-        w[lo:lo + _BLOCK] -= vv[y[lo:lo + _BLOCK]]
-    w *= a.cond[keep]  # c (v(x) − v(y)), the same bits as its product
-    return np.bincount(x, w, minlength=len(a.dist))
+    x = a.rows[keep]
+    out = np.zeros(len(a.dist))
+    lo = 0
+    while lo < len(x):
+        # A block ends on a row boundary, so one bincount adds each row's
+        # terms, and spans at most _BLOCK rows unless one row is longer.
+        last = min(x[min(lo + _BLOCK, len(x)) - 1], x[lo] + _BLOCK - 1)
+        hi = int(np.searchsorted(x, last, side="right"))
+        at = keep[lo:hi] if isinstance(keep, np.ndarray) else slice(lo, hi)
+        w = vv[x[lo:hi]]
+        w -= vv[a.nbr[at]]
+        w *= a.cond[at]  # c (v(x) − v(y)), the same bits as its product
+        first = x[lo]
+        out[first:last + 1] = np.bincount(x[lo:hi] - first, w, minlength=last + 1 - first)
+        lo = hi
+    return out
 
 
 def window_laplacian(net, u, pos):
@@ -115,7 +127,7 @@ def window_laplacian(net, u, pos):
     neighbour beyond the materialized window or outside u's window raises
     WindowError."""
     a = net.arrays
-    pairs = net._inside(net._pairs(pos))
+    pairs = net._inside(net._pairs(pos[_stable_order(pos)]))  # rows in order, for pair_sums
     read = np.zeros(len(a.dist), bool)
     read[pos] = read[a.nbr[pairs]] = True
     uu = read_values(net, u, np.flatnonzero(read))
@@ -127,21 +139,22 @@ def energy(net, u, v=None, window=None):
 
     Symmetric, bilinear and gauge-independent.  Defaults: v = u, and the
     window is the common support window of u and v.  The edge terms are
-    summed left to right in the order of the edge list of ``net.arrays``.
+    summed left to right in the order of
+    :meth:`~resnet.network.NetworkArrays.edges`.
     """
     if v is None:
         v = u
     if window is None:
         window = common_window(net, u, v)
     a = net.arrays
-    keep = inner_edges(net, window)
+    edges = inner_edges(net, window)
     read = np.zeros(len(net.vertices), bool)
-    read[a.edge_x[keep]] = read[a.edge_y[keep]] = True
+    read[a.rows[edges]] = read[a.nbr[edges]] = True
     ends = np.flatnonzero(read)
     uu = read_values(net, u, ends)
     vv = uu if v is u else read_values(net, v, ends)
     converged = net.is_finite and len(window) == len(net.vertices)
-    return EnergyValue(value=edge_energy(net, keep, uu, vv), converged=converged)
+    return EnergyValue(value=edge_energy(net, edges, uu, vv), converged=converged)
 
 
 def scaled_laplacian_residual(net, u, rhs, window):

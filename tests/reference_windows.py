@@ -127,8 +127,9 @@ def from_edges(origin, edges):
 def pointwise_arrays(dist, adjacency):
     """The :class:`NetworkArrays` of the window that :func:`explore` found,
     built vertex by vertex in plain Python: ``reach`` as the largest distance
-    over each row (inf next to the ring), ``ctot`` added left to right and
-    the edge lists by a loop."""
+    over each row (inf next to the ring) and ``ctot`` added left to right;
+    with the pairs that :meth:`NetworkArrays.edges` must name, in order, by
+    the same loop: each pair inside the window to a larger position."""
     verts = vsorted(adjacency)
     index = {x: i for i, x in enumerate(verts)}
     indptr, rows, nbr, cond, reach, ctot, edges = [0], [], [], [], [], [], []
@@ -142,16 +143,14 @@ def pointwise_arrays(dist, adjacency):
             far = max(far, dist[y] if j >= 0 else float("inf"))
             total += c
             if j > i:
-                edges.append((i, j, c))
+                edges.append(len(rows) - 1)
         indptr.append(len(rows))
         reach.append(float(far))
         ctot.append(total)
     ints, floats = partial(np.array, dtype=np.int64), partial(np.array, dtype=float)
-    edge_x, edge_y, edge_c = zip(*edges) if edges else ((), (), ())
     return NetworkArrays(dist=ints([dist[x] for x in verts]), indptr=ints(indptr),
                          rows=ints(rows), nbr=ints(nbr), cond=floats(cond),
-                         edge_x=ints(edge_x), edge_y=ints(edge_y), edge_c=floats(edge_c),
-                         reach=floats(reach), ctot=floats(ctot))
+                         reach=floats(reach), ctot=floats(ctot)), ints(edges)
 
 
 def has_vertex(net, x):

@@ -506,6 +506,16 @@ def test_net_file_errors_keep_their_message(tmp_path, capsys, text, message):
     assert ("malformed" in err) == message.startswith("malformed")
 
 
+def test_a_net_file_whose_vertex_list_disagrees_with_its_edges_exits_2(tmp_path, capsys):
+    net, out = tmp_path / "net.json", tmp_path / "monopole.json"
+    net.write_text(json.dumps({"origin": 0, "vertices": [0, 1, 2, 3],
+                               "edges": [{"u": 0, "v": 1, "c": 1.0},
+                                         {"u": 1, "v": 2, "c": 1.0}]}))
+    assert main(["monopole", "--net", str(net), "-o", str(out)]) == 2
+    assert "declared vertex list disagrees with the edges" in capsys.readouterr().err
+    assert not out.exists()
+
+
 VERBS_ON_0123 = [["resistance", "--x", "0", "--y", "3"], ["kernel", "--x", "3"]]
 
 

@@ -313,7 +313,7 @@ def test_stage_sums_match_stagewise_on_geom_z_with_alt_plan(geom2, geom2_plan, s
     assert report.meta["alt_descriptor"] == alt.descriptor
     # Canonical order -R..R is not distance order: the vertex key and the
     # edge key are sorted.
-    assert {len(geom2.vertices), len(geom2.arrays.edge_x)} <= set(stable_sorts)
+    assert {len(geom2.vertices), len(geom2.arrays.edges())} <= set(stable_sorts)
 
 
 def test_stage_sums_match_stagewise_on_explicit_grid(rng, stable_sorts):
@@ -326,7 +326,7 @@ def test_stage_sums_match_stagewise_on_explicit_grid(rng, stable_sorts):
     net = rn.Network.from_edges((1, 1), edges)
     # The symmetry check orders the pairs below the diagonal by neighbour,
     # which a grid's rows do not.
-    assert stable_sorts == [len(net.arrays.edge_x)]
+    assert stable_sorts == [len(net.arrays.edges())]
     u, v = random_function(rng, net), random_function(rng, net)
     radius = net.max_radius
     report = _assert_matches_stagewise(

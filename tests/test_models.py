@@ -289,3 +289,12 @@ def test_load_network_refuses_a_radius_with_explicit_edges():
     assert load_network(text).vertices == (0, 1)
     model = '{"model": "unit_line", "params": {}, "radius": 5}'
     assert len(load_network(model, radius=2).vertices) == 5
+
+
+@pytest.mark.parametrize("vertices", [[0, 1, 2, 3], [0, 1], [0, 1, [2]]])
+def test_load_network_refuses_a_vertex_list_that_disagrees_with_the_edges(vertices):
+    obj = {"origin": 0, "vertices": vertices,
+           "edges": [{"u": 0, "v": 1, "c": 1.0}, {"u": 1, "v": 2, "c": 2.0}]}
+    with pytest.raises(ConfigurationError, match="declared vertex list disagrees with the edges"):
+        load_network(obj)
+    assert load_network(dict(obj, vertices=[2, 0, 1])).vertices == (0, 1, 2)

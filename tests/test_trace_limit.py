@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import resnet as rn
-from resnet.kernels import _trace_limit
+from resnet.kernels import _trace_limit, _wired_trace
 from resnet.models import ModelSpec, build
 from resnet.randomwalk import WalkConfig
 from resnet.transience import classify, grounded_projection_of_one
@@ -85,6 +85,19 @@ def test_no_wrong_electric_vote_on_the_lognormal_grids():
         net = rn.Network.from_edges((0, 0), lognormal_grid_edges(25, seed))
         cases.append((f"seed {seed}", net, rn.make_exhaustion(net, range(1, 8)), "recurrent"))
     assert wrong_votes(cases) == []
+
+
+@pytest.mark.parametrize("c", [0.8, 1.0, 2.0])
+def test_k_identical_arms_divide_the_wired_trace_by_k(c):
+    # Parallel arms: the k arms of a star are k copies of the half-line
+    # geom_zplus in parallel between the centre and the wired ghost.
+    arm = build(ModelSpec("geom_zplus", {"c": c}), radius=12)
+    radii, one = _wired_trace(arm, arm._require(arm.origin), rn.make_exhaustion(arm, range(1, 12)))[:2]
+    for k in (2, 3, 5):
+        star = build(ModelSpec("star", {"c": c, "arms": k}), radius=12)
+        got = _wired_trace(star, star._require(star.origin), rn.make_exhaustion(star, range(1, 12)))
+        assert got[0] == radii
+        assert np.array(got[1]) == pytest.approx(np.array(one) / k, rel=1e-12, abs=0)
 
 
 def test_two_plans_over_one_window_give_one_vote():

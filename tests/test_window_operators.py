@@ -21,7 +21,7 @@ from resnet.kernels import (dirac_expansion_check, energy_kernel, harm_part,
 from resnet.models import (ModelSpec, build, oracle_h_function, oracle_residuals,
                            oracle_v_function, oracle_w_o_function)
 from resnet.network import vsorted
-from resnet.operators import (energy, laplacian_apply,
+from resnet.operators import (energy, laplacian_apply, pair_sums,
                               scaled_laplacian_residual, window_laplacian)
 from resnet.solver import WIRED, solve_poisson
 from resnet.transience import grounded_projection_of_one
@@ -119,6 +119,26 @@ def test_window_laplacian_matches_pointwise(net, uv):
     window = interior_of(net, u.window)
     lap = window_laplacian(net, u, positions(net, window))
     assert lap.tolist() == [laplacian_apply(net, u, x) for x in vsorted(window)]
+
+
+@pytest.mark.parametrize("spec, radius", [(ModelSpec("star", {"c": 2.0, "arms": 10000}), 2),
+                                          (ModelSpec("unit_line"), 6000)])
+def test_pair_sums_over_many_blocks_match_one_sum_per_row(spec, radius):
+    # The pair sums run in blocks of pairs that end on row boundaries: here
+    # over more pairs than one block, with a row longer than a block (the
+    # star's centre) and with a sparse window whose rows lie blocks apart.
+    net = build(spec, radius)
+    a = net.arrays
+    vv = np.random.default_rng(5).standard_normal(len(net.vertices))
+    whole = np.bincount(a.rows, (vv[a.rows] - vv[a.nbr]) * a.cond, minlength=len(vv))
+    assert pair_sums(net, slice(None), vv).tolist() == whole.tolist()
+    u = rn.VertexFunction(net.vertices, np.arange(len(vv)), vv)
+    sparse = np.flatnonzero(a.reach <= radius)[::997]
+    assert window_laplacian(net, u, sparse).tolist() == \
+        [laplacian_apply(net, u, net.vertices[p]) for p in sparse.tolist()]
+    # A window in any order reads its rows in order.
+    assert window_laplacian(net, u, sparse[::-1]).tolist() == \
+        window_laplacian(net, u, sparse).tolist()[::-1]
 
 
 def test_scaled_residual_matches_pointwise(net, uv):

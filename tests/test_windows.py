@@ -19,15 +19,17 @@ from reference_windows import (explore_edges, from_edges, pointwise_arrays,
                                reference_window, reference_window_arrays)
 
 
-def assert_same_arrays(got, want):
+def assert_same_arrays(got, want, edges):
     for field in dataclasses.fields(want):
         a, b = getattr(got, field.name), getattr(want, field.name)
         assert a.dtype == b.dtype, field.name
         assert np.array_equal(a, b), field.name
+    assert got.edges().dtype == edges.dtype
+    assert np.array_equal(got.edges(), edges)
 
 
 def assert_same_window(net, ref, radii):
-    assert_same_arrays(net.arrays, ref.arrays)
+    assert_same_arrays(net.arrays, ref.arrays, ref.arrays.edges())
     assert tuple(net.vertices) == ref.vertices
     assert np.array_equal(net._order, ref._order)
     assert net._pos == ref._pos
@@ -165,20 +167,20 @@ def test_from_edges_refuses_what_the_reference_search_refuses(origin, edges, mes
                          ids=[f"{s.family}-{s.params}-{r}" for s, r in CASES]
                          + ["log_increment_line-59049"])
 def test_window_arrays_match_the_pointwise_reference(spec, radius):
-    assert_same_arrays(build(spec, radius).arrays, reference_window_arrays(spec, radius))
+    assert_same_arrays(build(spec, radius).arrays, *reference_window_arrays(spec, radius))
 
 
 def test_explicit_arrays_match_the_pointwise_reference():
     for origin, edges in explicit_nets():
         assert_same_arrays(Network.from_edges(origin, edges).arrays,
-                           pointwise_arrays(*explore_edges(origin, edges)))
+                           *pointwise_arrays(*explore_edges(origin, edges)))
 
 
 @given(edge_lists())
 def test_explicit_arrays_match_the_pointwise_reference_on_any_edge_list(case):
     origin, edges = case
     assert_same_arrays(Network.from_edges(origin, edges).arrays,
-                       pointwise_arrays(*explore_edges(origin, edges)))
+                       *pointwise_arrays(*explore_edges(origin, edges)))
 
 
 # -- refusals of the symmetry check ------------------------------------------
